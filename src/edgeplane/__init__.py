@@ -10,16 +10,9 @@ deterministic rate-based traffic simulator with an alerting observer loop.
 
 from .errors import EdgeplaneError
 from .locality import LocalityLevel
-from .topology import InfrastructureGraph, load_topology, nodes_in_scope, domain_of_node
-from .appmodel import (
-    ApplicationDag,
-    PlacementRequest,
-    DemandProfile,
-    app_from_doc,
-    validate_app,
-    propagate_demand,
-)
-from .policy import PolicySet, PolicyDecision, parse_policies, get_data, is_allowed, eligible_domains, batch_evaluate
+from .topology import InfrastructureGraph, load_topology
+from .appmodel import ApplicationDag, PlacementRequest, app_from_doc, validate_app
+from .policy import PolicySet, PolicyDecision, parse_policies, get_data, is_allowed
 from .controlplane import (
     ControlPlane,
     DeploymentPlan,
@@ -29,7 +22,6 @@ from .controlplane import (
     Alert,
     place_application,
     required_instances,
-    select_nodes,
     generate_routes,
     validate_plan,
     handle_alert,

@@ -14,18 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
 
 from .errors import (
     CycleDetected,
     DuplicateId,
     InvalidApplication,
     InvalidRequest,
-    MissingLocality,
     UnknownDomain,
     UnknownMicroservice,
 )
-from .locality import LocalityLevel
 
 
 def as_rate(value) -> Fraction:
@@ -269,59 +266,3 @@ def demand_from_doc(app: ApplicationDag, doc: dict) -> PlacementRequest:
             raise InvalidRequest(f"demand for domain {domain!r} must map microservices to rps")
         demand[str(domain)] = {str(ms): as_rate(rps) for ms, rps in per.items()}
     return PlacementRequest(app=app, demand=demand)
-
-
-@dataclass
-class DemandProfile:
-    """Per microservice: aggregated rps keyed by locality anchor.
-
-    Anchors are domain ids (strict-domain scope), region ids (strict-region)
-    or the pooled ``"global"`` key.  Static propagation only ever coarsens
-    anchors; it cannot split an upstream pool back into finer anchors, so a
-    microservice fed from a coarser pool keeps the coarse anchor.  The planner
-    refines those cases from actual upstream instance locations instead.
-    """
-
-    per_ms: dict[str, dict[str, Fraction]]
-
-    def total(self, ms_id: str) -> Fraction:
-        return sum(self.per_ms.get(ms_id, {}).values(), Fraction(0))
-
-
-LocalityResolver = Callable[[str], tuple[LocalityLevel, Callable[[str], str]]]
-
-
-def propagate_demand(app: ApplicationDag, request: PlacementRequest, locality_of: LocalityResolver) -> DemandProfile:
-    """Push ingress demand through the DAG, aggregating at each hop.
-
-    ``locality_of`` maps a microservice id to ``(level, anchor_of)`` where
-    ``anchor_of`` folds a source anchor into this microservice's anchor key.
-    Each microservice is visited exactly once, in topological order; incoming
-    contributions sum and each is scaled by its edge's rate ratio.
-    """
-    demand = request.normalized_demand()
-    profile: dict[str, dict[str, Fraction]] = {}
-    for ms_id in app.topological_order():
-        if app.microservices[ms_id].placed_on_iot:
-            continue
-        resolved = locality_of(ms_id)
-        if resolved is None:
-            raise MissingLocality(f"no locality resolves for {ms_id!r}")
-        _level, anchor_of = resolved
-        acc: dict[str, Fraction] = {}
-        if ms_id in app.ingress_ids:
-            for domain, per in demand.items():
-                rps = per.get(ms_id)
-                if rps is None:
-                    continue
-                anchor = anchor_of(domain)
-                acc[anchor] = acc.get(anchor, Fraction(0)) + rps
-        else:
-            for edge in app.predecessors(ms_id):
-                if app.microservices[edge.from_ms].placed_on_iot:
-                    continue  # device-side sources feed ingress only
-                for src_anchor, rps in profile.get(edge.from_ms, {}).items():
-                    anchor = anchor_of(src_anchor)
-                    acc[anchor] = acc.get(anchor, Fraction(0)) + rps * edge.rate_ratio
-        profile[ms_id] = dict(sorted(acc.items()))
-    return DemandProfile(per_ms=profile)

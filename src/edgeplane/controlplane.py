@@ -1,18 +1,20 @@
 """Control plane: demand-driven placement, routing rules, validation, replans.
 
-Placement walks the application DAG frontier (a microservice becomes placeable
-once every predecessor is placed), strictest locality first.  For each
-microservice the offered demand is anchored per consumer edge: strict-domain
-edges anchor at each domain where the consumer holds instances, strict-region
-edges at each such region, and global edges pool everything.  Instance counts
-are the ceiling of anchored demand over per-instance capacity, and nodes are
-chosen first-fit over the anchor's eligible domains, ordered by descending
-free cpu with node-id tie-breaks.
+One reconciler chooses node slots for both placement and replans.  It walks
+the application DAG frontier (a microservice becomes placeable once every
+predecessor is placed), strictest locality first.  For each microservice the
+offered demand is anchored per consumer edge: strict-domain edges anchor at
+each domain where the consumer holds instances, strict-region edges at each
+such region, and global edges pool everything.  Instance counts are the
+ceiling of anchored demand over per-instance capacity.
 
-The greedy pass is the first branch of a backtracking search: when a greedy
-choice strands a later, stricter microservice, earlier node choices are
-revisited before the request is declared infeasible.  All ordering is
-deterministic, so identical inputs produce identical plans.
+Each anchor's first branch keeps the slots it already holds, resized: a fresh
+placement holds none, so its first branch is first-fit over the anchor's
+eligible domains, ordered by descending free cpu with node-id tie-breaks.
+When a choice strands a later, stricter microservice, the search backtracks
+through every split of the instances before it declares the request
+infeasible.  All ordering is deterministic, so identical inputs produce
+identical plans.
 """
 
 from __future__ import annotations
@@ -21,15 +23,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .appmodel import ApplicationDag, DemandProfile, PlacementRequest, as_rate
-from .errors import (
-    InfeasiblePlacement,
-    InsufficientCapacity,
-    NoDestinationInScope,
-    PlanningError,
-    UnknownDomain,
-    UnknownNode,
-)
+from .appmodel import ApplicationDag, Microservice, PlacementRequest, as_rate
+from .errors import InfeasiblePlacement, NoDestinationInScope, PlanningError, UnknownNode
 from .locality import LocalityLevel
 from .policy import PolicySet, eligible_domains_for_anchor
 from .topology import GLOBAL_ANCHOR, InfrastructureGraph
@@ -62,10 +57,7 @@ class AnchorPlacement:
         return sum(k for _, k in self.slots)
 
     def by_node(self) -> dict[str, int]:
-        agg: dict[str, int] = {}
-        for node_id, k in self.slots:
-            agg[node_id] = agg.get(node_id, 0) + k
-        return dict(sorted(agg.items()))
+        return dict(sorted(_by_node(self.slots).items()))
 
 
 @dataclass
@@ -102,12 +94,6 @@ class PlacementMapping:
             },
             order=self.order,
         )
-
-    def slots_view(self) -> dict:
-        return {
-            ms: {anchor: list(ap.slots) for anchor, ap in anchors.items()}
-            for ms, anchors in self.per_ms.items()
-        }
 
 
 @dataclass(frozen=True)
@@ -150,12 +136,6 @@ class DeploymentPlan:
     mapping: PlacementMapping
     routes: RoutingRuleSet
     demand: dict[str, dict[str, Fraction]]
-
-    def demand_profile(self) -> DemandProfile:
-        return DemandProfile(per_ms={
-            ms: {anchor: ap.demand_rps for anchor, ap in sorted(anchors.items())}
-            for ms, anchors in self.mapping.per_ms.items()
-        })
 
 
 ALERT_KINDS = {
@@ -232,13 +212,15 @@ class _Ledger:
     def max_fit(self, node_id: str, cpu_req: int, mem_req: int) -> int:
         return min(self.cpu[node_id] // cpu_req, self.mem[node_id] // mem_req)
 
-    def take(self, node_id: str, cpu: int, mem: int):
-        self.cpu[node_id] -= cpu
-        self.mem[node_id] -= mem
+    def take(self, slots, ms: Microservice):
+        for node_id, k in slots:
+            self.cpu[node_id] -= ms.cpu_req * k
+            self.mem[node_id] -= ms.mem_req * k
 
-    def give(self, node_id: str, cpu: int, mem: int):
-        self.cpu[node_id] += cpu
-        self.mem[node_id] += mem
+    def give(self, slots, ms: Microservice):
+        for node_id, k in slots:
+            self.cpu[node_id] += ms.cpu_req * k
+            self.mem[node_id] += ms.mem_req * k
 
     def commit(self, graph: InfrastructureGraph):
         for node in graph.nodes.values():
@@ -270,11 +252,12 @@ class _Failure:
         self.cause: str | None = None
         self.partial: dict = {}
 
-    def note(self, ms_index: int, anchor_index: int, ms_id: str, anchor: str, cause: str, mapping: dict):
+    def note(self, ms_index: int, anchor_index: int, ms_id: str, anchor: str, cause, mapping: dict):
+        """Keep this failure if it is the deepest yet; ``cause()`` names why."""
         depth = ms_index * 10_000 + anchor_index
         if depth > self.depth:
             self.depth = depth
-            self.ms, self.anchor, self.cause = ms_id, anchor, cause
+            self.ms, self.anchor, self.cause = ms_id, anchor, cause()
             self.partial = {
                 ms: {a: list(ap.slots) for a, ap in anchors.items()}
                 for ms, anchors in mapping.items()
@@ -321,42 +304,11 @@ def _ordered_nodes(
     return [n.id for n in nodes]
 
 
-def _first_fit(node_ids, cpu_req: int, mem_req: int, count: int, ledger: _Ledger):
-    """Greedy packing in the given node order; returns (slots, shortfall)."""
-    slots: list[tuple[str, int]] = []
-    remaining = count
-    for node_id in node_ids:
-        if remaining == 0:
-            break
-        k = min(remaining, ledger.max_fit(node_id, cpu_req, mem_req))
-        if k > 0:
-            slots.append((node_id, k))
-            remaining -= k
-    if remaining > 0:
-        return None, remaining
-    return slots, 0
-
-
-def select_nodes(graph: InfrastructureGraph, domain_set, cpu_req: int, mem_req: int, instances: int) -> list[tuple[str, int]]:
-    """First-fit assignment of ``instances`` across the given domains.
-
-    Nodes are considered in (descending free cpu, node id) order and each
-    takes as many instances as its free capacity allows.  The decrement is
-    transactional: on InsufficientCapacity no free capacity changes.
-    """
-    domains = sorted(domain_set)
-    for domain_id in domains:
-        if domain_id not in graph.domains:
-            raise UnknownDomain(domain_id)
-    ledger = _Ledger.from_graph(graph)
-    node_ids = _ordered_nodes(graph, domains, ledger)
-    slots, shortfall = _first_fit(node_ids, cpu_req, mem_req, instances, ledger)
-    if slots is None:
-        raise InsufficientCapacity(shortfall, f"{instances} requested across {len(domains)} domain(s)")
+def _by_node(slots) -> dict[str, int]:
+    agg: dict[str, int] = {}
     for node_id, k in slots:
-        ledger.take(node_id, cpu_req * k, mem_req * k)
-    ledger.commit(graph)
-    return slots
+        agg[node_id] = agg.get(node_id, 0) + k
+    return agg
 
 
 # --- demand anchoring ----------------------------------------------------------
@@ -470,7 +422,7 @@ def _placement_sequence(app: ApplicationDag, pset: PolicySet, trace: list | None
     return sequence
 
 
-# --- placement search ----------------------------------------------------------
+# --- the reconciler ------------------------------------------------------------
 
 
 def _distributions(node_ids, cpu_req: int, mem_req: int, count: int, ledger: _Ledger, budget: _Budget):
@@ -505,71 +457,110 @@ def _distributions(node_ids, cpu_req: int, mem_req: int, count: int, ledger: _Le
     yield from rec(0, count)
 
 
-def place_application(
+def _reconcile(
     graph: InfrastructureGraph,
     app: ApplicationDag,
-    request: PlacementRequest,
-    policies: PolicySet,
-    *,
+    pset: PolicySet,
+    demand: dict[str, dict[str, Fraction]],
+    ledger: _Ledger,
+    budget: _Budget,
+    current: dict[str, dict[str, AnchorPlacement]] | None = None,
+    drained: str | None = None,
     trace: list | None = None,
-    search_budget: int = SEARCH_BUDGET,
-) -> DeploymentPlan:
-    """Compute a compliant deployment plan for the offered demand.
+) -> PlacementMapping:
+    """Choose node slots for every (microservice, anchor), in placement order.
 
-    Walks the frontier sequence; for each microservice, derives anchored
-    demand from the consumers already placed, computes the instance count per
-    anchor and assigns nodes first-fit within the anchor's eligible domains
-    (locality scope intersected with the placement restriction policy).  Node
-    choices backtrack when a later microservice cannot be placed.  On success,
-    node free capacities are decremented and routing rules generated.
+    ``current`` is the mapping to start from; its capacity stays held in
+    ``ledger`` until the search reaches each anchor.  An anchor's first
+    branch keeps its current slots minus any on the ``drained`` node: a shrink
+    drops the newest slots first, and growth adds instances first-fit,
+    displaced ones preferring the drained node's domain, then its region.
+    On backtrack every split from :func:`_distributions` is tried.
 
-    Raises InfeasiblePlacement naming the first unsatisfiable microservice
-    and anchor, with the cause and the deepest partial mapping.
+    Raises InfeasiblePlacement naming the deepest unsatisfiable microservice
+    and anchor, with the cause and that path's partial mapping.
     """
-    request.validate_against(graph)
-    demand = request.normalized_demand()
-    sequence = _placement_sequence(app, policies, trace=trace)
-    ledger = _Ledger.from_graph(graph)
-    budget = _Budget(search_budget)
+    current = current or {}
+    sequence = _placement_sequence(app, pset, trace=trace)
     failure = _Failure()
     acc: dict[str, dict[str, AnchorPlacement]] = {}
+
+    def choices(ms: Microservice, anchor: str, need: int, old: AnchorPlacement | None):
+        """Slot lists for one anchor: its kept slots resized, then every split."""
+        first = None
+        if old is not None:
+            kept = [slot for slot in old.slots if slot[0] != drained]
+            displaced = len(kept) < len(old.slots)
+            excess = sum(k for _, k in kept) - need
+            while excess > 0:
+                node_id, k = kept.pop()
+                if k > excess:
+                    kept.append((node_id, k - excess))
+                excess -= min(k, excess)
+            if excess < 0:
+                ledger.take(kept, ms)
+                prefer = graph.nodes[drained].domain_id if displaced else None
+                domains = eligible_domains_for_anchor(pset, ms.id, anchor, graph)
+                node_ids = _ordered_nodes(graph, domains, ledger, prefer_domain=prefer)
+                grown = next(_distributions(node_ids, ms.cpu_req, ms.mem_req, -excess, ledger, budget), None)
+                ledger.give(kept, ms)
+                kept = None if grown is None else kept + grown
+            if kept is not None:
+                yield kept
+                first = _by_node(kept)
+        domains = eligible_domains_for_anchor(pset, ms.id, anchor, graph)
+        node_ids = _ordered_nodes(graph, domains, ledger)
+        for dist in _distributions(node_ids, ms.cpu_req, ms.mem_req, need, ledger, budget):
+            if first is None or _by_node(dist) != first:
+                yield dist
 
     def place_ms(idx: int) -> bool:
         if idx == len(sequence):
             return True
-        ms_id = sequence[idx]
-        ms = app.microservices[ms_id]
-        anchors = _anchor_demand(graph, app, policies, demand, ms_id, acc)
-        items = sorted(anchors.items())
+        ms = app.microservices[sequence[idx]]
+        wanted = _anchor_demand(graph, app, pset, demand, ms.id, acc)
+        before = current.get(ms.id, {})
+        anchors = sorted(set(before) | set(wanted))
         placements: dict[str, AnchorPlacement] = {}
-        acc[ms_id] = placements
+        acc[ms.id] = placements
 
-        def place_anchor(j: int) -> bool:
-            if j == len(items):
-                return place_ms(idx + 1)
-            anchor, (level, rps) = items[j]
-            count = required_instances(rps, ms.capacity_rps)
-            domains = eligible_domains_for_anchor(policies, ms_id, anchor, graph)
-            if not domains:
-                failure.note(idx, j, ms_id, anchor, "policy-empty scope", acc)
+        # An explicit stack of each anchor's remaining choices, not a call per
+        # anchor: nesting one frame per anchor makes CPython 3.11 allocate and
+        # free a frame-stack chunk on every call that crosses a chunk
+        # boundary, which doubled the search time of a 100-anchor replan.
+        stack: list[tuple] = []
+        while True:
+            if len(stack) < len(anchors):
+                anchor = anchors[len(stack)]
+                old = before.get(anchor)
+                level, rps = wanted[anchor] if anchor in wanted else (old.level, Fraction(0))
+                need = required_instances(rps, ms.capacity_rps)
+                if old is not None:
+                    ledger.give(old.slots, ms)
+                stack.append((anchor, old, level, rps, need, choices(ms, anchor, need, old)))
+            elif place_ms(idx + 1):
+                return True
+            while stack:  # move the innermost anchor on to its next choice
+                anchor, old, level, rps, need, options = stack[-1]
+                held = placements.pop(anchor, None)
+                if held is not None:
+                    ledger.give(held.slots, ms)
+                slots = next(options, None)
+                if slots is not None:
+                    ledger.take(slots, ms)
+                    if slots:
+                        placements[anchor] = AnchorPlacement(anchor, level, rps, slots)
+                    break
+                stack.pop()
+                if old is not None:
+                    ledger.take(old.slots, ms)
+                failure.note(idx, len(stack), ms.id, anchor, lambda: (
+                    "policy-empty scope"
+                    if need > 0 and not eligible_domains_for_anchor(pset, ms.id, anchor, graph)
+                    else "insufficient capacity"), acc)
+            else:
+                del acc[ms.id]
                 return False
-            node_ids = _ordered_nodes(graph, domains, ledger)
-            for dist in _distributions(node_ids, ms.cpu_req, ms.mem_req, count, ledger, budget):
-                for node_id, k in dist:
-                    ledger.take(node_id, ms.cpu_req * k, ms.mem_req * k)
-                placements[anchor] = AnchorPlacement(anchor, level, rps, list(dist))
-                if place_anchor(j + 1):
-                    return True
-                placements.pop(anchor, None)
-                for node_id, k in dist:
-                    ledger.give(node_id, ms.cpu_req * k, ms.mem_req * k)
-            failure.note(idx, j, ms_id, anchor, "insufficient capacity", acc)
-            return False
-
-        if place_anchor(0):
-            return True
-        acc.pop(ms_id, None)
-        return False
 
     try:
         solved = place_ms(0)
@@ -582,12 +573,39 @@ def place_application(
         ) from None
     if not solved:
         raise InfeasiblePlacement(failure.ms, failure.anchor, failure.cause, failure.partial)
-
-    ledger.commit(graph)
-    mapping = PlacementMapping(
-        per_ms={ms_id: acc[ms_id] for ms_id in sequence if acc.get(ms_id)},
+    return PlacementMapping(
+        per_ms={ms_id: acc[ms_id] for ms_id in sequence if acc[ms_id]},
         order=tuple(sequence),
     )
+
+
+def place_application(
+    graph: InfrastructureGraph,
+    app: ApplicationDag,
+    request: PlacementRequest,
+    policies: PolicySet,
+    *,
+    trace: list | None = None,
+    search_budget: int = SEARCH_BUDGET,
+) -> DeploymentPlan:
+    """Compute a compliant deployment plan for the offered demand.
+
+    Runs the reconciler from an empty mapping: for each microservice in
+    frontier order it derives anchored demand from the consumers already
+    placed, computes the instance count per anchor and assigns nodes
+    first-fit within the anchor's eligible domains (locality scope
+    intersected with the placement restriction policy), backtracking when a
+    later microservice cannot be placed.  On success, node free capacities
+    are decremented and routing rules generated.
+
+    Raises InfeasiblePlacement naming the first unsatisfiable microservice
+    and anchor, with the cause and the deepest partial mapping.
+    """
+    request.validate_against(graph)
+    demand = request.normalized_demand()
+    ledger = _Ledger.from_graph(graph)
+    mapping = _reconcile(graph, app, policies, demand, ledger, _Budget(search_budget), trace=trace)
+    ledger.commit(graph)
     routes = generate_routes(graph, app, mapping, policies)
     return DeploymentPlan(app_id=app.id, revision=1, mapping=mapping, routes=routes, demand=demand)
 
@@ -799,12 +817,16 @@ def handle_alert(
 
     A demand change replaces the plan's demand snapshot; a node drain marks
     the node unschedulable and displaces its instances; an overload replays
-    the current demand.  One sweep in placement order then re-derives each
-    anchor's requirement from current upstream placements: growth assigns
-    first-fit (displaced instances prefer the drained node's own domain, then
-    its region), shrink removes the newest instances first.  Routing rules are
-    regenerated and the adjusted plan re-validated before it is returned with
-    a bumped revision.
+    the current demand.  The reconciler then starts from the current mapping,
+    so every anchor keeps its instances where it can: growth adds instances
+    first-fit (displaced ones prefer the drained node's own domain, then its
+    region) and shrink removes the newest instances first.  If no plan is
+    reachable that way, the reconciler runs once more from an empty mapping
+    with the current plan's capacity handed back, so unless the search
+    budget runs out a replan fails only where a fresh placement of the same
+    state fails too.  Both runs share one search budget.  Routing rules are
+    regenerated and the adjusted plan re-validated before it is returned
+    with a bumped revision.
     """
     if alert.kind == "demand_change":
         raw = alert.payload["demand"]
@@ -823,70 +845,17 @@ def handle_alert(
             raise UnknownNode(drained_node)
         graph.nodes[drained_node].drained = True
 
+    budget = _Budget(SEARCH_BUDGET)
     ledger = _Ledger.from_graph(graph)
-    mapping = plan.mapping.clone()
-    sequence = _placement_sequence(app, policies)
-    mapping.order = tuple(sequence)
-
-    for ms_id in sequence:
-        ms = app.microservices[ms_id]
-        anchors_now = _anchor_demand(graph, app, policies, demand, ms_id, mapping.per_ms)
-        existing = mapping.per_ms.setdefault(ms_id, {})
-        for anchor in sorted(set(existing) | set(anchors_now)):
-            ap = existing.get(anchor)
-            displaced = 0
-            if ap is not None and drained_node is not None:
-                kept: list[tuple[str, int]] = []
-                for node_id, k in ap.slots:
-                    if node_id == drained_node:
-                        displaced += k
-                        ledger.give(node_id, ms.cpu_req * k, ms.mem_req * k)
-                    else:
-                        kept.append((node_id, k))
-                ap.slots = kept
-            if anchor in anchors_now:
-                level, rps = anchors_now[anchor]
-            else:
-                level, rps = ap.level, Fraction(0)
-            need = required_instances(rps, ms.capacity_rps) if rps > 0 else 0
-            have = ap.total_instances if ap is not None else 0
-            if need > have:
-                domains = eligible_domains_for_anchor(policies, ms_id, anchor, graph)
-                if not domains:
-                    raise InfeasiblePlacement(ms_id, anchor, "policy-empty scope", mapping.slots_view())
-                prefer = graph.nodes[drained_node].domain_id if displaced > 0 else None
-                node_ids = _ordered_nodes(graph, domains, ledger, prefer_domain=prefer)
-                slots, shortfall = _first_fit(node_ids, ms.cpu_req, ms.mem_req, need - have, ledger)
-                if slots is None:
-                    raise InfeasiblePlacement(
-                        ms_id, anchor,
-                        f"insufficient capacity ({shortfall} instance(s) short)",
-                        mapping.slots_view(),
-                    )
-                for node_id, k in slots:
-                    ledger.take(node_id, ms.cpu_req * k, ms.mem_req * k)
-                if ap is None:
-                    ap = AnchorPlacement(anchor, level, rps, [])
-                    existing[anchor] = ap
-                ap.slots.extend(slots)
-            elif need < have:
-                excess = have - need
-                while excess > 0 and ap.slots:
-                    node_id, k = ap.slots[-1]
-                    drop = min(k, excess)
-                    ledger.give(node_id, ms.cpu_req * drop, ms.mem_req * drop)
-                    if drop == k:
-                        ap.slots.pop()
-                    else:
-                        ap.slots[-1] = (node_id, k - drop)
-                    excess -= drop
-            if ap is not None:
-                ap.level = level
-                ap.demand_rps = rps
-                if not ap.slots and need == 0:
-                    del existing[anchor]
-        if not existing:
-            mapping.per_ms.pop(ms_id, None)
+    try:
+        mapping = _reconcile(graph, app, policies, demand, ledger, budget,
+                             current=plan.mapping.per_ms, drained=drained_node)
+    except InfeasiblePlacement:
+        ledger = _Ledger.from_graph(graph)
+        for ms_id, anchors in plan.mapping.per_ms.items():
+            for ap in anchors.values():
+                ledger.give(ap.slots, app.microservices[ms_id])
+        mapping = _reconcile(graph, app, policies, demand, ledger, budget)
 
     ledger.commit(graph)
     routes = generate_routes(graph, app, mapping, policies)

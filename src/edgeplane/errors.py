@@ -75,10 +75,6 @@ class InvalidRequest(AppModelError):
     """A placement request that does not fit the application or topology."""
 
 
-class MissingLocality(AppModelError):
-    """No locality level resolves for a microservice or consumer edge."""
-
-
 class UnknownMicroservice(EdgeplaneError):
     pass
 
@@ -106,10 +102,6 @@ class UnknownPolicyType(PolicyError):
     pass
 
 
-class MissingAnchor(PolicyError):
-    """A domain- or region-scoped query was issued without an anchor domain."""
-
-
 # --- planning ---------------------------------------------------------------
 
 
@@ -131,13 +123,6 @@ class InfeasiblePlacement(PlanningError):
         self.cause = cause
         self.partial = partial or {}
         super().__init__(f"cannot place {microservice!r} for anchor {anchor!r}: {cause}")
-
-
-class InsufficientCapacity(PlanningError):
-    def __init__(self, shortfall: int, detail: str = ""):
-        self.shortfall = shortfall
-        suffix = f" ({detail})" if detail else ""
-        super().__init__(f"{shortfall} instance(s) could not be assigned{suffix}")
 
 
 class NoDestinationInScope(PlanningError):

@@ -17,11 +17,10 @@ allow-list naming another admin's domain), never as a topology attribute.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import (
     DuplicateRule,
-    MissingAnchor,
     NonEdgeMsRule,
     NonIngressIotRule,
     PolicyError,
@@ -186,42 +185,13 @@ def is_allowed(pset: PolicySet, ms_id: str, domain_id: str) -> PolicyDecision:
     return PolicyDecision(True, f"restriction: {ms_id} deny-list excludes {domain_id}")
 
 
-def batch_evaluate(pset: PolicySet, queries: Sequence[tuple[str, str]]) -> list[PolicyDecision]:
-    """Evaluate many restriction queries; order-preserving, first invalid aborts.
-
-    Evaluation is pure and side-effect free, so issuing the queries
-    concurrently cannot change the result; this sequential form is the
-    reference semantics.
-    """
-    return [is_allowed(pset, ms_id, domain_id) for ms_id, domain_id in queries]
-
-
-def eligible_domains(
-    pset: PolicySet,
-    ms_id: str,
-    anchor_domain: str | None,
-    locality: LocalityLevel,
-    graph,
-) -> list[str]:
-    """Domains where ``ms_id`` may be placed for a scope anchored at ``anchor_domain``.
-
-    The locality scope is intersected with the placement restriction policy.
-    Global scopes take no anchor; domain- and region-scoped queries require one.
-    """
-    if locality is LocalityLevel.GLOBAL:
-        scope: Iterable[str] = sorted(graph.domains)
-    else:
-        if anchor_domain is None:
-            raise MissingAnchor(f"{locality.value} scope for {ms_id!r} needs an anchor domain")
-        scope = graph.scope_domains(anchor_domain, locality)
-    return [d for d in scope if is_allowed(pset, ms_id, d).allowed]
-
-
 def eligible_domains_for_anchor(pset: PolicySet, ms_id: str, anchor: str, graph) -> list[str]:
-    """Like :func:`eligible_domains` but keyed by a resolved anchor.
+    """Domains where ``ms_id`` may be placed to serve demand held at ``anchor``.
 
     The anchor is a domain id, a region id, or the pooled ``"global"`` key,
-    as produced by demand propagation.
+    as produced by the planner's demand anchoring.  Its locality scope (that
+    domain, the region's domains, or every domain) is intersected with the
+    placement restriction policy.
     """
     from .topology import GLOBAL_ANCHOR
 
@@ -234,43 +204,6 @@ def eligible_domains_for_anchor(pset: PolicySet, ms_id: str, anchor: str, graph)
     else:
         raise UnknownDomain(anchor)
     return [d for d in scope if is_allowed(pset, ms_id, d).allowed]
-
-
-def per_ms_locality(pset: PolicySet, app, graph):
-    """Resolver for static demand propagation.
-
-    Ingress microservices take their IoT locality level; every other
-    microservice takes the strictest level across its incoming consumer
-    edges.  The returned anchor function only coarsens: domain -> region ->
-    global, leaving already-coarse source anchors untouched.
-    """
-    from .topology import GLOBAL_ANCHOR
-
-    def resolve(ms_id: str):
-        if ms_id not in app.microservices:
-            raise UnknownMicroservice(ms_id)
-        if ms_id in app.ingress_ids:
-            level = pset.iot_level(ms_id)
-        else:
-            incoming = [
-                pset.edge_level(e.from_ms, e.to_ms)
-                for e in app.predecessors(ms_id)
-                if not app.microservices[e.from_ms].placed_on_iot
-            ]
-            level = min(incoming, key=lambda l: l.strictness) if incoming else pset.default_locality
-
-        def anchor_of(source_anchor: str) -> str:
-            if level is LocalityLevel.GLOBAL:
-                return GLOBAL_ANCHOR
-            if level is LocalityLevel.STRICT_REGION:
-                if source_anchor in graph.domains:
-                    return graph.domains[source_anchor].region_id
-                return source_anchor  # already region-level or coarser
-            return source_anchor  # strict-domain keeps whatever granularity exists
-
-        return level, anchor_of
-
-    return resolve
 
 
 def evaluate_query(pset: PolicySet, graph, policy: str, payload: dict) -> PolicyDecision:

@@ -17,7 +17,6 @@ from .errors import (
     EmptyTopology,
     InvalidTopology,
     UnknownDomain,
-    UnknownNode,
 )
 from .locality import LocalityLevel
 
@@ -85,11 +84,6 @@ class InfrastructureGraph:
     domains: dict[str, Domain]
     nodes: dict[str, ComputeNode]
     attachments: dict[str, IoTAttachment]
-
-    def region_of_domain(self, domain_id: str) -> str:
-        if domain_id not in self.domains:
-            raise UnknownDomain(domain_id)
-        return self.domains[domain_id].region_id
 
     def domains_in_region(self, region_id: str) -> list[str]:
         return sorted(self.regions[region_id].domain_ids)
@@ -203,22 +197,3 @@ def load_topology(doc: dict) -> InfrastructureGraph:
         attachments[aid] = IoTAttachment(aid, entry["domain"])
 
     return InfrastructureGraph(regions=regions, domains=domains, nodes=nodes, attachments=attachments)
-
-
-def domain_of_node(graph: InfrastructureGraph, node_id: str) -> str:
-    if node_id not in graph.nodes:
-        raise UnknownNode(node_id)
-    return graph.nodes[node_id].domain_id
-
-
-def nodes_in_scope(graph: InfrastructureGraph, anchor_domain: str, scope: LocalityLevel) -> list[str]:
-    """Node ids inside the locality scope anchored at ``anchor_domain``.
-
-    Ordered by (domain id, node id) so callers iterate deterministically.
-    """
-    domains = graph.scope_domains(anchor_domain, scope)
-    return [
-        node.id
-        for domain_id in domains
-        for node in graph.nodes_of_domain(domain_id)
-    ]

@@ -17,6 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from edgeplane.appmodel import PlacementRequest, app_from_doc, as_rate
+from edgeplane.locality import LocalityLevel
 from edgeplane.policy import parse_policies
 from edgeplane.topology import load_topology
 
@@ -154,6 +155,15 @@ def gen_small_case(rng: random.Random):
     demand_doc = {d: {m: rng.choice([25, 50, 75, 100]) for m in app_doc["ingress"]}
                   for d in attach}
     return topo_doc, app_doc, policy_doc, demand_doc
+
+
+def anchor_key(graph, domain_id, level):
+    """The anchor key demand at ``domain_id`` is held under for ``level``."""
+    if level is LocalityLevel.STRICT_DOMAIN:
+        return domain_id
+    if level is LocalityLevel.STRICT_REGION:
+        return graph.domains[domain_id].region_id
+    return "global"
 
 
 # --- oracles --------------------------------------------------------------------

@@ -20,7 +20,7 @@ from edgeplane.cli import main
 from edgeplane.controlplane import place_application, validate_plan
 from edgeplane.errors import InfeasiblePlacement
 from edgeplane.meshsim import check_compliance, route_flows, run_scenario
-from edgeplane.policy import batch_evaluate, eligible_domains, is_allowed
+from edgeplane.policy import eligible_domains_for_anchor, is_allowed
 from edgeplane.policyserver import (
     canonical_json,
     data_response,
@@ -32,6 +32,7 @@ from edgeplane.locality import LocalityLevel
 from .support import (
     GOLDEN,
     SCENARIOS,
+    anchor_key,
     build,
     gen_case,
     gen_small_case,
@@ -161,21 +162,19 @@ def test_criterion_4_policy_engine_soundness():
         assert len(graph.domains) <= 6
         ms_ids = [m["id"] for m in app_doc["microservices"] if not m.get("iot")]
         for ms_id in ms_ids:
-            got = eligible_domains(pset, ms_id, None, LocalityLevel.GLOBAL, graph)
-            want = oracle_eligible(graph, policy_doc, ms_id, None, "global")
-            assert got == want
+            allowed = oracle_eligible(graph, policy_doc, ms_id, None, "global")
+            assert eligible_domains_for_anchor(pset, ms_id, "global", graph) == allowed
             comparisons += 1
-            for anchor in graph.domains:
-                for level, name in ((LocalityLevel.STRICT_DOMAIN, "strict-domain"),
-                                    (LocalityLevel.STRICT_REGION, "strict-region")):
-                    got = eligible_domains(pset, ms_id, anchor, level, graph)
-                    want = oracle_eligible(graph, policy_doc, ms_id, anchor, name)
+            for domain_id in graph.domains:
+                for level in (LocalityLevel.STRICT_DOMAIN, LocalityLevel.STRICT_REGION):
+                    anchor = anchor_key(graph, domain_id, level)
+                    got = eligible_domains_for_anchor(pset, ms_id, anchor, graph)
+                    want = oracle_eligible(graph, policy_doc, ms_id, domain_id, level.value)
                     assert got == want
                     comparisons += 1
-        queries = [(m, d) for m in ms_ids for d in sorted(graph.domains)]
-        assert batch_evaluate(pset, queries) == \
-            [is_allowed(pset, m, d) for m, d in queries]
-        comparisons += len(queries)
+            for domain_id in sorted(graph.domains):
+                assert is_allowed(pset, ms_id, domain_id).allowed == (domain_id in allowed)
+                comparisons += 1
         cases += 1
     print(f"[criterion 4] PASS - {cases} randomized cases, "
           f"{comparisons} comparisons, 100% agreement with brute force")

@@ -1,33 +1,23 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from edgeplane.appmodel import (
     PlacementRequest,
     app_from_doc,
     as_rate,
     demand_from_doc,
-    propagate_demand,
     rate_to_number,
 )
 from edgeplane.errors import (
     CycleDetected,
     InvalidApplication,
     InvalidRequest,
-    MissingLocality,
     UnknownDomain,
     UnknownIngress,
     UnknownMicroservice,
     UnreachableMicroservice,
 )
-from edgeplane.locality import LocalityLevel
-from edgeplane.policy import parse_policies, per_ms_locality
-from edgeplane.topology import load_topology
-
-from .support import SCENARIOS
-from .test_topology import minimal_doc
 
 
 def chain_doc():
@@ -206,92 +196,3 @@ def test_demand_from_doc_normalizes():
     app = app_from_doc(chain_doc())
     request = demand_from_doc(app, {"d1": {"m2": 12.5}})
     assert request.demand["d1"]["m2"] == Fraction(25, 2)
-
-
-# --- static demand propagation ---
-
-
-def test_propagate_demand_canonical(canonical):
-    locality = per_ms_locality(canonical.policies, canonical.app, canonical.graph)
-    profile = propagate_demand(canonical.app, canonical.request, locality)
-    assert profile.per_ms["m2"] == {"ed3": Fraction(100), "ed4": Fraction(200)}
-    assert profile.per_ms["m3"] == {"region-2": Fraction(300)}
-    assert profile.per_ms["m4"] == {"global": Fraction(300)}
-    assert profile.per_ms["m5"] == {"global": Fraction(300)}
-    assert profile.total("m3") == Fraction(300)
-
-
-def test_propagate_demand_applies_ratios(canonical):
-    # halve m2->m3 and double m3->m4
-    doc = dict(canonical.raw["application"])
-    doc["edges"] = [
-        {"from": "m1", "to": "m2"},
-        {"from": "m2", "to": "m3", "ratio": 0.5},
-        {"from": "m3", "to": "m4", "ratio": 2},
-        {"from": "m4", "to": "m5"},
-    ]
-    app = app_from_doc(doc)
-    pset = parse_policies(canonical.raw["policies"], app, canonical.graph)
-    request = demand_from_doc(app, canonical.raw["demand"])
-    profile = propagate_demand(app, request, per_ms_locality(pset, app, canonical.graph))
-    assert profile.per_ms["m3"] == {"region-2": Fraction(150)}
-    assert profile.per_ms["m4"] == {"global": Fraction(300)}
-    assert profile.per_ms["m5"] == {"global": Fraction(300)}
-
-
-def test_propagate_demand_requires_locality(canonical):
-    with pytest.raises(MissingLocality):
-        propagate_demand(canonical.app, canonical.request, lambda ms: None)
-
-
-def test_static_anchors_only_coarsen():
-    """A strict-domain consumer feeding a strict-region edge anchors at the
-    region; feeding a global edge pools everything; a global consumer feeding
-    a strict-domain edge CANNOT be refined and stays at the coarse anchor."""
-    graph = load_topology(minimal_doc())
-    doc = {
-        "id": "coarse",
-        "microservices": [
-            {"id": "s", "iot": True},
-            {"id": "x", "cpu_m": 100, "mem_mi": 128, "capacity_rps": 100},
-            {"id": "y", "cpu_m": 100, "mem_mi": 128, "capacity_rps": 100},
-        ],
-        "edges": [{"from": "s", "to": "x"}, {"from": "x", "to": "y"}],
-        "ingress": ["x"],
-    }
-    app = app_from_doc(doc)
-    pset = parse_policies({
-        "iot_locality": [{"microservice": "x", "level": "global"}],
-        "ms_locality": [{"consumer": "x", "consumed": "y", "level": "strict-domain"}],
-    }, app, graph)
-    request = demand_from_doc(app, {"d1": {"x": 40}})
-    profile = propagate_demand(app, request, per_ms_locality(pset, app, graph))
-    assert profile.per_ms["x"] == {"global": Fraction(40)}
-    # y's strict-domain edge cannot split a pooled anchor back out
-    assert profile.per_ms["y"] == {"global": Fraction(40)}
-
-
-@given(st.integers(1, 500), st.integers(1, 500),
-       st.sampled_from(["strict-domain", "strict-region", "global"]))
-@settings(max_examples=60, deadline=None)
-def test_propagation_sums_ingress_demand(d3, d4, level):
-    """Total demand is conserved down a ratio-1 chain regardless of level."""
-    from .support import build
-    topo = {
-        "regions": [{"id": "r1", "domains": ["ed3", "ed4"]}],
-        "domains": [
-            {"id": "ed3", "region": "r1", "admin": "a", "kind": "edge"},
-            {"id": "ed4", "region": "r1", "admin": "b", "kind": "edge"},
-        ],
-        "nodes": [{"id": "n1", "domain": "ed3", "cpu_m": 1000, "mem_mi": 1024}],
-        "attachments": [{"id": "i3", "domain": "ed3"}, {"id": "i4", "domain": "ed4"}],
-    }
-    graph, app, pset, request = build(
-        topo, chain_doc(),
-        {"iot_locality": [{"microservice": "m2", "level": level}],
-         "default_locality": level},
-        {"ed3": {"m2": d3}, "ed4": {"m2": d4}},
-    )
-    profile = propagate_demand(app, request, per_ms_locality(pset, app, graph))
-    assert profile.total("m2") == Fraction(d3 + d4)
-    assert profile.total("m3") == Fraction(d3 + d4)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,20 +15,17 @@ from edgeplane.controlplane import (
     handle_alert,
     place_application,
     required_instances,
-    select_nodes,
     validate_plan,
 )
 from edgeplane.documents import dump_doc, plan_from_doc, plan_to_doc
 from edgeplane.errors import (
     InfeasiblePlacement,
-    InsufficientCapacity,
     NoDestinationInScope,
     PlanningError,
-    UnknownDomain,
 )
 from edgeplane.locality import LocalityLevel
 
-from .support import build
+from .support import build, gen_small_case
 
 
 def test_required_instances_frozen():
@@ -41,7 +39,7 @@ def test_required_instances_frozen():
         required_instances(10, 0)
 
 
-# --- first-fit node selection ---
+# --- scenario helpers ---
 
 
 def two_node_topo(cpu1=2000, cpu2=1000):
@@ -54,35 +52,6 @@ def two_node_topo(cpu1=2000, cpu2=1000):
         ],
         "attachments": [{"id": "iot1", "domain": "dd"}],
     }
-
-
-def test_select_nodes_packs_biggest_first():
-    from edgeplane.topology import load_topology
-    graph = load_topology(two_node_topo())
-    slots = select_nodes(graph, {"dd"}, 500, 512, 5)
-    assert slots == [("n1", 4), ("n2", 1)]
-    assert graph.nodes["n1"].cpu_free == 0
-    assert graph.nodes["n2"].cpu_free == 500
-
-
-def test_select_nodes_is_transactional():
-    from edgeplane.topology import load_topology
-    graph = load_topology(two_node_topo())
-    with pytest.raises(InsufficientCapacity) as exc:
-        select_nodes(graph, {"dd"}, 500, 512, 7)  # only 6 fit
-    assert exc.value.shortfall == 1
-    assert graph.nodes["n1"].cpu_free == 2000
-    assert graph.nodes["n2"].cpu_free == 1000
-    with pytest.raises(UnknownDomain):
-        select_nodes(graph, {"ghost"}, 500, 512, 1)
-
-
-def test_select_nodes_skips_drained():
-    from edgeplane.topology import load_topology
-    graph = load_topology(two_node_topo())
-    graph.nodes["n1"].drained = True
-    slots = select_nodes(graph, {"dd"}, 500, 512, 2)
-    assert slots == [("n2", 2)]
 
 
 # --- canonical placement (matches the published scenario) ---
@@ -675,3 +644,91 @@ def test_drain_can_be_infeasible():
                      Alert("node_drain", {"node": "n1"}, 1))
     # the drain itself sticks even though the replan failed
     assert graph.nodes["n1"].drained is True
+
+
+def test_replan_backtracks_where_first_fit_strands_a_successor():
+    """Growing the global ms1 first-fit fills d10-n0, the only node ms2 may
+    use; the replan must give up ms1's first choice as a fresh placement
+    would, rather than fail.  (The case ``gen_small_case`` draws for seed 622.)"""
+    topo = {
+        "regions": [{"id": "r0", "domains": ["d00"]}, {"id": "r1", "domains": ["d10"]}],
+        "domains": [
+            {"id": "d00", "region": "r0", "admin": "adm-d00", "kind": "cloud"},
+            {"id": "d10", "region": "r1", "admin": "adm-d10", "kind": "cloud"},
+        ],
+        "nodes": [
+            {"id": "d00-n0", "domain": "d00", "cpu_m": 1000, "mem_mi": 16384},
+            {"id": "d10-n0", "domain": "d10", "cpu_m": 1000, "mem_mi": 8192},
+        ],
+        "attachments": [{"id": "iot0", "domain": "d00"}],
+    }
+    app = {
+        "id": "stranded",
+        "microservices": [
+            {"id": "ms0", "iot": True},
+            {"id": "ms1", "cpu_m": 250, "mem_mi": 256, "capacity_rps": 25},
+            {"id": "ms2", "cpu_m": 250, "mem_mi": 512, "capacity_rps": 100},
+        ],
+        "edges": [{"from": "ms0", "to": "ms1"}, {"from": "ms1", "to": "ms2"}],
+        "ingress": ["ms1"],
+    }
+    policies = {
+        "placement_restriction": [{"microservice": "ms2", "mode": "allow", "domains": ["d10"]}],
+        "iot_locality": [{"microservice": "ms1", "level": "global"}],
+        "default_locality": "global",
+    }
+    graph, dag, pset, request = build(topo, app, policies, {"d00": {"ms1": 75}})
+    plan = place_application(graph, dag, request, pset)
+    assert plan.mapping.instances_of("ms1") == {"d00-n0": 3}
+    assert plan.mapping.instances_of("ms2") == {"d10-n0": 1}
+
+    alert = Alert("demand_change", {"demand": {"d00": {"ms1": 150}}}, 1)
+    plan2 = handle_alert(graph, dag, pset, plan, alert)
+    assert plan2.revision == 2
+    assert plan2.mapping.instances_of("ms1") == {"d00-n0": 4, "d10-n0": 2}
+    assert plan2.mapping.instances_of("ms2") == {"d10-n0": 2}
+    assert validate_plan(graph, dag, pset, plan2).ok
+
+
+def test_replan_fails_only_where_fresh_placement_fails():
+    """After one seeded drain or demand change, a replan is infeasible
+    exactly when a fresh placement of the post-alert state is, and every
+    replan it returns is compliant."""
+    replanned = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        topo_doc, app_doc, policy_doc, demand_doc = gen_small_case(rng)
+        graph, app, pset, request = build(topo_doc, app_doc, policy_doc, demand_doc)
+        try:
+            plan = place_application(graph, app, request, pset)
+        except InfeasiblePlacement:
+            continue
+        drained = None
+        if rng.random() < 0.5:
+            drained = rng.choice(sorted(graph.nodes))
+            alert = Alert("node_drain", {"node": drained})
+        else:
+            factor = rng.choice([Fraction(1, 2), Fraction(3, 2), 2, 3])
+            demand_doc = {d: {m: r * factor for m, r in per.items()}
+                          for d, per in demand_doc.items()}
+            alert = Alert("demand_change", {"demand": demand_doc})
+
+        fresh_graph, fresh_app, fresh_pset, fresh_request = build(
+            topo_doc, app_doc, policy_doc, demand_doc)
+        if drained is not None:
+            fresh_graph.nodes[drained].drained = True
+        try:
+            place_application(fresh_graph, fresh_app, fresh_request, fresh_pset)
+            fresh_ok = True
+        except InfeasiblePlacement:
+            fresh_ok = False
+
+        try:
+            plan2 = handle_alert(graph, app, pset, plan, alert)
+        except InfeasiblePlacement:
+            assert not fresh_ok, f"seed {seed}: replan failed, fresh placement succeeded"
+            continue
+        assert fresh_ok, f"seed {seed}: replan succeeded, fresh placement failed"
+        assert validate_plan(graph, app, pset, plan2).ok, seed
+        replanned += 1
+    assert replanned >= 100

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from edgeplane.appmodel import app_from_doc
 from edgeplane.errors import (
     DuplicateRule,
-    MissingAnchor,
     NonEdgeMsRule,
     NonIngressIotRule,
     PolicyError,
@@ -17,18 +16,15 @@ from edgeplane.errors import (
 )
 from edgeplane.locality import DEFAULT_LOCALITY, LocalityLevel
 from edgeplane.policy import (
-    batch_evaluate,
-    eligible_domains,
     eligible_domains_for_anchor,
     evaluate_query,
     get_data,
     is_allowed,
     parse_policies,
-    per_ms_locality,
 )
 from edgeplane.topology import load_topology
 
-from .support import gen_case, oracle_eligible
+from .support import anchor_key, gen_case, oracle_eligible
 from .test_appmodel import chain_doc
 from .test_topology import minimal_doc
 
@@ -148,25 +144,17 @@ def test_deny_mode():
     assert not dec.allowed and dec.reason == "restriction: m2 deny-list includes d3"
 
 
-def test_batch_evaluate_matches_sequential(setup):
-    _, _, pset = setup
-    queries = [("m2", "ed3"), ("m2", "cloud"), ("m4", "cloud"), ("m3", "ed4")]
-    assert batch_evaluate(pset, queries) == [is_allowed(pset, m, d) for m, d in queries]
-
-
 # --- eligibility ---
 
 
 def test_eligible_domains_canonical(setup):
     graph, _, pset = setup
-    assert eligible_domains(pset, "m2", "ed3", LocalityLevel.STRICT_DOMAIN, graph) == ["ed3"]
-    assert eligible_domains(pset, "m3", "ed4", LocalityLevel.STRICT_REGION, graph) == ["ed3", "ed4"]
-    assert eligible_domains(pset, "m3", None, LocalityLevel.GLOBAL, graph) == ["ed3", "ed4"]
-    assert eligible_domains(pset, "m5", None, LocalityLevel.GLOBAL, graph) == ["cloud", "ed3", "ed4"]
+    assert eligible_domains_for_anchor(pset, "m2", "ed3", graph) == ["ed3"]
+    assert eligible_domains_for_anchor(pset, "m3", "region-2", graph) == ["ed3", "ed4"]
+    assert eligible_domains_for_anchor(pset, "m3", "global", graph) == ["ed3", "ed4"]
+    assert eligible_domains_for_anchor(pset, "m5", "global", graph) == ["cloud", "ed3", "ed4"]
     # restriction can empty a scope entirely
-    assert eligible_domains(pset, "m2", "cloud", LocalityLevel.STRICT_DOMAIN, graph) == []
-    with pytest.raises(MissingAnchor):
-        eligible_domains(pset, "m2", None, LocalityLevel.STRICT_DOMAIN, graph)
+    assert eligible_domains_for_anchor(pset, "m2", "cloud", graph) == []
 
 
 def test_eligible_domains_for_anchor(setup):
@@ -188,27 +176,9 @@ def test_eligible_against_oracle_seeded():
         ms_id = rng.choice([m["id"] for m in app_doc["microservices"] if not m.get("iot")])
         anchor = rng.choice(sorted(graph.domains))
         level = rng.choice(list(LocalityLevel))
-        got = eligible_domains(pset, ms_id, anchor, level, graph)
+        got = eligible_domains_for_anchor(pset, ms_id, anchor_key(graph, anchor, level), graph)
         want = oracle_eligible(graph, policy_doc, ms_id, anchor, level.value)
         assert got == want
-
-
-# --- per-microservice locality resolution ---
-
-
-def test_per_ms_locality_canonical(setup):
-    graph, app, pset = setup
-    resolver = per_ms_locality(pset, app, graph)
-    level, anchor_of = resolver("m2")
-    assert level is LocalityLevel.STRICT_DOMAIN
-    assert anchor_of("ed3") == "ed3"
-    level, anchor_of = resolver("m3")
-    assert level is LocalityLevel.STRICT_REGION
-    assert anchor_of("ed3") == "region-2"
-    assert anchor_of("region-2") == "region-2"  # already-coarse anchors pass through
-    level, anchor_of = resolver("m4")
-    assert level is LocalityLevel.GLOBAL
-    assert anchor_of("ed3") == "global"
 
 
 # --- query evaluation (wire semantics) ---
@@ -263,7 +233,7 @@ def test_eligible_subset_property(data):
         [m["id"] for m in app_doc["microservices"] if not m.get("iot")]))
     anchor = data.draw(st.sampled_from(sorted(graph.domains)))
     level = data.draw(st.sampled_from(list(LocalityLevel)))
-    got = eligible_domains(pset, ms_id, anchor, level, graph)
+    got = eligible_domains_for_anchor(pset, ms_id, anchor_key(graph, anchor, level), graph)
     scope = set(graph.scope_domains(anchor, level))
     assert set(got) <= scope
     assert all(is_allowed(pset, ms_id, d).allowed for d in got)

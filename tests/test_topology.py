@@ -8,10 +8,9 @@ from edgeplane.errors import (
     EmptyTopology,
     InvalidTopology,
     UnknownDomain,
-    UnknownNode,
 )
 from edgeplane.locality import LocalityLevel
-from edgeplane.topology import domain_of_node, load_topology, nodes_in_scope
+from edgeplane.topology import load_topology
 
 
 def minimal_doc():
@@ -37,7 +36,7 @@ def test_load_minimal():
     assert set(graph.regions) == {"r1", "r2"}
     assert set(graph.domains) == {"d1", "d2", "d3"}
     assert set(graph.nodes) == {"n1", "n2", "n3"}
-    assert graph.region_of_domain("d2") == "r1"
+    assert graph.domains["d2"].region_id == "r1"
     assert graph.domains_in_region("r1") == ["d1", "d2"]
     assert [n.id for n in graph.nodes_of_domain("d1")] == ["n1"]
     assert graph.attachment_domains() == ["d1"]
@@ -148,15 +147,6 @@ def test_scope_domains():
     assert graph.scope_domains("d1", LocalityLevel.GLOBAL) == ["d1", "d2", "d3"]
     with pytest.raises(UnknownDomain):
         graph.scope_domains("ghost", LocalityLevel.STRICT_DOMAIN)
-
-
-def test_nodes_in_scope_and_domain_of_node():
-    graph = load_topology(minimal_doc())
-    assert nodes_in_scope(graph, "d1", LocalityLevel.STRICT_REGION) == ["n1", "n2"]
-    assert nodes_in_scope(graph, "d1", LocalityLevel.GLOBAL) == ["n1", "n2", "n3"]
-    assert domain_of_node(graph, "n3") == "d3"
-    with pytest.raises(UnknownNode):
-        domain_of_node(graph, "ghost")
     with pytest.raises(UnknownDomain):
         graph.nodes_of_domain("ghost")
 
@@ -189,7 +179,8 @@ def test_scope_nesting_property(doc, level):
         reg = set(graph.scope_domains(domain_id, LocalityLevel.STRICT_REGION))
         glob = set(graph.scope_domains(domain_id, LocalityLevel.GLOBAL))
         assert dom <= reg <= glob
-        listed = nodes_in_scope(graph, domain_id, level)
+        listed = [node.id for scoped in graph.scope_domains(domain_id, level)
+                  for node in graph.nodes_of_domain(scoped)]
         keyed = sorted(listed, key=lambda n: (graph.nodes[n].domain_id, n))
         assert listed == keyed
         assert all(graph.nodes[n].domain_id in
