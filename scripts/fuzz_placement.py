@@ -1,74 +1,25 @@
 #!/usr/bin/env python3
 """Fuzz the placement pipeline with random scenarios and report the tally.
 
-Generates seeded random topologies, chain applications and policy sets,
-places each one, and cross-checks every successful plan with the independent
-validator and the flow-level compliance audit.  Any violation is a bug.
+Places the test suite's seeded random scenarios (``tests.support.gen_case``)
+and cross-checks every successful plan with the independent validator and
+the flow-level compliance audit.  Any violation is a bug.
+
+    python3 scripts/fuzz_placement.py [--seed N] [--cases N]
 """
 
 import argparse
 import random
 import sys
+from pathlib import Path
 
-from edgeplane.appmodel import PlacementRequest, app_from_doc, as_rate
-from edgeplane.controlplane import ControlPlane, validate_plan
-from edgeplane.errors import InfeasiblePlacement
-from edgeplane.meshsim import check_compliance, route_flows
-from edgeplane.policy import parse_policies
-from edgeplane.topology import load_topology
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-LEVELS = ["strict-domain", "strict-region", "global"]
-
-
-def random_scenario(rng: random.Random):
-    n_regions = rng.randint(1, 3)
-    regions, domains, nodes, attachments = [], [], [], []
-    for r in range(n_regions):
-        ids = [f"d{r}{i}" for i in range(rng.randint(1, 2))]
-        regions.append({"id": f"r{r}", "domains": ids})
-        for did in ids:
-            domains.append({"id": did, "region": f"r{r}", "admin": f"a-{did}",
-                            "kind": rng.choice(["edge", "cloud"])})
-            for n in range(rng.randint(1, 2)):
-                nodes.append({"id": f"{did}-n{n}", "domain": did,
-                              "cpu_m": rng.choice([4000, 8000, 16000]),
-                              "mem_mi": rng.choice([8192, 16384])})
-    attach_domains = rng.sample([d["id"] for d in domains],
-                                k=rng.randint(1, min(2, len(domains))))
-    for i, did in enumerate(attach_domains):
-        attachments.append({"id": f"iot{i}", "domain": did})
-    topo = {"regions": regions, "domains": domains, "nodes": nodes, "attachments": attachments}
-
-    n_ms = rng.randint(2, 5)
-    microservices = [{"id": "ms0", "iot": True}]
-    edges = []
-    for i in range(1, n_ms + 1):
-        microservices.append({"id": f"ms{i}", "cpu_m": rng.choice([250, 500, 1000]),
-                              "mem_mi": rng.choice([256, 512]),
-                              "capacity_rps": rng.choice([25, 50, 100])})
-        edges.append({"from": f"ms{i - 1}", "to": f"ms{i}",
-                      "ratio": rng.choice([0.5, 1, 1, 2])})
-    app_doc = {"id": "fuzz", "microservices": microservices,
-               "edges": edges, "ingress": ["ms1"]}
-
-    domain_ids = [d["id"] for d in domains]
-    policies = {"default_locality": rng.choice(LEVELS), "placement_restriction": [],
-                "iot_locality": [{"microservice": "ms1", "level": rng.choice(LEVELS)}],
-                "ms_locality": []}
-    if rng.random() < 0.5 and len(domain_ids) > 1:
-        victim = rng.choice([m["id"] for m in microservices if not m.get("iot")])
-        mode = rng.choice(["allow", "deny"])
-        listed = rng.sample(domain_ids, k=rng.randint(1, len(domain_ids) - 1))
-        policies["placement_restriction"].append(
-            {"microservice": victim, "mode": mode, "domains": listed})
-    for e in edges:
-        if rng.random() < 0.4:
-            policies["ms_locality"].append(
-                {"consumer": e["from"], "consumed": e["to"], "level": rng.choice(LEVELS)})
-    policies["ms_locality"] = [p for p in policies["ms_locality"] if p["consumer"] != "ms0"]
-
-    demand = {did: {"ms1": rng.choice([25, 50, 100])} for did in attach_domains}
-    return topo, app_doc, policies, demand
+from edgeplane.controlplane import ControlPlane, validate_plan  # noqa: E402
+from edgeplane.errors import InfeasiblePlacement  # noqa: E402
+from edgeplane.meshsim import check_compliance, route_flows  # noqa: E402
+from tests.support import build, gen_case  # noqa: E402
 
 
 def main() -> int:
@@ -80,15 +31,9 @@ def main() -> int:
     rng = random.Random(args.seed)
     placed = infeasible = bad = 0
     for case in range(args.cases):
-        topo, app_doc, policies, demand = random_scenario(rng)
-        graph = load_topology(topo)
-        app = app_from_doc(app_doc)
-        pset = parse_policies(policies, app, graph)
-        request = PlacementRequest(app=app, demand={
-            d: {m: as_rate(r) for m, r in per.items()} for d, per in demand.items()})
-        control = ControlPlane(graph, app, pset)
+        graph, app, pset, request = build(*gen_case(rng))
         try:
-            plan = control.place(request)
+            plan = ControlPlane(graph, app, pset).place(request)
         except InfeasiblePlacement:
             infeasible += 1
             continue

@@ -29,7 +29,7 @@ from .errors import EdgeplaneError, InfeasiblePlacement, ScenarioParseError
 from .meshsim import run_scenario
 from .policy import parse_policies
 from .policyserver import serve
-from .scenario import _events_from_doc, _settings_from_doc, load_scenario
+from .scenario import _events_from_doc, _policy_doc, _settings_from_doc, load_scenario
 from .topology import load_topology
 
 log = logging.getLogger("edgeplane")
@@ -90,11 +90,7 @@ def cmd_validate(args) -> int:
         app = attempt("application", lambda: app_from_doc(doc["application"]))
 
     if app is not None and graph is not None:
-        policy_doc = dict(doc.get("policies", {}) or {})
-        if settings is not None and settings.default_locality is not None \
-                and "default_locality" not in policy_doc:
-            policy_doc["default_locality"] = settings.default_locality
-        attempt("policies", lambda: parse_policies(policy_doc, app, graph))
+        attempt("policies", lambda: parse_policies(_policy_doc(doc, settings), app, graph))
         if "demand" not in doc:
             diagnostics.append(("demand", ScenarioParseError("missing section")))
         else:

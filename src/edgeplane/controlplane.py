@@ -13,8 +13,10 @@ placement holds none, so its first branch is first-fit over the anchor's
 eligible domains, ordered by descending free cpu with node-id tie-breaks.
 When a choice strands a later, stricter microservice, the search backtracks
 through every split of the instances before it declares the request
-infeasible.  All ordering is deterministic, so identical inputs produce
-identical plans.
+infeasible.  The search is one loop over an explicit stack of (microservice,
+anchor) choice points, and splits come from one iterative generator, so no
+node, anchor or microservice count runs into the recursion limit.  All
+ordering is deterministic, so identical inputs produce identical plans.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 from .appmodel import ApplicationDag, Microservice, PlacementRequest, as_rate
 from .errors import InfeasiblePlacement, NoDestinationInScope, PlanningError, UnknownNode
@@ -56,9 +59,6 @@ class AnchorPlacement:
     def total_instances(self) -> int:
         return sum(k for _, k in self.slots)
 
-    def by_node(self) -> dict[str, int]:
-        return dict(sorted(_by_node(self.slots).items()))
-
 
 @dataclass
 class PlacementMapping:
@@ -82,18 +82,6 @@ class PlacementMapping:
 
     def domains_with_instances(self, ms_id: str, graph: InfrastructureGraph) -> list[str]:
         return sorted({graph.nodes[n].domain_id for n in self.instances_of(ms_id)})
-
-    def clone(self) -> "PlacementMapping":
-        return PlacementMapping(
-            per_ms={
-                ms: {
-                    anchor: AnchorPlacement(ap.anchor, ap.level, ap.demand_rps, list(ap.slots))
-                    for anchor, ap in anchors.items()
-                }
-                for ms, anchors in self.per_ms.items()
-            },
-            order=self.order,
-        )
 
 
 @dataclass(frozen=True)
@@ -209,9 +197,6 @@ class _Ledger:
             mem={n.id: n.mem_free for n in graph.nodes.values()},
         )
 
-    def max_fit(self, node_id: str, cpu_req: int, mem_req: int) -> int:
-        return min(self.cpu[node_id] // cpu_req, self.mem[node_id] // mem_req)
-
     def take(self, slots, ms: Microservice):
         for node_id, k in slots:
             self.cpu[node_id] -= ms.cpu_req * k
@@ -240,28 +225,6 @@ class _Budget:
         self.left -= 1
         if self.left < 0:
             raise _BudgetExhausted
-
-
-class _Failure:
-    """Deepest point the search reached before running out of options."""
-
-    def __init__(self):
-        self.depth = -1
-        self.ms: str | None = None
-        self.anchor: str | None = None
-        self.cause: str | None = None
-        self.partial: dict = {}
-
-    def note(self, ms_index: int, anchor_index: int, ms_id: str, anchor: str, cause, mapping: dict):
-        """Keep this failure if it is the deepest yet; ``cause()`` names why."""
-        depth = ms_index * 10_000 + anchor_index
-        if depth > self.depth:
-            self.depth = depth
-            self.ms, self.anchor, self.cause = ms_id, anchor, cause()
-            self.partial = {
-                ms: {a: list(ap.slots) for a, ap in anchors.items()}
-                for ms, anchors in mapping.items()
-            }
 
 
 # --- core arithmetic ----------------------------------------------------------
@@ -428,33 +391,35 @@ def _placement_sequence(app: ApplicationDag, pset: PolicySet, trace: list | None
 def _distributions(node_ids, cpu_req: int, mem_req: int, count: int, ledger: _Ledger, budget: _Budget):
     """All ways to split ``count`` instances across the nodes, greedy-first.
 
-    The first yielded assignment packs each node to its maximum in order,
-    which is exactly the first-fit result; later assignments peel instances
-    off earlier nodes so the surrounding search can backtrack.
+    Splits come in descending lexicographic order of their per-node counts:
+    the first packs each node to its maximum in order, which is exactly the
+    first-fit result, and later ones peel instances off earlier nodes so the
+    surrounding search can backtrack.  Each split spends one budget step.
+    Every node's room is read once, when the first split is asked for: the
+    search hands back everything it placed below a choice point before it
+    asks that point for its next split, so the ledger is the same at every
+    resumption.
     """
-
-    def rec(i: int, remaining: int):
+    cpu, mem = ledger.cpu, ledger.mem
+    fits = [min(cpu[node_id] // cpu_req, mem[node_id] // mem_req) for node_id in node_ids]
+    room = list(accumulate(reversed(fits), initial=0))[::-1]  # room[i]: what nodes i.. take
+    counts: list[int] = []  # instances on node_ids[0], node_ids[1], ... so far
+    remaining = count
+    while True:
         if remaining == 0:
             budget.spend()
-            yield []
+            yield [(node_ids[i], k) for i, k in enumerate(counts) if k]
+        elif room[len(counts)] >= remaining:
+            k = min(remaining, fits[len(counts)])
+            counts.append(k)
+            remaining -= k
+            continue
+        while counts and counts[-1] == 0:  # back up to the last node holding instances
+            counts.pop()
+        if not counts:
             return
-        if i == len(node_ids):
-            return
-        available = 0
-        for node_id in node_ids[i:]:
-            available += ledger.max_fit(node_id, cpu_req, mem_req)
-            if available >= remaining:
-                break
-        if available < remaining:
-            return
-        node_id = node_ids[i]
-        top = min(remaining, ledger.max_fit(node_id, cpu_req, mem_req))
-        for k in range(top, -1, -1):
-            head = [(node_id, k)] if k else []
-            for rest in rec(i + 1, remaining - k):
-                yield head + rest
-
-    yield from rec(0, count)
+        counts[-1] -= 1
+        remaining += 1
 
 
 def _reconcile(
@@ -470,19 +435,22 @@ def _reconcile(
 ) -> PlacementMapping:
     """Choose node slots for every (microservice, anchor), in placement order.
 
-    ``current`` is the mapping to start from; its capacity stays held in
-    ``ledger`` until the search reaches each anchor.  An anchor's first
-    branch keeps its current slots minus any on the ``drained`` node: a shrink
-    drops the newest slots first, and growth adds instances first-fit,
-    displaced ones preferring the drained node's domain, then its region.
-    On backtrack every split from :func:`_distributions` is tried.
+    A depth-first search over one explicit stack of choice points, one per
+    (microservice, anchor) on the current path.  A microservice's anchors are
+    fixed when the search first reaches it, from the demand its placed
+    consumers emit.  ``current`` is the mapping to start from; its capacity
+    stays held in ``ledger`` until the search reaches each anchor.  An
+    anchor's first branch keeps its current slots minus any on the
+    ``drained`` node: a shrink drops the newest slots first, and growth adds
+    instances first-fit, displaced ones preferring the drained node's domain,
+    then its region.  On backtrack every split from :func:`_distributions` is
+    tried.
 
     Raises InfeasiblePlacement naming the deepest unsatisfiable microservice
-    and anchor, with the cause and that path's partial mapping.
+    and anchor, with the cause.
     """
     current = current or {}
     sequence = _placement_sequence(app, pset, trace=trace)
-    failure = _Failure()
     acc: dict[str, dict[str, AnchorPlacement]] = {}
 
     def choices(ms: Microservice, anchor: str, need: int, old: AnchorPlacement | None):
@@ -514,34 +482,47 @@ def _reconcile(
             if first is None or _by_node(dist) != first:
                 yield dist
 
-    def place_ms(idx: int) -> bool:
-        if idx == len(sequence):
-            return True
-        ms = app.microservices[sequence[idx]]
+    def anchors_of(ms: Microservice) -> list[tuple]:
+        """Empty ``ms``'s placements; (anchor, old placement, level, rps, instances) per anchor."""
         wanted = _anchor_demand(graph, app, pset, demand, ms.id, acc)
         before = current.get(ms.id, {})
-        anchors = sorted(set(before) | set(wanted))
-        placements: dict[str, AnchorPlacement] = {}
-        acc[ms.id] = placements
+        acc[ms.id] = {}
+        out = []
+        for anchor in sorted(set(before) | set(wanted)):
+            old = before.get(anchor)
+            level, rps = wanted[anchor] if anchor in wanted else (old.level, Fraction(0))
+            out.append((anchor, old, level, rps, required_instances(rps, ms.capacity_rps)))
+        return out
 
-        # An explicit stack of each anchor's remaining choices, not a call per
-        # anchor: nesting one frame per anchor makes CPython 3.11 allocate and
-        # free a frame-stack chunk on every call that crosses a chunk
-        # boundary, which doubled the search time of a 100-anchor replan.
-        stack: list[tuple] = []
+    # No Python call per microservice or anchor: that would bound the search
+    # depth by the recursion limit, and CPython 3.11 allocates and frees a
+    # frame-stack chunk on every call that crosses a chunk boundary, which
+    # doubled the search time of a 100-anchor replan.  A backtrack leaves the
+    # ``acc`` entries of later microservices behind; no anchor demand reads
+    # them before the search reaches those microservices again and resets them.
+    stack: list[tuple] = []  # (ms position, anchor position, ms, its anchors, choices)
+    deepest, failed = (-1, -1), None
+    try:
         while True:
-            if len(stack) < len(anchors):
-                anchor = anchors[len(stack)]
-                old = before.get(anchor)
-                level, rps = wanted[anchor] if anchor in wanted else (old.level, Fraction(0))
-                need = required_instances(rps, ms.capacity_rps)
-                if old is not None:
-                    ledger.give(old.slots, ms)
-                stack.append((anchor, old, level, rps, need, choices(ms, anchor, need, old)))
-            elif place_ms(idx + 1):
-                return True
-            while stack:  # move the innermost anchor on to its next choice
-                anchor, old, level, rps, need, options = stack[-1]
+            if stack and stack[-1][1] + 1 < len(stack[-1][3]):
+                pos, j, ms, anchors, _ = stack[-1]
+                j += 1
+            else:  # enter the next microservice that has any anchors
+                pos, j, anchors = (stack[-1][0] if stack else -1), 0, []
+                while not anchors and pos + 1 < len(sequence):
+                    pos += 1
+                    ms = app.microservices[sequence[pos]]
+                    anchors = anchors_of(ms)
+                if not anchors:
+                    break
+            anchor, old, _, _, need = anchors[j]
+            if old is not None:
+                ledger.give(old.slots, ms)
+            stack.append((pos, j, ms, anchors, choices(ms, anchor, need, old)))
+            while stack:  # move the innermost choice point on to its next choice
+                pos, j, ms, anchors, options = stack[-1]
+                anchor, old, level, rps, need = anchors[j]
+                placements = acc[ms.id]
                 held = placements.pop(anchor, None)
                 if held is not None:
                     ledger.give(held.slots, ms)
@@ -554,25 +535,15 @@ def _reconcile(
                 stack.pop()
                 if old is not None:
                     ledger.take(old.slots, ms)
-                failure.note(idx, len(stack), ms.id, anchor, lambda: (
-                    "policy-empty scope"
-                    if need > 0 and not eligible_domains_for_anchor(pset, ms.id, anchor, graph)
-                    else "insufficient capacity"), acc)
+                if (pos, j) > deepest:
+                    deepest = (pos, j)
+                    empty = need > 0 and not eligible_domains_for_anchor(pset, ms.id, anchor, graph)
+                    failed = (ms.id, anchor, "policy-empty scope" if empty else "insufficient capacity")
             else:
-                del acc[ms.id]
-                return False
-
-    try:
-        solved = place_ms(0)
+                raise InfeasiblePlacement(*failed)
     except _BudgetExhausted:
-        raise InfeasiblePlacement(
-            failure.ms or sequence[-1],
-            failure.anchor or GLOBAL_ANCHOR,
-            "insufficient capacity (search budget exhausted)",
-            failure.partial,
-        ) from None
-    if not solved:
-        raise InfeasiblePlacement(failure.ms, failure.anchor, failure.cause, failure.partial)
+        ms_id, anchor, _ = failed or (sequence[-1], GLOBAL_ANCHOR, None)
+        raise InfeasiblePlacement(ms_id, anchor, "insufficient capacity (search budget exhausted)") from None
     return PlacementMapping(
         per_ms={ms_id: acc[ms_id] for ms_id in sequence if acc[ms_id]},
         order=tuple(sequence),
@@ -586,7 +557,6 @@ def place_application(
     policies: PolicySet,
     *,
     trace: list | None = None,
-    search_budget: int = SEARCH_BUDGET,
 ) -> DeploymentPlan:
     """Compute a compliant deployment plan for the offered demand.
 
@@ -598,13 +568,12 @@ def place_application(
     later microservice cannot be placed.  On success, node free capacities
     are decremented and routing rules generated.
 
-    Raises InfeasiblePlacement naming the first unsatisfiable microservice
-    and anchor, with the cause and the deepest partial mapping.
+    Raises InfeasiblePlacement naming the deepest unsatisfiable microservice
+    and anchor, with the cause.
     """
-    request.validate_against(graph)
-    demand = request.normalized_demand()
+    demand = request.validate_against(graph).normalized_demand()
     ledger = _Ledger.from_graph(graph)
-    mapping = _reconcile(graph, app, policies, demand, ledger, _Budget(search_budget), trace=trace)
+    mapping = _reconcile(graph, app, policies, demand, ledger, _Budget(SEARCH_BUDGET), trace=trace)
     ledger.commit(graph)
     routes = generate_routes(graph, app, mapping, policies)
     return DeploymentPlan(app_id=app.id, revision=1, mapping=mapping, routes=routes, demand=demand)
@@ -829,12 +798,8 @@ def handle_alert(
     with a bumped revision.
     """
     if alert.kind == "demand_change":
-        raw = alert.payload["demand"]
-        demand = {
-            str(domain): {str(ms): as_rate(rps) for ms, rps in sorted(per.items())}
-            for domain, per in sorted(raw.items())
-        }
-        PlacementRequest(app=app, demand=demand).validate_against(graph)
+        request = PlacementRequest(app=app, demand=alert.payload["demand"])
+        demand = request.validate_against(graph).normalized_demand()
     else:
         demand = plan.demand
 

@@ -112,16 +112,14 @@ class PlanningError(EdgeplaneError):
 class InfeasiblePlacement(PlanningError):
     """The planner proved no compliant placement exists (or exhausted its search).
 
-    Carries the microservice and anchor scope that could not be satisfied, the
-    failure cause ("policy-empty scope" or "insufficient capacity") and the
-    partial mapping reached on the deepest search path, for diagnosis.
+    Carries the microservice and anchor scope that could not be satisfied and
+    the failure cause ("policy-empty scope" or "insufficient capacity").
     """
 
-    def __init__(self, microservice: str, anchor: str, cause: str, partial: dict | None = None):
+    def __init__(self, microservice: str, anchor: str, cause: str):
         self.microservice = microservice
         self.anchor = anchor
         self.cause = cause
-        self.partial = partial or {}
         super().__init__(f"cannot place {microservice!r} for anchor {anchor!r}: {cause}")
 
 

@@ -61,9 +61,6 @@ class FlowAssignment:
             agg[domain_id] = agg.get(domain_id, Fraction(0)) + rps
         return agg
 
-    def total(self) -> Fraction:
-        return sum(self.rows.values(), Fraction(0))
-
     def table(self) -> list[dict]:
         out = []
         for key in sorted(self.rows):

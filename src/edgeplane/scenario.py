@@ -70,6 +70,14 @@ def _settings_from_doc(doc: dict) -> Settings:
     )
 
 
+def _policy_doc(doc: dict, settings: Settings | None) -> dict:
+    """The scenario's policies, with settings.default_locality filling a gap."""
+    policy_doc = dict(doc.get("policies", {}) or {})
+    if settings is not None and settings.default_locality is not None:
+        policy_doc.setdefault("default_locality", settings.default_locality)
+    return policy_doc
+
+
 def _events_from_doc(doc: dict, graph: InfrastructureGraph, app: ApplicationDag) -> list[ScenarioEvent]:
     raw = doc.get("events", []) or []
     if not isinstance(raw, list):
@@ -113,10 +121,7 @@ def scenario_from_doc(doc: dict) -> Scenario:
     settings = _settings_from_doc(doc)
     graph = load_topology(doc["topology"])
     app = app_from_doc(doc["application"])
-    policy_doc = dict(doc.get("policies", {}) or {})
-    if settings.default_locality is not None and "default_locality" not in policy_doc:
-        policy_doc["default_locality"] = settings.default_locality
-    policies = parse_policies(policy_doc, app, graph)
+    policies = parse_policies(_policy_doc(doc, settings), app, graph)
     request = demand_from_doc(app, doc["demand"])
     request.validate_against(graph)
     events = _events_from_doc(doc, graph, app)

@@ -307,7 +307,7 @@ def test_criterion_8_observer_loop(surge):
     assert report.final_revision == 2  # exactly one increment over revision 1
     capacity = surge.app.microservices["m2"].capacity_rps
     expected = math.ceil(200 / capacity)  # demand in ed3 doubled from 100
-    got = sum(plan.mapping.per_ms["m2"]["ed3"].by_node().values())
+    got = plan.mapping.per_ms["m2"]["ed3"].total_instances
     assert got == expected == 4
     assert report.violations == []
     assert report.halted is None

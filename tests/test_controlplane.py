@@ -1,4 +1,7 @@
+import copy
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +14,9 @@ from edgeplane.controlplane import (
     PlacementMapping,
     RoutingRule,
     RoutingRuleSet,
+    _Budget,
+    _distributions,
+    _Ledger,
     generate_routes,
     handle_alert,
     place_application,
@@ -181,6 +187,55 @@ def test_backtracking_recovers_greedy_dead_end():
     assert report.ok
 
 
+def test_distributions_order_and_budget():
+    """Splits come greedy-first in descending lexicographic order of their
+    per-node counts, zero entries dropped, each for one budget step."""
+    rng = random.Random(5)
+    for _ in range(300):
+        node_ids = [f"n{i}" for i in range(rng.randint(0, 6))]
+        cpu = {n: 100 * rng.randint(0, 4) + rng.randint(0, 99) for n in node_ids}
+        mem = {n: 10 * rng.randint(0, 4) + rng.randint(0, 9) for n in node_ids}
+        count = rng.randint(0, 6)
+        rooms = [min(cpu[n] // 100, mem[n] // 10) for n in node_ids]
+        vectors = sorted(
+            (v for v in itertools.product(*(range(r + 1) for r in rooms)) if sum(v) == count),
+            reverse=True,
+        )
+        want = [[(n, k) for n, k in zip(node_ids, v) if k] for v in vectors]
+        budget = _Budget(1000)
+        got = list(_distributions(node_ids, 100, 10, count, _Ledger(cpu, mem), budget))
+        assert got == want, (rooms, count)
+        assert budget.left == 1000 - len(want)
+
+
+def test_wide_anchor_places_one_instance_per_node():
+    """One anchor spread over 1,200 nodes: the search must not nest a call
+    or a generator per node, which ran into the recursion limit."""
+    topo = {
+        "regions": [{"id": "r1", "domains": ["dd"]}],
+        "domains": [{"id": "dd", "region": "r1", "admin": "a", "kind": "edge"}],
+        "nodes": [{"id": f"n{i:04d}", "domain": "dd", "cpu_m": 250, "mem_mi": 256}
+                  for i in range(1200)],
+        "attachments": [{"id": "iot1", "domain": "dd"}],
+    }
+    app = {
+        "id": "wide",
+        "microservices": [
+            {"id": "io", "iot": True},
+            {"id": "a", "cpu_m": 250, "mem_mi": 256, "capacity_rps": 1},
+        ],
+        "edges": [{"from": "io", "to": "a"}],
+        "ingress": ["a"],
+    }
+    graph, dag, pset, request = build(topo, app, {}, {"dd": {"a": 1200}})
+    start = time.perf_counter()
+    plan = place_application(graph, dag, request, pset)
+    elapsed = time.perf_counter() - start
+    assert plan.mapping.total_instances("a") == 1200
+    assert validate_plan(graph, dag, pset, plan).ok
+    assert elapsed < 0.2
+
+
 # --- infeasibility ---
 
 
@@ -324,7 +379,7 @@ def test_validate_plan_clean(placed):
 
 def test_validate_detects_restriction_breach(placed):
     scenario, plan = placed
-    bad = plan.mapping.clone()
+    bad = copy.deepcopy(plan.mapping)
     bad.per_ms["m2"]["ed3"].slots = [("cl-n1", 2)]  # m2 is edge-only
     plan.mapping = bad
     kinds = {v.kind for v in validate_plan(
@@ -334,7 +389,7 @@ def test_validate_detects_restriction_breach(placed):
 
 def test_validate_detects_capacity_overrun(placed):
     scenario, plan = placed
-    bad = plan.mapping.clone()
+    bad = copy.deepcopy(plan.mapping)
     bad.per_ms["m2"]["ed3"].slots = [("ed3-n1", 50)]
     plan.mapping = bad
     report = validate_plan(scenario.graph, scenario.app, scenario.policies, plan)
