@@ -5,8 +5,12 @@ the application DAG frontier (a microservice becomes placeable once every
 predecessor is placed), strictest locality first.  For each microservice the
 offered demand is anchored per consumer edge: strict-domain edges anchor at
 each domain where the consumer holds instances, strict-region edges at each
-such region, and global edges pool everything.  Instance counts are the
-ceiling of anchored demand over per-instance capacity.
+such region, and global edges pool everything.  Anchoring goes by consumer
+anchor, not by node slot: a consumer anchor that lies inside one anchor at
+the edge's level hands over its whole demand, and only a looser one (say a
+global consumer behind a strict-domain edge) is split by its instance count
+per domain.  Instance counts are the ceiling of anchored demand over
+per-instance capacity, all in exact rational arithmetic.
 
 Each anchor's first branch keeps the slots it already holds, resized: a fresh
 placement holds none, so its first branch is first-fit over the anchor's
@@ -15,7 +19,9 @@ When a choice strands a later, stricter microservice, the search backtracks
 through every split of the instances before it declares the request
 infeasible.  The search is one loop over an explicit stack of (microservice,
 anchor) choice points, and splits come from one iterative generator, so no
-node, anchor or microservice count runs into the recursion limit.  All
+node, anchor or microservice count runs into the recursion limit.  Each
+(microservice, anchor) resolves its eligible, undrained nodes once per
+search; a visit only re-sorts that list by the free capacity at hand.  All
 ordering is deterministic, so identical inputs produce identical plans.
 """
 
@@ -241,32 +247,6 @@ def required_instances(demand_rps, capacity_rps) -> int:
     return math.ceil(demand / capacity)
 
 
-def _ordered_nodes(
-    graph: InfrastructureGraph,
-    domains: list[str],
-    ledger: _Ledger,
-    prefer_domain: str | None = None,
-) -> list[str]:
-    nodes = [
-        node
-        for domain_id in domains
-        for node in graph.nodes_of_domain(domain_id)
-        if not node.drained
-    ]
-    if prefer_domain is not None:
-        region = graph.domains[prefer_domain].region_id
-
-        def tier(node) -> int:
-            if node.domain_id == prefer_domain:
-                return 0
-            return 1 if graph.domains[node.domain_id].region_id == region else 2
-
-        nodes.sort(key=lambda n: (tier(n), -ledger.cpu[n.id], n.id))
-    else:
-        nodes.sort(key=lambda n: (-ledger.cpu[n.id], n.id))
-    return [n.id for n in nodes]
-
-
 def _by_node(slots) -> dict[str, int]:
     agg: dict[str, int] = {}
     for node_id, k in slots:
@@ -285,25 +265,6 @@ def _anchor_of(graph: InfrastructureGraph, domain_id: str, level: LocalityLevel)
     return GLOBAL_ANCHOR
 
 
-def _emission(graph: InfrastructureGraph, anchors: dict[str, AnchorPlacement]) -> dict[str, Fraction]:
-    """Per-domain output rate of a placed microservice.
-
-    Within an anchor, proportional load balancing spreads traffic evenly per
-    instance, so a domain emits the anchor's demand weighted by its share of
-    the anchor's instances.
-    """
-    out: dict[str, Fraction] = {}
-    for anchor in sorted(anchors):
-        ap = anchors[anchor]
-        total = ap.total_instances
-        if total == 0 or ap.demand_rps <= 0:
-            continue
-        for node_id, k in ap.slots:
-            domain_id = graph.nodes[node_id].domain_id
-            out[domain_id] = out.get(domain_id, Fraction(0)) + ap.demand_rps * Fraction(k, total)
-    return out
-
-
 def _anchor_demand(
     graph: InfrastructureGraph,
     app: ApplicationDag,
@@ -315,15 +276,19 @@ def _anchor_demand(
     """Anchored demand for one microservice given its consumers' placements.
 
     Ingress microservices anchor the request demand at each attachment domain
-    per their IoT locality level.  Everything else sums consumer emissions per
-    edge, anchored at that edge's locality level.  Zero contributions are
+    per their IoT locality level.  Everything else sums, per edge, what each
+    consumer anchor emits, anchored at that edge's locality level.  A consumer
+    anchor that lies inside one anchor at the edge's level (the edge is
+    global, the consumer anchor is a domain, or both are strict-region) hands
+    its whole demand times the edge's rate ratio to that anchor.  Only a
+    looser consumer anchor is split: proportional load balancing spreads its
+    traffic evenly per instance, so each domain emits the anchor's demand
+    weighted by its share of the anchor's instances.  Zero contributions are
     dropped, so every returned anchor needs at least one instance.
     """
     acc: dict[str, tuple[LocalityLevel, Fraction]] = {}
 
     def add(anchor: str, level: LocalityLevel, rps: Fraction):
-        if rps <= 0:
-            return
         if anchor in acc:
             acc[anchor] = (level, acc[anchor][1] + rps)
         else:
@@ -333,15 +298,31 @@ def _anchor_demand(
         level = pset.iot_level(ms_id)
         for domain in sorted(demand):
             rps = demand[domain].get(ms_id, Fraction(0))
-            add(_anchor_of(graph, domain, level), level, rps)
-    else:
-        for edge in sorted(app.predecessors(ms_id), key=lambda e: e.from_ms):
-            if app.microservices[edge.from_ms].placed_on_iot:
+            if rps > 0:
+                add(_anchor_of(graph, domain, level), level, rps)
+        return acc
+    for edge in sorted(app.predecessors(ms_id), key=lambda e: e.from_ms):
+        if app.microservices[edge.from_ms].placed_on_iot:
+            continue
+        level = pset.edge_level(edge.from_ms, ms_id)
+        for anchor, ap in per_ms_mapping.get(edge.from_ms, {}).items():
+            rps = ap.demand_rps * edge.rate_ratio
+            if rps <= 0 or not ap.slots:
                 continue
-            level = pset.edge_level(edge.from_ms, ms_id)
-            emission = _emission(graph, per_ms_mapping.get(edge.from_ms, {}))
-            for domain, rps in sorted(emission.items()):
-                add(_anchor_of(graph, domain, level), level, rps * edge.rate_ratio)
+            if level is LocalityLevel.GLOBAL:
+                add(GLOBAL_ANCHOR, level, rps)
+            elif ap.level is LocalityLevel.STRICT_DOMAIN:
+                add(_anchor_of(graph, anchor, level), level, rps)
+            elif ap.level is level:
+                add(anchor, level, rps)
+            else:  # a looser anchor: split by its instances per domain
+                per_domain: dict[str, int] = {}
+                for node_id, k in ap.slots:
+                    domain_id = graph.nodes[node_id].domain_id
+                    per_domain[domain_id] = per_domain.get(domain_id, 0) + k
+                share = rps / sum(per_domain.values())  # per instance
+                for domain_id, k in per_domain.items():
+                    add(_anchor_of(graph, domain_id, level), level, share * k)
     return acc
 
 
@@ -444,7 +425,9 @@ def _reconcile(
     ``drained`` node: a shrink drops the newest slots first, and growth adds
     instances first-fit, displaced ones preferring the drained node's domain,
     then its region.  On backtrack every split from :func:`_distributions` is
-    tried.
+    tried.  Drain flags and policies do not change during one call, so each
+    (microservice, anchor)'s eligible, undrained node ids are resolved on its
+    first visit and kept for the rest of the call.
 
     Raises InfeasiblePlacement naming the deepest unsatisfiable microservice
     and anchor, with the cause.
@@ -452,6 +435,30 @@ def _reconcile(
     current = current or {}
     sequence = _placement_sequence(app, pset, trace=trace)
     acc: dict[str, dict[str, AnchorPlacement]] = {}
+    usable: dict[tuple[str, str], list[str]] = {}  # (ms id, anchor) -> eligible undrained node ids, by id
+
+    def nodes_for(ms: Microservice, anchor: str, prefer: str | None = None) -> list[str]:
+        """The anchor's usable node ids by descending free cpu, ties by id;
+        with ``prefer``, that domain's nodes first, then its region's."""
+        node_ids = usable.get((ms.id, anchor))
+        if node_ids is None:
+            node_ids = usable[ms.id, anchor] = sorted(
+                node.id
+                for domain_id in eligible_domains_for_anchor(pset, ms.id, anchor, graph)
+                for node in graph.nodes_of_domain(domain_id)
+                if not node.drained
+            )
+        if prefer is None:  # a stable sort keeps equal-cpu nodes in id order
+            return sorted(node_ids, key=ledger.cpu.__getitem__, reverse=True)
+        region = graph.domains[prefer].region_id
+
+        def tier(node_id: str) -> int:
+            domain_id = graph.nodes[node_id].domain_id
+            if domain_id == prefer:
+                return 0
+            return 1 if graph.domains[domain_id].region_id == region else 2
+
+        return sorted(node_ids, key=lambda n: (tier(n), -ledger.cpu[n]))
 
     def choices(ms: Microservice, anchor: str, need: int, old: AnchorPlacement | None):
         """Slot lists for one anchor: its kept slots resized, then every split."""
@@ -468,17 +475,14 @@ def _reconcile(
             if excess < 0:
                 ledger.take(kept, ms)
                 prefer = graph.nodes[drained].domain_id if displaced else None
-                domains = eligible_domains_for_anchor(pset, ms.id, anchor, graph)
-                node_ids = _ordered_nodes(graph, domains, ledger, prefer_domain=prefer)
+                node_ids = nodes_for(ms, anchor, prefer)
                 grown = next(_distributions(node_ids, ms.cpu_req, ms.mem_req, -excess, ledger, budget), None)
                 ledger.give(kept, ms)
                 kept = None if grown is None else kept + grown
             if kept is not None:
                 yield kept
                 first = _by_node(kept)
-        domains = eligible_domains_for_anchor(pset, ms.id, anchor, graph)
-        node_ids = _ordered_nodes(graph, domains, ledger)
-        for dist in _distributions(node_ids, ms.cpu_req, ms.mem_req, need, ledger, budget):
+        for dist in _distributions(nodes_for(ms, anchor), ms.cpu_req, ms.mem_req, need, ledger, budget):
             if first is None or _by_node(dist) != first:
                 yield dist
 
@@ -491,7 +495,9 @@ def _reconcile(
         for anchor in sorted(set(before) | set(wanted)):
             old = before.get(anchor)
             level, rps = wanted[anchor] if anchor in wanted else (old.level, Fraction(0))
-            out.append((anchor, old, level, rps, required_instances(rps, ms.capacity_rps)))
+            # ceil(rps / capacity): a Fraction floor division yields the int
+            # without normalising a quotient Fraction first
+            out.append((anchor, old, level, rps, -(-rps // ms.capacity_rps)))
         return out
 
     # No Python call per microservice or anchor: that would bound the search

@@ -29,6 +29,7 @@ from .errors import (
     UnknownPolicyType,
 )
 from .locality import DEFAULT_LOCALITY, LocalityLevel
+from .topology import GLOBAL_ANCHOR
 
 POLICY_TYPES = ("placement_restriction", "iot_locality", "ms_locality")
 
@@ -193,8 +194,6 @@ def eligible_domains_for_anchor(pset: PolicySet, ms_id: str, anchor: str, graph)
     domain, the region's domains, or every domain) is intersected with the
     placement restriction policy.
     """
-    from .topology import GLOBAL_ANCHOR
-
     if anchor == GLOBAL_ANCHOR:
         scope: Iterable[str] = sorted(graph.domains)
     elif anchor in graph.regions:

@@ -72,7 +72,10 @@ def _settings_from_doc(doc: dict) -> Settings:
 
 def _policy_doc(doc: dict, settings: Settings | None) -> dict:
     """The scenario's policies, with settings.default_locality filling a gap."""
-    policy_doc = dict(doc.get("policies", {}) or {})
+    policies = doc.get("policies", {}) or {}
+    if not isinstance(policies, dict):
+        raise ScenarioParseError("policies must be a mapping")
+    policy_doc = dict(policies)
     if settings is not None and settings.default_locality is not None:
         policy_doc.setdefault("default_locality", settings.default_locality)
     return policy_doc

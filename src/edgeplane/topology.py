@@ -84,14 +84,22 @@ class InfrastructureGraph:
     domains: dict[str, Domain]
     nodes: dict[str, ComputeNode]
     attachments: dict[str, IoTAttachment]
+    _domain_nodes: dict[str, list[ComputeNode]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._domain_nodes = {domain_id: [] for domain_id in self.domains}
+        for node_id in sorted(self.nodes):
+            node = self.nodes[node_id]
+            self._domain_nodes[node.domain_id].append(node)
 
     def domains_in_region(self, region_id: str) -> list[str]:
         return sorted(self.regions[region_id].domain_ids)
 
     def nodes_of_domain(self, domain_id: str) -> list[ComputeNode]:
+        """The domain's nodes by id, as a fresh list from the index built at load."""
         if domain_id not in self.domains:
             raise UnknownDomain(domain_id)
-        return [self.nodes[n] for n in sorted(self.nodes) if self.nodes[n].domain_id == domain_id]
+        return list(self._domain_nodes[domain_id])
 
     def attachment_domains(self) -> list[str]:
         return sorted({a.domain_id for a in self.attachments.values()})

@@ -7,6 +7,7 @@ recursion) so that a planner bug cannot hide inside a shared helper:
 * ``oracle_eligible`` answers domain eligibility by brute force.
 * ``oracle_feasible`` decides by exhaustive search whether any placement
   satisfying the per-anchor instance counts exists at all.
+* ``oracle_anchor_demand`` anchors a microservice's demand slot by slot.
 """
 
 from __future__ import annotations
@@ -190,6 +191,43 @@ def oracle_eligible(graph, policy_doc, ms_id, anchor_domain, level):
         return True
 
     return sorted(d for d in graph.domains if in_scope(d) and allowed(d))
+
+
+def oracle_anchor_demand(graph, app, pset, demand, ms_id, per_ms_mapping):
+    """Anchored demand by the slot-by-slot formula: every slot of a consumer
+    anchor emits, in its own domain, the anchor's demand weighted by the
+    slot's share of the anchor's instances; per edge, those domain emissions
+    times the rate ratio are summed at the edge's anchor.  Returns
+    ``{anchor: (level, rps)}`` with zero contributions dropped."""
+    def emission(anchors):
+        out: dict[str, Fraction] = {}
+        for ap in anchors.values():
+            total = sum(k for _, k in ap.slots)
+            if total == 0 or ap.demand_rps <= 0:
+                continue
+            for node_id, k in ap.slots:
+                domain_id = graph.nodes[node_id].domain_id
+                out[domain_id] = out.get(domain_id, Fraction(0)) + ap.demand_rps * Fraction(k, total)
+        return out
+
+    acc: dict[str, tuple[LocalityLevel, Fraction]] = {}
+
+    def add(anchor, level, rps):
+        if rps > 0:
+            acc[anchor] = (level, acc.get(anchor, (level, Fraction(0)))[1] + rps)
+
+    if ms_id in app.ingress_ids:
+        level = pset.iot_level(ms_id)
+        for domain_id, per in demand.items():
+            add(anchor_key(graph, domain_id, level), level, per.get(ms_id, Fraction(0)))
+        return acc
+    for edge in app.predecessors(ms_id):
+        if app.microservices[edge.from_ms].placed_on_iot:
+            continue
+        level = pset.edge_level(edge.from_ms, ms_id)
+        for domain_id, rps in emission(per_ms_mapping.get(edge.from_ms, {})).items():
+            add(anchor_key(graph, domain_id, level), level, rps * edge.rate_ratio)
+    return acc
 
 
 def oracle_feasible(graph, app, policy_doc, demand) -> bool:

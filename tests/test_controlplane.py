@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from edgeplane import controlplane
 from edgeplane.appmodel import PlacementRequest, as_rate
 from edgeplane.controlplane import (
     Alert,
@@ -14,9 +15,12 @@ from edgeplane.controlplane import (
     PlacementMapping,
     RoutingRule,
     RoutingRuleSet,
+    SEARCH_BUDGET,
+    _anchor_demand,
     _Budget,
     _distributions,
     _Ledger,
+    _reconcile,
     generate_routes,
     handle_alert,
     place_application,
@@ -31,7 +35,7 @@ from edgeplane.errors import (
 )
 from edgeplane.locality import LocalityLevel
 
-from .support import build, gen_small_case
+from .support import build, gen_case, gen_small_case, oracle_anchor_demand
 
 
 def test_required_instances_frozen():
@@ -234,6 +238,124 @@ def test_wide_anchor_places_one_instance_per_node():
     assert plan.mapping.total_instances("a") == 1200
     assert validate_plan(graph, dag, pset, plan).ok
     assert elapsed < 0.2
+
+
+# --- demand anchoring ---
+
+
+def test_anchor_demand_matches_slot_by_slot_oracle(monkeypatch):
+    """Anchoring by containment returns exactly the slot-by-slot formula's
+    (level, rps) per anchor, for every microservice of seeded plans at 1x
+    and 2x demand and of one seeded node-drain replan of each.
+
+    The budget is cut to 20,000 steps: the only searches here that need
+    more (gen_case seeds 52, 53 and 70) are infeasible and yield no plan,
+    so the same plans are checked in an eighth of the time, and the
+    tallies at the end pin that."""
+    monkeypatch.setattr(controlplane, "SEARCH_BUDGET", 20_000)
+    levels, splits, restricted, checked = set(), 0, 0, 0
+
+    def check(graph, app, pset, plan):
+        nonlocal splits, restricted, checked
+        per_ms = plan.mapping.per_ms
+        for ms_id in plan.mapping.order:
+            got = _anchor_demand(graph, app, pset, plan.demand, ms_id, per_ms)
+            assert got == oracle_anchor_demand(graph, app, pset, plan.demand, ms_id, per_ms), ms_id
+            levels.update(level for level, _ in got.values())
+            restricted += ms_id in pset.restriction
+            checked += 1
+            for edge in app.predecessors(ms_id):
+                edge_level = pset.edge_level(edge.from_ms, ms_id)
+                splits += sum(ap.level.strictness > edge_level.strictness
+                              for ap in per_ms.get(edge.from_ms, {}).values())
+
+    for gen in (gen_small_case, gen_case):
+        for seed in range(200):
+            for factor in (1, 2):
+                topo_doc, app_doc, policy_doc, demand_doc = gen(random.Random(seed))
+                demand_doc = {d: {m: r * factor for m, r in per.items()}
+                              for d, per in demand_doc.items()}
+                graph, app, pset, request = build(topo_doc, app_doc, policy_doc, demand_doc)
+                try:
+                    plan = place_application(graph, app, request, pset)
+                except InfeasiblePlacement:
+                    continue
+                check(graph, app, pset, plan)
+                drained = random.Random(seed * 2 + factor).choice(sorted(graph.nodes))
+                try:
+                    plan = handle_alert(graph, app, pset, plan, Alert("node_drain", {"node": drained}))
+                except InfeasiblePlacement:
+                    continue
+                check(graph, app, pset, plan)
+    assert levels == set(LocalityLevel)
+    assert (splits, restricted, checked) == (370, 282, 1980)
+
+
+def test_reconciler_never_offers_a_drained_node():
+    """A node drained before a placement, and each node drained between two
+    replans of one graph, never receives an instance: eligible node lists
+    are cached for one search only."""
+    replans = 0
+    for seed in range(100):
+        topo_doc, app_doc, policy_doc, demand_doc = gen_case(random.Random(seed))
+        graph, app, pset, request = build(topo_doc, app_doc, policy_doc, demand_doc)
+        rng = random.Random(seed)
+        drained = {rng.choice(sorted(graph.nodes))}
+        graph.nodes[next(iter(drained))].drained = True
+        try:
+            plan = place_application(graph, app, request, pset)
+        except InfeasiblePlacement:
+            continue
+        used = {node for ms_id in plan.mapping.per_ms for node in plan.mapping.instances_of(ms_id)}
+        assert not used & drained, seed
+        for _ in range(2):
+            node = rng.choice(sorted(used))
+            drained.add(node)
+            try:
+                plan = handle_alert(graph, app, pset, plan, Alert("node_drain", {"node": node}))
+            except InfeasiblePlacement:
+                break
+            used = {node for ms_id in plan.mapping.per_ms for node in plan.mapping.instances_of(ms_id)}
+            assert not used & drained, seed
+            replans += 1
+    assert replans >= 50, replans
+
+
+# --- search step counts ---
+
+
+@pytest.mark.parametrize("seed, factor, drained, steps, placed", [
+    (297, 2, None, 466, True),
+    (348, 2, None, 128, True),
+    (29, 2, None, 201, False),
+    (166, 2, None, 533, False),
+    (194, 2, "d11-n1", 771, True),
+    (120, 2, "d20-n0", 249, True),
+    (348, 2, "d00-n0", 432, False),
+    (229, 1, "d10-n0", 2685, False),
+])
+def test_search_step_counts_pinned(seed, factor, drained, steps, placed):
+    """Budget steps one search spends on seeded ``gen_case`` inputs at
+    ``factor`` x demand where it backtracks: a fresh placement, or with
+    ``drained`` a replan from the placed mapping after that node's drain.
+    A change to the order in which the search tries splits, or to what
+    counts as a step, changes these counts."""
+    topo_doc, app_doc, policy_doc, demand_doc = gen_case(random.Random(seed))
+    demand_doc = {d: {m: r * factor for m, r in per.items()} for d, per in demand_doc.items()}
+    graph, app, pset, request = build(topo_doc, app_doc, policy_doc, demand_doc)
+    current = None
+    if drained is not None:
+        current = place_application(graph, app, request, pset).mapping.per_ms
+        graph.nodes[drained].drained = True
+    demand = request.normalized_demand()
+    budget = _Budget(SEARCH_BUDGET)
+    try:
+        _reconcile(graph, app, pset, demand, _Ledger.from_graph(graph), budget,
+                   current=current, drained=drained)
+        ok = True
+    except InfeasiblePlacement:
+        ok = False
+    assert (SEARCH_BUDGET - budget.left, ok) == (steps, placed)
 
 
 # --- infeasibility ---

@@ -188,6 +188,16 @@ def test_cli_validate_demand_against_topology(tmp_path, capsys):
     assert "demand: InvalidRequest" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "place"])
+def test_cli_policies_list_is_a_parse_error(tmp_path, capsys, command):
+    doc = canonical_doc()
+    doc["policies"] = ["not", "a", "mapping"]
+    assert main([command, "--scenario", write_scenario(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "policies must be a mapping" in err
+    assert "Traceback" not in err
+
+
 # --- CLI: place ---
 
 

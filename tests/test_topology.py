@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -185,3 +187,34 @@ def test_scope_nesting_property(doc, level):
         assert listed == keyed
         assert all(graph.nodes[n].domain_id in
                    set(graph.scope_domains(domain_id, level)) for n in listed)
+
+
+def test_nodes_of_domain_index_matches_scan():
+    """The domain index gives what a sorted scan of every node gives, on
+    seeded graphs up to 10 regions x 10 domains x 4 nodes with node ids
+    that interleave across domains, and a fresh list on every call."""
+    for seed in range(20):
+        rng = random.Random(seed)
+        doc = {"regions": [], "domains": [], "nodes": [], "attachments": []}
+        for r in range(rng.randint(2, 10)):
+            domain_ids = [f"d{r}-{i}" for i in range(rng.randint(2, 10))]
+            doc["regions"].append({"id": f"r{r}", "domains": domain_ids})
+            for did in domain_ids:
+                doc["domains"].append({"id": did, "region": f"r{r}", "admin": "a", "kind": "edge"})
+                doc["nodes"] += [{"domain": did, "cpu_m": 1000, "mem_mi": 1024}
+                                 for _ in range(rng.randint(0, 4))]
+        for node, number in zip(doc["nodes"], rng.sample(range(100_000), len(doc["nodes"]))):
+            node["id"] = f"n{number:05d}"
+        rng.shuffle(doc["nodes"])
+        graph = load_topology(doc)
+        for domain_id in graph.domains:
+            scanned = [graph.nodes[n] for n in sorted(graph.nodes)
+                       if graph.nodes[n].domain_id == domain_id]
+            listed = graph.nodes_of_domain(domain_id)
+            assert [n.id for n in listed] == [n.id for n in scanned]
+            assert all(a is b for a, b in zip(listed, scanned))
+            listed.reverse()
+            listed.append(None)
+            assert graph.nodes_of_domain(domain_id) == scanned
+        with pytest.raises(UnknownDomain):
+            graph.nodes_of_domain("ghost")
