@@ -21,7 +21,6 @@ from .controlplane import (
     RoutingRuleSet,
     Alert,
     place_application,
-    required_instances,
     generate_routes,
     validate_plan,
     handle_alert,

@@ -22,6 +22,7 @@ from .errors import (
     InvalidRequest,
     UnknownDomain,
     UnknownMicroservice,
+    doc_list,
 )
 
 
@@ -153,7 +154,7 @@ def validate_app(app: ApplicationDag) -> ApplicationDag:
 
     for edge in app.edges:
         for endpoint in (edge.from_ms, edge.to_ms):
-            if endpoint not in app.microservices:
+            if not isinstance(endpoint, str) or endpoint not in app.microservices:
                 raise UnknownMicroservice(f"edge endpoint {endpoint!r} not declared")
         if edge.from_ms == edge.to_ms:
             raise CycleDetected([edge.from_ms, edge.to_ms])
@@ -187,6 +188,13 @@ def validate_app(app: ApplicationDag) -> ApplicationDag:
     return app
 
 
+def _integer(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidApplication(f"{what} must be an integer, got {value!r}") from None
+
+
 def app_from_doc(doc: dict) -> ApplicationDag:
     """Parse and validate the application fragment of a scenario document."""
     if not isinstance(doc, dict):
@@ -196,7 +204,7 @@ def app_from_doc(doc: dict) -> ApplicationDag:
         raise InvalidApplication("application id must be a non-empty string")
 
     microservices: dict[str, Microservice] = {}
-    for entry in doc.get("microservices") or []:
+    for entry in doc_list(doc.get("microservices"), "application microservices", InvalidApplication):
         ms_id = entry.get("id")
         if not isinstance(ms_id, str) or not ms_id:
             raise InvalidApplication(f"microservice id must be a non-empty string, got {ms_id!r}")
@@ -205,8 +213,8 @@ def app_from_doc(doc: dict) -> ApplicationDag:
         iot = bool(entry.get("iot", False))
         microservices[ms_id] = Microservice(
             id=ms_id,
-            cpu_req=int(entry.get("cpu_m", 0)),
-            mem_req=int(entry.get("mem_mi", 0)),
+            cpu_req=_integer(entry.get("cpu_m", 0), f"microservice {ms_id!r} cpu_m"),
+            mem_req=_integer(entry.get("mem_mi", 0), f"microservice {ms_id!r} mem_mi"),
             capacity_rps=as_rate(entry.get("capacity_rps", 0)),
             placed_on_iot=iot,
         )
@@ -219,9 +227,9 @@ def app_from_doc(doc: dict) -> ApplicationDag:
             to_ms=entry.get("to"),
             rate_ratio=as_rate(entry.get("ratio", 1)),
         )
-        for entry in doc.get("edges") or []
+        for entry in doc_list(doc.get("edges"), "application edges", InvalidApplication)
     )
-    ingress = frozenset(doc.get("ingress") or ())
+    ingress = frozenset(doc_list(doc.get("ingress"), "application ingress", InvalidApplication, str))
 
     app = ApplicationDag(id=app_id, microservices=microservices, edges=edges, ingress_ids=ingress)
     return validate_app(app)

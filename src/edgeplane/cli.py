@@ -7,9 +7,13 @@ Subcommands:
   simulate      run the scenario's event loop and write the report
   serve-policy  serve the policy data/decision HTTP API
 
-Exit codes: 0 success, 1 semantic violation, 2 parse error, 3 infeasible
-placement.  Set EDGEPLANE_LOG=debug (or any logging level name) for
-diagnostics on stderr; output documents are byte-deterministic.
+Files are read and parsed by the ``scenario`` module alone; ``validate``
+prints one ``section: Type: message`` line per failing section.
+
+Exit codes: 0 success, 1 semantic violation, 2 parse error (an unreadable
+file included), 3 infeasible placement.  Set EDGEPLANE_LOG=debug (or any
+logging level name) for diagnostics on stderr; output documents are
+byte-deterministic.
 """
 
 from __future__ import annotations
@@ -20,17 +24,12 @@ import os
 import sys
 from pathlib import Path
 
-import yaml
-
-from .appmodel import app_from_doc, demand_from_doc
 from .controlplane import ControlPlane, validate_plan
 from .documents import dump_doc, dump_docs, plan_from_doc, plan_to_doc, report_to_doc, routes_docs
 from .errors import EdgeplaneError, InfeasiblePlacement, ScenarioParseError
 from .meshsim import run_scenario
-from .policy import parse_policies
 from .policyserver import serve
-from .scenario import _events_from_doc, _policy_doc, _settings_from_doc, load_scenario
-from .topology import load_topology
+from .scenario import check_scenario, load_scenario, read_yaml
 
 log = logging.getLogger("edgeplane")
 
@@ -55,58 +54,14 @@ def _write_output(text: str, out: str | None):
 
 
 def cmd_validate(args) -> int:
-    try:
-        text = Path(args.scenario).read_text(encoding="utf-8")
-        doc = yaml.safe_load(text)
-    except OSError as exc:
-        print(f"scenario: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except yaml.YAMLError as exc:
-        print(f"scenario: invalid YAML: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    if not isinstance(doc, dict):
-        print("scenario: document must be a mapping", file=sys.stderr)
-        return EXIT_PARSE
-
-    diagnostics: list[tuple[str, Exception]] = []
-
-    def attempt(fragment: str, fn):
-        try:
-            return fn()
-        except EdgeplaneError as exc:
-            diagnostics.append((fragment, exc))
-            return None
-
-    settings = attempt("settings", lambda: _settings_from_doc(doc))
-    if "topology" not in doc:
-        diagnostics.append(("topology", ScenarioParseError("missing section")))
-        graph = None
-    else:
-        graph = attempt("topology", lambda: load_topology(doc["topology"]))
-    if "application" not in doc:
-        diagnostics.append(("application", ScenarioParseError("missing section")))
-        app = None
-    else:
-        app = attempt("application", lambda: app_from_doc(doc["application"]))
-
-    if app is not None and graph is not None:
-        attempt("policies", lambda: parse_policies(_policy_doc(doc, settings), app, graph))
-        if "demand" not in doc:
-            diagnostics.append(("demand", ScenarioParseError("missing section")))
-        else:
-            def check_demand():
-                request = demand_from_doc(app, doc["demand"])
-                request.validate_against(graph)
-            attempt("demand", check_demand)
-        attempt("events", lambda: _events_from_doc(doc, graph, app))
-
-    if not diagnostics:
+    _, problems = check_scenario(read_yaml(args.scenario))
+    if not problems:
         if not args.quiet:
             print(f"{args.scenario}: ok")
         return EXIT_OK
-    for fragment, exc in diagnostics:
-        print(f"{fragment}: {type(exc).__name__}: {exc}", file=sys.stderr)
-    parse_failure = any(isinstance(exc, ScenarioParseError) for _, exc in diagnostics)
+    for section, exc in problems:
+        print(f"{section}: {type(exc).__name__}: {exc}", file=sys.stderr)
+    parse_failure = any(isinstance(exc, ScenarioParseError) for _, exc in problems)
     return EXIT_PARSE if parse_failure else EXIT_VIOLATION
 
 
@@ -130,11 +85,7 @@ def cmd_place(args) -> int:
 def cmd_routes(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.plan:
-        try:
-            plan_doc = yaml.safe_load(Path(args.plan).read_text(encoding="utf-8"))
-        except yaml.YAMLError as exc:
-            raise ScenarioParseError(f"{args.plan}: invalid YAML: {exc}") from exc
-        plan = plan_from_doc(plan_doc)
+        plan = plan_from_doc(read_yaml(args.plan))
     else:
         control = ControlPlane(scenario.graph, scenario.app, scenario.policies)
         plan = control.place(scenario.request)

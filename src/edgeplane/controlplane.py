@@ -27,12 +27,11 @@ ordering is deterministic, so identical inputs produce identical plans.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 
-from .appmodel import ApplicationDag, Microservice, PlacementRequest, as_rate
+from .appmodel import ApplicationDag, Microservice, PlacementRequest
 from .errors import InfeasiblePlacement, NoDestinationInScope, PlanningError, UnknownNode
 from .locality import LocalityLevel
 from .policy import PolicySet, eligible_domains_for_anchor
@@ -154,15 +153,6 @@ class Alert:
 
 
 @dataclass(frozen=True)
-class PlacementStep:
-    """Trace record: one frontier refresh and the microservice chosen from it."""
-
-    microservice: str
-    level: LocalityLevel
-    frontier: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class Violation:
     kind: str  # "placement" | "locality" | "capacity" | "route"
     subject: str
@@ -233,18 +223,7 @@ class _Budget:
             raise _BudgetExhausted
 
 
-# --- core arithmetic ----------------------------------------------------------
-
-
-def required_instances(demand_rps, capacity_rps) -> int:
-    """Ceiling of demand over per-instance capacity; zero demand needs zero."""
-    demand = as_rate(demand_rps)
-    capacity = as_rate(capacity_rps)
-    if capacity <= 0:
-        raise PlanningError("capacity_rps must be positive")
-    if demand <= 0:
-        return 0
-    return math.ceil(demand / capacity)
+# --- slots --------------------------------------------------------------------
 
 
 def _by_node(slots) -> dict[str, int]:
@@ -339,7 +318,7 @@ def _ms_strictness(pset: PolicySet, app: ApplicationDag, ms_id: str) -> Locality
     return min(incoming, key=lambda level: level.strictness)
 
 
-def _placement_sequence(app: ApplicationDag, pset: PolicySet, trace: list | None = None) -> list[str]:
+def _placement_sequence(app: ApplicationDag, pset: PolicySet) -> list[str]:
     """Frontier order: all predecessors placed, strictest locality first.
 
     Ties break on topological rank, then id.  IoT-placed microservices seed
@@ -358,8 +337,6 @@ def _placement_sequence(app: ApplicationDag, pset: PolicySet, trace: list | None
         if not frontier:
             raise PlanningError("placement frontier stalled; application DAG not validated")
         pick = frontier[0]
-        if trace is not None:
-            trace.append(PlacementStep(pick, _ms_strictness(pset, app, pick), tuple(frontier)))
         sequence.append(pick)
         placed.add(pick)
         remaining.remove(pick)
@@ -412,7 +389,6 @@ def _reconcile(
     budget: _Budget,
     current: dict[str, dict[str, AnchorPlacement]] | None = None,
     drained: str | None = None,
-    trace: list | None = None,
 ) -> PlacementMapping:
     """Choose node slots for every (microservice, anchor), in placement order.
 
@@ -433,7 +409,7 @@ def _reconcile(
     and anchor, with the cause.
     """
     current = current or {}
-    sequence = _placement_sequence(app, pset, trace=trace)
+    sequence = _placement_sequence(app, pset)
     acc: dict[str, dict[str, AnchorPlacement]] = {}
     usable: dict[tuple[str, str], list[str]] = {}  # (ms id, anchor) -> eligible undrained node ids, by id
 
@@ -561,8 +537,6 @@ def place_application(
     app: ApplicationDag,
     request: PlacementRequest,
     policies: PolicySet,
-    *,
-    trace: list | None = None,
 ) -> DeploymentPlan:
     """Compute a compliant deployment plan for the offered demand.
 
@@ -579,7 +553,7 @@ def place_application(
     """
     demand = request.validate_against(graph).normalized_demand()
     ledger = _Ledger.from_graph(graph)
-    mapping = _reconcile(graph, app, policies, demand, ledger, _Budget(SEARCH_BUDGET), trace=trace)
+    mapping = _reconcile(graph, app, policies, demand, ledger, _Budget(SEARCH_BUDGET))
     ledger.commit(graph)
     routes = generate_routes(graph, app, mapping, policies)
     return DeploymentPlan(app_id=app.id, revision=1, mapping=mapping, routes=routes, demand=demand)

@@ -2,7 +2,7 @@
 
 Kept in one flat module so that loaders, the planner and the simulator can
 share reference errors (unknown domain, unknown microservice) without import
-cycles.
+cycles, and so that every document loader can share :func:`doc_list`.
 """
 
 
@@ -143,3 +143,16 @@ class MissingRoute(SimulationError):
 
 class ScenarioParseError(EdgeplaneError):
     """The scenario document could not be read or is not structurally a scenario."""
+
+
+# --- document shape -----------------------------------------------------------
+
+
+def doc_list(value, what: str, error: type[EdgeplaneError], item: type = dict) -> list:
+    """A document list whose entries are all ``item`` (mappings or string ids);
+    absent or empty is ``[]``, anything else raises the calling loader's ``error``."""
+    if not value:
+        return []
+    if not isinstance(value, list) or not all(isinstance(entry, item) for entry in value):
+        raise error(f"{what} must be a list of {'mappings' if item is dict else 'ids'}")
+    return value

@@ -27,6 +27,7 @@ from .errors import (
     UnknownDomain,
     UnknownMicroservice,
     UnknownPolicyType,
+    doc_list,
 )
 from .locality import DEFAULT_LOCALITY, LocalityLevel
 from .topology import GLOBAL_ANCHOR
@@ -95,26 +96,30 @@ def parse_policies(doc: dict, app, graph) -> PolicySet:
     edge_pairs = frozenset((e.from_ms, e.to_ms) for e in app.edges)
 
     def known_ms(ms_id) -> str:
-        if ms_id not in ms_ids:
+        if not isinstance(ms_id, str) or ms_id not in ms_ids:
             raise UnknownMicroservice(str(ms_id))
         return ms_id
 
+    def rules(policy_type: str) -> list[dict]:
+        return doc_list(doc.get(policy_type), f"policies {policy_type}", PolicyError)
+
     restriction: dict[str, RestrictionRule] = {}
-    for entry in doc.get("placement_restriction") or []:
+    for entry in rules("placement_restriction"):
         ms_id = known_ms(entry.get("microservice"))
         if ms_id in restriction:
             raise DuplicateRule(f"placement_restriction for {ms_id!r}")
         mode = entry.get("mode")
         if mode not in ("allow", "deny"):
             raise PolicyError(f"restriction mode must be allow or deny, got {mode!r}")
-        domains = entry.get("domains") or []
+        domains = doc_list(entry.get("domains"), f"placement_restriction domains of {ms_id!r}",
+                           PolicyError, str)
         for domain in domains:
             if domain not in domain_ids:
                 raise UnknownDomain(str(domain))
         restriction[ms_id] = RestrictionRule(mode=mode, domains=frozenset(domains))
 
     iot_locality: dict[str, LocalityLevel] = {}
-    for entry in doc.get("iot_locality") or []:
+    for entry in rules("iot_locality"):
         ms_id = known_ms(entry.get("microservice"))
         if ms_id not in app.ingress_ids:
             raise NonIngressIotRule(ms_id)
@@ -123,7 +128,7 @@ def parse_policies(doc: dict, app, graph) -> PolicySet:
         iot_locality[ms_id] = LocalityLevel.parse(entry.get("level"))
 
     ms_locality: dict[tuple[str, str], LocalityLevel] = {}
-    for entry in doc.get("ms_locality") or []:
+    for entry in rules("ms_locality"):
         pair = (known_ms(entry.get("consumer")), known_ms(entry.get("consumed")))
         if pair not in edge_pairs:
             raise NonEdgeMsRule(f"{pair[0]}->{pair[1]} is not an application edge")

@@ -1,20 +1,23 @@
 """Scenario documents: topology + application + policies + demand + events.
 
-A scenario is one YAML document describing everything a run needs.  Parsing
-is strict: unknown event kinds, dangling references and malformed settings
-fail fast with ScenarioParseError or the underlying model error rather than
-surfacing as confusing behavior mid-simulation.
+A scenario is one YAML document describing everything a run needs.
+:func:`read_yaml` is the package's one file reader and :func:`check_scenario`
+its one section parser: ``edgeplane validate`` prints every problem found,
+every other path raises the first.  Parsing is strict: unreadable files,
+unknown event kinds, dangling references and malformed settings fail fast
+with ScenarioParseError or the underlying model error rather than surfacing
+as confusing behavior mid-simulation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
 
 from .appmodel import ApplicationDag, PlacementRequest, app_from_doc, as_rate, demand_from_doc
-from .errors import ScenarioParseError, UnknownNode
+from .errors import EdgeplaneError, ScenarioParseError, UnknownNode, doc_list
 from .meshsim import ScenarioEvent
 from .policy import PolicySet, parse_policies
 from .topology import InfrastructureGraph, load_topology
@@ -24,7 +27,6 @@ from .topology import InfrastructureGraph, load_topology
 class Settings:
     default_locality: str | None = None
     overload_threshold: float = 0.8
-    deterministic: bool = True
 
 
 @dataclass
@@ -35,44 +37,90 @@ class Scenario:
     request: PlacementRequest
     events: list[ScenarioEvent]
     settings: Settings
-    raw: dict = field(default_factory=dict, repr=False)
+
+
+def read_yaml(path):
+    """The YAML document in the file at ``path``.
+
+    Raises ScenarioParseError, prefixed with the path, when the file is
+    missing or unreadable, or is not valid YAML.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ScenarioParseError(f"{path}: cannot read: {reason}") from exc
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ScenarioParseError(f"{path}: invalid YAML: {exc}") from exc
 
 
 def load_scenario(path) -> Scenario:
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ScenarioParseError(f"{path}: invalid YAML: {exc}") from exc
+    return scenario_from_doc(read_yaml(path))
+
+
+def scenario_from_doc(doc: dict) -> Scenario:
+    """The scenario ``doc`` describes; raises the first problem :func:`check_scenario` finds."""
+    scenario, problems = check_scenario(doc)
+    if problems:
+        raise problems[0][1]
+    return scenario
+
+
+def check_scenario(doc) -> tuple[Scenario | None, list[tuple[str, EdgeplaneError]]]:
+    """Parse every section of a scenario document and collect what fails.
+
+    Sections parse in this order: settings, topology, application, then,
+    only if topology and application parsed, policies, demand and events.
+    Each section adds at most one ``(section, error)`` problem.  Returns the
+    Scenario and no problems, or None and every problem found.
+    """
     if not isinstance(doc, dict):
-        raise ScenarioParseError(f"{path}: scenario document must be a mapping")
-    return scenario_from_doc(doc)
+        return None, [("scenario", ScenarioParseError("scenario document must be a mapping"))]
+    problems: list[tuple[str, EdgeplaneError]] = []
+
+    def parse(section: str, loader):
+        try:
+            if section in ("topology", "application", "demand") and section not in doc:
+                raise ScenarioParseError(f"scenario is missing the {section!r} section")
+            return loader(doc.get(section))
+        except EdgeplaneError as exc:
+            problems.append((section, exc))
+            return None
+
+    settings = parse("settings", _settings_from_doc)
+    graph = parse("topology", load_topology)
+    app = parse("application", app_from_doc)
+    if graph is None or app is None:
+        return None, problems
+    policies = parse("policies", lambda raw: parse_policies(_policy_doc(raw, settings), app, graph))
+    request = parse("demand", lambda raw: demand_from_doc(app, raw).validate_against(graph))
+    events = parse("events", lambda raw: _events_from_doc(raw, graph, app))
+    if problems:
+        return None, problems
+    return Scenario(graph, app, policies, request, events, settings), []
 
 
-def _settings_from_doc(doc: dict) -> Settings:
-    raw = doc.get("settings", {}) or {}
+def _settings_from_doc(raw) -> Settings:
+    raw = raw or {}
     if not isinstance(raw, dict):
         raise ScenarioParseError("settings must be a mapping")
     threshold = raw.get("overload_threshold", 0.8)
     if isinstance(threshold, bool) or not isinstance(threshold, (int, float)) or threshold <= 0:
         raise ScenarioParseError("settings.overload_threshold must be a positive number")
-    deterministic = raw.get("deterministic", True)
-    if deterministic is not True:
+    if raw.get("deterministic", True) is not True:
         # the simulator has no stochastic mode; reject rather than pretend
         raise ScenarioParseError("settings.deterministic must be true")
     default_locality = raw.get("default_locality")
     if default_locality is not None and not isinstance(default_locality, str):
         raise ScenarioParseError("settings.default_locality must be a string")
-    return Settings(
-        default_locality=default_locality,
-        overload_threshold=float(threshold),
-        deterministic=True,
-    )
+    return Settings(default_locality=default_locality, overload_threshold=float(threshold))
 
 
-def _policy_doc(doc: dict, settings: Settings | None) -> dict:
+def _policy_doc(raw, settings: Settings | None) -> dict:
     """The scenario's policies, with settings.default_locality filling a gap."""
-    policies = doc.get("policies", {}) or {}
+    policies = raw or {}
     if not isinstance(policies, dict):
         raise ScenarioParseError("policies must be a mapping")
     policy_doc = dict(policies)
@@ -81,14 +129,9 @@ def _policy_doc(doc: dict, settings: Settings | None) -> dict:
     return policy_doc
 
 
-def _events_from_doc(doc: dict, graph: InfrastructureGraph, app: ApplicationDag) -> list[ScenarioEvent]:
-    raw = doc.get("events", []) or []
-    if not isinstance(raw, list):
-        raise ScenarioParseError("events must be a list")
+def _events_from_doc(raw, graph: InfrastructureGraph, app: ApplicationDag) -> list[ScenarioEvent]:
     events: list[ScenarioEvent] = []
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            raise ScenarioParseError(f"events[{i}] must be a mapping")
+    for i, entry in enumerate(doc_list(raw, "events", ScenarioParseError)):
         tick = entry.get("tick")
         if isinstance(tick, bool) or not isinstance(tick, int) or tick < 0:
             raise ScenarioParseError(f"events[{i}].tick must be a non-negative integer")
@@ -96,11 +139,11 @@ def _events_from_doc(doc: dict, graph: InfrastructureGraph, app: ApplicationDag)
         if kind == "set_demand":
             domain = entry.get("domain")
             ms_id = entry.get("ms", entry.get("microservice"))
-            if domain not in graph.domains:
+            if not isinstance(domain, str) or domain not in graph.domains:
                 raise ScenarioParseError(f"events[{i}]: unknown domain {domain!r}")
             if domain not in graph.attachment_domains():
                 raise ScenarioParseError(f"events[{i}]: domain {domain!r} has no IoT attachment")
-            if ms_id not in app.ingress_ids:
+            if not isinstance(ms_id, str) or ms_id not in app.ingress_ids:
                 raise ScenarioParseError(f"events[{i}]: {ms_id!r} is not an ingress microservice")
             rps = as_rate(entry.get("rps", 0))
             if rps < 0:
@@ -108,32 +151,10 @@ def _events_from_doc(doc: dict, graph: InfrastructureGraph, app: ApplicationDag)
             events.append(ScenarioEvent("set_demand", tick, domain=domain, microservice=ms_id, rps=rps))
         elif kind == "drain_node":
             node = entry.get("node")
-            if node not in graph.nodes:
+            if not isinstance(node, str) or node not in graph.nodes:
                 raise UnknownNode(str(node))
             events.append(ScenarioEvent("drain_node", tick, node=node))
         else:
             raise ScenarioParseError(f"events[{i}]: unknown event type {kind!r}")
     events.sort(key=lambda e: e.tick)
     return events
-
-
-def scenario_from_doc(doc: dict) -> Scenario:
-    for key in ("topology", "application", "demand"):
-        if key not in doc:
-            raise ScenarioParseError(f"scenario is missing the {key!r} section")
-    settings = _settings_from_doc(doc)
-    graph = load_topology(doc["topology"])
-    app = app_from_doc(doc["application"])
-    policies = parse_policies(_policy_doc(doc, settings), app, graph)
-    request = demand_from_doc(app, doc["demand"])
-    request.validate_against(graph)
-    events = _events_from_doc(doc, graph, app)
-    return Scenario(
-        graph=graph,
-        app=app,
-        policies=policies,
-        request=request,
-        events=events,
-        settings=settings,
-        raw=doc,
-    )

@@ -17,6 +17,7 @@ from .errors import (
     EmptyTopology,
     InvalidTopology,
     UnknownDomain,
+    doc_list,
 )
 from .locality import LocalityLevel
 
@@ -128,6 +129,11 @@ def _ident(value, what: str) -> str:
     return value
 
 
+def _known(ident, table: dict) -> bool:
+    """Whether ``ident`` names an entry of ``table``; a non-string names none."""
+    return isinstance(ident, str) and ident in table
+
+
 def _capacity(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InvalidTopology(f"{what} must be an integer, got {value!r}")
@@ -157,14 +163,16 @@ def load_topology(doc: dict) -> InfrastructureGraph:
         return ident
 
     regions: dict[str, Region] = {}
-    for entry in doc.get("regions") or []:
+    for entry in doc_list(doc.get("regions"), "topology regions", InvalidTopology):
         rid = claim(_ident(entry.get("id"), "region"), "region")
-        domain_ids = tuple(entry.get("domains") or ())
+        domain_ids = tuple(doc_list(entry.get("domains"), f"region {rid!r} domains",
+                                    InvalidTopology, str))
         _require(len(domain_ids) > 0, EmptyTopology(f"region {rid!r} lists no domains"))
         regions[rid] = Region(rid, domain_ids)
 
     domains: dict[str, Domain] = {}
-    for entry in sorted(doc.get("domains") or [], key=lambda e: str(e.get("id"))):
+    for entry in sorted(doc_list(doc.get("domains"), "topology domains", InvalidTopology),
+                        key=lambda e: str(e.get("id"))):
         did = claim(_ident(entry.get("id"), "domain"), "domain")
         kind = entry.get("kind")
         if kind not in DOMAIN_KINDS:
@@ -174,7 +182,7 @@ def load_topology(doc: dict) -> InfrastructureGraph:
     _require(len(domains) > 0, EmptyTopology("topology has no domains"))
 
     for domain in domains.values():
-        if domain.region_id not in regions:
+        if not _known(domain.region_id, regions):
             raise DanglingReference(str(domain.region_id), f"region of domain {domain.id!r}")
         if domain.id not in regions[domain.region_id].domain_ids:
             raise DanglingReference(domain.id, f"not listed by region {domain.region_id!r}")
@@ -186,9 +194,10 @@ def load_topology(doc: dict) -> InfrastructureGraph:
                 raise DanglingReference(did, f"domain claims region {domains[did].region_id!r}")
 
     nodes: dict[str, ComputeNode] = {}
-    for entry in sorted(doc.get("nodes") or [], key=lambda e: str(e.get("id"))):
+    for entry in sorted(doc_list(doc.get("nodes"), "topology nodes", InvalidTopology),
+                        key=lambda e: str(e.get("id"))):
         nid = claim(_ident(entry.get("id"), "node"), "node")
-        if entry.get("domain") not in domains:
+        if not _known(entry.get("domain"), domains):
             raise DanglingReference(str(entry.get("domain")), f"domain of node {nid!r}")
         nodes[nid] = ComputeNode(
             id=nid,
@@ -198,9 +207,10 @@ def load_topology(doc: dict) -> InfrastructureGraph:
         )
 
     attachments: dict[str, IoTAttachment] = {}
-    for entry in sorted(doc.get("attachments") or [], key=lambda e: str(e.get("id"))):
+    for entry in sorted(doc_list(doc.get("attachments"), "topology attachments", InvalidTopology),
+                        key=lambda e: str(e.get("id"))):
         aid = claim(_ident(entry.get("id"), "attachment"), "attachment")
-        if entry.get("domain") not in domains:
+        if not _known(entry.get("domain"), domains):
             raise DanglingReference(str(entry.get("domain")), f"domain of attachment {aid!r}")
         attachments[aid] = IoTAttachment(aid, entry["domain"])
 

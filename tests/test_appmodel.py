@@ -159,10 +159,11 @@ def test_unreachable_microservice():
 
 
 def test_nonpositive_requirements_rejected():
-    doc = chain_doc()
-    doc["microservices"][1]["cpu_m"] = 0
-    with pytest.raises(InvalidApplication):
-        app_from_doc(doc)
+    for key in ("cpu_m", "mem_mi", "capacity_rps"):
+        doc = chain_doc()
+        doc["microservices"][1][key] = 0
+        with pytest.raises(InvalidApplication, match="positive"):
+            app_from_doc(doc)
 
 
 # --- placement request ---

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from edgeplane import controlplane
-from edgeplane.appmodel import PlacementRequest, as_rate
+from edgeplane.appmodel import PlacementRequest
 from edgeplane.controlplane import (
     Alert,
     AnchorPlacement,
@@ -24,7 +24,6 @@ from edgeplane.controlplane import (
     generate_routes,
     handle_alert,
     place_application,
-    required_instances,
     validate_plan,
 )
 from edgeplane.documents import dump_doc, plan_from_doc, plan_to_doc
@@ -36,17 +35,6 @@ from edgeplane.errors import (
 from edgeplane.locality import LocalityLevel
 
 from .support import build, gen_case, gen_small_case, oracle_anchor_demand
-
-
-def test_required_instances_frozen():
-    assert required_instances(200, 50) == 4
-    assert required_instances(0, 50) == 0
-    assert required_instances(101, 50) == 3
-    assert required_instances(1, 50) == 1
-    assert required_instances(Fraction(1, 10), 100) == 1
-    assert required_instances(as_rate(49.9), 50) == 1
-    with pytest.raises(PlanningError):
-        required_instances(10, 0)
 
 
 # --- scenario helpers ---
@@ -87,13 +75,11 @@ def test_place_canonical_frozen(canonical):
 
 
 def test_placement_sequence_strictest_first(canonical):
-    trace = []
-    place_application(canonical.graph, canonical.app, canonical.request,
-                      canonical.policies, trace=trace)
-    assert [step.microservice for step in trace] == ["m2", "m3", "m4", "m5"]
-    assert trace[0].level is LocalityLevel.STRICT_DOMAIN
-    assert trace[1].level is LocalityLevel.STRICT_REGION
-    assert trace[2].frontier == ("m4",)
+    plan = place_application(canonical.graph, canonical.app, canonical.request,
+                             canonical.policies)
+    assert plan.mapping.order == ("m2", "m3", "m4", "m5")
+    assert plan.mapping.per_ms["m2"]["ed3"].level is LocalityLevel.STRICT_DOMAIN
+    assert plan.mapping.per_ms["m3"]["region-2"].level is LocalityLevel.STRICT_REGION
 
 
 def test_sequence_orders_parallel_branches_by_strictness():
@@ -118,10 +104,30 @@ def test_sequence_orders_parallel_branches_by_strictness():
     }
     graph, dag, pset, request = build(topo, app, policies,
                                       {"dd": {"loose": 50, "tight": 50}})
-    trace = []
-    place_application(graph, dag, request, pset, trace=trace)
-    assert [s.microservice for s in trace] == ["tight", "loose"]
-    assert trace[0].frontier == ("tight", "loose")
+    plan = place_application(graph, dag, request, pset)
+    assert plan.mapping.order == ("tight", "loose")
+
+
+@pytest.mark.parametrize("rps, capacity_rps, instances", [
+    (200, 50, 4),
+    (101, 50, 3),
+    (1, 50, 1),
+    (0.1, 100, 1),
+    (49.9, 50, 1),
+])
+def test_instances_are_the_ceiling_of_demand_over_capacity(rps, capacity_rps, instances):
+    app = {
+        "id": "one",
+        "microservices": [
+            {"id": "io", "iot": True},
+            {"id": "a", "cpu_m": 100, "mem_mi": 128, "capacity_rps": capacity_rps},
+        ],
+        "edges": [{"from": "io", "to": "a"}],
+        "ingress": ["a"],
+    }
+    graph, dag, pset, request = build(two_node_topo(), app, {}, {"dd": {"a": rps}})
+    plan = place_application(graph, dag, request, pset)
+    assert plan.mapping.total_instances("a") == instances
 
 
 def test_zero_demand_places_nothing():

@@ -1,12 +1,14 @@
+import copy
 import json
 
 import pytest
 import yaml
 
 from edgeplane.cli import main
-from edgeplane.errors import ScenarioParseError, UnknownNode
+from edgeplane.controlplane import ControlPlane
+from edgeplane.errors import EdgeplaneError, ScenarioParseError, UnknownNode
 from edgeplane.locality import LocalityLevel
-from edgeplane.scenario import load_scenario
+from edgeplane.scenario import check_scenario, load_scenario, scenario_from_doc
 
 from .support import GOLDEN, SCENARIOS
 
@@ -26,12 +28,18 @@ def write_scenario(tmp_path, doc, name="scenario.yaml"):
     return str(path)
 
 
+def set_path(doc, path, value):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
 # --- scenario loading ---
 
 
 def test_load_canonical(canonical):
     assert canonical.settings.overload_threshold == 1.1
-    assert canonical.settings.deterministic is True
     assert [e for e in canonical.events] == []
     assert canonical.request.demand["ed4"]["m2"] == 200
 
@@ -196,6 +204,108 @@ def test_cli_policies_list_is_a_parse_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert "policies must be a mapping" in err
     assert "Traceback" not in err
+
+
+# id -> (section path, value, exit code, error class): malformed entries that
+# each loader reports with its own error class, never a raw Python exception.
+MALFORMED = {
+    "regions-not-mappings": (("topology", "regions"), [5], 1, "InvalidTopology"),
+    "nodes-a-string": (("topology", "nodes"), "abc", 1, "InvalidTopology"),
+    "microservices-not-mappings": (("application", "microservices"), [5], 1, "InvalidApplication"),
+    "edges-not-mappings": (("application", "edges"), [5], 1, "InvalidApplication"),
+    "restrictions-not-mappings": (("policies", "placement_restriction"), [5], 1, "PolicyError"),
+    "consumer-a-list": (("policies", "ms_locality", 0, "consumer"), [1], 1, "UnknownMicroservice"),
+    "drain-node-a-list": (("events",), [{"tick": 0, "type": "drain_node", "node": [1]}],
+                          1, "UnknownNode"),
+    "demand-domain-a-list": (("events",), [{"tick": 0, "type": "set_demand", "domain": [1],
+                                            "ms": "m2", "rps": 5}], 2, "ScenarioParseError"),
+    "cpu-not-a-number": (("application", "microservices", 1, "cpu_m"), "x", 1, "InvalidApplication"),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "place"])
+@pytest.mark.parametrize("path, value, code, error", MALFORMED.values(), ids=MALFORMED.keys())
+def test_cli_malformed_entry_is_a_one_line_error(tmp_path, capsys, command, path, value, code, error):
+    doc = canonical_doc()
+    set_path(doc, path, value)
+    assert main([command, "--scenario", write_scenario(tmp_path, doc)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    if command == "validate":
+        assert err.startswith(f"{path[0]}: {error}: ")
+    elif error != "ScenarioParseError":
+        assert err.startswith(f"error: {error}: ")
+
+
+def test_malformed_shapes_never_escape_as_raw_exceptions():
+    """Every node of the canonical scenario (events included), replaced by
+    each odd shape, either parses and places or raises an EdgeplaneError."""
+    base = canonical_doc()
+    base["events"] = [
+        {"tick": 1, "type": "set_demand", "domain": "ed3", "ms": "m2", "rps": 10},
+        {"tick": 2, "type": "drain_node", "node": "cl-n3"},
+    ]
+
+    def paths(node, prefix=()):
+        if isinstance(node, dict):
+            children = node.items()
+        elif isinstance(node, list):
+            children = enumerate(node[:2])
+        else:
+            return
+        for key, child in children:
+            yield prefix + (key,)
+            yield from paths(child, prefix + (key,))
+
+    tried = 0
+    for path in paths(base):
+        for value in (5, "x", [1], [5], {"a": 1}, None, True, 1.5, -1):
+            doc = copy.deepcopy(base)
+            set_path(doc, path, value)
+            tried += 1
+            try:
+                scenario = scenario_from_doc(doc)
+                ControlPlane(scenario.graph, scenario.app, scenario.policies).place(scenario.request)
+            except EdgeplaneError:
+                pass
+    assert tried > 900
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--scenario", "{missing}"],
+    ["place", "--scenario", "{missing}"],
+    ["routes", "--scenario", "{missing}"],
+    ["simulate", "--scenario", "{missing}"],
+    ["serve-policy", "--scenario", "{missing}"],
+    ["routes", "--scenario", CANONICAL, "--plan", "{missing}"],
+], ids=["validate", "place", "routes", "simulate", "serve-policy", "routes-plan"])
+def test_cli_missing_file_exits_2_naming_the_path(tmp_path, capsys, argv):
+    missing = str(tmp_path / "nope.yaml")
+    assert main([arg.format(missing=missing) for arg in argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {missing}: cannot read: ")
+
+
+def test_broken_sections_reported_once_each_in_order(tmp_path, capsys):
+    doc = canonical_doc()
+    doc["settings"]["overload_threshold"] = -1
+    del doc["topology"]
+    doc["application"]["microservices"] = [5]
+    scenario, problems = check_scenario(doc)
+    assert scenario is None
+    assert [(section, type(exc).__name__) for section, exc in problems] == [
+        ("settings", "ScenarioParseError"),
+        ("topology", "ScenarioParseError"),
+        ("application", "InvalidApplication"),
+    ]
+    assert main(["validate", "--scenario", write_scenario(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"{section}: {type(exc).__name__}: {exc}" for section, exc in problems]
+    assert "scenario is missing the 'topology' section" in str(problems[1][1])
+    with pytest.raises(ScenarioParseError, match="overload_threshold"):
+        scenario_from_doc(doc)
 
 
 # --- CLI: place ---
