@@ -11,9 +11,9 @@ Files are read and parsed by the ``scenario`` module alone; ``validate``
 prints one ``section: Type: message`` line per failing section.
 
 Exit codes: 0 success, 1 semantic violation, 2 parse error (an unreadable
-file included), 3 infeasible placement.  Set EDGEPLANE_LOG=debug (or any
-logging level name) for diagnostics on stderr; output documents are
-byte-deterministic.
+input or unwritable output included), 3 infeasible placement.  Set
+EDGEPLANE_LOG=debug (or any logging level name) for diagnostics on stderr;
+output documents are byte-deterministic.
 """
 
 from __future__ import annotations
@@ -22,13 +22,13 @@ import argparse
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .controlplane import ControlPlane, validate_plan
 from .documents import dump_doc, dump_docs, plan_from_doc, plan_to_doc, report_to_doc, routes_docs
 from .errors import EdgeplaneError, InfeasiblePlacement, ScenarioParseError
 from .meshsim import run_scenario
-from .policyserver import serve
 from .scenario import check_scenario, load_scenario, read_yaml
 
 log = logging.getLogger("edgeplane")
@@ -46,9 +46,20 @@ def _configure_logging():
         logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
-def _write_output(text: str, out: str | None):
+@contextmanager
+def _writing(path):
+    """Report a failed write under ``path`` as ``<path>: cannot write: <reason>``."""
+    try:
+        yield
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise ScenarioParseError(f"{path}: cannot write: {reason}") from exc
+
+
+def _write_output(text: str, out: str | Path | None):
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with _writing(out):
+            Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -98,10 +109,10 @@ def cmd_routes(args) -> int:
     ext = "json" if args.format == "json" else "yaml"
     if args.out:
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        with _writing(out_dir):
+            out_dir.mkdir(parents=True, exist_ok=True)
         for doc in docs:
-            path = out_dir / f"routes-{doc['domain']}.{ext}"
-            path.write_text(dump_doc(doc, args.format), encoding="utf-8")
+            _write_output(dump_doc(doc, args.format), out_dir / f"routes-{doc['domain']}.{ext}")
         if not args.quiet:
             print(f"wrote {len(docs)} route documents to {out_dir}", file=sys.stderr)
     else:
@@ -136,6 +147,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_serve_policy(args) -> int:
+    from .policyserver import serve  # only this command needs http.server
+
     scenario = load_scenario(args.scenario)
     if not args.quiet:
         print(f"serving policy API on {args.bind}", file=sys.stderr)

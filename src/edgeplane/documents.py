@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import yaml
 
-from .appmodel import ApplicationDag, as_rate, rate_to_number
+from . import scenario
+from .appmodel import as_rate, rate_to_number
 from .controlplane import (
     AnchorPlacement,
     ComplianceReport,
@@ -21,7 +22,7 @@ from .controlplane import (
     RoutingRule,
     RoutingRuleSet,
 )
-from .errors import ScenarioParseError
+from .errors import InvalidRequest, ScenarioParseError, doc_list
 from .locality import LocalityLevel
 from .meshsim import SimulationReport
 from .topology import InfrastructureGraph
@@ -82,37 +83,44 @@ def plan_from_doc(doc: dict) -> DeploymentPlan:
     """Rebuild a plan from its document form (compliance section is ignored).
 
     Slot order inside each placement entry is preserved, so scale-down after
-    a round trip still removes the newest instances first.
+    a round trip still removes the newest instances first.  Every id must be
+    a string and ``demand`` a mapping of mappings; any other shape raises
+    ScenarioParseError ("malformed plan document: ...").
     """
     if not isinstance(doc, dict):
         raise ScenarioParseError("plan document must be a mapping")
     try:
         per_ms: dict[str, dict[str, AnchorPlacement]] = {}
         order: list[str] = []
-        for entry in doc.get("placements", []):
-            ms_id = entry["microservice"]
+        for entry in _plan_list(doc.get("placements", []), "placements"):
+            ms_id, anchor = _plan_id(entry, "microservice"), _plan_id(entry, "anchor")
             if ms_id not in order:
                 order.append(ms_id)
-            anchors = per_ms.setdefault(ms_id, {})
-            anchors[entry["anchor"]] = AnchorPlacement(
-                anchor=entry["anchor"],
+            per_ms.setdefault(ms_id, {})[anchor] = AnchorPlacement(
+                anchor=anchor,
                 level=LocalityLevel(entry["level"]),
                 demand_rps=as_rate(entry["demand_rps"]),
-                slots=[(n["node"], int(n["instances"])) for n in entry["nodes"]],
+                slots=[(_plan_id(n, "node"), int(n["instances"]))
+                       for n in _plan_list(entry["nodes"], "placement nodes")],
             )
         rules = tuple(
             RoutingRule(
-                domain_id=entry["domain"],
-                consumer=entry["consumer"],
-                target_ms=entry["target"],
+                domain_id=_plan_id(entry, "domain"),
+                consumer=_plan_id(entry, "consumer"),
+                target_ms=_plan_id(entry, "target"),
                 level=LocalityLevel(entry["level"]),
-                destinations=tuple((d["node"], int(d["weight"])) for d in entry["destinations"]),
+                destinations=tuple(
+                    (_plan_id(d, "node"), int(d["weight"]))
+                    for d in _plan_list(entry["destinations"], "route destinations")),
             )
-            for entry in doc.get("routes", [])
+            for entry in _plan_list(doc.get("routes", []), "routes")
         )
+        demand_doc = doc.get("demand", {})
+        if not (isinstance(demand_doc, dict) and all(isinstance(per, dict) for per in demand_doc.values())):
+            raise ScenarioParseError("demand must be a mapping of mappings")
         demand = {
             str(domain): {str(ms): as_rate(rps) for ms, rps in per.items()}
-            for domain, per in doc.get("demand", {}).items()
+            for domain, per in demand_doc.items()
         }
         return DeploymentPlan(
             app_id=str(doc["application"]),
@@ -121,8 +129,23 @@ def plan_from_doc(doc: dict) -> DeploymentPlan:
             routes=RoutingRuleSet(rules),
             demand=demand,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, InvalidRequest, ScenarioParseError) as exc:
         raise ScenarioParseError(f"malformed plan document: {exc}") from exc
+
+
+def _plan_list(value, what: str) -> list:
+    """A list of mappings in a plan document; unlike a scenario's, null is not empty."""
+    if not isinstance(value, list):
+        raise ScenarioParseError(f"{what} must be a list of mappings")
+    return doc_list(value, what, ScenarioParseError)
+
+
+def _plan_id(entry: dict, key: str) -> str:
+    """``entry[key]``, which a plan document must give as a string id."""
+    value = entry[key]
+    if not isinstance(value, str):
+        raise ScenarioParseError(f"{key} must be a string id, got {value!r}")
+    return value
 
 
 def routes_docs(graph: InfrastructureGraph, plan: DeploymentPlan) -> list[dict]:
@@ -179,10 +202,11 @@ def report_to_doc(report: SimulationReport) -> dict:
 def dump_doc(doc, fmt: str = "yaml") -> str:
     if fmt == "json":
         return json.dumps(doc, indent=2) + "\n"
-    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=False)
+    return yaml.dump(doc, Dumper=scenario.YAML_DUMPER, sort_keys=False, default_flow_style=False)
 
 
 def dump_docs(docs: list, fmt: str = "yaml") -> str:
     if fmt == "json":
         return json.dumps(docs, indent=2) + "\n"
-    return yaml.safe_dump_all(docs, sort_keys=False, default_flow_style=False)
+    return yaml.dump_all(docs, Dumper=scenario.YAML_DUMPER, sort_keys=False,
+                         default_flow_style=False)

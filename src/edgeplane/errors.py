@@ -142,7 +142,8 @@ class MissingRoute(SimulationError):
 
 
 class ScenarioParseError(EdgeplaneError):
-    """The scenario document could not be read or is not structurally a scenario."""
+    """A scenario or plan document could not be read or is the wrong shape, or an
+    output file could not be written."""
 
 
 # --- document shape -----------------------------------------------------------

@@ -22,6 +22,14 @@ from .meshsim import ScenarioEvent
 from .policy import PolicySet, parse_policies
 from .topology import InfrastructureGraph, load_topology
 
+#: The package's one YAML loader/dumper choice, used by :func:`read_yaml` and
+#: ``documents``: libyaml's C classes when PyYAML has them, the pure-Python
+#: ones otherwise.  Both parse to equal documents and emit identical bytes.
+YAML_LOADER, YAML_DUMPER = (
+    (yaml.CSafeLoader, yaml.CSafeDumper) if yaml.__with_libyaml__
+    else (yaml.SafeLoader, yaml.SafeDumper)
+)
+
 
 @dataclass(frozen=True)
 class Settings:
@@ -51,7 +59,7 @@ def read_yaml(path):
         reason = getattr(exc, "strerror", None) or exc
         raise ScenarioParseError(f"{path}: cannot read: {reason}") from exc
     try:
-        return yaml.safe_load(text)
+        return yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ScenarioParseError(f"{path}: invalid YAML: {exc}") from exc
 

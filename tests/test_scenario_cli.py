@@ -5,7 +5,8 @@ import pytest
 import yaml
 
 from edgeplane.cli import main
-from edgeplane.controlplane import ControlPlane
+from edgeplane.controlplane import ControlPlane, validate_plan
+from edgeplane.documents import plan_from_doc
 from edgeplane.errors import EdgeplaneError, ScenarioParseError, UnknownNode
 from edgeplane.locality import LocalityLevel
 from edgeplane.scenario import check_scenario, load_scenario, scenario_from_doc
@@ -35,6 +36,19 @@ def set_path(doc, path, value):
     doc[last] = value
 
 
+def node_paths(node, prefix=()):
+    """The key path of every node under ``node``, lists cut to their first two entries."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node[:2])
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from node_paths(child, prefix + (key,))
+
+
 # --- scenario loading ---
 
 
@@ -59,6 +73,17 @@ def test_load_rejects_bad_yaml(tmp_path):
     path.write_text("topology: [unclosed", encoding="utf-8")
     with pytest.raises(ScenarioParseError, match="invalid YAML"):
         load_scenario(str(path))
+
+
+@pytest.mark.parametrize("content, reason", [
+    (b"topology: \xff\xfe\n", "cannot read"),
+    (b"topology: \x07\n", "invalid YAML"),
+], ids=["not-utf8", "control-char"])
+def test_cli_undecodable_or_control_bytes_exit_2(tmp_path, capsys, content, reason):
+    path = tmp_path / "bytes.yaml"
+    path.write_bytes(content)
+    assert main(["validate", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: {reason}: ")
 
 
 def test_load_rejects_non_mapping(tmp_path):
@@ -247,19 +272,8 @@ def test_malformed_shapes_never_escape_as_raw_exceptions():
         {"tick": 2, "type": "drain_node", "node": "cl-n3"},
     ]
 
-    def paths(node, prefix=()):
-        if isinstance(node, dict):
-            children = node.items()
-        elif isinstance(node, list):
-            children = enumerate(node[:2])
-        else:
-            return
-        for key, child in children:
-            yield prefix + (key,)
-            yield from paths(child, prefix + (key,))
-
     tried = 0
-    for path in paths(base):
+    for path in node_paths(base):
         for value in (5, "x", [1], [5], {"a": 1}, None, True, 1.5, -1):
             doc = copy.deepcopy(base)
             set_path(doc, path, value)
@@ -306,6 +320,20 @@ def test_broken_sections_reported_once_each_in_order(tmp_path, capsys):
     assert "scenario is missing the 'topology' section" in str(problems[1][1])
     with pytest.raises(ScenarioParseError, match="overload_threshold"):
         scenario_from_doc(doc)
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["place", "--scenario", CANONICAL, "--out", "{dir}/missing/plan.yaml"], "{dir}/missing/plan.yaml"),
+    (["simulate", "--scenario", SURGE, "--out", "{dir}/missing/report.yaml"], "{dir}/missing/report.yaml"),
+    (["routes", "--scenario", CANONICAL, "--out", "{dir}/file"], "{dir}/file"),
+    (["routes", "--scenario", CANONICAL, "--out", "{dir}/file/routes"], "{dir}/file/routes"),
+], ids=["place-missing-dir", "simulate-missing-dir", "routes-onto-file", "routes-under-file"])
+def test_cli_unwritable_output_exits_2_naming_the_path(tmp_path, capsys, argv, target):
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    assert main([arg.format(dir=tmp_path) for arg in argv] + ["--quiet"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {target.format(dir=tmp_path)}: cannot write: ")
 
 
 # --- CLI: place ---
@@ -404,6 +432,43 @@ def test_cli_routes_rejects_malformed_plan(tmp_path, capsys):
     assert main(["routes", "--scenario", CANONICAL, "--plan", str(plan_path),
                  "--quiet"]) == 2
     assert "malformed plan document" in capsys.readouterr().err
+
+
+def test_malformed_plan_shapes_never_escape_as_raw_exceptions(tmp_path, capsys):
+    """Every node of the golden plan (compliance aside), replaced by each odd
+    shape, either rebuilds and audits or raises an EdgeplaneError, and
+    ``plan_from_doc`` hands ``validate_plan`` string ids only."""
+    scenario = load_scenario(CANONICAL)
+    base = yaml.safe_load((GOLDEN / "plan_canonical.yaml").read_text(encoding="utf-8"))
+    del base["compliance"]
+    tried = 0
+    for path in node_paths(base):
+        for value in (5, "x", [1], {"a": 1}, None, True, 1.5, -1):
+            doc = copy.deepcopy(base)
+            set_path(doc, path, value)
+            tried += 1
+            try:
+                plan = plan_from_doc(doc)
+            except ScenarioParseError:
+                continue
+            ids = [(ms, anchor, node) for ms, anchors in plan.mapping.per_ms.items()
+                   for anchor, ap in anchors.items() for node, _ in ap.slots]
+            ids += [(r.domain_id, r.consumer, r.target_ms) + tuple(n for n, _ in r.destinations)
+                    for r in plan.routes.rules]
+            assert all(isinstance(i, str) for group in ids for i in group), (path, value)
+            try:
+                validate_plan(scenario.graph, scenario.app, scenario.policies, plan)
+            except EdgeplaneError:
+                pass
+    assert tried == 384
+
+    doc = copy.deepcopy(base)
+    doc["demand"]["ed3"] = [1]
+    plan_path = tmp_path / "plan.yaml"
+    plan_path.write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
+    assert main(["routes", "--scenario", CANONICAL, "--plan", str(plan_path), "--quiet"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: malformed plan document: demand must be a mapping of mappings"]
 
 
 # --- CLI: simulate ---

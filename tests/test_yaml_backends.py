@@ -1,0 +1,101 @@
+"""Documents read and written through libyaml and through pure-Python PyYAML.
+
+``scenario.YAML_LOADER``/``YAML_DUMPER`` is the package's one YAML choice:
+libyaml's C classes when PyYAML has them.  The ``pure_python`` fixture forces
+the fallback, so the golden comparisons run on both paths, and the checks
+below compare the two paths directly where libyaml is present.
+"""
+
+import pytest
+import yaml
+
+from edgeplane import scenario
+from edgeplane.cli import main
+from edgeplane.controlplane import ControlPlane
+from edgeplane.documents import dump_doc, report_to_doc
+from edgeplane.meshsim import run_scenario
+from edgeplane.scenario import load_scenario, read_yaml
+
+from .support import GOLDEN, ROOT, SCENARIOS
+
+YAML_FILES = sorted(
+    path for folder in (SCENARIOS, ROOT / "perfbench" / "cases", GOLDEN)
+    for path in folder.glob("*.yaml")
+)
+
+needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+
+
+class CountingLoader(yaml.SafeLoader):
+    used = 0
+
+    def __init__(self, stream):
+        CountingLoader.used += 1
+        super().__init__(stream)
+
+
+class CountingDumper(yaml.SafeDumper):
+    used = 0
+
+    def __init__(self, stream, **kwargs):
+        CountingDumper.used += 1
+        super().__init__(stream, **kwargs)
+
+
+@pytest.fixture
+def pure_python(monkeypatch):
+    """Force the pure-Python loader and dumper, and check both were used."""
+    CountingLoader.used = CountingDumper.used = 0
+    monkeypatch.setattr(scenario, "YAML_LOADER", CountingLoader)
+    monkeypatch.setattr(scenario, "YAML_DUMPER", CountingDumper)
+    yield
+    assert CountingLoader.used and CountingDumper.used
+
+
+def surge_report_yaml() -> str:
+    sc = load_scenario(SCENARIOS / "uav_demand_surge.yaml")
+    control = ControlPlane(sc.graph, sc.app, sc.policies)
+    _, report = run_scenario(sc.graph, sc.app, sc.policies, sc.request, sc.events, control,
+                             overload_threshold=sc.settings.overload_threshold)
+    return dump_doc(report_to_doc(report))
+
+
+def test_choice_follows_libyaml():
+    expected = (yaml.CSafeLoader, yaml.CSafeDumper) if yaml.__with_libyaml__ else (
+        yaml.SafeLoader, yaml.SafeDumper)
+    assert (scenario.YAML_LOADER, scenario.YAML_DUMPER) == expected
+
+
+def test_pure_python_place_matches_golden(pure_python, tmp_path):
+    out = tmp_path / "plan.yaml"
+    assert main(["place", "--scenario", str(SCENARIOS / "uav_canonical.yaml"),
+                 "--out", str(out), "--quiet"]) == 0
+    assert out.read_bytes() == (GOLDEN / "plan_canonical.yaml").read_bytes()
+
+
+def test_pure_python_routes_out_dir_matches_golden(pure_python, tmp_path):
+    out_dir = tmp_path / "routes"
+    assert main(["routes", "--scenario", str(SCENARIOS / "uav_canonical.yaml"),
+                 "--out", str(out_dir), "--quiet"]) == 0
+    for name in ("routes-ed3.yaml", "routes-ed4.yaml", "routes-cloud.yaml"):
+        assert (out_dir / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+@needs_libyaml
+def test_report_bytes_identical_under_both_dumpers(monkeypatch):
+    fast = surge_report_yaml()
+    monkeypatch.setattr(scenario, "YAML_LOADER", yaml.SafeLoader)
+    monkeypatch.setattr(scenario, "YAML_DUMPER", yaml.SafeDumper)
+    assert surge_report_yaml() == fast
+
+
+@needs_libyaml
+@pytest.mark.parametrize("path", YAML_FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_inputs_load_equal_under_both_loaders(monkeypatch, path):
+    fast = read_yaml(path)
+    monkeypatch.setattr(scenario, "YAML_LOADER", yaml.SafeLoader)
+    assert read_yaml(path) == fast
+
+
+def test_every_bundled_yaml_file_is_compared():
+    assert len(YAML_FILES) == 13
