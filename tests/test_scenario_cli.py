@@ -322,18 +322,19 @@ def test_broken_sections_reported_once_each_in_order(tmp_path, capsys):
         scenario_from_doc(doc)
 
 
-@pytest.mark.parametrize("argv, target", [
-    (["place", "--scenario", CANONICAL, "--out", "{dir}/missing/plan.yaml"], "{dir}/missing/plan.yaml"),
-    (["simulate", "--scenario", SURGE, "--out", "{dir}/missing/report.yaml"], "{dir}/missing/report.yaml"),
-    (["routes", "--scenario", CANONICAL, "--out", "{dir}/file"], "{dir}/file"),
-    (["routes", "--scenario", CANONICAL, "--out", "{dir}/file/routes"], "{dir}/file/routes"),
+@pytest.mark.parametrize("command, scenario, out", [
+    ("place", CANONICAL, "missing/plan.yaml"),
+    ("simulate", SURGE, "missing/report.yaml"),
+    ("routes", CANONICAL, "file"),
+    ("routes", CANONICAL, "file/routes"),
 ], ids=["place-missing-dir", "simulate-missing-dir", "routes-onto-file", "routes-under-file"])
-def test_cli_unwritable_output_exits_2_naming_the_path(tmp_path, capsys, argv, target):
+def test_cli_unwritable_output_exits_2_naming_the_path(tmp_path, capsys, command, scenario, out):
     (tmp_path / "file").write_text("", encoding="utf-8")
-    assert main([arg.format(dir=tmp_path) for arg in argv] + ["--quiet"]) == 2
+    out = tmp_path / out
+    assert main([command, "--scenario", scenario, "--out", str(out), "--quiet"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith(f"error: {target.format(dir=tmp_path)}: cannot write: ")
+    assert err[0].startswith(f"error: {out}: cannot write: ")
 
 
 # --- CLI: place ---
