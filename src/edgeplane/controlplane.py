@@ -85,9 +85,6 @@ class PlacementMapping:
     def total_instances(self, ms_id: str) -> int:
         return sum(self.instances_of(ms_id).values())
 
-    def domains_with_instances(self, ms_id: str, graph: InfrastructureGraph) -> list[str]:
-        return sorted({graph.nodes[n].domain_id for n in self.instances_of(ms_id)})
-
 
 @dataclass(frozen=True)
 class RoutingRule:
@@ -236,14 +233,6 @@ def _by_node(slots) -> dict[str, int]:
 # --- demand anchoring ----------------------------------------------------------
 
 
-def _anchor_of(graph: InfrastructureGraph, domain_id: str, level: LocalityLevel) -> str:
-    if level is LocalityLevel.STRICT_DOMAIN:
-        return domain_id
-    if level is LocalityLevel.STRICT_REGION:
-        return graph.domains[domain_id].region_id
-    return GLOBAL_ANCHOR
-
-
 def _anchor_demand(
     graph: InfrastructureGraph,
     app: ApplicationDag,
@@ -278,7 +267,7 @@ def _anchor_demand(
         for domain in sorted(demand):
             rps = demand[domain].get(ms_id, Fraction(0))
             if rps > 0:
-                add(_anchor_of(graph, domain, level), level, rps)
+                add(graph.anchor_of(domain, level), level, rps)
         return acc
     for edge in sorted(app.predecessors(ms_id), key=lambda e: e.from_ms):
         if app.microservices[edge.from_ms].placed_on_iot:
@@ -291,7 +280,7 @@ def _anchor_demand(
             if level is LocalityLevel.GLOBAL:
                 add(GLOBAL_ANCHOR, level, rps)
             elif ap.level is LocalityLevel.STRICT_DOMAIN:
-                add(_anchor_of(graph, anchor, level), level, rps)
+                add(graph.anchor_of(anchor, level), level, rps)
             elif ap.level is level:
                 add(anchor, level, rps)
             else:  # a looser anchor: split by its instances per domain
@@ -301,7 +290,7 @@ def _anchor_demand(
                     per_domain[domain_id] = per_domain.get(domain_id, 0) + k
                 share = rps / sum(per_domain.values())  # per instance
                 for domain_id, k in per_domain.items():
-                    add(_anchor_of(graph, domain_id, level), level, share * k)
+                    add(graph.anchor_of(domain_id, level), level, share * k)
     return acc
 
 
@@ -414,8 +403,8 @@ def _reconcile(
     usable: dict[tuple[str, str], list[str]] = {}  # (ms id, anchor) -> eligible undrained node ids, by id
 
     def nodes_for(ms: Microservice, anchor: str, prefer: str | None = None) -> list[str]:
-        """The anchor's usable node ids by descending free cpu, ties by id;
-        with ``prefer``, that domain's nodes first, then its region's."""
+        """The anchor's usable node ids by descending free cpu, ties by id; with
+        ``prefer``, by the strictest anchor each shares with that domain first."""
         node_ids = usable.get((ms.id, anchor))
         if node_ids is None:
             node_ids = usable[ms.id, anchor] = sorted(
@@ -426,13 +415,11 @@ def _reconcile(
             )
         if prefer is None:  # a stable sort keeps equal-cpu nodes in id order
             return sorted(node_ids, key=ledger.cpu.__getitem__, reverse=True)
-        region = graph.domains[prefer].region_id
 
         def tier(node_id: str) -> int:
             domain_id = graph.nodes[node_id].domain_id
-            if domain_id == prefer:
-                return 0
-            return 1 if graph.domains[domain_id].region_id == region else 2
+            return min(level.strictness for level in LocalityLevel
+                       if graph.anchor_of(domain_id, level) == graph.anchor_of(prefer, level))
 
         return sorted(node_ids, key=lambda n: (tier(n), -ledger.cpu[n]))
 
@@ -578,14 +565,19 @@ def generate_routes(
     NoDestinationInScope when such a domain's scope is starved.
     """
     rules: list[RoutingRule] = []
+    instances = {ms_id: mapping.instances_of(ms_id) for ms_id in app.microservices}
+    by_anchor: dict[tuple[str, LocalityLevel], dict[str, list[tuple[str, int]]]] = {}
 
-    def scope_instances(target_ms: str, anchor_domain: str, level: LocalityLevel):
-        allowed = set(graph.scope_domains(anchor_domain, level))
-        return tuple(sorted(
-            (node_id, count)
-            for node_id, count in mapping.instances_of(target_ms).items()
-            if graph.nodes[node_id].domain_id in allowed
-        ))
+    def scope_instances(target_ms: str, source_domain: str, level: LocalityLevel):
+        """The target's (node, count) pairs, by node id, that share the source's
+        anchor; a target's instances are grouped by anchor once per level."""
+        groups = by_anchor.get((target_ms, level))
+        if groups is None:
+            groups = by_anchor[target_ms, level] = {}
+            for node_id, count in instances[target_ms].items():
+                anchor = graph.anchor_of(graph.nodes[node_id].domain_id, level)
+                groups.setdefault(anchor, []).append((node_id, count))
+        return tuple(groups.get(graph.anchor_of(source_domain, level), ()))
 
     for ms_id in sorted(app.ingress_ids):
         level = pset.iot_level(ms_id)
@@ -598,7 +590,7 @@ def generate_routes(
         if app.microservices[edge.from_ms].placed_on_iot:
             continue
         level = pset.edge_level(edge.from_ms, edge.to_ms)
-        for domain_id in mapping.domains_with_instances(edge.from_ms, graph):
+        for domain_id in sorted({graph.nodes[n].domain_id for n in instances[edge.from_ms]}):
             dest = scope_instances(edge.to_ms, domain_id, level)
             if not dest:
                 if edge.rate_ratio > 0:
@@ -708,7 +700,10 @@ def validate_plan(
         if not rule.destinations:
             violations.append(Violation("route", _rule_key(rule), "rule has no destinations"))
             continue
-        for node_id, _weight in rule.destinations:
+        for node_id, weight in rule.destinations:
+            if weight < 1:
+                violations.append(Violation("route", _rule_key(rule),
+                                            f"weight of {node_id} is {weight}, not positive"))
             node = graph.nodes.get(node_id)
             if node is None:
                 violations.append(Violation("route", _rule_key(rule), f"unknown node {node_id!r}"))

@@ -84,8 +84,10 @@ def plan_from_doc(doc: dict) -> DeploymentPlan:
 
     Slot order inside each placement entry is preserved, so scale-down after
     a round trip still removes the newest instances first.  Every id must be
-    a string and ``demand`` a mapping of mappings; any other shape raises
-    ScenarioParseError ("malformed plan document: ...").
+    a string, ``revision`` and every ``weight`` an integer, every
+    ``instances`` a positive integer (a bool is neither), and ``demand`` a
+    mapping of mappings; any other shape raises ScenarioParseError
+    ("malformed plan document: ...").
     """
     if not isinstance(doc, dict):
         raise ScenarioParseError("plan document must be a mapping")
@@ -100,7 +102,7 @@ def plan_from_doc(doc: dict) -> DeploymentPlan:
                 anchor=anchor,
                 level=LocalityLevel(entry["level"]),
                 demand_rps=as_rate(entry["demand_rps"]),
-                slots=[(_plan_id(n, "node"), int(n["instances"]))
+                slots=[(_plan_id(n, "node"), _plan_int(n, "instances", positive=True))
                        for n in _plan_list(entry["nodes"], "placement nodes")],
             )
         rules = tuple(
@@ -110,7 +112,7 @@ def plan_from_doc(doc: dict) -> DeploymentPlan:
                 target_ms=_plan_id(entry, "target"),
                 level=LocalityLevel(entry["level"]),
                 destinations=tuple(
-                    (_plan_id(d, "node"), int(d["weight"]))
+                    (_plan_id(d, "node"), _plan_int(d, "weight"))
                     for d in _plan_list(entry["destinations"], "route destinations")),
             )
             for entry in _plan_list(doc.get("routes", []), "routes")
@@ -124,7 +126,7 @@ def plan_from_doc(doc: dict) -> DeploymentPlan:
         }
         return DeploymentPlan(
             app_id=str(doc["application"]),
-            revision=int(doc["revision"]),
+            revision=_plan_int(doc, "revision"),
             mapping=PlacementMapping(per_ms=per_ms, order=tuple(order)),
             routes=RoutingRuleSet(rules),
             demand=demand,
@@ -145,6 +147,14 @@ def _plan_id(entry: dict, key: str) -> str:
     value = entry[key]
     if not isinstance(value, str):
         raise ScenarioParseError(f"{key} must be a string id, got {value!r}")
+    return value
+
+
+def _plan_int(entry: dict, key: str, positive: bool = False) -> int:
+    """``entry[key]``, which a plan document must give as an integer, not a bool."""
+    value = entry[key]
+    if isinstance(value, bool) or not isinstance(value, int) or (positive and value < 1):
+        raise ScenarioParseError(f"{key} must be {'a positive' if positive else 'an'} integer, got {value!r}")
     return value
 
 

@@ -17,7 +17,6 @@ allow-list naming another admin's domain), never as a topology attribute.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import (
     DuplicateRule,
@@ -30,7 +29,6 @@ from .errors import (
     doc_list,
 )
 from .locality import DEFAULT_LOCALITY, LocalityLevel
-from .topology import GLOBAL_ANCHOR
 
 POLICY_TYPES = ("placement_restriction", "iot_locality", "ms_locality")
 
@@ -194,34 +192,29 @@ def is_allowed(pset: PolicySet, ms_id: str, domain_id: str) -> PolicyDecision:
 def eligible_domains_for_anchor(pset: PolicySet, ms_id: str, anchor: str, graph) -> list[str]:
     """Domains where ``ms_id`` may be placed to serve demand held at ``anchor``.
 
-    The anchor is a domain id, a region id, or the pooled ``"global"`` key,
-    as produced by the planner's demand anchoring.  Its locality scope (that
-    domain, the region's domains, or every domain) is intersected with the
-    placement restriction policy.
+    The anchor is a scope key as :meth:`InfrastructureGraph.anchor_of` gives
+    it; its scope's domains are filtered by the placement restriction policy.
     """
-    if anchor == GLOBAL_ANCHOR:
-        scope: Iterable[str] = sorted(graph.domains)
-    elif anchor in graph.regions:
-        scope = graph.domains_in_region(anchor)
-    elif anchor in graph.domains:
-        scope = [anchor]
-    else:
-        raise UnknownDomain(anchor)
-    return [d for d in scope if is_allowed(pset, ms_id, d).allowed]
+    return [d for d in graph.anchor_domains(anchor) if is_allowed(pset, ms_id, d).allowed]
 
 
 def evaluate_query(pset: PolicySet, graph, policy: str, payload: dict) -> PolicyDecision:
     """Single-query evaluation backing the wire API's evaluate endpoint.
 
     Restriction queries check a (microservice, domain) pair; locality queries
-    check whether a candidate target domain lies inside the scope anchored at
-    the source domain for the applicable level.
+    check whether a candidate target domain shares the source domain's
+    anchor at the applicable level.
     """
     def field(name: str) -> str:
         value = payload.get(name)
         if not isinstance(value, str) or not value:
             raise PolicyError(f"evaluate input field {name!r} missing or not a string")
         return value
+
+    def known_ms(ms_id: str) -> str:
+        if ms_id not in pset.ms_ids:
+            raise UnknownMicroservice(ms_id)
+        return ms_id
 
     def known_domain(domain_id: str) -> str:
         if domain_id not in pset.domain_ids:
@@ -232,33 +225,18 @@ def evaluate_query(pset: PolicySet, graph, policy: str, payload: dict) -> Policy
         return is_allowed(pset, field("microservice"), field("domain"))
 
     if policy == "iot_locality":
-        ms_id = field("microservice")
-        if ms_id not in pset.ms_ids:
-            raise UnknownMicroservice(ms_id)
-        device_domain = known_domain(field("device_domain"))
-        target = known_domain(field("target_domain"))
-        level = pset.iot_level(ms_id)
-        inside = target in graph.scope_domains(device_domain, level)
-        relation = "within" if inside else "outside"
-        return PolicyDecision(
-            inside,
-            f"iot-locality: {target} {relation} {level.wire_name} scope of {device_domain} for {ms_id}",
-        )
-
-    if policy == "ms_locality":
+        subject = known_ms(field("microservice"))
+        kind, level = "iot-locality", pset.iot_level(subject)
+        source = known_domain(field("device_domain"))
+    elif policy == "ms_locality":
         consumer, consumed = field("consumer"), field("consumed")
-        for ms_id in (consumer, consumed):
-            if ms_id not in pset.ms_ids:
-                raise UnknownMicroservice(ms_id)
-        consumer_domain = known_domain(field("consumer_domain"))
-        target = known_domain(field("target_domain"))
-        level = pset.edge_level(consumer, consumed)
-        inside = target in graph.scope_domains(consumer_domain, level)
-        relation = "within" if inside else "outside"
-        return PolicyDecision(
-            inside,
-            f"ms-locality: {target} {relation} {level.wire_name} scope of {consumer_domain} "
-            f"for {consumer}->{consumed}",
-        )
-
-    raise UnknownPolicyType(policy)
+        subject = f"{known_ms(consumer)}->{known_ms(consumed)}"
+        kind, level = "ms-locality", pset.edge_level(consumer, consumed)
+        source = known_domain(field("consumer_domain"))
+    else:
+        raise UnknownPolicyType(policy)
+    target = known_domain(field("target_domain"))
+    inside = graph.anchor_of(target, level) == graph.anchor_of(source, level)
+    relation = "within" if inside else "outside"
+    return PolicyDecision(
+        inside, f"{kind}: {target} {relation} {level.wire_name} scope of {source} for {subject}")

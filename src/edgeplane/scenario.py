@@ -51,7 +51,8 @@ def read_yaml(path):
     """The YAML document in the file at ``path``.
 
     Raises ScenarioParseError, prefixed with the path, when the file is
-    missing or unreadable, or is not valid YAML.
+    missing or unreadable, or is not valid YAML.  The message is one line:
+    a YAML error with a position reads ``<problem> (line L, column C)``.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -61,7 +62,12 @@ def read_yaml(path):
     try:
         return yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
-        raise ScenarioParseError(f"{path}: invalid YAML: {exc}") from exc
+        mark = getattr(exc, "problem_mark", None)
+        if getattr(exc, "problem", None) and mark is not None:
+            reason = f"{exc.problem} (line {mark.line + 1}, column {mark.column + 1})"
+        else:
+            reason = str(exc)
+        raise ScenarioParseError(f"{path}: invalid YAML: {' '.join(reason.split())}") from exc
 
 
 def load_scenario(path) -> Scenario:

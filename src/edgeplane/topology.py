@@ -93,9 +93,6 @@ class InfrastructureGraph:
             node = self.nodes[node_id]
             self._domain_nodes[node.domain_id].append(node)
 
-    def domains_in_region(self, region_id: str) -> list[str]:
-        return sorted(self.regions[region_id].domain_ids)
-
     def nodes_of_domain(self, domain_id: str) -> list[ComputeNode]:
         """The domain's nodes by id, as a fresh list from the index built at load."""
         if domain_id not in self.domains:
@@ -105,15 +102,26 @@ class InfrastructureGraph:
     def attachment_domains(self) -> list[str]:
         return sorted({a.domain_id for a in self.attachments.values()})
 
-    def scope_domains(self, anchor_domain: str, scope: LocalityLevel) -> list[str]:
-        """Domains reachable from ``anchor_domain`` under the given locality scope."""
-        if scope is LocalityLevel.GLOBAL:
+    def anchor_of(self, domain_id: str, level: LocalityLevel) -> str:
+        """The key of ``domain_id``'s scope at ``level``: the domain, its region
+        or GLOBAL_ANCHOR.  Two domains share a scope exactly when they share an anchor."""
+        domain = self.domains.get(domain_id)
+        if domain is None:
+            raise UnknownDomain(domain_id)
+        if level is LocalityLevel.GLOBAL:
+            return GLOBAL_ANCHOR
+        return domain_id if level is LocalityLevel.STRICT_DOMAIN else domain.region_id
+
+    def anchor_domains(self, anchor: str) -> list[str]:
+        """The sorted domains of the scope ``anchor`` keys; regions and domains
+        share one id namespace (see :func:`load_topology`), so the key says which."""
+        if anchor == GLOBAL_ANCHOR:
             return sorted(self.domains)
-        if anchor_domain not in self.domains:
-            raise UnknownDomain(anchor_domain)
-        if scope is LocalityLevel.STRICT_DOMAIN:
-            return [anchor_domain]
-        return self.domains_in_region(self.domains[anchor_domain].region_id)
+        if anchor in self.domains:
+            return [anchor]
+        if anchor not in self.regions:
+            raise UnknownDomain(anchor)
+        return sorted(self.regions[anchor].domain_ids)
 
 
 def _require(condition: bool, error: Exception):

@@ -5,6 +5,7 @@ documents with their own data structures (functional capacity maps, plain
 recursion) so that a planner bug cannot hide inside a shared helper:
 
 * ``oracle_eligible`` answers domain eligibility by brute force.
+* ``doc_scope`` reads a locality scope from the raw topology document.
 * ``oracle_feasible`` decides by exhaustive search whether any placement
   satisfying the per-anchor instance counts exists at all.
 * ``oracle_anchor_demand`` anchors a microservice's demand slot by slot.
@@ -158,15 +159,6 @@ def gen_small_case(rng: random.Random):
     return topo_doc, app_doc, policy_doc, demand_doc
 
 
-def anchor_key(graph, domain_id, level):
-    """The anchor key demand at ``domain_id`` is held under for ``level``."""
-    if level is LocalityLevel.STRICT_DOMAIN:
-        return domain_id
-    if level is LocalityLevel.STRICT_REGION:
-        return graph.domains[domain_id].region_id
-    return "global"
-
-
 # --- oracles --------------------------------------------------------------------
 
 
@@ -191,6 +183,17 @@ def oracle_eligible(graph, policy_doc, ms_id, anchor_domain, level):
         return True
 
     return sorted(d for d in graph.domains if in_scope(d) and allowed(d))
+
+
+def doc_scope(topo_doc, domain_id, level) -> set[str]:
+    """The domains in ``domain_id``'s scope at ``level``, read from the raw
+    topology document's region lists."""
+    region_of = {d: r["id"] for r in topo_doc["regions"] for d in r["domains"]}
+    if level is LocalityLevel.STRICT_DOMAIN:
+        return {domain_id}
+    if level is LocalityLevel.STRICT_REGION:
+        return {d for d, r in region_of.items() if r == region_of[domain_id]}
+    return set(region_of)
 
 
 def oracle_anchor_demand(graph, app, pset, demand, ms_id, per_ms_mapping):
@@ -219,14 +222,14 @@ def oracle_anchor_demand(graph, app, pset, demand, ms_id, per_ms_mapping):
     if ms_id in app.ingress_ids:
         level = pset.iot_level(ms_id)
         for domain_id, per in demand.items():
-            add(anchor_key(graph, domain_id, level), level, per.get(ms_id, Fraction(0)))
+            add(graph.anchor_of(domain_id, level), level, per.get(ms_id, Fraction(0)))
         return acc
     for edge in app.predecessors(ms_id):
         if app.microservices[edge.from_ms].placed_on_iot:
             continue
         level = pset.edge_level(edge.from_ms, ms_id)
         for domain_id, rps in emission(per_ms_mapping.get(edge.from_ms, {})).items():
-            add(anchor_key(graph, domain_id, level), level, rps * edge.rate_ratio)
+            add(graph.anchor_of(domain_id, level), level, rps * edge.rate_ratio)
     return acc
 
 

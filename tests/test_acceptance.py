@@ -32,7 +32,6 @@ from edgeplane.locality import LocalityLevel
 from .support import (
     GOLDEN,
     SCENARIOS,
-    anchor_key,
     build,
     gen_case,
     gen_small_case,
@@ -167,7 +166,7 @@ def test_criterion_4_policy_engine_soundness():
             comparisons += 1
             for domain_id in graph.domains:
                 for level in (LocalityLevel.STRICT_DOMAIN, LocalityLevel.STRICT_REGION):
-                    anchor = anchor_key(graph, domain_id, level)
+                    anchor = graph.anchor_of(domain_id, level)
                     got = eligible_domains_for_anchor(pset, ms_id, anchor, graph)
                     want = oracle_eligible(graph, policy_doc, ms_id, domain_id, level.value)
                     assert got == want

@@ -24,7 +24,7 @@ from edgeplane.policy import (
 )
 from edgeplane.topology import load_topology
 
-from .support import anchor_key, gen_case, oracle_eligible
+from .support import doc_scope, gen_case, oracle_eligible
 from .test_appmodel import chain_doc
 from .test_topology import minimal_doc
 
@@ -176,7 +176,7 @@ def test_eligible_against_oracle_seeded():
         ms_id = rng.choice([m["id"] for m in app_doc["microservices"] if not m.get("iot")])
         anchor = rng.choice(sorted(graph.domains))
         level = rng.choice(list(LocalityLevel))
-        got = eligible_domains_for_anchor(pset, ms_id, anchor_key(graph, anchor, level), graph)
+        got = eligible_domains_for_anchor(pset, ms_id, graph.anchor_of(anchor, level), graph)
         want = oracle_eligible(graph, policy_doc, ms_id, anchor, level.value)
         assert got == want
 
@@ -233,8 +233,8 @@ def test_eligible_subset_property(data):
         [m["id"] for m in app_doc["microservices"] if not m.get("iot")]))
     anchor = data.draw(st.sampled_from(sorted(graph.domains)))
     level = data.draw(st.sampled_from(list(LocalityLevel)))
-    got = eligible_domains_for_anchor(pset, ms_id, anchor_key(graph, anchor, level), graph)
-    scope = set(graph.scope_domains(anchor, level))
+    got = eligible_domains_for_anchor(pset, ms_id, graph.anchor_of(anchor, level), graph)
+    scope = doc_scope(topo_doc, anchor, level)
     assert set(got) <= scope
     assert all(is_allowed(pset, ms_id, d).allowed for d in got)
     assert all(not is_allowed(pset, ms_id, d).allowed for d in sorted(scope - set(got)))

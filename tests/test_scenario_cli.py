@@ -1,9 +1,11 @@
 import copy
 import json
+import re
 
 import pytest
 import yaml
 
+from edgeplane import scenario
 from edgeplane.cli import main
 from edgeplane.controlplane import ControlPlane, validate_plan
 from edgeplane.documents import plan_from_doc
@@ -16,6 +18,9 @@ from .support import GOLDEN, SCENARIOS
 
 CANONICAL = str(SCENARIOS / "uav_canonical.yaml")
 SURGE = str(SCENARIOS / "uav_demand_surge.yaml")
+
+#: The pure-Python loader, and libyaml's where PyYAML has it.
+LOADERS = (yaml.SafeLoader, *([yaml.CSafeLoader] if yaml.__with_libyaml__ else []))
 
 
 def canonical_doc():
@@ -79,11 +84,14 @@ def test_load_rejects_bad_yaml(tmp_path):
     (b"topology: \xff\xfe\n", "cannot read"),
     (b"topology: \x07\n", "invalid YAML"),
 ], ids=["not-utf8", "control-char"])
-def test_cli_undecodable_or_control_bytes_exit_2(tmp_path, capsys, content, reason):
+def test_cli_undecodable_or_control_bytes_exit_2(tmp_path, capsys, monkeypatch, content, reason):
     path = tmp_path / "bytes.yaml"
     path.write_bytes(content)
-    assert main(["validate", "--scenario", str(path)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {path}: {reason}: ")
+    for loader in LOADERS:
+        monkeypatch.setattr(scenario, "YAML_LOADER", loader)
+        assert main(["validate", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {reason}: ") and err.count("\n") == 1, (loader, err)
 
 
 def test_load_rejects_non_mapping(tmp_path):
@@ -184,11 +192,16 @@ def test_cli_validate_quiet(capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_cli_validate_parse_failure(tmp_path, capsys):
+def test_cli_validate_parse_failure(tmp_path, capsys, monkeypatch):
+    """Invalid YAML is one stderr line giving the problem and its position."""
     path = tmp_path / "broken.yaml"
     path.write_text("application: [unclosed", encoding="utf-8")
-    assert main(["validate", "--scenario", str(path)]) == 2
-    assert "invalid YAML" in capsys.readouterr().err
+    for loader in LOADERS:
+        monkeypatch.setattr(scenario, "YAML_LOADER", loader)
+        assert main(["validate", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: {re.escape(str(path))}: invalid YAML: "
+                            r"[^\n]+ \(line \d+, column \d+\)\n", err), (loader, err)
 
 
 def test_cli_validate_missing_file(tmp_path, capsys):
@@ -427,6 +440,22 @@ def test_cli_routes_rejects_tampered_plan(tmp_path, capsys):
     assert "placement" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("weight", [0, -1])
+def test_non_positive_route_weight_fails_the_audit(tmp_path, capsys, weight):
+    sc = load_scenario(CANONICAL)
+    doc = yaml.safe_load((GOLDEN / "plan_canonical.yaml").read_text(encoding="utf-8"))
+    rule = doc["routes"][0]
+    assert len(rule["destinations"]) == 1  # the rule's only destination
+    rule["destinations"][0]["weight"] = weight
+    report = validate_plan(sc.graph, sc.app, sc.policies, plan_from_doc(doc))
+    assert [(v.kind, v.subject, v.detail) for v in report.violations] == [
+        ("route", "ed3/iot->m2", f"weight of ed3-n1 is {weight}, not positive")]
+    plan_path = tmp_path / "plan.yaml"
+    plan_path.write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
+    assert main(["routes", "--scenario", CANONICAL, "--plan", str(plan_path), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"route: ed3/iot->m2: weight of ed3-n1 is {weight}, not positive\n"
+
+
 def test_cli_routes_rejects_malformed_plan(tmp_path, capsys):
     plan_path = tmp_path / "plan.yaml"
     plan_path.write_text("placements: 7\n", encoding="utf-8")
@@ -438,13 +467,16 @@ def test_cli_routes_rejects_malformed_plan(tmp_path, capsys):
 def test_malformed_plan_shapes_never_escape_as_raw_exceptions(tmp_path, capsys):
     """Every node of the golden plan (compliance aside), replaced by each odd
     shape, either rebuilds and audits or raises an EdgeplaneError, and
-    ``plan_from_doc`` hands ``validate_plan`` string ids only."""
-    scenario = load_scenario(CANONICAL)
+    ``plan_from_doc`` hands ``validate_plan`` string ids only.  Counts are
+    never truncated: a non-integer ``revision``, ``weight`` or ``instances``
+    (a bool included) and a non-positive ``instances`` fail to parse, and a
+    non-positive ``weight`` fails the audit."""
+    sc = load_scenario(CANONICAL)
     base = yaml.safe_load((GOLDEN / "plan_canonical.yaml").read_text(encoding="utf-8"))
     del base["compliance"]
     tried = 0
     for path in node_paths(base):
-        for value in (5, "x", [1], {"a": 1}, None, True, 1.5, -1):
+        for value in (5, "x", [1], {"a": 1}, None, True, 1.5, 2.9, 0, -1):
             doc = copy.deepcopy(base)
             set_path(doc, path, value)
             tried += 1
@@ -452,16 +484,20 @@ def test_malformed_plan_shapes_never_escape_as_raw_exceptions(tmp_path, capsys):
                 plan = plan_from_doc(doc)
             except ScenarioParseError:
                 continue
+            if path[-1] in ("revision", "weight", "instances"):
+                assert type(value) is int and (path[-1] != "instances" or value > 0), (path, value)
             ids = [(ms, anchor, node) for ms, anchors in plan.mapping.per_ms.items()
                    for anchor, ap in anchors.items() for node, _ in ap.slots]
             ids += [(r.domain_id, r.consumer, r.target_ms) + tuple(n for n, _ in r.destinations)
                     for r in plan.routes.rules]
             assert all(isinstance(i, str) for group in ids for i in group), (path, value)
             try:
-                validate_plan(scenario.graph, scenario.app, scenario.policies, plan)
+                report = validate_plan(sc.graph, sc.app, sc.policies, plan)
             except EdgeplaneError:
-                pass
-    assert tried == 384
+                continue
+            if path[-1] == "weight" and value < 1:
+                assert any("not positive" in v.detail for v in report.violations), (path, value)
+    assert tried == 480
 
     doc = copy.deepcopy(base)
     doc["demand"]["ed3"] = [1]

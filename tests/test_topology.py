@@ -12,7 +12,9 @@ from edgeplane.errors import (
     UnknownDomain,
 )
 from edgeplane.locality import LocalityLevel
-from edgeplane.topology import load_topology
+from edgeplane.topology import GLOBAL_ANCHOR, load_topology
+
+from .support import doc_scope
 
 
 def minimal_doc():
@@ -39,7 +41,7 @@ def test_load_minimal():
     assert set(graph.domains) == {"d1", "d2", "d3"}
     assert set(graph.nodes) == {"n1", "n2", "n3"}
     assert graph.domains["d2"].region_id == "r1"
-    assert graph.domains_in_region("r1") == ["d1", "d2"]
+    assert graph.anchor_domains("r1") == ["d1", "d2"]
     assert [n.id for n in graph.nodes_of_domain("d1")] == ["n1"]
     assert graph.attachment_domains() == ["d1"]
     assert graph.domains["d3"].kind == "cloud"
@@ -141,14 +143,23 @@ def test_bad_capacities(cpu):
         load_topology(doc)
 
 
-def test_scope_domains():
+def test_anchors_resolve_scopes():
     graph = load_topology(minimal_doc())
-    assert graph.scope_domains("d1", LocalityLevel.STRICT_DOMAIN) == ["d1"]
-    assert graph.scope_domains("d1", LocalityLevel.STRICT_REGION) == ["d1", "d2"]
-    assert graph.scope_domains("d3", LocalityLevel.STRICT_REGION) == ["d3"]
-    assert graph.scope_domains("d1", LocalityLevel.GLOBAL) == ["d1", "d2", "d3"]
-    with pytest.raises(UnknownDomain):
-        graph.scope_domains("ghost", LocalityLevel.STRICT_DOMAIN)
+    assert graph.anchor_of("d1", LocalityLevel.STRICT_DOMAIN) == "d1"
+    assert graph.anchor_of("d1", LocalityLevel.STRICT_REGION) == "r1"
+    assert graph.anchor_of("d3", LocalityLevel.STRICT_REGION) == "r2"
+    assert graph.anchor_of("d3", LocalityLevel.GLOBAL) == GLOBAL_ANCHOR
+    assert graph.anchor_domains("d1") == ["d1"]
+    assert graph.anchor_domains("r1") == ["d1", "d2"]
+    assert graph.anchor_domains("r2") == ["d3"]
+    assert graph.anchor_domains(GLOBAL_ANCHOR) == ["d1", "d2", "d3"]
+    for level in LocalityLevel:
+        for unknown in ("ghost", "r1", "n1", GLOBAL_ANCHOR):
+            with pytest.raises(UnknownDomain):
+                graph.anchor_of(unknown, level)
+    for unknown in ("ghost", "n1", "iot1"):
+        with pytest.raises(UnknownDomain):
+            graph.anchor_domains(unknown)
     with pytest.raises(UnknownDomain):
         graph.nodes_of_domain("ghost")
 
@@ -177,16 +188,36 @@ def test_scope_nesting_property(doc, level):
     global, and node listings stay sorted by (domain, node id)."""
     graph = load_topology(doc)
     for domain_id in graph.domains:
-        dom = set(graph.scope_domains(domain_id, LocalityLevel.STRICT_DOMAIN))
-        reg = set(graph.scope_domains(domain_id, LocalityLevel.STRICT_REGION))
-        glob = set(graph.scope_domains(domain_id, LocalityLevel.GLOBAL))
+        dom, reg, glob = (set(graph.anchor_domains(graph.anchor_of(domain_id, scope)))
+                          for scope in LocalityLevel)
         assert dom <= reg <= glob
-        listed = [node.id for scoped in graph.scope_domains(domain_id, level)
-                  for node in graph.nodes_of_domain(scoped)]
+        scoped = graph.anchor_domains(graph.anchor_of(domain_id, level))
+        listed = [node.id for d in scoped for node in graph.nodes_of_domain(d)]
         keyed = sorted(listed, key=lambda n: (graph.nodes[n].domain_id, n))
         assert listed == keyed
-        assert all(graph.nodes[n].domain_id in
-                   set(graph.scope_domains(domain_id, level)) for n in listed)
+        assert all(graph.nodes[n].domain_id in scoped for n in listed)
+
+
+@given(topo_docs())
+@settings(max_examples=60, deadline=None)
+def test_anchor_scopes_match_raw_regions(doc):
+    """Every domain lies in the scope its anchor keys, that scope is the one
+    the raw region lists give, two domains share an anchor exactly when they
+    share that scope, and ids that name no domain (or no scope) raise."""
+    graph = load_topology(doc)
+    for level in LocalityLevel:
+        for domain_id in graph.domains:
+            anchor = graph.anchor_of(domain_id, level)
+            scope = doc_scope(doc, domain_id, level)
+            assert domain_id in graph.anchor_domains(anchor)
+            assert graph.anchor_domains(anchor) == sorted(scope)
+            assert {d for d in graph.domains if graph.anchor_of(d, level) == anchor} == scope
+        for unknown in ["ghost", *graph.regions, *graph.nodes]:
+            with pytest.raises(UnknownDomain):
+                graph.anchor_of(unknown, level)
+    for unknown in ["ghost", *graph.nodes]:
+        with pytest.raises(UnknownDomain):
+            graph.anchor_domains(unknown)
 
 
 def test_nodes_of_domain_index_matches_scan():
