@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from edgeplane.controlplane import ControlPlane, validate_plan
+from edgeplane.controlplane import validate_plan
 from edgeplane.documents import dump_doc, plan_to_doc, report_to_doc, routes_docs
 from edgeplane.meshsim import run_scenario
 from edgeplane.scenario import load_scenario
@@ -29,14 +29,12 @@ def main() -> int:
     args = parser.parse_args()
 
     scenario = load_scenario(args.scenario)
-    control = ControlPlane(scenario.graph, scenario.app, scenario.policies)
     plan, report = run_scenario(
         scenario.graph,
         scenario.app,
         scenario.policies,
         scenario.request,
         scenario.events,
-        control,
         overload_threshold=scenario.settings.overload_threshold,
     )
     compliance = validate_plan(scenario.graph, scenario.app, scenario.policies, plan)

@@ -122,14 +122,12 @@ def cmd_routes(args) -> int:
 
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
-    control = ControlPlane(scenario.graph, scenario.app, scenario.policies)
     plan, report = run_scenario(
         scenario.graph,
         scenario.app,
         scenario.policies,
         scenario.request,
         scenario.events,
-        control,
         overload_threshold=scenario.settings.overload_threshold,
     )
     doc = report_to_doc(report)

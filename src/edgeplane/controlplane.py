@@ -177,18 +177,11 @@ class ComplianceReport:
 
 
 class _Ledger:
-    """Working copy of node free capacities; committed to the graph on success."""
+    """Free node capacities in one search: stated capacity minus the slots held."""
 
     def __init__(self, cpu: dict[str, int], mem: dict[str, int]):
         self.cpu = cpu
         self.mem = mem
-
-    @classmethod
-    def from_graph(cls, graph: InfrastructureGraph) -> "_Ledger":
-        return cls(
-            cpu={n.id: n.cpu_free for n in graph.nodes.values()},
-            mem={n.id: n.mem_free for n in graph.nodes.values()},
-        )
 
     def take(self, slots, ms: Microservice):
         for node_id, k in slots:
@@ -199,11 +192,6 @@ class _Ledger:
         for node_id, k in slots:
             self.cpu[node_id] += ms.cpu_req * k
             self.mem[node_id] += ms.mem_req * k
-
-    def commit(self, graph: InfrastructureGraph):
-        for node in graph.nodes.values():
-            node.cpu_free = self.cpu[node.id]
-            node.mem_free = self.mem[node.id]
 
 
 class _BudgetExhausted(Exception):
@@ -374,7 +362,6 @@ def _reconcile(
     app: ApplicationDag,
     pset: PolicySet,
     demand: dict[str, dict[str, Fraction]],
-    ledger: _Ledger,
     budget: _Budget,
     current: dict[str, dict[str, AnchorPlacement]] | None = None,
     drained: str | None = None,
@@ -384,10 +371,10 @@ def _reconcile(
     A depth-first search over one explicit stack of choice points, one per
     (microservice, anchor) on the current path.  A microservice's anchors are
     fixed when the search first reaches it, from the demand its placed
-    consumers emit.  ``current`` is the mapping to start from; its capacity
-    stays held in ``ledger`` until the search reaches each anchor.  An
-    anchor's first branch keeps its current slots minus any on the
-    ``drained`` node: a shrink drops the newest slots first, and growth adds
+    consumers emit.  ``current`` is the mapping to start from (none for a
+    fresh placement): free capacity is the nodes' stated capacity minus its
+    slots, each held until the search reaches its anchor.  An anchor's first
+    branch keeps its current slots minus any on the ``drained`` node: a shrink drops the newest slots first, and growth adds
     instances first-fit, displaced ones preferring the drained node's domain,
     then its region.  On backtrack every split from :func:`_distributions` is
     tried.  Drain flags and policies do not change during one call, so each
@@ -398,6 +385,11 @@ def _reconcile(
     and anchor, with the cause.
     """
     current = current or {}
+    ledger = _Ledger({n.id: n.cpu_capacity for n in graph.nodes.values()},
+                     {n.id: n.mem_capacity for n in graph.nodes.values()})
+    for ms_id, anchors in current.items():
+        for ap in anchors.values():
+            ledger.take(ap.slots, app.microservices[ms_id])
     sequence = _placement_sequence(app, pset)
     acc: dict[str, dict[str, AnchorPlacement]] = {}
     usable: dict[tuple[str, str], list[str]] = {}  # (ms id, anchor) -> eligible undrained node ids, by id
@@ -532,16 +524,15 @@ def place_application(
     placed, computes the instance count per anchor and assigns nodes
     first-fit within the anchor's eligible domains (locality scope
     intersected with the placement restriction policy), backtracking when a
-    later microservice cannot be placed.  On success, node free capacities
-    are decremented and routing rules generated.
+    later microservice cannot be placed, then generates routing rules.  The
+    graph is not written, so a second placement on it starts from full
+    capacity again: one graph serves one application.
 
     Raises InfeasiblePlacement naming the deepest unsatisfiable microservice
     and anchor, with the cause.
     """
     demand = request.validate_against(graph).normalized_demand()
-    ledger = _Ledger.from_graph(graph)
-    mapping = _reconcile(graph, app, policies, demand, ledger, _Budget(SEARCH_BUDGET))
-    ledger.commit(graph)
+    mapping = _reconcile(graph, app, policies, demand, _Budget(SEARCH_BUDGET))
     routes = generate_routes(graph, app, mapping, policies)
     return DeploymentPlan(app_id=app.id, revision=1, mapping=mapping, routes=routes, demand=demand)
 
@@ -621,8 +612,9 @@ def validate_plan(
     """Re-check a plan against the policies from scratch.
 
     Deliberately does not reuse the planner's eligibility machinery: the
-    restriction rules are re-evaluated from their raw data and locality scopes
-    are recomputed directly from domain/region records, so a defect in the
+    restriction rules are re-evaluated from their raw data, and each target's
+    instances are grouped once per level by scope keys read from the domain
+    records (domain id, region id, or one global key), so a defect in the
     planner cannot hide itself here.
     """
     violations: list[Violation] = []
@@ -632,6 +624,14 @@ def validate_plan(
         for ap in anchors.values():
             for node_id, k in ap.slots:
                 counts[(ms_id, node_id)] = counts.get((ms_id, node_id), 0) + k
+
+    def scope_key(domain_id: str, level: LocalityLevel) -> str | None:
+        """The domain record's scope at ``level``: itself, its region, or None for global."""
+        if level is LocalityLevel.STRICT_DOMAIN:
+            return domain_id
+        if level is LocalityLevel.STRICT_REGION:
+            return graph.domains[domain_id].region_id
+        return None
 
     def restriction_ok(ms_id: str, domain_id: str) -> bool:
         rule = pset.restriction.get(ms_id)
@@ -643,6 +643,7 @@ def validate_plan(
 
     cpu_used: dict[str, int] = {}
     mem_used: dict[str, int] = {}
+    hosted: dict[str, dict[str, int]] = {}  # microservice -> {known node id: instances}
     for (ms_id, node_id), k in sorted(counts.items()):
         if ms_id not in app.microservices:
             violations.append(Violation("placement", ms_id, "unknown microservice"))
@@ -661,6 +662,8 @@ def validate_plan(
                 "capacity", f"{ms_id}@{node_id}", f"node {node_id} is drained",
             ))
         ms = app.microservices[ms_id]
+        if k > 0:
+            hosted.setdefault(ms_id, {})[node_id] = k
         cpu_used[node_id] = cpu_used.get(node_id, 0) + ms.cpu_req * k
         mem_used[node_id] = mem_used.get(node_id, 0) + ms.mem_req * k
 
@@ -673,6 +676,8 @@ def validate_plan(
                 f"{node.cpu_capacity}m/{node.mem_capacity}Mi",
             ))
 
+    # (microservice, level) -> {scope key: {node id: instances}}, grouped on first use
+    scoped: dict[tuple[str, LocalityLevel], dict[str | None, dict[str, int]]] = {}
     for rule in plan.routes.rules:
         if rule.consumer == IOT_SOURCE:
             if rule.target_ms not in pset.ingress_ids:
@@ -689,13 +694,7 @@ def validate_plan(
         if anchor not in graph.domains:
             violations.append(Violation("route", _rule_key(rule), f"unknown domain {anchor!r}"))
             continue
-        if level is LocalityLevel.STRICT_DOMAIN:
-            in_scope = {anchor}
-        elif level is LocalityLevel.STRICT_REGION:
-            region_id = graph.domains[anchor].region_id
-            in_scope = {d for d, dom in graph.domains.items() if dom.region_id == region_id}
-        else:
-            in_scope = set(graph.domains)
+        key = scope_key(anchor, level)
 
         if not rule.destinations:
             violations.append(Violation("route", _rule_key(rule), "rule has no destinations"))
@@ -708,7 +707,7 @@ def validate_plan(
             if node is None:
                 violations.append(Violation("route", _rule_key(rule), f"unknown node {node_id!r}"))
                 continue
-            if node.domain_id not in in_scope:
+            if scope_key(node.domain_id, level) != key:
                 violations.append(Violation(
                     "locality", _rule_key(rule),
                     f"destination {node_id} in {node.domain_id} leaves the "
@@ -720,12 +719,12 @@ def validate_plan(
                     f"destination {node_id} hosts no {rule.target_ms} instance",
                 ))
 
-        expected = {
-            node_id: counts[(rule.target_ms, node_id)]
-            for node_id in graph.nodes
-            if graph.nodes[node_id].domain_id in in_scope
-            and counts.get((rule.target_ms, node_id), 0) > 0
-        }
+        groups = scoped.get((rule.target_ms, level))
+        if groups is None:
+            groups = scoped[rule.target_ms, level] = {}
+            for node_id, k in hosted.get(rule.target_ms, {}).items():
+                groups.setdefault(scope_key(graph.nodes[node_id].domain_id, level), {})[node_id] = k
+        expected = groups.get(key, {})
         dest_nodes = {node_id for node_id, _ in rule.destinations}
         missing = sorted(set(expected) - dest_nodes)
         if missing:
@@ -765,11 +764,12 @@ def handle_alert(
     so every anchor keeps its instances where it can: growth adds instances
     first-fit (displaced ones prefer the drained node's own domain, then its
     region) and shrink removes the newest instances first.  If no plan is
-    reachable that way, the reconciler runs once more from an empty mapping
-    with the current plan's capacity handed back, so unless the search
-    budget runs out a replan fails only where a fresh placement of the same
-    state fails too.  Both runs share one search budget.  Routing rules are
-    regenerated and the adjusted plan re-validated before it is returned
+    reachable that way, the reconciler runs once more from an empty mapping,
+    as a fresh placement of the post-alert state, with the same search
+    budget.  Free capacity comes from stated capacities and ``plan`` alone,
+    so a plan read back from its document replans the same on a freshly
+    loaded graph; the drain flag is the only graph state written.  Routing
+    rules are regenerated and the plan re-validated before it is returned
     with a bumped revision.
     """
     if alert.kind == "demand_change":
@@ -786,18 +786,12 @@ def handle_alert(
         graph.nodes[drained_node].drained = True
 
     budget = _Budget(SEARCH_BUDGET)
-    ledger = _Ledger.from_graph(graph)
     try:
-        mapping = _reconcile(graph, app, policies, demand, ledger, budget,
+        mapping = _reconcile(graph, app, policies, demand, budget,
                              current=plan.mapping.per_ms, drained=drained_node)
     except InfeasiblePlacement:
-        ledger = _Ledger.from_graph(graph)
-        for ms_id, anchors in plan.mapping.per_ms.items():
-            for ap in anchors.values():
-                ledger.give(ap.slots, app.microservices[ms_id])
-        mapping = _reconcile(graph, app, policies, demand, ledger, budget)
+        mapping = _reconcile(graph, app, policies, demand, budget)
 
-    ledger.commit(graph)
     routes = generate_routes(graph, app, mapping, policies)
     new_plan = DeploymentPlan(
         app_id=plan.app_id,

@@ -199,7 +199,7 @@ def report_to_doc(report: SimulationReport) -> dict:
             {"tick": tick, "kind": v.kind, "subject": v.subject, "detail": v.detail}
             for tick, v in report.violations
         ],
-        "throughput": _plain(report.throughput),
+        "throughput": report.throughput,
         "alerts": [
             {"tick": a.tick, "kind": a.kind, "payload": _plain(a.payload)}
             for a in report.alerts

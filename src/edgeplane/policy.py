@@ -52,7 +52,6 @@ class PolicyDecision:
 class PolicySet:
     """Parsed policies plus the universe they are validated against."""
 
-    app_id: str
     restriction: dict[str, RestrictionRule]
     iot_locality: dict[str, LocalityLevel]
     ms_locality: dict[tuple[str, str], LocalityLevel]
@@ -138,7 +137,6 @@ def parse_policies(doc: dict, app, graph) -> PolicySet:
     default_level = DEFAULT_LOCALITY if default is None else LocalityLevel.parse(default)
 
     return PolicySet(
-        app_id=app.id,
         restriction=restriction,
         iot_locality=iot_locality,
         ms_locality=ms_locality,

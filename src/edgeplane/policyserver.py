@@ -6,7 +6,8 @@ Two endpoints, both JSON:
   POST /v1/evaluate                      {"policy": ..., "input": {...}} -> decision
 
 Responses are canonical JSON (sorted keys, no whitespace), so the in-process
-functions and the wire endpoints can be compared byte for byte.
+functions and the wire endpoints can be compared byte for byte.  A body
+over MAX_BODY_BYTES is refused (413) unread, and a silent connection dropped.
 """
 
 from __future__ import annotations
@@ -18,6 +19,12 @@ from urllib.parse import unquote, urlparse
 from .errors import EdgeplaneError
 from .policy import PolicySet, evaluate_query, get_data
 from .topology import InfrastructureGraph
+
+#: Largest ``Content-Length`` a POST may declare; evaluate bodies are tiny.
+MAX_BODY_BYTES = 64 * 1024
+
+#: Seconds a connection may stay silent, mid-request or between requests.
+CONNECTION_TIMEOUT_S = 10
 
 _KEY_ARITY = {
     "placement_restriction": 1,
@@ -62,15 +69,18 @@ def evaluate_response(pset: PolicySet, graph: InfrastructureGraph, body: bytes):
 class PolicyAgentHandler(BaseHTTPRequestHandler):
     server_version = "edgeplane-policy/0.1"
     protocol_version = "HTTP/1.1"
+    timeout = CONNECTION_TIMEOUT_S  # a timed-out read closes the connection
 
     def log_message(self, fmt, *args):  # request logging is the CLI's concern
         pass
 
-    def _send(self, status: int, payload):
+    def _send(self, status: int, payload, close: bool = False):
         data = canonical_json(payload)
         self.send_response(status)
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(data)))
+        if close:  # also ends this connection once the response is out
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
 
@@ -92,6 +102,9 @@ class PolicyAgentHandler(BaseHTTPRequestHandler):
             length = int(self.headers.get("Content-Length", 0))
         except (TypeError, ValueError):
             length = 0
+        if length > MAX_BODY_BYTES:  # the body stays unread, so the connection cannot go on
+            self._send(413, {"error": f"body over {MAX_BODY_BYTES} bytes"}, close=True)
+            return
         body = self.rfile.read(length) if length > 0 else b""
         status, payload = evaluate_response(self.server.pset, self.server.graph, body)
         self._send(status, payload)

@@ -3,8 +3,9 @@
 Domains are the unit of administrative control and the anchor for locality
 scopes; IoT attachment points bind device groups to the domain their traffic
 enters through.  The graph is built once from a document and treated as
-immutable afterwards, except for node free-capacity bookkeeping (and drain
-flags), which only the control plane mutates inside a planning transaction.
+immutable afterwards, except for node drain flags, which only the control
+plane sets.  The graph records no used capacity: a node's free room is its
+stated capacity minus the instances a deployment plan puts on it.
 """
 
 from __future__ import annotations
@@ -49,26 +50,20 @@ class Domain:
 class ComputeNode:
     """A schedulable node. Capacities in cpu millicores and memory MiB.
 
-    ``cpu_free``/``mem_free`` start at capacity and are decremented by the
-    control plane as instances are assigned.  A drained node keeps its stated
-    capacity but is never eligible for new assignments.
+    The capacities are the stated totals and never change; what is free is
+    worked out from a plan's slots.  A drained node keeps its stated capacity
+    but is never eligible for new assignments.
     """
 
     id: str
     domain_id: str
     cpu_capacity: int
     mem_capacity: int
-    cpu_free: int = field(default=-1)
-    mem_free: int = field(default=-1)
     drained: bool = False
 
     def __post_init__(self):
         if self.cpu_capacity <= 0 or self.mem_capacity <= 0:
             raise InvalidTopology(f"node {self.id!r} must have positive cpu and memory capacity")
-        if self.cpu_free < 0:
-            self.cpu_free = self.cpu_capacity
-        if self.mem_free < 0:
-            self.mem_free = self.mem_capacity
 
 
 @dataclass(frozen=True)

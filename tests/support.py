@@ -250,7 +250,7 @@ def oracle_feasible(graph, app, policy_doc, demand) -> bool:
                     for r in policy_doc.get("placement_restriction", [])}
 
     region_of = {d: dom.region_id for d, dom in graph.domains.items()}
-    capacity = {n.id: (n.cpu_free, n.mem_free) for n in graph.nodes.values()}
+    capacity = {n.id: (n.cpu_capacity, n.mem_capacity) for n in graph.nodes.values()}
     domain_of = {n.id: n.domain_id for n in graph.nodes.values()}
     usable = sorted(n.id for n in graph.nodes.values() if not n.drained)
 

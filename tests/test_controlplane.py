@@ -28,13 +28,15 @@ from edgeplane.controlplane import (
 )
 from edgeplane.documents import dump_doc, plan_from_doc, plan_to_doc
 from edgeplane.errors import (
+    EdgeplaneError,
     InfeasiblePlacement,
     NoDestinationInScope,
     PlanningError,
 )
 from edgeplane.locality import LocalityLevel
+from edgeplane.scenario import read_yaml, scenario_from_doc
 
-from .support import build, gen_case, gen_small_case, oracle_anchor_demand
+from .support import SCENARIOS, build, gen_case, gen_small_case, oracle_anchor_demand
 
 
 # --- scenario helpers ---
@@ -50,6 +52,15 @@ def two_node_topo(cpu1=2000, cpu2=1000):
         ],
         "attachments": [{"id": "iot1", "domain": "dd"}],
     }
+
+
+def free_cpu(graph, app, plan) -> dict[str, int]:
+    """Each node's stated cpu minus what the plan's instances request of it."""
+    free = {node.id: node.cpu_capacity for node in graph.nodes.values()}
+    for ms_id in plan.mapping.per_ms:
+        for node_id, k in plan.mapping.instances_of(ms_id).items():
+            free[node_id] -= app.microservices[ms_id].cpu_req * k
+    return free
 
 
 # --- canonical placement (matches the published scenario) ---
@@ -69,9 +80,10 @@ def test_place_canonical_frozen(canonical):
     assert m2["ed4"].demand_rps == Fraction(200)
     assert m2["ed3"].level is LocalityLevel.STRICT_DOMAIN
     assert plan.mapping.per_ms["m3"]["region-2"].demand_rps == Fraction(300)
-    # free capacity was committed to the graph
-    assert canonical.graph.nodes["ed3-n1"].cpu_free == 3500 - 2 * 500 - 2 * 1000
-    assert canonical.graph.nodes["cl-n1"].cpu_free == 0
+    # the capacity the plan leaves free
+    free = free_cpu(canonical.graph, canonical.app, plan)
+    assert free["ed3-n1"] == 3500 - 2 * 500 - 2 * 1000
+    assert free["cl-n1"] == 0
 
 
 def test_placement_sequence_strictest_first(canonical):
@@ -356,8 +368,7 @@ def test_search_step_counts_pinned(seed, factor, drained, steps, placed):
     demand = request.normalized_demand()
     budget = _Budget(SEARCH_BUDGET)
     try:
-        _reconcile(graph, app, pset, demand, _Ledger.from_graph(graph), budget,
-                   current=current, drained=drained)
+        _reconcile(graph, app, pset, demand, budget, current=current, drained=drained)
         ok = True
     except InfeasiblePlacement:
         ok = False
@@ -402,8 +413,8 @@ def test_infeasible_policy_empty_scope():
     with pytest.raises(InfeasiblePlacement) as exc:
         place_application(graph, dag, request, pset)
     assert exc.value.cause == "policy-empty scope"
-    # nothing was committed
-    assert graph.nodes["n1"].cpu_free == 2000
+    # nothing was written to the graph
+    assert graph.nodes == build(topo, app, policies, {"dd": {"a": 50}})[0].nodes
 
 
 # --- routing rules ---
@@ -624,6 +635,36 @@ def test_alert_payload_validation():
     Alert("overload", {"node": "n1", "utilization": 0.93}, 2)
 
 
+@pytest.mark.parametrize("name", ["uav_canonical", "uav_demand_surge"])
+def test_replan_of_a_reloaded_plan_matches_the_original_graph(name):
+    """A plan read back from its document, replanned on a freshly loaded
+    graph, gives what the replan gives on the graph it was placed on: the
+    same plan document, or the same error.  Every node drain and every
+    ed3/ed4 ingress demand of 0-300 rps in steps of 50."""
+    doc = read_yaml(SCENARIOS / f"{name}.yaml")
+    nodes = sorted(scenario_from_doc(doc).graph.nodes)
+    alerts = [Alert("node_drain", {"node": node}) for node in nodes]
+    alerts += [Alert("demand_change", {"demand": {"ed3": {"m2": a}, "ed4": {"m2": b}}})
+               for a in range(0, 301, 50) for b in range(0, 301, 50)]
+
+    def replan(loaded, plan, alert):
+        try:
+            return dump_doc(plan_to_doc(handle_alert(loaded.graph, loaded.app, loaded.policies,
+                                                     plan, alert)))
+        except EdgeplaneError as exc:
+            return type(exc), str(exc)
+
+    outcomes = set()
+    for alert in alerts:
+        placed = scenario_from_doc(doc)
+        plan = place_application(placed.graph, placed.app, placed.request, placed.policies)
+        want = replan(placed, plan, alert)
+        got = replan(scenario_from_doc(doc), plan_from_doc(plan_to_doc(plan)), alert)
+        assert got == want, alert
+        outcomes.add(type(want))
+    assert outcomes == {str, tuple}  # both replans that succeed and that fail are covered
+
+
 def test_demand_change_scales_up(surge):
     # the surge topology has headroom; the canonical one is packed to rated load
     plan = place_application(surge.graph, surge.app, surge.request, surge.policies)
@@ -658,14 +699,13 @@ def test_demand_change_scales_down_newest_first():
     plan2 = handle_alert(graph, dag, pset, plan, alert)
     # the newest slot shrinks first (LIFO), oldest instances survive
     assert plan2.mapping.per_ms["a"]["dd"].slots == [("n1", 2), ("n2", 1)]
-    assert graph.nodes["n2"].cpu_free == 500
+    assert free_cpu(graph, dag, plan2)["n2"] == 500
 
     alert = Alert("demand_change", {"demand": {"dd": {"a": 50}}}, 2)
     plan3 = handle_alert(graph, dag, pset, plan2, alert)
     assert plan3.mapping.per_ms["a"]["dd"].slots == [("n1", 1)]
     assert plan3.revision == 3
-    assert graph.nodes["n1"].cpu_free == 500
-    assert graph.nodes["n2"].cpu_free == 1000
+    assert free_cpu(graph, dag, plan3) == {"n1": 500, "n2": 1000}
 
 
 def test_demand_drop_to_zero_removes_anchor():
@@ -685,7 +725,7 @@ def test_demand_drop_to_zero_removes_anchor():
     plan2 = handle_alert(graph, dag, pset, plan, alert)
     assert plan2.mapping.per_ms == {}
     assert plan2.routes.rules == ()
-    assert graph.nodes["n1"].cpu_free == 2000
+    assert free_cpu(graph, dag, plan2)["n1"] == 2000
 
 
 def test_node_drain_migrates_within_domain():
@@ -710,7 +750,7 @@ def test_node_drain_migrates_within_domain():
     assert plan2.mapping.instances_of("a") == {"n1": 2}
     assert plan2.revision == 2
     assert validate_plan(graph, dag, pset, plan2).ok
-    assert graph.nodes["n2"].cpu_free == 2000  # everything handed back
+    assert free_cpu(graph, dag, plan2)["n2"] == 2000  # everything handed back
 
 
 def test_node_drain_prefers_same_region_over_bigger_remote():

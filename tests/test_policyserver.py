@@ -1,11 +1,16 @@
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
 from edgeplane.policyserver import (
+    CONNECTION_TIMEOUT_S,
+    MAX_BODY_BYTES,
+    PolicyAgentHandler,
     canonical_json,
     data_response,
     evaluate_response,
@@ -193,3 +198,40 @@ def test_wire_get_documented_lookup(server):
     status, body, _ = http_get(base, "/v1/data/iot_locality/m2")
     assert status == 200
     assert body == b'{"result":"StrictDomain"}'
+
+
+def read_until_closed(sock) -> bytes:
+    """Everything the server sends before it closes; the socket's timeout fails a hang."""
+    chunks = []
+    while chunk := sock.recv(4096):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def test_wire_refuses_an_oversized_body_unread(server):
+    srv, base = server
+    with socket.create_connection(srv.server_address, timeout=5) as sock:
+        sock.sendall(b"POST /v1/evaluate HTTP/1.1\r\nHost: t\r\n"
+                     b"Content-Length: %d\r\n\r\n" % (MAX_BODY_BYTES + 1))
+        head, _, body = read_until_closed(sock).partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 413 ")
+    assert b"\r\nConnection: close" in head
+    assert body == canonical_json({"error": f"body over {MAX_BODY_BYTES} bytes"})
+    # a body of exactly the cap is read and judged
+    status, body, _ = http_post(base, "/v1/evaluate", b" " * MAX_BODY_BYTES)
+    assert (status, body) == (400, canonical_json({"error": "body is not valid JSON"}))
+
+
+def test_wire_drops_a_client_that_never_sends_its_body(server, monkeypatch):
+    """One slow client declares a body and sends none: its connection is
+    closed at the handler's timeout, not held open forever.  The timeout is
+    shortened here so that the test does not sit it out."""
+    assert PolicyAgentHandler.timeout == CONNECTION_TIMEOUT_S
+    monkeypatch.setattr(PolicyAgentHandler, "timeout", 0.2)
+    srv, base = server
+    with socket.create_connection(srv.server_address, timeout=5) as sock:
+        sock.sendall(b"POST /v1/evaluate HTTP/1.1\r\nHost: t\r\nContent-Length: 100\r\n\r\n")
+        started = time.monotonic()
+        assert read_until_closed(sock) == b""
+        assert time.monotonic() - started < 4
+    assert http_get(base, "/v1/data/iot_locality/m2")[:2] == (200, b'{"result":"StrictDomain"}')

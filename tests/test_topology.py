@@ -48,12 +48,9 @@ def test_load_minimal():
     assert graph.domains["d1"].admin_id == "a1"
 
 
-def test_free_capacity_defaults_to_full():
+def test_node_starts_undrained():
     graph = load_topology(minimal_doc())
-    node = graph.nodes["n1"]
-    assert node.cpu_free == node.cpu_capacity == 2000
-    assert node.mem_free == node.mem_capacity == 4096
-    assert node.drained is False
+    assert graph.nodes["n1"].drained is False
 
 
 def test_duplicate_id_across_kinds():
