@@ -12,8 +12,9 @@ sources for the ingress set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .errors import (
     CycleDetected,
@@ -82,7 +83,6 @@ class ApplicationDag:
     microservices: dict[str, Microservice]
     edges: tuple[AppEdge, ...]
     ingress_ids: frozenset[str]
-    _topo: list[str] = field(default_factory=list, repr=False)
 
     def predecessors(self, ms_id: str) -> list[AppEdge]:
         return [e for e in self.edges if e.to_ms == ms_id]
@@ -90,50 +90,46 @@ class ApplicationDag:
     def successors(self, ms_id: str) -> list[AppEdge]:
         return [e for e in self.edges if e.from_ms == ms_id]
 
-    def topological_order(self) -> list[str]:
-        if not self._topo:
-            self._topo = _topo_sort(self)
-        return list(self._topo)
-
-    def topo_rank(self) -> dict[str, int]:
-        return {ms: i for i, ms in enumerate(self.topological_order())}
-
-
-def _topo_sort(app: ApplicationDag) -> list[str]:
-    indegree = {ms: 0 for ms in app.microservices}
-    for edge in app.edges:
-        indegree[edge.to_ms] += 1
-    order: list[str] = []
-    ready = sorted(ms for ms, deg in indegree.items() if deg == 0)
-    while ready:
-        ms = ready.pop(0)
-        order.append(ms)
-        changed = False
-        for edge in app.edges:
-            if edge.from_ms == ms:
-                indegree[edge.to_ms] -= 1
-                if indegree[edge.to_ms] == 0:
-                    ready.append(edge.to_ms)
-                    changed = True
-        if changed:
-            ready.sort()
-    if len(order) != len(app.microservices):
-        raise CycleDetected(_find_cycle(app, {ms for ms, deg in indegree.items() if deg > 0}))
-    return order
+    def topological_order(self, key=None, done=frozenset()) -> list[str]:
+        """Kahn's walk: each step takes the ready microservice with the
+        smallest ``key`` (default: the id), then id.  Microservices in ``done``
+        are left out and edges from them count as satisfied.  Raises
+        CycleDetected on a cycle."""
+        indegree = {ms_id: 0 for ms_id in self.microservices if ms_id not in done}
+        succ: dict[str, list[str]] = {ms_id: [] for ms_id in indegree}
+        for edge in self.edges:
+            if edge.from_ms in indegree and edge.to_ms in indegree:
+                indegree[edge.to_ms] += 1
+                succ[edge.from_ms].append(edge.to_ms)
+        key = key or (lambda ms_id: ms_id)
+        ready = [(key(ms_id), ms_id) for ms_id, deg in indegree.items() if deg == 0]
+        heapify(ready)
+        order: list[str] = []
+        while ready:
+            ms_id = heappop(ready)[1]
+            order.append(ms_id)
+            for to_ms in succ[ms_id]:
+                indegree[to_ms] -= 1
+                if indegree[to_ms] == 0:
+                    heappush(ready, (key(to_ms), to_ms))
+        if len(order) != len(indegree):
+            raise CycleDetected(_find_cycle(self, {ms for ms, deg in indegree.items() if deg}))
+        return order
 
 
 def _find_cycle(app: ApplicationDag, candidates: set[str]) -> list[str]:
-    succ: dict[str, list[str]] = {ms: [] for ms in candidates}
+    """A cycle among the microservices Kahn's walk left over: each has a left-over
+    predecessor, so walking predecessors closes one (successors may dead-end)."""
+    pred: dict[str, list[str]] = {ms: [] for ms in candidates}
     for edge in app.edges:
         if edge.from_ms in candidates and edge.to_ms in candidates:
-            succ[edge.from_ms].append(edge.to_ms)
-    start = sorted(candidates)[0]
-    path, seen = [start], {start}
-    node = start
+            pred[edge.to_ms].append(edge.from_ms)
+    node = min(candidates)
+    path, seen = [node], {node}
     while True:
-        node = sorted(succ[node])[0]
+        node = min(pred[node])
         if node in seen:
-            return path[path.index(node):] + [node]
+            return [node] + path[path.index(node):][::-1]
         path.append(node)
         seen.add(node)
 
@@ -172,16 +168,10 @@ def validate_app(app: ApplicationDag) -> ApplicationDag:
                     f"ingress {ingress!r} has non-IoT predecessor {edge.from_ms!r}"
                 )
 
-    app.topological_order()  # raises CycleDetected on cycles
-
     reachable = set(app.ingress_ids)
-    frontier = list(app.ingress_ids)
-    while frontier:
-        ms = frontier.pop()
-        for edge in app.successors(ms):
-            if edge.to_ms not in reachable:
-                reachable.add(edge.to_ms)
-                frontier.append(edge.to_ms)
+    for ms_id in app.topological_order():  # raises CycleDetected on cycles
+        if ms_id in reachable:
+            reachable.update(edge.to_ms for edge in app.successors(ms_id))
     for ms_id, ms in sorted(app.microservices.items()):
         if not ms.placed_on_iot and ms_id not in reachable:
             raise UnreachableMicroservice(f"{ms_id!r} is not reachable from any ingress")

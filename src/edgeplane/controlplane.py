@@ -1,15 +1,15 @@
 """Control plane: demand-driven placement, routing rules, validation, replans.
 
-One reconciler chooses node slots for both placement and replans.  It walks
-the application DAG frontier (a microservice becomes placeable once every
-predecessor is placed), strictest locality first.  For each microservice the
-offered demand is anchored per consumer edge: strict-domain edges anchor at
-each domain where the consumer holds instances, strict-region edges at each
-such region, and global edges pool everything.  Anchoring goes by consumer
-anchor, not by node slot: a consumer anchor that lies inside one anchor at
-the edge's level hands over its whole demand, and only a looser one (say a
-global consumer behind a strict-domain edge) is split by its instance count
-per domain.  Instance counts are the ceiling of anchored demand over
+One reconciler chooses node slots for both placement and replans.  It takes
+the microservices in one Kahn walk of the application DAG (a microservice is
+ready once every predecessor is placed), strictest locality first.  For each
+microservice the offered demand is anchored per consumer edge: strict-domain
+edges anchor at each domain where the consumer holds instances, strict-region
+edges at each such region, and global edges pool everything.  Anchoring goes
+by consumer anchor, not by node slot: a consumer anchor that lies inside one
+anchor at the edge's level hands over its whole demand, and only a looser one
+(say a global consumer behind a strict-domain edge) is split by its instance
+count per domain.  Instance counts are the ceiling of anchored demand over
 per-instance capacity, all in exact rational arithmetic.
 
 Each anchor's first branch keeps the slots it already holds, resized: a fresh
@@ -32,7 +32,13 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .appmodel import ApplicationDag, Microservice, PlacementRequest
-from .errors import InfeasiblePlacement, NoDestinationInScope, PlanningError, UnknownNode
+from .errors import (
+    InfeasiblePlacement,
+    NoDestinationInScope,
+    PlanningError,
+    UnknownMicroservice,
+    UnknownNode,
+)
 from .locality import LocalityLevel
 from .policy import PolicySet, eligible_domains_for_anchor
 from .topology import GLOBAL_ANCHOR, InfrastructureGraph
@@ -76,11 +82,8 @@ class PlacementMapping:
         return ordered
 
     def instances_of(self, ms_id: str) -> dict[str, int]:
-        agg: dict[str, int] = {}
-        for ap in self.per_ms.get(ms_id, {}).values():
-            for node_id, k in ap.slots:
-                agg[node_id] = agg.get(node_id, 0) + k
-        return dict(sorted(agg.items()))
+        slots = (slot for ap in self.per_ms.get(ms_id, {}).values() for slot in ap.slots)
+        return dict(sorted(_by_node(slots).items()))
 
     def total_instances(self, ms_id: str) -> int:
         return sum(self.instances_of(ms_id).values())
@@ -282,42 +285,20 @@ def _anchor_demand(
     return acc
 
 
-def _ms_strictness(pset: PolicySet, app: ApplicationDag, ms_id: str) -> LocalityLevel:
-    if ms_id in app.ingress_ids:
-        return pset.iot_level(ms_id)
-    incoming = [
-        pset.edge_level(e.from_ms, e.to_ms)
-        for e in app.predecessors(ms_id)
-        if not app.microservices[e.from_ms].placed_on_iot
-    ]
-    if not incoming:
-        return pset.default_locality
-    return min(incoming, key=lambda level: level.strictness)
-
-
 def _placement_sequence(app: ApplicationDag, pset: PolicySet) -> list[str]:
-    """Frontier order: all predecessors placed, strictest locality first.
-
-    Ties break on topological rank, then id.  IoT-placed microservices seed
-    the placed set and are never scheduled themselves.
+    """Kahn's walk over the DAG that takes the strictest ready microservice
+    first: an ingress has its IoT level, any other the strictest level of its
+    edges from non-IoT consumers.  Ties break on topological rank.  IoT-placed
+    microservices are never scheduled, and edges from them count as placed.
     """
-    rank = app.topo_rank()
-    placed = {ms_id for ms_id, ms in app.microservices.items() if ms.placed_on_iot}
-    remaining = set(app.microservices) - placed
-    sequence: list[str] = []
-    while remaining:
-        frontier = sorted(
-            (ms_id for ms_id in remaining
-             if all(e.from_ms in placed for e in app.predecessors(ms_id))),
-            key=lambda m: (_ms_strictness(pset, app, m).strictness, rank[m], m),
-        )
-        if not frontier:
-            raise PlanningError("placement frontier stalled; application DAG not validated")
-        pick = frontier[0]
-        sequence.append(pick)
-        placed.add(pick)
-        remaining.remove(pick)
-    return sequence
+    iot = frozenset(ms_id for ms_id, ms in app.microservices.items() if ms.placed_on_iot)
+    strictness = {ms_id: pset.iot_level(ms_id).strictness for ms_id in app.ingress_ids}
+    for ms_id in app.microservices.keys() - iot - app.ingress_ids:
+        strictness[ms_id] = min((pset.edge_level(e.from_ms, ms_id).strictness
+                                 for e in app.predecessors(ms_id) if e.from_ms not in iot),
+                                default=pset.default_locality.strictness)
+    rank = {ms_id: i for i, ms_id in enumerate(app.topological_order())}
+    return app.topological_order(key=lambda ms_id: (strictness[ms_id], rank[ms_id]), done=iot)
 
 
 # --- the reconciler ------------------------------------------------------------
@@ -520,7 +501,7 @@ def place_application(
     """Compute a compliant deployment plan for the offered demand.
 
     Runs the reconciler from an empty mapping: for each microservice in
-    frontier order it derives anchored demand from the consumers already
+    placement order it derives anchored demand from the consumers already
     placed, computes the instance count per anchor and assigns nodes
     first-fit within the anchor's eligible domains (locality scope
     intersected with the placement restriction policy), backtracking when a
@@ -770,13 +751,21 @@ def handle_alert(
     so a plan read back from its document replans the same on a freshly
     loaded graph; the drain flag is the only graph state written.  Routing
     rules are regenerated and the plan re-validated before it is returned
-    with a bumped revision.
+    with a bumped revision.  A ``plan`` naming a microservice or node that
+    the application or graph lacks raises UnknownMicroservice or UnknownNode.
     """
     if alert.kind == "demand_change":
         request = PlacementRequest(app=app, demand=alert.payload["demand"])
         demand = request.validate_against(graph).normalized_demand()
     else:
         demand = plan.demand
+
+    for ms_id, anchors in plan.mapping.per_ms.items():
+        if ms_id not in app.microservices:
+            raise UnknownMicroservice(f"plan names unknown microservice {ms_id!r}")
+        unknown = {node_id for ap in anchors.values() for node_id, _ in ap.slots} - graph.nodes.keys()
+        if unknown:
+            raise UnknownNode(f"plan places {ms_id!r} on unknown node {min(unknown)!r}")
 
     drained_node = None
     if alert.kind == "node_drain":

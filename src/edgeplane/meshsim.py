@@ -80,7 +80,6 @@ class MetricSample:
     tick: int
     node_id: str
     cpu_utilization: float
-    served: dict
 
 
 @dataclass(frozen=True)
@@ -237,7 +236,6 @@ def _node_samples(
             tick=tick,
             node_id=node_id,
             cpu_utilization=float(util),
-            served={ms: rate_to_number(rps) for ms, rps in sorted(served.items())},
         ))
     return samples
 

@@ -6,6 +6,8 @@ recursion) so that a planner bug cannot hide inside a shared helper:
 
 * ``oracle_eligible`` answers domain eligibility by brute force.
 * ``doc_scope`` reads a locality scope from the raw topology document.
+* ``oracle_sequence`` orders microservices for placement with its own
+  frontier loop, from levels read off the raw policy document.
 * ``oracle_feasible`` decides by exhaustive search whether any placement
   satisfying the per-anchor instance counts exists at all.
 * ``oracle_anchor_demand`` anchors a microservice's demand slot by slot.
@@ -87,6 +89,32 @@ def gen_chain_app(rng: random.Random, max_ms=4, ratios=(0.5, 1, 1, 2)):
                       "ratio": rng.choice(ratios)})
     return {"id": "fuzz-app", "microservices": microservices,
             "edges": edges, "ingress": ["ms1"]}
+
+
+def gen_dag_app(rng: random.Random, max_ms=6, max_fan_in=3):
+    """IoT sources feeding a random fan-in/fan-out DAG.  Ids are shuffled, so
+    id order differs from call order, and some IoT sources also feed
+    microservices past the ingress set."""
+    names = [f"ms{i}" for i in range(1, rng.randint(1, max_ms) + 1)]
+    rng.shuffle(names)
+    sources = [f"io{i}" for i in range(rng.randint(1, 2))]
+    microservices = [{"id": m, "iot": True} for m in sources]
+    edges, ingress = [], []
+    for i, ms_id in enumerate(names):
+        microservices.append({
+            "id": ms_id,
+            "cpu_m": rng.choice([250, 500, 1000]),
+            "mem_mi": rng.choice([256, 512]),
+            "capacity_rps": rng.choice([25, 50, 100]),
+        })
+        callers = rng.sample(names[:i], k=rng.randint(0, min(i, max_fan_in)))
+        if not callers:
+            ingress.append(ms_id)
+        if not callers or rng.random() < 0.2:
+            callers += rng.sample(sources, k=1)
+        edges += [{"from": c, "to": ms_id, "ratio": rng.choice((0.5, 1, 2))} for c in callers]
+    return {"id": "dag-app", "microservices": microservices,
+            "edges": edges, "ingress": ingress}
 
 
 def gen_policies(rng: random.Random, app_doc, domain_ids, restrict_prob=0.4,
@@ -233,6 +261,49 @@ def oracle_anchor_demand(graph, app, pset, demand, ms_id, per_ms_mapping):
     return acc
 
 
+def _frontier_walk(app, rank, done=()):
+    """Repeatedly take the lowest-ranked microservice whose predecessors are
+    all done or taken."""
+    done, order = set(done), []
+    todo = set(app.microservices) - done
+    while todo:
+        pick = min((m for m in todo if all(e.from_ms in done for e in app.predecessors(m))),
+                   key=rank)
+        order.append(pick)
+        done.add(pick)
+        todo.remove(pick)
+    return order
+
+
+def oracle_topological_order(app) -> list[str]:
+    """Every microservice, the ready one with the smallest id first."""
+    return _frontier_walk(app, rank=lambda m: m)
+
+
+def oracle_sequence(app, policy_doc) -> list[str]:
+    """Placement order: the ready microservice with the strictest level
+    first, ties by topological rank, then id.  An ingress takes its IoT
+    level, anything else the strictest level of its edges from non-IoT
+    consumers, both read from the raw policy document.  IoT-placed
+    microservices count as placed from the start."""
+    default_level = policy_doc.get("default_locality", "global")
+    iot_levels = {r["microservice"]: r["level"] for r in policy_doc.get("iot_locality", [])}
+    edge_levels = {(r["consumer"], r["consumed"]): r["level"]
+                   for r in policy_doc.get("ms_locality", [])}
+
+    def level(ms_id):
+        if ms_id in app.ingress_ids:
+            return iot_levels.get(ms_id, default_level)
+        levels = [edge_levels.get((e.from_ms, e.to_ms), default_level)
+                  for e in app.predecessors(ms_id)
+                  if not app.microservices[e.from_ms].placed_on_iot]
+        return min(levels, key=_STRICTNESS.__getitem__, default=default_level)
+
+    topo_rank = {m: i for i, m in enumerate(oracle_topological_order(app))}
+    iot = [m for m, ms in app.microservices.items() if ms.placed_on_iot]
+    return _frontier_walk(app, rank=lambda m: (_STRICTNESS[level(m)], topo_rank[m], m), done=iot)
+
+
 def oracle_feasible(graph, app, policy_doc, demand) -> bool:
     """Exhaustive search: does ANY compliant placement exist?
 
@@ -274,29 +345,7 @@ def oracle_feasible(graph, app, policy_doc, demand) -> bool:
             return sorted(d for d in graph.domains if region_of[d] == anchor)
         return sorted(graph.domains)
 
-    def ms_level(ms_id):
-        if ms_id in app.ingress_ids:
-            return iot_levels.get(ms_id, default_level)
-        levels = [
-            edge_levels.get((e.from_ms, e.to_ms), default_level)
-            for e in app.predecessors(ms_id)
-            if not app.microservices[e.from_ms].placed_on_iot
-        ]
-        if not levels:
-            return default_level
-        return min(levels, key=lambda lv: _STRICTNESS[lv])
-
-    topo_rank = {ms: i for i, ms in enumerate(app.topological_order())}
-    sequence = []
-    done = {m for m, ms in app.microservices.items() if ms.placed_on_iot}
-    todo = set(app.microservices) - done
-    while todo:
-        frontier = [m for m in todo
-                    if all(e.from_ms in done for e in app.predecessors(m))]
-        pick = min(frontier, key=lambda m: (_STRICTNESS[ms_level(m)], topo_rank[m], m))
-        sequence.append(pick)
-        done.add(pick)
-        todo.remove(pick)
+    sequence = oracle_sequence(app, policy_doc)
 
     def emissions(entries):
         out: dict[str, Fraction] = {}

@@ -318,7 +318,8 @@ def test_criterion_9_wire_conformance(canonical):
     pset, graph = canonical.policies, canonical.graph
     server = make_server(pset, graph)
     import threading
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
+                              daemon=True)
     thread.start()
     base = f"http://127.0.0.1:{server.server_address[1]}"
     pairs = 0

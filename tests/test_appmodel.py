@@ -115,6 +115,18 @@ def test_cycle_detected_with_path():
     assert " -> " in str(exc.value)
 
 
+def test_cycle_found_past_a_microservice_it_feeds():
+    """The cycle m3 -> m4 -> m3 also feeds m0, whose id sorts first."""
+    doc = chain_doc()
+    doc["microservices"] += [
+        {"id": m, "cpu_m": 100, "mem_mi": 128, "capacity_rps": 10} for m in ("m0", "m4")]
+    doc["edges"] += [{"from": "m3", "to": "m4"}, {"from": "m4", "to": "m3"},
+                     {"from": "m4", "to": "m0"}]
+    with pytest.raises(CycleDetected) as exc:
+        app_from_doc(doc)
+    assert exc.value.cycle in (["m3", "m4", "m3"], ["m4", "m3", "m4"])
+
+
 def test_unknown_edge_endpoint():
     doc = chain_doc()
     doc["edges"].append({"from": "m3", "to": "ghost"})

@@ -20,6 +20,7 @@ from edgeplane.controlplane import (
     _Budget,
     _distributions,
     _Ledger,
+    _placement_sequence,
     _reconcile,
     generate_routes,
     handle_alert,
@@ -32,11 +33,24 @@ from edgeplane.errors import (
     InfeasiblePlacement,
     NoDestinationInScope,
     PlanningError,
+    UnknownMicroservice,
+    UnknownNode,
 )
 from edgeplane.locality import LocalityLevel
 from edgeplane.scenario import read_yaml, scenario_from_doc
 
-from .support import SCENARIOS, build, gen_case, gen_small_case, oracle_anchor_demand
+from .support import (
+    SCENARIOS,
+    build,
+    gen_case,
+    gen_dag_app,
+    gen_policies,
+    gen_small_case,
+    gen_topology,
+    oracle_anchor_demand,
+    oracle_sequence,
+    oracle_topological_order,
+)
 
 
 # --- scenario helpers ---
@@ -92,6 +106,20 @@ def test_placement_sequence_strictest_first(canonical):
     assert plan.mapping.order == ("m2", "m3", "m4", "m5")
     assert plan.mapping.per_ms["m2"]["ed3"].level is LocalityLevel.STRICT_DOMAIN
     assert plan.mapping.per_ms["m3"]["region-2"].level is LocalityLevel.STRICT_REGION
+
+
+def test_sequence_orders_match_the_oracle_on_random_dags():
+    """Fan-in/fan-out DAGs with shuffled ids, IoT sources feeding past the
+    ingress set and tied levels: the placement sequence and the topological
+    order agree with the oracle's own frontier loops."""
+    for seed in range(400):
+        rng = random.Random(seed)
+        topo_doc, _ = gen_topology(rng)
+        app_doc = gen_dag_app(rng)
+        policy_doc = gen_policies(rng, app_doc, [d["id"] for d in topo_doc["domains"]])
+        _, app, pset, _ = build(topo_doc, app_doc, policy_doc, {})
+        assert app.topological_order() == oracle_topological_order(app), seed
+        assert _placement_sequence(app, pset) == oracle_sequence(app, policy_doc), seed
 
 
 def test_sequence_orders_parallel_branches_by_strictness():
@@ -846,6 +874,24 @@ def test_overload_alert_is_a_safe_replan(placed):
         assert plan2.mapping.instances_of(ms_id) == plan.mapping.instances_of(ms_id)
     assert validate_plan(scenario.graph, scenario.app, scenario.policies,
                          plan2).ok
+
+
+@pytest.mark.parametrize("key, error", [("node", UnknownNode),
+                                        ("microservice", UnknownMicroservice)])
+def test_replan_rejects_a_plan_naming_unknown_ids(canonical, key, error):
+    """A plan document naming a node or microservice the scenario lacks is
+    rejected before the replan writes the drain flag."""
+    plan = place_application(canonical.graph, canonical.app, canonical.request,
+                             canonical.policies)
+    doc = plan_to_doc(plan)
+    entry = doc["placements"][0]
+    (entry["nodes"][0] if key == "node" else entry)[key] = "ghost"
+    for alert in (Alert("overload", {"node": "ed3-n1", "utilization": 1.2}),
+                  Alert("node_drain", {"node": "ed3-n1"})):
+        with pytest.raises(error, match="ghost"):
+            handle_alert(canonical.graph, canonical.app, canonical.policies,
+                         plan_from_doc(doc), alert)
+    assert not any(node.drained for node in canonical.graph.nodes.values())
 
 
 def test_drain_can_be_infeasible():

@@ -115,7 +115,7 @@ def test_evaluate_response_malformed(setup):
 @pytest.fixture
 def server(canonical):
     srv = make_server(canonical.policies, canonical.graph)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread = threading.Thread(target=srv.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     yield srv, f"http://127.0.0.1:{srv.server_address[1]}"
     srv.shutdown()
