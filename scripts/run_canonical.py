@@ -10,12 +10,13 @@ import argparse
 import sys
 from pathlib import Path
 
-from edgeplane.controlplane import validate_plan
-from edgeplane.documents import dump_doc, plan_to_doc, report_to_doc, routes_docs
-from edgeplane.meshsim import run_scenario
-from edgeplane.scenario import load_scenario
-
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from edgeplane.controlplane import validate_plan  # noqa: E402
+from edgeplane.documents import dump_doc, plan_to_doc, report_to_doc, routes_docs  # noqa: E402
+from edgeplane.meshsim import run_scenario  # noqa: E402
+from edgeplane.scenario import load_scenario  # noqa: E402
 
 
 def main() -> int:

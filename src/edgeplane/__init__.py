@@ -25,7 +25,7 @@ from .controlplane import (
     validate_plan,
     handle_alert,
 )
-from .meshsim import FlowAssignment, SimulationReport, route_flows, check_compliance, run_scenario, utilization
+from .meshsim import FlowAssignment, SimulationReport, route_flows, node_utilization, check_compliance, run_scenario
 from .scenario import Scenario, load_scenario, scenario_from_doc
 
 __version__ = "0.1.0"

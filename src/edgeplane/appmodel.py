@@ -36,7 +36,7 @@ def as_rate(value) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
         raise InvalidRequest(f"expected a number, got {value!r}")
     if isinstance(value, float):
-        return Fraction(str(value))
+        return Fraction(repr(value))
     return Fraction(value)
 
 
@@ -142,7 +142,8 @@ def validate_app(app: ApplicationDag) -> ApplicationDag:
         UnknownMicroservice: an edge endpoint is not declared.
         UnknownIngress: an ingress id is undeclared, or names an IoT-placed
             microservice.
-        InvalidApplication: an ingress microservice has a non-IoT predecessor.
+        InvalidApplication: an edge feeds an IoT-placed microservice, or an
+            ingress microservice has a non-IoT predecessor.
         UnreachableMicroservice: a schedulable microservice is not reachable
             from any ingress.
     """
@@ -154,6 +155,10 @@ def validate_app(app: ApplicationDag) -> ApplicationDag:
                 raise UnknownMicroservice(f"edge endpoint {endpoint!r} not declared")
         if edge.from_ms == edge.to_ms:
             raise CycleDetected([edge.from_ms, edge.to_ms])
+        if app.microservices[edge.to_ms].placed_on_iot:
+            raise InvalidApplication(
+                f"edge {edge.from_ms}->{edge.to_ms} feeds IoT-placed {edge.to_ms!r}, a pure source"
+            )
     if len({(e.from_ms, e.to_ms) for e in app.edges}) != len(app.edges):
         raise InvalidApplication("duplicate edge in application DAG")
 

@@ -111,9 +111,6 @@ class RoutingRuleSet:
     def lookup(self, domain_id: str, consumer: str, target_ms: str) -> RoutingRule | None:
         return self._index.get((domain_id, consumer, target_ms))
 
-    def for_domain(self, domain_id: str) -> list[RoutingRule]:
-        return [r for r in self.rules if r.domain_id == domain_id]
-
 
 @dataclass
 class DeploymentPlan:

@@ -164,12 +164,12 @@ def routes_docs(graph: InfrastructureGraph, plan: DeploymentPlan) -> list[dict]:
     Every domain gets a document (possibly with no services) so exporting a
     plan always yields the same file set for a given topology.
     """
+    grouped: dict[str, dict[str, list[RoutingRule]]] = {}
+    for rule in plan.routes.rules:
+        grouped.setdefault(rule.domain_id, {}).setdefault(rule.target_ms, []).append(rule)
     docs = []
     for domain_id in sorted(graph.domains):
-        rules = plan.routes.for_domain(domain_id)
-        by_target: dict[str, list[RoutingRule]] = {}
-        for rule in rules:
-            by_target.setdefault(rule.target_ms, []).append(rule)
+        by_target = grouped.get(domain_id, {})
         services = []
         for target_ms in sorted(by_target):
             entries = sorted(by_target[target_ms], key=lambda r: r.consumer)

@@ -3,8 +3,10 @@
 Traffic flows are computed exactly (Fraction arithmetic) by walking the
 application DAG in topological order: ingress demand enters at each IoT
 attachment domain, each routing rule splits its load proportionally to
-destination weights, and every microservice forwards its served load along
-outgoing edges scaled by the edge's rate ratio.
+destination weights, and every microservice forwards the load that arrived
+at each domain's instances along its outgoing edges, scaled by the edge's
+rate ratio.  What arrives is tallied per microservice and domain as the
+rules split it, and node utilization is read off the flow rows in one pass.
 
 Compliance checking re-derives restriction and locality scopes from the
 policy data rather than trusting the routing rules, so a bad rule shows up
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .appmodel import ApplicationDag, PlacementRequest, rate_to_number
+from .appmodel import ApplicationDag, PlacementRequest, as_rate, rate_to_number
 from .controlplane import (
     IOT_SOURCE,
     Alert,
@@ -43,24 +45,6 @@ class FlowAssignment:
         key = (source_domain, source, node_id, target_ms)
         self.rows[key] = self.rows.get(key, Fraction(0)) + rps
 
-    def served_by_node(self) -> dict[tuple[str, str], Fraction]:
-        """Total rps served per (node, microservice)."""
-        agg: dict[tuple[str, str], Fraction] = {}
-        for (_, _, node_id, target_ms), rps in self.rows.items():
-            key = (node_id, target_ms)
-            agg[key] = agg.get(key, Fraction(0)) + rps
-        return agg
-
-    def incoming_per_domain(self, graph: InfrastructureGraph, target_ms: str) -> dict[str, Fraction]:
-        """Load arriving at each domain's instances of ``target_ms``."""
-        agg: dict[str, Fraction] = {}
-        for (_, _, node_id, ms), rps in self.rows.items():
-            if ms != target_ms:
-                continue
-            domain_id = graph.nodes[node_id].domain_id
-            agg[domain_id] = agg.get(domain_id, Fraction(0)) + rps
-        return agg
-
     def table(self) -> list[dict]:
         out = []
         for key in sorted(self.rows):
@@ -73,13 +57,6 @@ class FlowAssignment:
                 "rps": rate_to_number(self.rows[key]),
             })
         return out
-
-
-@dataclass(frozen=True)
-class MetricSample:
-    tick: int
-    node_id: str
-    cpu_utilization: float
 
 
 @dataclass(frozen=True)
@@ -98,7 +75,7 @@ class SimulationReport:
     violations: list[tuple[int, Violation]]
     throughput: list[dict]
     alerts: list[Alert]
-    samples: list[MetricSample]
+    utilization: list[dict[str, Fraction]]  # per routed tick: node -> cpu share
     final_revision: int
     ticks: int
     halted: dict | None = None
@@ -112,10 +89,27 @@ def route_flows(
 ) -> FlowAssignment:
     """Propagate offered demand through the routing rules.
 
+    Each rule splits its load over its destinations by weight, and every
+    share is also tallied in ``arrived[target][domain]``, so a microservice
+    forwards what arrived at each domain without rescanning the rows.
+
     Raises MissingRoute when positive traffic has no rule to follow; edges
     with a zero rate ratio forward nothing and need no rule.
     """
     flows = FlowAssignment()
+    arrived: dict[str, dict[str, Fraction]] = {}
+
+    def split(rule, source_domain: str, source: str, target_ms: str, rps: Fraction):
+        total_weight = sum(w for _, w in rule.destinations)
+        if total_weight <= 0:
+            raise MissingRoute(f"route {source_domain}/{source}->{target_ms} has no usable weights")
+        tally = arrived.setdefault(target_ms, {})
+        for node_id, weight in rule.destinations:
+            share = rps * Fraction(weight, total_weight)
+            if share > 0:
+                flows.add(source_domain, source, node_id, target_ms, share)
+                domain_id = graph.nodes[node_id].domain_id
+                tally[domain_id] = tally.get(domain_id, 0) + share
 
     for domain_id in sorted(demand):
         for ms_id in sorted(demand[domain_id]):
@@ -125,16 +119,13 @@ def route_flows(
             rule = plan.routes.lookup(domain_id, IOT_SOURCE, ms_id)
             if rule is None:
                 raise MissingRoute(f"no ingress route for {ms_id} from {domain_id}")
-            _split(flows, rule, domain_id, IOT_SOURCE, ms_id, rps)
+            split(rule, domain_id, IOT_SOURCE, ms_id, rps)
 
     for ms_id in app.topological_order():
         if app.microservices[ms_id].placed_on_iot:
             continue
-        outgoing = app.successors(ms_id)
-        if not outgoing:
-            continue
-        emitted = flows.incoming_per_domain(graph, ms_id)
-        for edge in sorted(outgoing, key=lambda e: e.to_ms):
+        emitted = arrived.get(ms_id, {})
+        for edge in sorted(app.successors(ms_id), key=lambda e: e.to_ms):
             for domain_id in sorted(emitted):
                 rps = emitted[domain_id] * edge.rate_ratio
                 if rps <= 0:
@@ -144,33 +135,28 @@ def route_flows(
                     raise MissingRoute(
                         f"no route for {ms_id}->{edge.to_ms} from {domain_id}"
                     )
-                _split(flows, rule, domain_id, ms_id, edge.to_ms, rps)
+                split(rule, domain_id, ms_id, edge.to_ms, rps)
 
     return flows
 
 
-def _split(flows: FlowAssignment, rule, source_domain: str, source: str, target_ms: str, rps: Fraction):
-    total_weight = sum(w for _, w in rule.destinations)
-    if total_weight <= 0:
-        raise MissingRoute(f"route {source_domain}/{source}->{target_ms} has no usable weights")
-    for node_id, weight in rule.destinations:
-        share = rps * Fraction(weight, total_weight)
-        if share > 0:
-            flows.add(source_domain, source, node_id, target_ms, share)
-
-
-def utilization(served: dict[str, Fraction], app: ApplicationDag, node) -> Fraction:
-    """Cpu utilization of a node given served rps per microservice.
+def node_utilization(
+    graph: InfrastructureGraph,
+    app: ApplicationDag,
+    flows: FlowAssignment,
+) -> dict[str, Fraction]:
+    """Every node's exact cpu utilization under ``flows``, by sorted node id.
 
     Each instance is sized for its rated capacity, so serving one rps costs
     cpu_req/capacity_rps millicores regardless of how many instances share
-    the load.
+    the load.  Idle nodes read 0.
     """
-    used = Fraction(0)
-    for ms_id, rps in served.items():
-        ms = app.microservices[ms_id]
-        used += rps * Fraction(ms.cpu_req) / ms.capacity_rps
-    return used / node.cpu_capacity
+    cost = {ms_id: Fraction(ms.cpu_req) / ms.capacity_rps
+            for ms_id, ms in app.microservices.items() if not ms.placed_on_iot}
+    used = dict.fromkeys(sorted(graph.nodes), Fraction(0))
+    for (_, _, node_id, ms_id), rps in flows.rows.items():
+        used[node_id] += rps * cost[ms_id]
+    return {node_id: u / graph.nodes[node_id].cpu_capacity for node_id, u in used.items()}
 
 
 def check_compliance(
@@ -219,27 +205,6 @@ def check_compliance(
     return violations
 
 
-def _node_samples(
-    graph: InfrastructureGraph,
-    app: ApplicationDag,
-    flows: FlowAssignment,
-    tick: int,
-) -> list[MetricSample]:
-    per_node: dict[str, dict[str, Fraction]] = {}
-    for (node_id, ms_id), rps in flows.served_by_node().items():
-        per_node.setdefault(node_id, {})[ms_id] = rps
-    samples = []
-    for node_id in sorted(graph.nodes):
-        served = per_node.get(node_id, {})
-        util = utilization(served, app, graph.nodes[node_id]) if served else Fraction(0)
-        samples.append(MetricSample(
-            tick=tick,
-            node_id=node_id,
-            cpu_utilization=float(util),
-        ))
-    return samples
-
-
 def _throughput_summary(
     graph: InfrastructureGraph,
     app: ApplicationDag,
@@ -276,16 +241,17 @@ def run_scenario(
     """Closed-loop run: place, then tick through events with replans.
 
     Each tick applies that tick's events (emitting one alert per event),
-    lets the control plane handle the alerts, routes flows, samples node
-    metrics, and audits compliance.  When no event fired and some node
-    exceeds the overload threshold, a single overload alert (worst node,
-    id tie-break) triggers a replan whose flows are re-routed in place.
-    An infeasible replan halts the loop with the failure recorded.
+    lets the control plane handle the alerts, routes flows, records every
+    node's exact utilization, and audits compliance.  When no event fired
+    and some node's utilization exceeds the overload threshold, a single
+    overload alert (worst node, lowest id among equals) triggers a replan
+    for the current demand, whose flows are re-routed in place.  An
+    infeasible replan halts the loop with the failure recorded.
     """
     control = control or ControlPlane(graph, app, policies)
     plan = control.place(request)
     demand = {d: dict(per) for d, per in plan.demand.items()}
-    threshold = Fraction(str(overload_threshold))
+    threshold = as_rate(overload_threshold)
 
     by_tick: dict[int, list[ScenarioEvent]] = {}
     for event in events:
@@ -293,7 +259,7 @@ def run_scenario(
     ticks = (max(by_tick) + 1) if by_tick else 1
 
     alerts: list[Alert] = []
-    samples: list[MetricSample] = []
+    utilization: list[dict[str, Fraction]] = []
     violations: list[tuple[int, Violation]] = []
     flows = FlowAssignment()
     halted: dict | None = None
@@ -313,41 +279,26 @@ def run_scenario(
                 alerts.append(alert)
                 plan = control.handle_alert(plan, alert)
             flows = route_flows(graph, app, plan, demand)
+            load = node_utilization(graph, app, flows)
+            utilization.append(load)
+            violations.extend((tick, v) for v in check_compliance(graph, policies, flows))
+            # nodes are in id order and max keeps the first of equals
+            worst = max(load, key=load.__getitem__, default=None)
+            if not event_alerts and worst is not None and load[worst] > threshold:
+                alert = Alert("overload", {"node": worst, "utilization": float(load[worst])}, tick)
+                alerts.append(alert)
+                plan = control.handle_alert(plan, alert)
+                flows = route_flows(graph, app, plan, demand)
         except InfeasiblePlacement as exc:
             halted = {"tick": tick, "reason": str(exc)}
             break
-
-        tick_samples = _node_samples(graph, app, flows, tick)
-        samples.extend(tick_samples)
-        for violation in check_compliance(graph, policies, flows):
-            violations.append((tick, violation))
-
-        if not event_alerts:
-            worst = min(
-                tick_samples,
-                key=lambda s: (-s.cpu_utilization, s.node_id),
-                default=None,
-            )
-            if worst is not None and Fraction(str(worst.cpu_utilization)) > threshold:
-                alert = Alert(
-                    "overload",
-                    {"node": worst.node_id, "utilization": worst.cpu_utilization},
-                    tick,
-                )
-                alerts.append(alert)
-                try:
-                    plan = control.handle_alert(plan, alert)
-                    flows = route_flows(graph, app, plan, demand)
-                except InfeasiblePlacement as exc:
-                    halted = {"tick": tick, "reason": str(exc)}
-                    break
 
     report = SimulationReport(
         flows=flows,
         violations=violations,
         throughput=_throughput_summary(graph, app, plan),
         alerts=alerts,
-        samples=samples,
+        utilization=utilization,
         final_revision=plan.revision,
         ticks=ticks,
         halted=halted,

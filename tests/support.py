@@ -11,6 +11,8 @@ recursion) so that a planner bug cannot hide inside a shared helper:
 * ``oracle_feasible`` decides by exhaustive search whether any placement
   satisfying the per-anchor instance counts exists at all.
 * ``oracle_anchor_demand`` anchors a microservice's demand slot by slot.
+* ``oracle_routed_totals`` derives each microservice's total load by plain
+  recursion over the raw application and demand documents.
 """
 
 from __future__ import annotations
@@ -302,6 +304,26 @@ def oracle_sequence(app, policy_doc) -> list[str]:
     topo_rank = {m: i for i, m in enumerate(oracle_topological_order(app))}
     iot = [m for m, ms in app.microservices.items() if ms.placed_on_iot]
     return _frontier_walk(app, rank=lambda m: (_STRICTNESS[level(m)], topo_rank[m], m), done=iot)
+
+
+def oracle_routed_totals(app_doc, demand_doc) -> dict[str, Fraction]:
+    """Total rps each schedulable microservice receives: its ingress demand
+    plus, for every non-IoT predecessor, that predecessor's total times the
+    edge ratio.  IoT-placed microservices forward nothing past the ingress."""
+    iot = {m["id"] for m in app_doc["microservices"] if m.get("iot")}
+    into: dict[str, list[tuple[str, Fraction]]] = {}
+    for e in app_doc["edges"]:
+        if e["from"] not in iot:
+            into.setdefault(e["to"], []).append((e["from"], Fraction(str(e.get("ratio", 1)))))
+    memo: dict[str, Fraction] = {}
+
+    def total(ms_id):
+        if ms_id not in memo:
+            offered = sum(Fraction(str(per.get(ms_id, 0))) for per in demand_doc.values())
+            memo[ms_id] = offered + sum(total(src) * r for src, r in into.get(ms_id, []))
+        return memo[ms_id]
+
+    return {m["id"]: total(m["id"]) for m in app_doc["microservices"] if m["id"] not in iot}
 
 
 def oracle_feasible(graph, app, policy_doc, demand) -> bool:

@@ -162,6 +162,16 @@ def test_ingress_predecessors_must_be_iot():
         app_from_doc(doc)
 
 
+@pytest.mark.parametrize("source", ["m3", "m1"])
+def test_edge_into_iot_placed_microservice(source):
+    # IoT-placed microservices are pure traffic sources: nothing may feed one
+    doc = chain_doc()
+    doc["microservices"].append({"id": "sink", "iot": True})
+    doc["edges"].append({"from": source, "to": "sink"})
+    with pytest.raises(InvalidApplication, match=f"{source}->sink"):
+        app_from_doc(doc)
+
+
 def test_unreachable_microservice():
     doc = chain_doc()
     doc["microservices"].append(

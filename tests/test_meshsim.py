@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from edgeplane import controlplane
 from edgeplane.appmodel import PlacementRequest
 from edgeplane.controlplane import (
     ControlPlane,
@@ -15,12 +16,19 @@ from edgeplane.meshsim import (
     FlowAssignment,
     ScenarioEvent,
     check_compliance,
+    node_utilization,
     route_flows,
     run_scenario,
-    utilization,
 )
 
-from .support import build, gen_case
+from .support import (
+    build,
+    gen_case,
+    gen_dag_app,
+    gen_policies,
+    gen_topology,
+    oracle_routed_totals,
+)
 
 
 F = Fraction
@@ -60,7 +68,9 @@ def test_route_flows_canonical_exact(canonical_flows):
 
 def test_canonical_node_loads(canonical_flows):
     _, _, flows = canonical_flows
-    served = flows.served_by_node()
+    served = {}
+    for (_, _, node, ms), rps in flows.rows.items():
+        served[node, ms] = served.get((node, ms), 0) + rps
     assert served[("ed3-n1", "m3")] == F(100)
     assert served[("ed3-n2", "m3")] == F(150)
     assert served[("ed4-n1", "m3")] == F(50)
@@ -142,23 +152,27 @@ def test_zero_demand_needs_no_routes(canonical):
 
 
 def test_utilization_frozen(canonical):
-    app = canonical.app
-    node = canonical.graph.nodes["ed3-n1"]  # 3500 millicores
+    graph, app = canonical.graph, canonical.app
+
+    def util_of(rows):
+        flows = FlowAssignment()
+        for ms, rps in rows.items():
+            flows.add("ed3", "iot", "ed3-n1", ms, rps)
+        return node_utilization(graph, app, flows)["ed3-n1"]  # 3500 millicores
+
     # m2 costs 500/50 = 10 millicores per rps
-    assert utilization({"m2": F(175)}, app, node) == F(1, 2)
-    assert utilization({"m2": F(175, 2)}, app, node) == F(1, 4)
-    assert utilization({}, app, node) == 0
+    assert util_of({"m2": F(175)}) == F(1, 2)
+    assert util_of({"m2": F(175, 2)}) == F(1, 4)
+    assert util_of({}) == 0
     # mixed services accumulate: m3 costs 1000/50 = 20 m per rps
-    assert utilization({"m2": F(100), "m3": F(100)}, app, node) == F(3000, 3500)
+    assert util_of({"m2": F(100), "m3": F(100)}) == F(3000, 3500)
 
 
 def test_canonical_rated_utilization(canonical_flows):
     scenario, _, flows = canonical_flows
-    per_node = {}
-    for (node_id, ms_id), rps in flows.served_by_node().items():
-        per_node.setdefault(node_id, {})[ms_id] = rps
-    util = {n: utilization(served, scenario.app, scenario.graph.nodes[n])
-            for n, served in per_node.items()}
+    util = node_utilization(scenario.graph, scenario.app, flows)
+    assert list(util) == sorted(scenario.graph.nodes)
+    assert all(isinstance(u, Fraction) for u in util.values())
     assert util["ed3-n2"] == 1
     assert util["ed4-n2"] == 1
     assert util["cl-n1"] == util["cl-n2"] == util["cl-n3"] == 1
@@ -245,6 +259,40 @@ def test_flow_conservation_fuzzed():
     assert checked == 25
 
 
+def test_flow_conservation_on_dags(monkeypatch):
+    """Fan-in sums several routes into one microservice, fan-out copies one
+    total onto several edges: each microservice's routed total must equal
+    the recurrence over the raw documents.
+
+    Unplaced cases are skipped, so a small search budget only makes the
+    hard ones (a give-up and a 5 s proof in this stream at the full budget)
+    cheap to skip; the same 50 cases are placed either way."""
+    monkeypatch.setattr(controlplane, "SEARCH_BUDGET", 2_000)
+    rng = random.Random(20261018)
+    checked = attempts = 0
+    while checked < 50 and attempts < 200:
+        attempts += 1
+        topo_doc, attach = gen_topology(rng)
+        app_doc = gen_dag_app(rng)
+        policy_doc = gen_policies(rng, app_doc, [d["id"] for d in topo_doc["domains"]])
+        demand_doc = {d: {m: rng.choice((25, 50, 100)) for m in app_doc["ingress"]}
+                      for d in attach}
+        graph, app, pset, request = build(topo_doc, app_doc, policy_doc, demand_doc)
+        try:
+            plan = place_application(graph, app, request, pset)
+        except InfeasiblePlacement:
+            continue
+        flows = route_flows(graph, app, plan, plan.demand)
+        expected = oracle_routed_totals(app_doc, demand_doc)
+        routed = dict.fromkeys(expected, F(0))
+        for (_, _, _, ms), rps in flows.rows.items():
+            routed[ms] += rps
+        assert routed == expected, attempts
+        assert check_compliance(graph, pset, flows) == [], attempts
+        checked += 1
+    assert checked == 50
+
+
 # --- closed-loop runs ---
 
 
@@ -257,8 +305,9 @@ def test_run_scenario_canonical(canonical):
     assert report.alerts == []
     assert report.violations == []
     assert report.halted is None
-    assert len(report.samples) == 7  # one per node, one tick
-    assert {s.node_id for s in report.samples} == set(canonical.graph.nodes)
+    assert len(report.utilization) == 1  # one tick
+    assert list(report.utilization[0]) == sorted(canonical.graph.nodes)
+    assert report.utilization[0]["ed3-n1"] == F(6, 7)
     assert report.flows.rows == CANONICAL_ROWS
     assert all(entry["satisfied"] for entry in report.throughput)
     m3 = next(e for e in report.throughput if e["microservice"] == "m3")
@@ -277,8 +326,9 @@ def test_run_scenario_surge(surge):
     assert report.alerts[0].tick == 5
     assert report.violations == []
     assert report.halted is None
-    # 3 nodes x 6 ticks
-    assert len(report.samples) == 18
+    # 6 ticks x 3 nodes
+    assert len(report.utilization) == 6
+    assert all(len(tick) == 3 for tick in report.utilization)
     # after the surge the affected anchor is scaled for 200 rps
     assert plan.mapping.per_ms["m2"]["ed3"].demand_rps == F(200)
     assert plan.mapping.per_ms["m2"]["ed3"].total_instances == 4
@@ -346,8 +396,8 @@ def test_run_scenario_halts_when_drain_unrecoverable():
     assert report.halted is not None
     assert report.halted["tick"] == 1
     assert "cannot place" in report.halted["reason"]
-    # the loop stopped: samples only for the pre-drain tick
-    assert {s.tick for s in report.samples} == {0}
+    # the loop stopped: utilization only for the pre-drain tick
+    assert len(report.utilization) == 1
     assert report.final_revision == 1
 
 
@@ -368,6 +418,15 @@ def test_run_scenario_overload_alert(canonical):
     assert report.violations == []
     report_plan = plan
     assert report_plan.mapping.instances_of("m2") == {"ed3-n1": 2, "ed4-n1": 4}
+
+
+def test_overload_threshold_is_strict(canonical):
+    # the busiest nodes sit at exactly 1: only a load above the threshold alerts
+    _, report = run_scenario(
+        canonical.graph, canonical.app, canonical.policies, canonical.request,
+        canonical.events, overload_threshold=1)
+    assert report.alerts == []
+    assert max(report.utilization[0].values()) == 1
 
 
 def test_run_scenario_set_demand_event_updates_alert_payload(surge):
