@@ -3,7 +3,9 @@
 
 Places the test suite's seeded random scenarios (``tests.support.gen_case``)
 and cross-checks every successful plan with the independent validator and
-the flow-level compliance audit.  Any violation is a bug.
+the flow-level compliance audit.  Any violation is a bug.  Infeasible
+scenarios are tallied as proved (a capacity cut or an exhausted search)
+or as given up (the search ran out of its step budget).
 
     python3 scripts/fuzz_placement.py [--seed N] [--cases N]
 """
@@ -29,13 +31,14 @@ def main() -> int:
     args = parser.parse_args()
 
     rng = random.Random(args.seed)
-    placed = infeasible = bad = 0
+    placed = proved = gave_up = bad = 0
     for case in range(args.cases):
         graph, app, pset, request = build(*gen_case(rng))
         try:
             plan = ControlPlane(graph, app, pset).place(request)
-        except InfeasiblePlacement:
-            infeasible += 1
+        except InfeasiblePlacement as exc:
+            proved += exc.proved
+            gave_up += not exc.proved
             continue
         placed += 1
         report = validate_plan(graph, app, pset, plan)
@@ -44,7 +47,8 @@ def main() -> int:
         if report.violations or audit:
             bad += 1
             print(f"case {case}: VIOLATIONS {report.violations + audit}", file=sys.stderr)
-    print(f"{args.cases} cases: {placed} placed, {infeasible} infeasible, {bad} non-compliant")
+    print(f"{args.cases} cases: {placed} placed, {proved} proved infeasible, {gave_up} gave up, "
+          f"{bad} non-compliant")
     return 1 if bad else 0
 
 

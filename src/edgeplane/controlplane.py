@@ -23,6 +23,13 @@ node, anchor or microservice count runs into the recursion limit.  Each
 (microservice, anchor) resolves its eligible, undrained nodes once per
 search; a visit only re-sorts that list by the free capacity at hand.  All
 ordering is deterministic, so identical inputs produce identical plans.
+
+The first time a choice point runs out of choices, a root capacity check
+bounds the whole request: instance lower bounds that no placement can
+change, routed through one transportation max-flow per resource onto the
+nodes each may use.  A flow short of the need proves the request infeasible,
+and the minimum cut is the proof's certificate.  A search that never
+backtracks never runs it.
 """
 
 from __future__ import annotations
@@ -147,6 +154,21 @@ class Alert:
         missing = [k for k in ALERT_KINDS[self.kind] if k not in self.payload]
         if missing:
             raise PlanningError(f"{self.kind} alert payload missing {missing}")
+
+
+@dataclass(frozen=True)
+class CapacityCut:
+    """A minimum cut of the root capacity check: a Hall-type witness that no
+    compliant placement exists.  The ``items`` need ``need`` of ``resource``
+    in all; ``nodes``, every undrained node any of them may use, hold at
+    most ``capacity`` of it for them, where a node holds the lesser of its
+    capacity and what the items' instances that fit on it request."""
+
+    resource: str  # "cpu" (millicores) or "mem" (MiB)
+    need: int
+    capacity: int
+    items: tuple[tuple[str, str, int], ...]  # (microservice, anchor, instance lower bound)
+    nodes: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -298,6 +320,175 @@ def _placement_sequence(app: ApplicationDag, pset: PolicySet) -> list[str]:
     return app.topological_order(key=lambda ms_id: (strictness[ms_id], rank[ms_id]), done=iot)
 
 
+# --- the root capacity check -------------------------------------------------------
+
+
+def _max_flow(size: int, arcs, source: int, sink: int) -> tuple[int, list[bool]]:
+    """Dinic's maximum flow over ``arcs`` of (tail, head, capacity).
+
+    Returns the flow value and, per vertex, whether it is still reachable
+    from the source in the final residual network: the source side of a
+    minimum cut (Ford & Fulkerson, 1956).  Paths are searched with an
+    explicit stack, so no vertex count runs into the recursion limit.
+    """
+    out: list[list[int]] = [[] for _ in range(size)]
+    head: list[int] = []
+    room: list[int] = []  # residual capacity per arc; arc a ^ 1 is arc a reversed
+    for tail, to, capacity in arcs:
+        out[tail].append(len(head))
+        head.append(to)
+        room.append(capacity)
+        out[to].append(len(head))
+        head.append(tail)
+        room.append(0)
+    flow = 0
+    while True:
+        level = [-1] * size
+        level[source] = 0
+        queue = [source]
+        for u in queue:
+            for a in out[u]:
+                if room[a] and level[head[a]] < 0:
+                    level[head[a]] = level[u] + 1
+                    queue.append(head[a])
+        if level[sink] < 0:
+            return flow, [lv >= 0 for lv in level]
+        ahead = [0] * size  # per vertex, the next of its arcs to try in this phase
+        path: list[int] = []  # the arcs from the source to ``u``
+        u = source
+        while True:
+            if u == sink:
+                push = min(room[a] for a in path)
+                for a in path:
+                    room[a] -= push
+                    room[a ^ 1] += push
+                flow += push
+                path.clear()
+                u = source
+                continue
+            arcs_u, i = out[u], ahead[u]
+            while i < len(arcs_u) and not (room[arcs_u[i]] and level[head[arcs_u[i]]] == level[u] + 1):
+                i += 1
+            ahead[u] = i
+            if i < len(arcs_u):
+                path.append(arcs_u[i])
+                u = head[arcs_u[i]]
+            elif path:  # a dead end: step back and pass over the arc that led here
+                u = head[path.pop() ^ 1]
+                ahead[u] += 1
+            else:
+                break
+
+
+def _capacity_cut(
+    graph: InfrastructureGraph,
+    app: ApplicationDag,
+    pset: PolicySet,
+    demand: dict[str, dict[str, Fraction]],
+) -> CapacityCut | None:
+    """A cut proving that no compliant placement of ``demand`` exists, or None.
+
+    Its items are (microservice, anchor) pairs with an instance lower bound
+    that no placement can change.  Flow conservation fixes a microservice's
+    pooled load (its ingress demand plus each non-IoT consumer's load times
+    the edge ratio) however its consumers are placed, so it needs at least
+    ``ceil(load / capacity_rps)`` instances on the undrained nodes its
+    restriction allows: one item at the global anchor.  An ingress at a
+    strict IoT level gets one item per anchor of its attachment demand
+    instead, over that anchor's eligible domains.  Every anchor's instances
+    are its own, so any placement puts each item's bound on the item's
+    nodes, at most as many on a node as fit there.
+
+    The network source -> item (bound x request) -> node (instances that fit
+    x request) -> sink (node capacity) is solved for cpu, then mem.  A flow
+    below the total need proves the request infeasible, and the items on the
+    source side of a minimum cut are the witness.  The items are listed in
+    placement order; an item with no usable node is a cut on its own.
+    """
+    sequence = _placement_sequence(app, pset)  # a topological order of the schedulable microservices
+    load: dict[str, Fraction] = {}
+    items: list[tuple[Microservice, str, int, list]] = []  # (ms, anchor, bound, usable nodes)
+    for ms_id in sequence:
+        ms = app.microservices[ms_id]
+        if ms_id in app.ingress_ids:
+            level = pset.iot_level(ms_id)
+            scopes: dict[str, Fraction] = {}
+            for domain_id, per in demand.items():
+                anchor = graph.anchor_of(domain_id, level)
+                scopes[anchor] = scopes.get(anchor, Fraction(0)) + per.get(ms_id, Fraction(0))
+            load[ms_id] = sum(scopes.values(), Fraction(0))
+        else:  # IoT consumers are not in ``load``: they forward nothing
+            load[ms_id] = sum((load[e.from_ms] * e.rate_ratio
+                               for e in app.predecessors(ms_id) if e.from_ms in load), Fraction(0))
+            scopes = {GLOBAL_ANCHOR: load[ms_id]}
+        for anchor, rps in sorted(scopes.items()):
+            bound = -(-rps // ms.capacity_rps)
+            if bound <= 0:
+                continue
+            nodes = [node for domain_id in eligible_domains_for_anchor(pset, ms_id, anchor, graph)
+                     for node in graph.nodes_of_domain(domain_id) if not node.drained]
+            if not nodes:
+                return CapacityCut("cpu", bound * ms.cpu_req, 0, ((ms_id, anchor, bound),), ())
+            items.append((ms, anchor, bound, nodes))
+
+    node_ids = sorted({node.id for *_, nodes in items for node in nodes})
+    vertex = {node_id: 2 + len(items) + k for k, node_id in enumerate(node_ids)}  # 0 source, 1 sink
+    for resource, req, cap in (("cpu", "cpu_req", "cpu_capacity"), ("mem", "mem_req", "mem_capacity")):
+        need = [bound * getattr(ms, req) for ms, _, bound, _ in items]
+        reach = [{node.id: getattr(ms, req) * min(node.cpu_capacity // ms.cpu_req,
+                                                  node.mem_capacity // ms.mem_req)
+                  for node in nodes}
+                 for ms, _, _, nodes in items]  # per item and node, what the instances that fit request
+        arcs = [(0, 2 + k, n) for k, n in enumerate(need)]
+        arcs += [(2 + k, vertex[node_id], r) for k, per in enumerate(reach) for node_id, r in per.items()]
+        arcs += [(vertex[node_id], 1, getattr(graph.nodes[node_id], cap)) for node_id in node_ids]
+        flow, source_side = _max_flow(2 + len(items) + len(node_ids), arcs, 0, 1)
+        if flow == sum(need):
+            continue
+        cut = [k for k in range(len(items)) if source_side[2 + k]]
+        held: dict[str, int] = {}
+        for k in cut:
+            for node_id, r in reach[k].items():
+                held[node_id] = held.get(node_id, 0) + r
+        return CapacityCut(
+            resource=resource,
+            need=sum(need[k] for k in cut),
+            capacity=sum(min(getattr(graph.nodes[node_id], cap), r) for node_id, r in held.items()),
+            items=tuple((items[k][0].id, items[k][1], items[k][2]) for k in cut),
+            nodes=tuple(sorted(held)),
+        )
+    return None
+
+
+class _RootCheck:
+    """The root capacity check of one (graph, drained set, demand): the first
+    call runs :func:`_capacity_cut` and raises InfeasiblePlacement, with
+    ``proved`` set and the cut as its certificate, if it finds a cut; later
+    calls do nothing.  It names the cut's first item, with the search's cause."""
+
+    def __init__(self, graph: InfrastructureGraph, app: ApplicationDag, pset: PolicySet,
+                 demand: dict[str, dict[str, Fraction]]):
+        self.inputs = (graph, app, pset, demand)
+        self.pending = True
+
+    def __call__(self):
+        if not self.pending:
+            return
+        self.pending = False
+        graph, _, pset, _ = self.inputs
+        cut = _capacity_cut(*self.inputs)
+        if cut is None:
+            return
+        ms_id, anchor, _ = cut.items[0]
+        empty = not cut.nodes and not eligible_domains_for_anchor(pset, ms_id, anchor, graph)
+        unit = "m" if cut.resource == "cpu" else "Mi"
+        raise InfeasiblePlacement(
+            ms_id, anchor, "policy-empty scope" if empty else "insufficient capacity",
+            proved=True, certificate=cut,
+            detail=f"proved by a {cut.resource} cut: need {cut.need}{unit}, capacity {cut.capacity}{unit}",
+        )
+
+
 # --- the reconciler ------------------------------------------------------------
 
 
@@ -343,6 +534,7 @@ def _reconcile(
     budget: _Budget,
     current: dict[str, dict[str, AnchorPlacement]] | None = None,
     drained: str | None = None,
+    check: _RootCheck | None = None,
 ) -> PlacementMapping:
     """Choose node slots for every (microservice, anchor), in placement order.
 
@@ -359,10 +551,16 @@ def _reconcile(
     (microservice, anchor)'s eligible, undrained node ids are resolved on its
     first visit and kept for the rest of the call.
 
-    Raises InfeasiblePlacement naming the deepest unsatisfiable microservice
-    and anchor, with the cause.
+    The first choice point to run out of choices runs the root capacity
+    ``check`` (a fresh :class:`_RootCheck` unless given one), which raises a
+    proved InfeasiblePlacement if it finds a cut; a search that never
+    backtracks never pays for it.  Otherwise raises InfeasiblePlacement
+    naming the deepest unsatisfiable microservice and anchor, with the cause:
+    proved when the tree of a fresh search (no ``current``) is exhausted, not
+    proved when the step budget runs out.
     """
     current = current or {}
+    check = check or _RootCheck(graph, app, pset, demand)
     ledger = _Ledger({n.id: n.cpu_capacity for n in graph.nodes.values()},
                      {n.id: n.mem_capacity for n in graph.nodes.values()})
     for ms_id, anchors in current.items():
@@ -472,17 +670,19 @@ def _reconcile(
                         placements[anchor] = AnchorPlacement(anchor, level, rps, slots)
                     break
                 stack.pop()
+                check()
                 if old is not None:
                     ledger.take(old.slots, ms)
                 if (pos, j) > deepest:
                     deepest = (pos, j)
                     empty = need > 0 and not eligible_domains_for_anchor(pset, ms.id, anchor, graph)
                     failed = (ms.id, anchor, "policy-empty scope" if empty else "insufficient capacity")
-            else:
-                raise InfeasiblePlacement(*failed)
+            else:  # a tree searched from held slots proves nothing about a fresh placement
+                raise InfeasiblePlacement(*failed, proved=not current)
     except _BudgetExhausted:
         ms_id, anchor, _ = failed or (sequence[-1], GLOBAL_ANCHOR, None)
-        raise InfeasiblePlacement(ms_id, anchor, "insufficient capacity (search budget exhausted)") from None
+        raise InfeasiblePlacement(ms_id, anchor, "insufficient capacity", proved=False,
+                                  detail="search budget exhausted") from None
     return PlacementMapping(
         per_ms={ms_id: acc[ms_id] for ms_id in sequence if acc[ms_id]},
         order=tuple(sequence),
@@ -744,11 +944,14 @@ def handle_alert(
     region) and shrink removes the newest instances first.  If no plan is
     reachable that way, the reconciler runs once more from an empty mapping,
     as a fresh placement of the post-alert state, with the same search
-    budget.  Free capacity comes from stated capacities and ``plan`` alone,
-    so a plan read back from its document replans the same on a freshly
-    loaded graph; the drain flag is the only graph state written.  Routing
-    rules are regenerated and the plan re-validated before it is returned
-    with a bumped revision.  A ``plan`` naming a microservice or node that
+    budget, unless the first run's failure is proved: the root capacity
+    check depends only on the graph's drain flags and the demand, so both
+    runs share it, it runs at most once, and a cut it finds ends the replan
+    with no fresh run.  Free capacity comes from stated capacities and
+    ``plan`` alone, so a plan read back from its document replans the same
+    on a freshly loaded graph; the drain flag is the only graph state
+    written.  Routing rules are regenerated and the plan re-validated before
+    it is returned with a bumped revision.  A ``plan`` naming a microservice or node that
     the application or graph lacks raises UnknownMicroservice or UnknownNode.
     """
     if alert.kind == "demand_change":
@@ -772,11 +975,14 @@ def handle_alert(
         graph.nodes[drained_node].drained = True
 
     budget = _Budget(SEARCH_BUDGET)
+    check = _RootCheck(graph, app, policies, demand)
     try:
         mapping = _reconcile(graph, app, policies, demand, budget,
-                             current=plan.mapping.per_ms, drained=drained_node)
-    except InfeasiblePlacement:
-        mapping = _reconcile(graph, app, policies, demand, budget)
+                             current=plan.mapping.per_ms, drained=drained_node, check=check)
+    except InfeasiblePlacement as exc:
+        if exc.proved:
+            raise
+        mapping = _reconcile(graph, app, policies, demand, budget, check=check)
 
     routes = generate_routes(graph, app, mapping, policies)
     new_plan = DeploymentPlan(

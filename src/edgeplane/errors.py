@@ -110,17 +110,26 @@ class PlanningError(EdgeplaneError):
 
 
 class InfeasiblePlacement(PlanningError):
-    """The planner proved no compliant placement exists (or exhausted its search).
+    """The planner found no compliant placement.
 
     Carries the microservice and anchor scope that could not be satisfied and
     the failure cause ("policy-empty scope" or "insufficient capacity").
+    ``proved`` says whether no compliant placement exists at all: a capacity
+    cut or an exhausted search tree proves it, a search that ran out of its
+    step budget does not, and its message then ends in "(search budget
+    exhausted)".  ``certificate`` holds the capacity cut of a cut proof, and
+    ``detail`` is appended to the message.
     """
 
-    def __init__(self, microservice: str, anchor: str, cause: str):
+    def __init__(self, microservice: str, anchor: str, cause: str, *,
+                 proved: bool, certificate=None, detail: str = ""):
         self.microservice = microservice
         self.anchor = anchor
         self.cause = cause
-        super().__init__(f"cannot place {microservice!r} for anchor {anchor!r}: {cause}")
+        self.proved = proved
+        self.certificate = certificate
+        suffix = f" ({detail})" if detail else ""
+        super().__init__(f"cannot place {microservice!r} for anchor {anchor!r}: {cause}{suffix}")
 
 
 class NoDestinationInScope(PlanningError):

@@ -13,6 +13,8 @@ recursion) so that a planner bug cannot hide inside a shared helper:
 * ``oracle_anchor_demand`` anchors a microservice's demand slot by slot.
 * ``oracle_routed_totals`` derives each microservice's total load by plain
   recursion over the raw application and demand documents.
+* ``check_capacity_cut`` re-derives a capacity cut's bounds, nodes and
+  inequality from the raw documents.
 """
 
 from __future__ import annotations
@@ -151,10 +153,10 @@ def gen_policies(rng: random.Random, app_doc, domain_ids, restrict_prob=0.4,
     return doc
 
 
-def gen_case(rng: random.Random, demand_choices=(25, 50, 100)):
+def gen_case(rng: random.Random, demand_choices=(25, 50, 100), gen_app=gen_chain_app):
     """One full random scenario: returns the four raw documents."""
     topo_doc, attach = gen_topology(rng)
-    app_doc = gen_chain_app(rng)
+    app_doc = gen_app(rng)
     policy_doc = gen_policies(rng, app_doc, [d["id"] for d in topo_doc["domains"]])
     demand_doc = {d: {m: rng.choice(demand_choices) for m in app_doc["ingress"]}
                   for d in attach}
@@ -451,3 +453,65 @@ def oracle_feasible(graph, app, policy_doc, demand) -> bool:
         return per_anchor(0, [], used)
 
     return search(0, {}, {})
+
+
+def check_capacity_cut(topo_doc, app_doc, policy_doc, demand_doc, cut, drained=()) -> bool:
+    """Whether ``cut`` proves the demand infeasible, judged from the raw
+    documents alone.
+
+    Each (microservice, anchor, bound) item must carry the bound the
+    documents give it: at the global anchor the ceiling of the
+    microservice's routed total (``oracle_routed_totals``) over its
+    capacity_rps, at a domain or region anchor of an ingress whose IoT level
+    is that strict, the ceiling of the attachment demand inside the anchor.
+    A microservice has one global item or items at distinct anchors, so no
+    instance counts twice.  ``nodes`` must be exactly the undrained nodes in
+    the items' scopes that their restrictions allow.  The items' need of the
+    cut's resource must equal ``need`` and exceed ``capacity``, which must
+    equal the sum over those nodes of the lesser of the node's capacity and
+    what the items' instances that fit on it request.
+    """
+    ms_docs = {m["id"]: m for m in app_doc["microservices"] if not m.get("iot")}
+    totals = oracle_routed_totals(app_doc, demand_doc)
+    region_of = {d: r["id"] for r in topo_doc["regions"] for d in r["domains"]}
+    default_level = policy_doc.get("default_locality", "global")
+    iot_levels = {r["microservice"]: r["level"] for r in policy_doc.get("iot_locality", [])}
+    restrictions = {r["microservice"]: (r["mode"], set(r["domains"]))
+                    for r in policy_doc.get("placement_restriction", [])}
+    nodes = {n["id"]: n for n in topo_doc["nodes"] if n["id"] not in drained}
+    key = {"cpu": "cpu_m", "mem": "mem_mi"}[cut.resource]
+
+    def allowed(ms_id, domain_id):
+        if ms_id not in restrictions:
+            return True
+        mode, listed = restrictions[ms_id]
+        return domain_id in listed if mode == "allow" else domain_id not in listed
+
+    anchors_of: dict[str, set[str]] = {}
+    held: dict[str, int] = {}
+    need = 0
+    for ms_id, anchor, bound in cut.items:
+        ms = ms_docs.get(ms_id)
+        anchors = anchors_of.setdefault(ms_id, set())
+        overlaps = anchor in anchors or (anchors and "global" in anchors | {anchor})
+        if ms is None or overlaps:
+            return False
+        anchors.add(anchor)
+        if anchor == "global":
+            rps, scope = totals[ms_id], set(region_of)
+        else:
+            level = iot_levels.get(ms_id, default_level)
+            if ms_id not in app_doc["ingress"] or level == "global":
+                return False
+            scope = {d for d in region_of if (d if level == "strict-domain" else region_of[d]) == anchor}
+            rps = sum(Fraction(str(per.get(ms_id, 0))) for d, per in demand_doc.items() if d in scope)
+        if bound != math.ceil(rps / Fraction(str(ms["capacity_rps"]))):
+            return False
+        need += bound * ms[key]
+        for node in nodes.values():
+            if node["domain"] in scope and allowed(ms_id, node["domain"]):
+                fit = min(node["cpu_m"] // ms["cpu_m"], node["mem_mi"] // ms["mem_mi"])
+                held[node["id"]] = held.get(node["id"], 0) + fit * ms[key]
+    capacity = sum(min(nodes[node_id][key], h) for node_id, h in held.items())
+    return (tuple(sorted(held)) == tuple(cut.nodes) and need == cut.need
+            and capacity == cut.capacity and need > capacity)

@@ -2,6 +2,7 @@ import copy
 import itertools
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from edgeplane.controlplane import (
     SEARCH_BUDGET,
     _anchor_demand,
     _Budget,
+    _capacity_cut,
     _distributions,
     _Ledger,
     _placement_sequence,
@@ -40,8 +42,10 @@ from edgeplane.locality import LocalityLevel
 from edgeplane.scenario import read_yaml, scenario_from_doc
 
 from .support import (
+    ROOT,
     SCENARIOS,
     build,
+    check_capacity_cut,
     gen_case,
     gen_dag_app,
     gen_policies,
@@ -289,16 +293,11 @@ def test_wide_anchor_places_one_instance_per_node():
 # --- demand anchoring ---
 
 
-def test_anchor_demand_matches_slot_by_slot_oracle(monkeypatch):
+def test_anchor_demand_matches_slot_by_slot_oracle():
     """Anchoring by containment returns exactly the slot-by-slot formula's
     (level, rps) per anchor, for every microservice of seeded plans at 1x
-    and 2x demand and of one seeded node-drain replan of each.
-
-    The budget is cut to 20,000 steps: the only searches here that need
-    more (gen_case seeds 52, 53 and 70) are infeasible and yield no plan,
-    so the same plans are checked in an eighth of the time, and the
-    tallies at the end pin that."""
-    monkeypatch.setattr(controlplane, "SEARCH_BUDGET", 20_000)
+    and 2x demand and of one seeded node-drain replan of each.  The tallies
+    at the end pin which plans were checked."""
     levels, splits, restricted, checked = set(), 0, 0, 0
 
     def check(graph, app, pset, plan):
@@ -374,10 +373,10 @@ def test_reconciler_never_offers_a_drained_node():
     (297, 2, None, 466, True),
     (348, 2, None, 128, True),
     (29, 2, None, 201, False),
-    (166, 2, None, 533, False),
+    (166, 2, None, 4, False),
     (194, 2, "d11-n1", 771, True),
     (120, 2, "d20-n0", 249, True),
-    (348, 2, "d00-n0", 432, False),
+    (348, 2, "d00-n0", 3, False),
     (229, 1, "d10-n0", 2685, False),
 ])
 def test_search_step_counts_pinned(seed, factor, drained, steps, placed):
@@ -443,6 +442,139 @@ def test_infeasible_policy_empty_scope():
     assert exc.value.cause == "policy-empty scope"
     # nothing was written to the graph
     assert graph.nodes == build(topo, app, policies, {"dd": {"a": 50}})[0].nodes
+
+
+def cut_case(name):
+    """The four raw documents of a request the root capacity check proves infeasible."""
+    if name.startswith("dag-"):  # that attempt of test_flow_conservation_on_dags' stream
+        rng = random.Random(20261018)
+        for _ in range(int(name[4:])):
+            docs = gen_case(rng, gen_app=gen_dag_app)
+        return docs
+    if name == "seed70-doubled":
+        doc = read_yaml(ROOT / "perfbench" / "cases" / "seed70-doubled.yaml")
+    else:
+        doc = read_yaml(SCENARIOS / "uav_canonical.yaml")
+    if name == "canonical-surge":
+        doc["demand"] = {"ed3": {"m2": 100000}}
+    elif name == "canonical-m2-in-cloud":
+        doc["policies"]["placement_restriction"][0]["domains"] = ["cloud"]
+    return doc["topology"], doc["application"], doc["policies"], doc["demand"]
+
+
+@pytest.mark.parametrize("name, item, cause", [
+    ("canonical-surge", ("m2", "ed3"), "insufficient capacity"),
+    ("canonical-m2-in-cloud", ("m2", "ed3"), "policy-empty scope"),
+    ("seed70-doubled", ("ms1", "d00"), "insufficient capacity"),
+    ("dag-48", ("ms5", "d00"), "insufficient capacity"),
+    ("dag-60", ("ms3", "r1"), "insufficient capacity"),
+])
+def test_root_check_proves_with_a_checked_cut(name, item, cause):
+    """The root capacity check proves these requests at the first backtrack,
+    in under 50 ms at the full budget, and names the cut's first item.
+    Without it the search ran its budget out on seed70-doubled (4.4 s) and
+    on attempt 60 of the DAG stream (18 s), and took 5.7 s to prove attempt
+    48.  The independent checker accepts each cut, and rejects it with a
+    lowered bound, an extra node or a dropped node."""
+    docs = cut_case(name)
+    graph, app, pset, request = build(*docs)
+    started = time.process_time()
+    with pytest.raises(InfeasiblePlacement) as exc:
+        place_application(graph, app, request, pset)
+    assert time.process_time() - started < 0.05
+    verdict, cut = exc.value, exc.value.certificate
+    assert (verdict.proved, verdict.microservice, verdict.anchor, verdict.cause) == (True, *item, cause)
+    assert "budget" not in str(verdict)
+    assert check_capacity_cut(*docs, cut)
+    ms_id, anchor, bound = cut.items[0]
+    outside = [n["id"] for n in docs[0]["nodes"] if n["id"] not in cut.nodes] or ["no-such-node"]
+    mutants = [replace(cut, items=((ms_id, anchor, bound - 1), *cut.items[1:])),
+               replace(cut, nodes=tuple(sorted((*cut.nodes, outside[0]))))]
+    if cut.nodes:
+        mutants.append(replace(cut, nodes=cut.nodes[1:]))
+    for mutant in mutants:
+        assert not check_capacity_cut(*docs, mutant), mutant
+
+
+def test_root_check_finds_no_cut_where_the_search_places():
+    """Over gen_case seeds 0-199 at 1x and 2x demand, the root capacity check
+    finds no cut in any case that places, and the independent checker
+    accepts every cut it finds in the others."""
+    placed = cuts = 0
+    for seed in range(200):
+        for factor in (1, 2):
+            topo_doc, app_doc, policy_doc, demand_doc = gen_case(random.Random(seed))
+            demand_doc = {d: {m: r * factor for m, r in per.items()} for d, per in demand_doc.items()}
+            graph, app, pset, request = build(topo_doc, app_doc, policy_doc, demand_doc)
+            cut = _capacity_cut(graph, app, pset, request.normalized_demand())
+            try:
+                place_application(graph, app, request, pset)
+            except InfeasiblePlacement:
+                if cut is not None:
+                    assert check_capacity_cut(topo_doc, app_doc, policy_doc, demand_doc, cut), seed
+                    cuts += 1
+                continue
+            assert cut is None, (seed, factor)
+            placed += 1
+    assert (placed, cuts) == (349, 29)
+
+
+def test_exhausted_tree_is_a_proof_and_a_budget_give_up_is_not():
+    """gen_case(Random(29)) at 2x demand has no capacity cut.  A fresh search
+    exhausts its tree in 201 steps, which proves it infeasible; with 100
+    steps it gives up, and only the give-up says the budget ran out."""
+    topo_doc, app_doc, policy_doc, demand_doc = gen_case(random.Random(29))
+    demand_doc = {d: {m: r * 2 for m, r in per.items()} for d, per in demand_doc.items()}
+    graph, app, pset, request = build(topo_doc, app_doc, policy_doc, demand_doc)
+    demand = request.normalized_demand()
+    assert _capacity_cut(graph, app, pset, demand) is None
+    for limit, proved in ((SEARCH_BUDGET, True), (100, False)):
+        with pytest.raises(InfeasiblePlacement) as exc:
+            _reconcile(graph, app, pset, demand, _Budget(limit))
+        assert (exc.value.proved, exc.value.certificate) == (proved, None)
+        assert ("(search budget exhausted)" in str(exc.value)) is not proved
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Record each call of ``controlplane.<name>`` in the returned list."""
+    calls, wrapped = [], getattr(controlplane, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return wrapped(*args, **kwargs)
+
+    monkeypatch.setattr(controlplane, name, counted)
+    return calls
+
+
+def test_replan_ends_at_a_proof(monkeypatch):
+    """Draining d00-n0 under gen_case(Random(348))'s plan at 2x demand is
+    proved infeasible by the root check, which runs once; the fresh-placement
+    fallback does not run.  The cut checks only with d00-n0 drained."""
+    topo_doc, app_doc, policy_doc, demand_doc = gen_case(random.Random(348))
+    demand_doc = {d: {m: r * 2 for m, r in per.items()} for d, per in demand_doc.items()}
+    docs = (topo_doc, app_doc, policy_doc, demand_doc)
+    graph, app, pset, request = build(*docs)
+    plan = place_application(graph, app, request, pset)
+    reconciles, checks = count_calls(monkeypatch, "_reconcile"), count_calls(monkeypatch, "_capacity_cut")
+    with pytest.raises(InfeasiblePlacement) as exc:
+        handle_alert(graph, app, pset, plan, Alert("node_drain", {"node": "d00-n0"}))
+    assert exc.value.proved
+    assert (len(reconciles), len(checks)) == (1, 1)
+    assert check_capacity_cut(*docs, exc.value.certificate, drained=("d00-n0",))
+    assert not check_capacity_cut(*docs, exc.value.certificate)
+
+
+def test_replan_fallback_reuses_the_root_check(monkeypatch):
+    """Draining d01-n0 under gen_case(Random(70))'s plan fails from the
+    current mapping, where the root check finds no cut; the fresh fallback
+    places the request without running the check again."""
+    graph, app, pset, request = build(*gen_case(random.Random(70)))
+    plan = place_application(graph, app, request, pset)
+    reconciles, checks = count_calls(monkeypatch, "_reconcile"), count_calls(monkeypatch, "_capacity_cut")
+    plan2 = handle_alert(graph, app, pset, plan, Alert("node_drain", {"node": "d01-n0"}))
+    assert validate_plan(graph, app, pset, plan2).ok
+    assert (len(reconciles), len(checks)) == (2, 1)
 
 
 # --- routing rules ---

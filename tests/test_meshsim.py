@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from edgeplane import controlplane
 from edgeplane.appmodel import PlacementRequest
 from edgeplane.controlplane import (
     ControlPlane,
@@ -25,8 +24,6 @@ from .support import (
     build,
     gen_case,
     gen_dag_app,
-    gen_policies,
-    gen_topology,
     oracle_routed_totals,
 )
 
@@ -259,24 +256,16 @@ def test_flow_conservation_fuzzed():
     assert checked == 25
 
 
-def test_flow_conservation_on_dags(monkeypatch):
+def test_flow_conservation_on_dags():
     """Fan-in sums several routes into one microservice, fan-out copies one
     total onto several edges: each microservice's routed total must equal
-    the recurrence over the raw documents.
-
-    Unplaced cases are skipped, so a small search budget only makes the
-    hard ones (a give-up and a 5 s proof in this stream at the full budget)
-    cheap to skip; the same 50 cases are placed either way."""
-    monkeypatch.setattr(controlplane, "SEARCH_BUDGET", 2_000)
+    the recurrence over the raw documents.  Unplaced cases are skipped; the
+    search decides every case of this stream at the full budget."""
     rng = random.Random(20261018)
     checked = attempts = 0
     while checked < 50 and attempts < 200:
         attempts += 1
-        topo_doc, attach = gen_topology(rng)
-        app_doc = gen_dag_app(rng)
-        policy_doc = gen_policies(rng, app_doc, [d["id"] for d in topo_doc["domains"]])
-        demand_doc = {d: {m: rng.choice((25, 50, 100)) for m in app_doc["ingress"]}
-                      for d in attach}
+        topo_doc, app_doc, policy_doc, demand_doc = gen_case(rng, gen_app=gen_dag_app)
         graph, app, pset, request = build(topo_doc, app_doc, policy_doc, demand_doc)
         try:
             plan = place_application(graph, app, request, pset)
