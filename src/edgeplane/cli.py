@@ -148,10 +148,13 @@ def cmd_serve_policy(args) -> int:
     from .policyserver import serve  # only this command needs http.server
 
     scenario = load_scenario(args.scenario)
-    if not args.quiet:
-        print(f"serving policy API on {args.bind}", file=sys.stderr)
+
+    def announce():
+        if not args.quiet:
+            print(f"serving policy API on {args.bind}", file=sys.stderr)
+
     try:
-        serve(scenario.policies, scenario.graph, args.bind)
+        serve(scenario.policies, scenario.graph, args.bind, announce)
     except KeyboardInterrupt:
         pass
     except ValueError as exc:

@@ -123,7 +123,7 @@ class RoutingRuleSet:
 class DeploymentPlan:
     """A placement mapping plus the routing rules derived from it.
 
-    Carries the demand snapshot it was planned for, so replans triggered by
+    Carries its demand snapshot and drained node ids, so replans triggered by
     drain or overload alerts can re-derive per-anchor requirements without
     external state.  ``revision`` increments on every accepted replan.
     """
@@ -133,6 +133,7 @@ class DeploymentPlan:
     mapping: PlacementMapping
     routes: RoutingRuleSet
     demand: dict[str, dict[str, Fraction]]
+    drained: frozenset[str] = frozenset()
 
 
 ALERT_KINDS = {
@@ -385,6 +386,7 @@ def _capacity_cut(
     app: ApplicationDag,
     pset: PolicySet,
     demand: dict[str, dict[str, Fraction]],
+    drained: frozenset[str],
 ) -> CapacityCut | None:
     """A cut proving that no compliant placement of ``demand`` exists, or None.
 
@@ -426,7 +428,7 @@ def _capacity_cut(
             if bound <= 0:
                 continue
             nodes = [node for domain_id in eligible_domains_for_anchor(pset, ms_id, anchor, graph)
-                     for node in graph.nodes_of_domain(domain_id) if not node.drained]
+                     for node in graph.nodes_of_domain(domain_id) if node.id not in drained]
             if not nodes:
                 return CapacityCut("cpu", bound * ms.cpu_req, 0, ((ms_id, anchor, bound),), ())
             items.append((ms, anchor, bound, nodes))
@@ -467,15 +469,15 @@ class _RootCheck:
     calls do nothing.  It names the cut's first item, with the search's cause."""
 
     def __init__(self, graph: InfrastructureGraph, app: ApplicationDag, pset: PolicySet,
-                 demand: dict[str, dict[str, Fraction]]):
-        self.inputs = (graph, app, pset, demand)
+                 demand: dict[str, dict[str, Fraction]], drained: frozenset[str]):
+        self.inputs = (graph, app, pset, demand, drained)
         self.pending = True
 
     def __call__(self):
         if not self.pending:
             return
         self.pending = False
-        graph, _, pset, _ = self.inputs
+        graph, _, pset, *_ = self.inputs
         cut = _capacity_cut(*self.inputs)
         if cut is None:
             return
@@ -533,7 +535,7 @@ def _reconcile(
     demand: dict[str, dict[str, Fraction]],
     budget: _Budget,
     current: dict[str, dict[str, AnchorPlacement]] | None = None,
-    drained: str | None = None,
+    drained: frozenset[str] = frozenset(),
     check: _RootCheck | None = None,
 ) -> PlacementMapping:
     """Choose node slots for every (microservice, anchor), in placement order.
@@ -544,12 +546,12 @@ def _reconcile(
     consumers emit.  ``current`` is the mapping to start from (none for a
     fresh placement): free capacity is the nodes' stated capacity minus its
     slots, each held until the search reaches its anchor.  An anchor's first
-    branch keeps its current slots minus any on the ``drained`` node: a shrink drops the newest slots first, and growth adds
-    instances first-fit, displaced ones preferring the drained node's domain,
-    then its region.  On backtrack every split from :func:`_distributions` is
-    tried.  Drain flags and policies do not change during one call, so each
-    (microservice, anchor)'s eligible, undrained node ids are resolved on its
-    first visit and kept for the rest of the call.
+    branch keeps its current slots minus any on a ``drained`` node: a shrink
+    drops the newest slots first, and growth adds instances first-fit,
+    displaced ones preferring the first displaced slot's domain, then its
+    region.  On backtrack every split from :func:`_distributions` is tried.
+    Each (microservice, anchor)'s eligible, undrained node ids are resolved
+    on its first visit and kept for the rest of the call.
 
     The first choice point to run out of choices runs the root capacity
     ``check`` (a fresh :class:`_RootCheck` unless given one), which raises a
@@ -560,7 +562,7 @@ def _reconcile(
     proved when the step budget runs out.
     """
     current = current or {}
-    check = check or _RootCheck(graph, app, pset, demand)
+    check = check or _RootCheck(graph, app, pset, demand, drained)
     ledger = _Ledger({n.id: n.cpu_capacity for n in graph.nodes.values()},
                      {n.id: n.mem_capacity for n in graph.nodes.values()})
     for ms_id, anchors in current.items():
@@ -579,7 +581,7 @@ def _reconcile(
                 node.id
                 for domain_id in eligible_domains_for_anchor(pset, ms.id, anchor, graph)
                 for node in graph.nodes_of_domain(domain_id)
-                if not node.drained
+                if node.id not in drained
             )
         if prefer is None:  # a stable sort keeps equal-cpu nodes in id order
             return sorted(node_ids, key=ledger.cpu.__getitem__, reverse=True)
@@ -595,8 +597,7 @@ def _reconcile(
         """Slot lists for one anchor: its kept slots resized, then every split."""
         first = None
         if old is not None:
-            kept = [slot for slot in old.slots if slot[0] != drained]
-            displaced = len(kept) < len(old.slots)
+            kept = [slot for slot in old.slots if slot[0] not in drained]
             excess = sum(k for _, k in kept) - need
             while excess > 0:
                 node_id, k = kept.pop()
@@ -605,7 +606,8 @@ def _reconcile(
                 excess -= min(k, excess)
             if excess < 0:
                 ledger.take(kept, ms)
-                prefer = graph.nodes[drained].domain_id if displaced else None
+                displaced = [node_id for node_id, _ in old.slots if node_id in drained]
+                prefer = graph.nodes[displaced[0]].domain_id if displaced else None
                 node_ids = nodes_for(ms, anchor, prefer)
                 grown = next(_distributions(node_ids, ms.cpu_req, ms.mem_req, -excess, ledger, budget), None)
                 ledger.give(kept, ms)
@@ -793,7 +795,7 @@ def validate_plan(
     restriction rules are re-evaluated from their raw data, and each target's
     instances are grouped once per level by scope keys read from the domain
     records (domain id, region id, or one global key), so a defect in the
-    planner cannot hide itself here.
+    planner cannot hide itself here.  A slot on a drained node is a violation.
     """
     violations: list[Violation] = []
 
@@ -835,7 +837,7 @@ def validate_plan(
                 "placement", f"{ms_id}@{node_id}",
                 f"placement restriction forbids {ms_id} in {node.domain_id}",
             ))
-        if node.drained:
+        if node_id in plan.drained:
             violations.append(Violation(
                 "capacity", f"{ms_id}@{node_id}", f"node {node_id} is drained",
             ))
@@ -936,23 +938,23 @@ def handle_alert(
 ) -> DeploymentPlan:
     """Adjust a plan in response to an observer alert.
 
-    A demand change replaces the plan's demand snapshot; a node drain marks
-    the node unschedulable and displaces its instances; an overload replays
-    the current demand.  The reconciler then starts from the current mapping,
-    so every anchor keeps its instances where it can: growth adds instances
-    first-fit (displaced ones prefer the drained node's own domain, then its
-    region) and shrink removes the newest instances first.  If no plan is
-    reachable that way, the reconciler runs once more from an empty mapping,
-    as a fresh placement of the post-alert state, with the same search
-    budget, unless the first run's failure is proved: the root capacity
-    check depends only on the graph's drain flags and the demand, so both
-    runs share it, it runs at most once, and a cut it finds ends the replan
-    with no fresh run.  Free capacity comes from stated capacities and
-    ``plan`` alone, so a plan read back from its document replans the same
-    on a freshly loaded graph; the drain flag is the only graph state
-    written.  Routing rules are regenerated and the plan re-validated before
-    it is returned with a bumped revision.  A ``plan`` naming a microservice or node that
-    the application or graph lacks raises UnknownMicroservice or UnknownNode.
+    A demand change replaces the plan's demand snapshot; a node drain adds
+    the node to the plan's drained set, displacing its instances; an
+    overload replays the current demand.  The reconciler then starts from
+    the current mapping, so every anchor keeps its instances where it can:
+    growth adds instances first-fit (displaced ones prefer the drained
+    node's own domain, then its region) and shrink removes the newest
+    instances first.  If no plan is reachable that way, the reconciler runs
+    once more from an empty mapping, as a fresh placement of the post-alert
+    state, with the same search budget, unless the first run's failure is
+    proved: the root capacity check depends only on the drained set and the
+    demand, so both runs share it, it runs at most once, and a cut it finds
+    ends the replan with no fresh run.  The graph and ``plan`` are only
+    read, so a plan read back from its document replans the same on a
+    freshly loaded graph, and a failed replan changes nothing.  Routing
+    rules are regenerated and the plan re-validated before it is returned
+    with a bumped revision.  A microservice or node id in ``plan`` or the
+    alert that the scenario lacks raises UnknownMicroservice or UnknownNode.
     """
     if alert.kind == "demand_change":
         request = PlacementRequest(app=app, demand=alert.payload["demand"])
@@ -967,22 +969,20 @@ def handle_alert(
         if unknown:
             raise UnknownNode(f"plan places {ms_id!r} on unknown node {min(unknown)!r}")
 
-    drained_node = None
-    if alert.kind == "node_drain":
-        drained_node = alert.payload["node"]
-        if drained_node not in graph.nodes:
-            raise UnknownNode(drained_node)
-        graph.nodes[drained_node].drained = True
+    drained = plan.drained | ({alert.payload["node"]} if alert.kind == "node_drain" else set())
+    unknown = drained - graph.nodes.keys()
+    if unknown:
+        raise UnknownNode(f"cannot drain unknown node {min(unknown)!r}")
 
     budget = _Budget(SEARCH_BUDGET)
-    check = _RootCheck(graph, app, policies, demand)
+    check = _RootCheck(graph, app, policies, demand, drained)
     try:
         mapping = _reconcile(graph, app, policies, demand, budget,
-                             current=plan.mapping.per_ms, drained=drained_node, check=check)
+                             current=plan.mapping.per_ms, drained=drained, check=check)
     except InfeasiblePlacement as exc:
         if exc.proved:
             raise
-        mapping = _reconcile(graph, app, policies, demand, budget, check=check)
+        mapping = _reconcile(graph, app, policies, demand, budget, drained=drained, check=check)
 
     routes = generate_routes(graph, app, mapping, policies)
     new_plan = DeploymentPlan(
@@ -991,6 +991,7 @@ def handle_alert(
         mapping=mapping,
         routes=routes,
         demand=demand,
+        drained=drained,
     )
     report = validate_plan(graph, app, policies, new_plan)
     if not report.ok:

@@ -71,6 +71,8 @@ def plan_to_doc(plan: DeploymentPlan, compliance: ComplianceReport | None = None
         "placements": placements,
         "routes": routes,
     }
+    if plan.drained:
+        doc["drained"] = sorted(plan.drained)
     if compliance is not None:
         doc["compliance"] = {
             "ok": compliance.ok,
@@ -85,9 +87,9 @@ def plan_from_doc(doc: dict) -> DeploymentPlan:
     Slot order inside each placement entry is preserved, so scale-down after
     a round trip still removes the newest instances first.  Every id must be
     a string, ``revision`` and every ``weight`` an integer, every
-    ``instances`` a positive integer (a bool is neither), and ``demand`` a
-    mapping of mappings; any other shape raises ScenarioParseError
-    ("malformed plan document: ...").
+    ``instances`` a positive integer (a bool is neither), ``demand`` a
+    mapping of mappings and ``drained``, when present, a list of node ids;
+    any other shape raises ScenarioParseError ("malformed plan document: ...").
     """
     if not isinstance(doc, dict):
         raise ScenarioParseError("plan document must be a mapping")
@@ -124,12 +126,16 @@ def plan_from_doc(doc: dict) -> DeploymentPlan:
             str(domain): {str(ms): as_rate(rps) for ms, rps in per.items()}
             for domain, per in demand_doc.items()
         }
+        drained = doc.get("drained", [])
+        if not (isinstance(drained, list) and all(isinstance(node, str) for node in drained)):
+            raise ScenarioParseError("drained must be a list of node ids")
         return DeploymentPlan(
             app_id=str(doc["application"]),
             revision=_plan_int(doc, "revision"),
             mapping=PlacementMapping(per_ms=per_ms, order=tuple(order)),
             routes=RoutingRuleSet(rules),
             demand=demand,
+            drained=frozenset(drained),
         )
     except (KeyError, TypeError, ValueError, InvalidRequest, ScenarioParseError) as exc:
         raise ScenarioParseError(f"malformed plan document: {exc}") from exc

@@ -123,13 +123,20 @@ def make_server(
     return server
 
 
-def serve(pset: PolicySet, graph: InfrastructureGraph, bind: str = "127.0.0.1:8181"):
-    """Run the policy server until interrupted."""
+def serve(pset: PolicySet, graph: InfrastructureGraph, bind: str = "127.0.0.1:8181",
+          on_bound=lambda: None):
+    """Run the policy server until interrupted, calling ``on_bound`` once it
+    holds its socket.  A malformed ``bind``, a port outside 0-65535 or a
+    failed bind raises ValueError."""
     host, _, port_text = bind.rpartition(":")
-    if not host or not port_text.isdigit():
-        raise ValueError(f"bind must look like host:port, got {bind!r}")
-    server = make_server(pset, graph, host, int(port_text))
+    if not host or not port_text.isdigit() or int(port_text) > 65535:
+        raise ValueError(f"bind must look like host:port with a port of 0-65535, got {bind!r}")
     try:
+        server = make_server(pset, graph, host, int(port_text))
+    except OSError as exc:
+        raise ValueError(f"cannot bind {bind}: {exc.strerror or exc}") from exc
+    try:
+        on_bound()
         server.serve_forever()
     finally:
         server.server_close()

@@ -2,10 +2,10 @@
 
 Domains are the unit of administrative control and the anchor for locality
 scopes; IoT attachment points bind device groups to the domain their traffic
-enters through.  The graph is built once from a document and treated as
-immutable afterwards, except for node drain flags, which only the control
-plane sets.  The graph records no used capacity: a node's free room is its
-stated capacity minus the instances a deployment plan puts on it.
+enters through.  The graph is built once from a document and never written
+afterwards.  It records neither used capacity nor node drains: a node's free
+room is its stated capacity minus the instances a deployment plan puts on it,
+and the plan holds the set of nodes taken out of service.
 """
 
 from __future__ import annotations
@@ -46,20 +46,18 @@ class Domain:
     kind: str  # "edge" | "cloud"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ComputeNode:
     """A schedulable node. Capacities in cpu millicores and memory MiB.
 
     The capacities are the stated totals and never change; what is free is
-    worked out from a plan's slots.  A drained node keeps its stated capacity
-    but is never eligible for new assignments.
+    worked out from a plan's slots.
     """
 
     id: str
     domain_id: str
     cpu_capacity: int
     mem_capacity: int
-    drained: bool = False
 
     def __post_init__(self):
         if self.cpu_capacity <= 0 or self.mem_capacity <= 0:

@@ -7,7 +7,7 @@ from .support import SCENARIOS
 
 @pytest.fixture
 def canonical():
-    """Fresh canonical UAV scenario (a node drain marks its graph's node)."""
+    """Fresh canonical UAV scenario."""
     return load_scenario(SCENARIOS / "uav_canonical.yaml")
 
 

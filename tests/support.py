@@ -328,8 +328,8 @@ def oracle_routed_totals(app_doc, demand_doc) -> dict[str, Fraction]:
     return {m["id"]: total(m["id"]) for m in app_doc["microservices"] if m["id"] not in iot}
 
 
-def oracle_feasible(graph, app, policy_doc, demand) -> bool:
-    """Exhaustive search: does ANY compliant placement exist?
+def oracle_feasible(graph, app, policy_doc, demand, drained=frozenset()) -> bool:
+    """Exhaustive search: does ANY compliant placement off the ``drained`` nodes exist?
 
     Independent implementation: levels and restrictions come from the raw
     policy document, capacity is tracked in immutable maps, and every way of
@@ -347,7 +347,7 @@ def oracle_feasible(graph, app, policy_doc, demand) -> bool:
     region_of = {d: dom.region_id for d, dom in graph.domains.items()}
     capacity = {n.id: (n.cpu_capacity, n.mem_capacity) for n in graph.nodes.values()}
     domain_of = {n.id: n.domain_id for n in graph.nodes.values()}
-    usable = sorted(n.id for n in graph.nodes.values() if not n.drained)
+    usable = sorted(n.id for n in graph.nodes.values() if n.id not in drained)
 
     def allowed(ms_id, domain_id):
         if ms_id not in restrictions:

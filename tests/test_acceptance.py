@@ -209,8 +209,7 @@ def test_criterion_6_feasibility_matches_exhaustive_oracle():
     for case_no in range(400):
         topo_doc, app_doc, policy_doc, demand_doc = gen_small_case(rng)
         graph, app, pset, request = build(topo_doc, app_doc, policy_doc, demand_doc)
-        oracle_graph, *_ = build(topo_doc, app_doc, policy_doc, demand_doc)
-        expected = oracle_feasible(oracle_graph, app, policy_doc, request.demand)
+        expected = oracle_feasible(graph, app, policy_doc, request.demand)
         try:
             plan = place_application(graph, app, request, pset)
             found = True
@@ -276,12 +275,11 @@ def test_criterion_7_conservation_and_linearity():
             assert flows2.rows[key] == rps * 2
 
         # replanning for doubled demand at most doubles instance counts
-        graph2, app2, pset2, request2 = build(*docs)
-        request2 = type(request2)(app=app2, demand={
+        request2 = type(request)(app=app, demand={
             d: {m: r * 2 for m, r in per.items()}
-            for d, per in request2.demand.items()})
+            for d, per in request.demand.items()})
         try:
-            plan2 = place_application(graph2, app2, request2, pset2)
+            plan2 = place_application(graph, app, request2, pset)
         except InfeasiblePlacement:
             plan2 = None
         if plan2 is not None:

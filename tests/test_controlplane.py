@@ -13,6 +13,7 @@ from edgeplane.controlplane import (
     Alert,
     AnchorPlacement,
     ControlPlane,
+    DeploymentPlan,
     PlacementMapping,
     RoutingRule,
     RoutingRuleSet,
@@ -39,7 +40,8 @@ from edgeplane.errors import (
     UnknownNode,
 )
 from edgeplane.locality import LocalityLevel
-from edgeplane.scenario import read_yaml, scenario_from_doc
+from edgeplane.meshsim import run_scenario
+from edgeplane.scenario import load_scenario, read_yaml, scenario_from_doc
 
 from .support import (
     ROOT,
@@ -338,19 +340,22 @@ def test_anchor_demand_matches_slot_by_slot_oracle():
 
 def test_reconciler_never_offers_a_drained_node():
     """A node drained before a placement, and each node drained between two
-    replans of one graph, never receives an instance: eligible node lists
-    are cached for one search only."""
+    replans, never receives an instance, and the plan's drained set grows by
+    each: eligible node lists are cached for one search only."""
     replans = 0
     for seed in range(100):
         topo_doc, app_doc, policy_doc, demand_doc = gen_case(random.Random(seed))
         graph, app, pset, request = build(topo_doc, app_doc, policy_doc, demand_doc)
         rng = random.Random(seed)
         drained = {rng.choice(sorted(graph.nodes))}
-        graph.nodes[next(iter(drained))].drained = True
+        demand = request.normalized_demand()
         try:
-            plan = place_application(graph, app, request, pset)
+            mapping = _reconcile(graph, app, pset, demand, _Budget(SEARCH_BUDGET),
+                                 drained=frozenset(drained))
         except InfeasiblePlacement:
             continue
+        plan = DeploymentPlan(app.id, 1, mapping, generate_routes(graph, app, mapping, pset),
+                              demand, frozenset(drained))
         used = {node for ms_id in plan.mapping.per_ms for node in plan.mapping.instances_of(ms_id)}
         assert not used & drained, seed
         for _ in range(2):
@@ -362,6 +367,7 @@ def test_reconciler_never_offers_a_drained_node():
                 break
             used = {node for ms_id in plan.mapping.per_ms for node in plan.mapping.instances_of(ms_id)}
             assert not used & drained, seed
+            assert plan.drained == drained, seed
             replans += 1
     assert replans >= 50, replans
 
@@ -391,11 +397,11 @@ def test_search_step_counts_pinned(seed, factor, drained, steps, placed):
     current = None
     if drained is not None:
         current = place_application(graph, app, request, pset).mapping.per_ms
-        graph.nodes[drained].drained = True
     demand = request.normalized_demand()
     budget = _Budget(SEARCH_BUDGET)
     try:
-        _reconcile(graph, app, pset, demand, budget, current=current, drained=drained)
+        _reconcile(graph, app, pset, demand, budget, current=current,
+                   drained=frozenset([drained] if drained else []))
         ok = True
     except InfeasiblePlacement:
         ok = False
@@ -506,7 +512,7 @@ def test_root_check_finds_no_cut_where_the_search_places():
             topo_doc, app_doc, policy_doc, demand_doc = gen_case(random.Random(seed))
             demand_doc = {d: {m: r * factor for m, r in per.items()} for d, per in demand_doc.items()}
             graph, app, pset, request = build(topo_doc, app_doc, policy_doc, demand_doc)
-            cut = _capacity_cut(graph, app, pset, request.normalized_demand())
+            cut = _capacity_cut(graph, app, pset, request.normalized_demand(), frozenset())
             try:
                 place_application(graph, app, request, pset)
             except InfeasiblePlacement:
@@ -527,7 +533,7 @@ def test_exhausted_tree_is_a_proof_and_a_budget_give_up_is_not():
     demand_doc = {d: {m: r * 2 for m, r in per.items()} for d, per in demand_doc.items()}
     graph, app, pset, request = build(topo_doc, app_doc, policy_doc, demand_doc)
     demand = request.normalized_demand()
-    assert _capacity_cut(graph, app, pset, demand) is None
+    assert _capacity_cut(graph, app, pset, demand, frozenset()) is None
     for limit, proved in ((SEARCH_BUDGET, True), (100, False)):
         with pytest.raises(InfeasiblePlacement) as exc:
             _reconcile(graph, app, pset, demand, _Budget(limit))
@@ -697,7 +703,7 @@ def test_validate_detects_capacity_overrun(placed):
 
 def test_validate_detects_drained_host(placed):
     scenario, plan = placed
-    scenario.graph.nodes["ed3-n1"].drained = True
+    plan = replace(plan, drained=frozenset({"ed3-n1"}))
     report = validate_plan(scenario.graph, scenario.app, scenario.policies, plan)
     assert any(v.kind == "capacity" and "drained" in v.detail
                for v in report.violations)
@@ -799,30 +805,104 @@ def test_alert_payload_validation():
 def test_replan_of_a_reloaded_plan_matches_the_original_graph(name):
     """A plan read back from its document, replanned on a freshly loaded
     graph, gives what the replan gives on the graph it was placed on: the
-    same plan document, or the same error.  Every node drain and every
-    ed3/ed4 ingress demand of 0-300 rps in steps of 50."""
+    same plan document, or the same error.  Every node drain, every ed3/ed4
+    ingress demand of 0-300 rps in steps of 50, and every node drain followed
+    by each ed3/ed4 demand of 100-300 rps in steps of 100, with the plan read
+    back again between the two."""
     doc = read_yaml(SCENARIOS / f"{name}.yaml")
-    nodes = sorted(scenario_from_doc(doc).graph.nodes)
-    alerts = [Alert("node_drain", {"node": node}) for node in nodes]
-    alerts += [Alert("demand_change", {"demand": {"ed3": {"m2": a}, "ed4": {"m2": b}}})
-               for a in range(0, 301, 50) for b in range(0, 301, 50)]
+    placed = scenario_from_doc(doc)
+    start = place_application(placed.graph, placed.app, placed.request, placed.policies)
+    drains = [Alert("node_drain", {"node": node}) for node in sorted(placed.graph.nodes)]
 
-    def replan(loaded, plan, alert):
+    def demand(a, b):
+        return Alert("demand_change", {"demand": {"ed3": {"m2": a}, "ed4": {"m2": b}}})
+
+    runs = [[drain] for drain in drains]
+    runs += [[demand(a, b)] for a in range(0, 301, 50) for b in range(0, 301, 50)]
+    runs += [[drain, demand(a, b)]
+             for drain in drains for a in (100, 200, 300) for b in (100, 200, 300)]
+
+    def replan(alerts, reload):
+        loaded, plan = placed, start
         try:
-            return dump_doc(plan_to_doc(handle_alert(loaded.graph, loaded.app, loaded.policies,
-                                                     plan, alert)))
+            for alert in alerts:
+                if reload:
+                    loaded, plan = scenario_from_doc(doc), plan_from_doc(plan_to_doc(plan))
+                plan = handle_alert(loaded.graph, loaded.app, loaded.policies, plan, alert)
         except EdgeplaneError as exc:
             return type(exc), str(exc)
+        return dump_doc(plan_to_doc(plan))
 
-    outcomes = set()
+    outcomes = {}
+    for alerts in runs:
+        want = replan(alerts, reload=False)
+        assert replan(alerts, reload=True) == want, alerts
+        outcomes.setdefault(len(alerts), set()).add(type(want))
+    # replans that succeed and that fail are covered, alone and after a drain
+    assert outcomes == {1: {str, tuple}, 2: {str, tuple}}
+
+
+def test_a_drain_travels_in_the_plan_document(surge):
+    """After cl-n1 is drained, surging m2 to 200 rps in ed3 and ed4 is proved
+    infeasible, on the graph the plan was placed on and, from the plan read
+    back from its document, on a freshly loaded one.  Without the drain in
+    the document the second replan put m4 and m5 back on cl-n1."""
+    plan = place_application(surge.graph, surge.app, surge.request, surge.policies)
+    plan = handle_alert(surge.graph, surge.app, surge.policies, plan,
+                        Alert("node_drain", {"node": "cl-n1"}))
+    alert = Alert("demand_change", {"demand": {"ed3": {"m2": 200}, "ed4": {"m2": 200}}})
+    reloaded = load_scenario(SCENARIOS / "uav_demand_surge.yaml")
+    for loaded, given in ((surge, plan), (reloaded, plan_from_doc(plan_to_doc(plan)))):
+        with pytest.raises(InfeasiblePlacement) as exc:
+            handle_alert(loaded.graph, loaded.app, loaded.policies, given, alert)
+        assert str(exc.value) == ("cannot place 'm2' for anchor 'ed3': insufficient capacity "
+                                  "(proved by a cpu cut: need 18000m, capacity 14000m)")
+
+
+def test_drained_plans_round_trip_and_audit_on_a_fresh_graph():
+    """Over seeded gen_case inputs, a placed plan with one seeded node
+    drained writes the same document bytes after a round trip, and the plan
+    read back carries the drain and audits clean on a freshly built graph."""
+    checked = 0
+    for seed in range(100):
+        docs = gen_case(random.Random(seed))
+        graph, app, pset, request = build(*docs)
+        node = random.Random(seed).choice(sorted(graph.nodes))
+        try:
+            plan = place_application(graph, app, request, pset)
+            plan = handle_alert(graph, app, pset, plan, Alert("node_drain", {"node": node}))
+        except InfeasiblePlacement:
+            continue
+        text = dump_doc(plan_to_doc(plan))
+        restored = plan_from_doc(plan_to_doc(plan))
+        assert dump_doc(plan_to_doc(restored)) == text, seed
+        assert restored.drained == {node}, seed
+        fresh_graph, fresh_app, fresh_pset, _ = build(*docs)
+        assert validate_plan(fresh_graph, fresh_app, fresh_pset, restored).ok, seed
+        checked += 1
+    assert checked >= 50, checked
+
+
+@pytest.mark.parametrize("name", ["uav_canonical", "uav_demand_surge"])
+def test_the_graph_is_never_written(name):
+    """Placement, a chain of alerts of every kind (failed replans included)
+    and a scenario run leave the graph equal to a freshly loaded one."""
+    path = SCENARIOS / f"{name}.yaml"
+    sc = load_scenario(path)
+    plan = place_application(sc.graph, sc.app, sc.request, sc.policies)
+    alerts = [Alert("overload", {"node": "ed3-n1", "utilization": 1.0}),
+              Alert("demand_change", {"demand": {"ed3": {"m2": 150}, "ed4": {"m2": 50}}})]
+    alerts += [Alert("node_drain", {"node": node}) for node in sorted(sc.graph.nodes)]
     for alert in alerts:
-        placed = scenario_from_doc(doc)
-        plan = place_application(placed.graph, placed.app, placed.request, placed.policies)
-        want = replan(placed, plan, alert)
-        got = replan(scenario_from_doc(doc), plan_from_doc(plan_to_doc(plan)), alert)
-        assert got == want, alert
-        outcomes.add(type(want))
-    assert outcomes == {str, tuple}  # both replans that succeed and that fail are covered
+        try:
+            plan = handle_alert(sc.graph, sc.app, sc.policies, plan, alert)
+        except InfeasiblePlacement:
+            pass
+    run_scenario(sc.graph, sc.app, sc.policies, sc.request, sc.events,
+                 overload_threshold=sc.settings.overload_threshold)
+    fresh = load_scenario(path).graph
+    assert sc.graph == fresh
+    assert all(sc.graph.nodes_of_domain(d) == fresh.nodes_of_domain(d) for d in fresh.domains)
 
 
 def test_demand_change_scales_up(surge):
@@ -906,7 +986,7 @@ def test_node_drain_migrates_within_domain():
 
     plan2 = handle_alert(graph, dag, pset, plan,
                          Alert("node_drain", {"node": "n2"}, 1))
-    assert graph.nodes["n2"].drained is True
+    assert plan2.drained == {"n2"}
     assert plan2.mapping.instances_of("a") == {"n1": 2}
     assert plan2.revision == 2
     assert validate_plan(graph, dag, pset, plan2).ok
@@ -943,15 +1023,11 @@ def test_node_drain_prefers_same_region_over_bigger_remote():
     plan = place_application(graph, dag, request, pset)
     assert plan.mapping.instances_of("a") == {"cl-n1": 2}
 
-    # force the instances onto the small local node first, then drain it
-    request2 = PlacementRequest(app=dag, demand={"dd": {"a": Fraction(100)}})
-    graph2, dag2, pset2, _ = build(topo, app, policies, {"dd": {"a": 100}})
-    plan2 = place_application(
-        graph2, dag2,
-        PlacementRequest(app=dag2, demand={"dd": {"a": Fraction(50)}}), pset2)
     # one instance lands on cl-n1 (most free cpu); drain it
+    plan2 = place_application(
+        graph, dag, PlacementRequest(app=dag, demand={"dd": {"a": Fraction(50)}}), pset)
     assert plan2.mapping.instances_of("a") == {"cl-n1": 1}
-    plan3 = handle_alert(graph2, dag2, pset2, plan2,
+    plan3 = handle_alert(graph, dag, pset, plan2,
                          Alert("node_drain", {"node": "cl-n1"}, 1))
     # displaced instance prefers the drained node's own domain/region tiers;
     # cl has no other node, so it falls to the remaining nodes by free cpu
@@ -1009,21 +1085,25 @@ def test_overload_alert_is_a_safe_replan(placed):
 
 
 @pytest.mark.parametrize("key, error", [("node", UnknownNode),
-                                        ("microservice", UnknownMicroservice)])
+                                        ("microservice", UnknownMicroservice),
+                                        ("drained", UnknownNode)])
 def test_replan_rejects_a_plan_naming_unknown_ids(canonical, key, error):
-    """A plan document naming a node or microservice the scenario lacks is
-    rejected before the replan writes the drain flag."""
+    """A plan document naming a node or microservice the scenario lacks, in
+    a slot or in its drained set, is rejected by every alert kind."""
     plan = place_application(canonical.graph, canonical.app, canonical.request,
                              canonical.policies)
     doc = plan_to_doc(plan)
     entry = doc["placements"][0]
-    (entry["nodes"][0] if key == "node" else entry)[key] = "ghost"
+    if key == "drained":
+        doc["drained"] = ["ghost"]
+    else:
+        (entry["nodes"][0] if key == "node" else entry)[key] = "ghost"
     for alert in (Alert("overload", {"node": "ed3-n1", "utilization": 1.2}),
-                  Alert("node_drain", {"node": "ed3-n1"})):
+                  Alert("node_drain", {"node": "ed3-n1"}),
+                  Alert("demand_change", {"demand": {"ed3": {"m2": 100}}})):
         with pytest.raises(error, match="ghost"):
             handle_alert(canonical.graph, canonical.app, canonical.policies,
                          plan_from_doc(doc), alert)
-    assert not any(node.drained for node in canonical.graph.nodes.values())
 
 
 def test_drain_can_be_infeasible():
@@ -1040,11 +1120,13 @@ def test_drain_can_be_infeasible():
     policies = {"iot_locality": [{"microservice": "a", "level": "strict-domain"}]}
     graph, dag, pset, request = build(topo, app, policies, {"dd": {"a": 50}})
     plan = place_application(graph, dag, request, pset)
+    before = dump_doc(plan_to_doc(plan))
     with pytest.raises(InfeasiblePlacement):
         handle_alert(graph, dag, pset, plan,
                      Alert("node_drain", {"node": "n1"}, 1))
-    # the drain itself sticks even though the replan failed
-    assert graph.nodes["n1"].drained is True
+    # a failed replan writes nothing: the graph and the plan passed in stay as they were
+    assert graph == build(topo, app, policies, {"dd": {"a": 50}})[0]
+    assert dump_doc(plan_to_doc(plan)) == before and plan.drained == frozenset()
 
 
 def test_replan_backtracks_where_first_fit_strands_a_successor():
@@ -1104,22 +1186,20 @@ def test_replan_fails_only_where_fresh_placement_fails():
             plan = place_application(graph, app, request, pset)
         except InfeasiblePlacement:
             continue
-        drained = None
+        drained = frozenset()
         if rng.random() < 0.5:
-            drained = rng.choice(sorted(graph.nodes))
-            alert = Alert("node_drain", {"node": drained})
+            drained = frozenset({rng.choice(sorted(graph.nodes))})
+            alert = Alert("node_drain", {"node": min(drained)})
         else:
             factor = rng.choice([Fraction(1, 2), Fraction(3, 2), 2, 3])
             demand_doc = {d: {m: r * factor for m, r in per.items()}
                           for d, per in demand_doc.items()}
             alert = Alert("demand_change", {"demand": demand_doc})
 
-        fresh_graph, fresh_app, fresh_pset, fresh_request = build(
-            topo_doc, app_doc, policy_doc, demand_doc)
-        if drained is not None:
-            fresh_graph.nodes[drained].drained = True
+        request = PlacementRequest(app=app, demand=demand_doc).validate_against(graph)
+        demand = request.normalized_demand()
         try:
-            place_application(fresh_graph, fresh_app, fresh_request, fresh_pset)
+            _reconcile(graph, app, pset, demand, _Budget(SEARCH_BUDGET), drained=drained)
             fresh_ok = True
         except InfeasiblePlacement:
             fresh_ok = False

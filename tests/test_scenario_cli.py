@@ -1,6 +1,8 @@
 import copy
 import json
 import re
+import socket
+from http.server import ThreadingHTTPServer
 
 import pytest
 import yaml
@@ -507,6 +509,26 @@ def test_malformed_plan_shapes_never_escape_as_raw_exceptions(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: malformed plan document: demand must be a mapping of mappings"]
 
+    for value in ("ed3-n1", [1], {}):
+        doc = copy.deepcopy(base)
+        doc["drained"] = value
+        plan_path.write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
+        assert main(["routes", "--scenario", CANONICAL, "--plan", str(plan_path), "--quiet"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: malformed plan document: drained must be a list of node ids"], value
+
+
+def test_cli_routes_audits_the_plans_drained_nodes(tmp_path, capsys):
+    """``routes --plan`` audits a plan against the drains its document
+    carries: a plan that drains a node it still places on fails."""
+    doc = yaml.safe_load((GOLDEN / "plan_canonical.yaml").read_text(encoding="utf-8"))
+    doc["drained"] = ["ed3-n1"]
+    plan_path = tmp_path / "plan.yaml"
+    plan_path.write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
+    assert main(["routes", "--scenario", CANONICAL, "--plan", str(plan_path), "--quiet"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err and all(line.endswith("node ed3-n1 is drained") for line in err)
+
 
 # --- CLI: simulate ---
 
@@ -557,3 +579,30 @@ def test_cli_serve_policy_bad_bind(capsys):
     assert main(["serve-policy", "--scenario", CANONICAL, "--bind",
                  "no-port-here", "--quiet"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_serve_policy_port_out_of_range(capsys):
+    assert main(["serve-policy", "--scenario", CANONICAL, "--bind", "127.0.0.1:99999"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: bind must look like host:port with a port of 0-65535, got '127.0.0.1:99999'"]
+
+
+def test_cli_serve_policy_port_in_use(capsys):
+    """A port another socket holds is one ``error:`` line and exit 2, and
+    nothing claims the server is up."""
+    with socket.socket() as held:
+        held.bind(("127.0.0.1", 0))
+        held.listen()
+        bind = f"127.0.0.1:{held.getsockname()[1]}"
+        assert main(["serve-policy", "--scenario", CANONICAL, "--bind", bind]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot bind {bind}: "), err
+
+
+def test_cli_serve_policy_announces_once_bound(capsys, monkeypatch):
+    def interrupted(server):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(ThreadingHTTPServer, "serve_forever", interrupted)
+    assert main(["serve-policy", "--scenario", CANONICAL, "--bind", "127.0.0.1:0"]) == 0
+    assert capsys.readouterr().err == "serving policy API on 127.0.0.1:0\n"

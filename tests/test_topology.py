@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -48,9 +49,12 @@ def test_load_minimal():
     assert graph.domains["d1"].admin_id == "a1"
 
 
-def test_node_starts_undrained():
-    graph = load_topology(minimal_doc())
-    assert graph.nodes["n1"].drained is False
+def test_nodes_are_immutable():
+    """The graph is never written after loading; its node type enforces that."""
+    node = load_topology(minimal_doc()).nodes["n1"]
+    for field in dataclasses.fields(node):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, field.name, getattr(node, field.name))
 
 
 def test_duplicate_id_across_kinds():
