@@ -28,12 +28,21 @@ The first time a choice point runs out of choices, a root capacity check
 bounds the whole request: instance lower bounds that no placement can
 change, routed through one transportation max-flow per resource onto the
 nodes each may use.  A flow short of the need proves the request infeasible,
-and the minimum cut is the proof's certificate.  A search that never
-backtracks never runs it.
+and the minimum cut is the proof's certificate.  If it finds no cut, the
+search starts again from the root with two forward-checking prunes on:
+domains where a strict successor is certain to meet an empty scope are
+dead, and a split may put no more instances of a microservice in a
+stricter scope than that scope can hold together with what they make its
+strict descendants need there.  Both drop only splits that no completion
+can satisfy, and the splits left keep their order, so a plan the search
+finds is the one the search without them finds first, and an exhausted
+tree is still a proof.  A search that never backtracks runs neither the
+check nor the prunes.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
@@ -491,10 +500,127 @@ class _RootCheck:
         )
 
 
+# --- forward checking ------------------------------------------------------------
+
+#: Per locality level, the strict levels stricter than it: the levels of the scopes it may be capped in.
+_STRICTER = {
+    LocalityLevel.GLOBAL: (LocalityLevel.STRICT_DOMAIN, LocalityLevel.STRICT_REGION),
+    LocalityLevel.STRICT_REGION: (LocalityLevel.STRICT_DOMAIN,),
+    LocalityLevel.STRICT_DOMAIN: (),
+}
+
+
+class _Lookahead:
+    """Forward checking for one search (Haralick & Elliott, "Increasing tree
+    search efficiency for constraint satisfaction problems", 1980): two
+    prunes that drop only splits no completion can satisfy.
+
+    Dead scopes.  A domain is live for a microservice when its restriction
+    allows the domain, the domain has an undrained node and the domain is
+    not dead for it; it is dead when some successor, over a strict edge with
+    a positive ratio, has no live domain in that edge's scope of it.  An
+    instance there emits positive demand into that scope, which needs an
+    instance of the successor inside it, so no completion exists.  ``live``
+    is worked out once, successors first, per scope rather than per domain.
+
+    Downstream scope caps.  Take an anchor looser than a strict level L.
+    Splitting its demand by instances hands each instance in a scope S at
+    level L ``rps / need`` of it, and every descendant reached over edges
+    of level L or stricter with positive ratios gets that times ``m_t``,
+    the sum over such paths of the ratio products, inside S.  So k
+    instances in S need ``ceil(k * rps/need * m_t / capacity_rps)`` of each
+    such descendant there as well, and :meth:`caps` bounds k by what S's
+    undrained nodes hold beside the slots the search path has chosen.
+    Slots held for anchors the path has not reached count as free, since
+    the search may still move them.
+    """
+
+    def __init__(self, graph: InfrastructureGraph, app: ApplicationDag, pset: PolicySet,
+                 drained: frozenset[str], sequence: list[str]):
+        self.graph, self.app = graph, app
+        self.scopes = {node.id: (node.domain_id, graph.domains[node.domain_id].region_id)
+                       for node in graph.nodes.values()}  # node -> its (domain, region)
+        self.room: dict[str, tuple[int, int]] = {}  # strict scope -> cpu and mem of its undrained nodes
+        for node in graph.nodes.values():
+            if node.id not in drained:
+                for scope in self.scopes[node.id]:
+                    cpu, mem = self.room.get(scope, (0, 0))
+                    self.room[scope] = (cpu + node.cpu_capacity, mem + node.mem_capacity)
+        self.live: dict[str, set[str]] = {}
+        self.live_scopes: dict[tuple[str, LocalityLevel], set[str]] = {}  # (ms, L) -> scopes with a live domain
+        self.below: dict[tuple[str, LocalityLevel], dict[str, Fraction]] = {}  # (ms, L) -> {t: m_t}
+        for ms_id in reversed(sequence):
+            edges = [(e.to_ms, e.rate_ratio, pset.edge_level(ms_id, e.to_ms))
+                     for e in app.successors(ms_id) if e.rate_ratio > 0]
+            live = {domain_id for domain_id in eligible_domains_for_anchor(pset, ms_id, GLOBAL_ANCHOR, graph)
+                    if domain_id in self.room}
+            for to_ms, _, level in edges:
+                if level is not LocalityLevel.GLOBAL:
+                    scopes = self.live_scopes[to_ms, level]
+                    live = {domain_id for domain_id in live if graph.anchor_of(domain_id, level) in scopes}
+            self.live[ms_id] = live
+            for scope_level in _STRICTER[LocalityLevel.GLOBAL]:
+                self.live_scopes[ms_id, scope_level] = {graph.anchor_of(d, scope_level) for d in live}
+                below: dict[str, Fraction] = {}
+                for to_ms, ratio, level in edges:
+                    if level.strictness <= scope_level.strictness:
+                        for t, m in ((to_ms, 1), *self.below[to_ms, scope_level].items()):
+                            below[t] = below.get(t, 0) + ratio * m
+                self.below[ms_id, scope_level] = below
+
+    def caps(self, ms: Microservice, level: LocalityLevel, rps: Fraction, need: int,
+             node_ids: list[str], path) -> tuple[list[tuple[str, str]], dict[str, int]] | None:
+        """Caps on ``need`` instances of ``ms`` at an anchor of ``level`` over
+        ``node_ids``, as :func:`_distributions` takes them, or None if none
+        binds.  Per scope stricter than ``level`` that holds one of the nodes:
+        the largest k whose instances and their descendants' fit in the cpu
+        and the mem of its undrained nodes, less the (microservice, slots)
+        pairs chosen on the search ``path``; 0 if a descendant has no live
+        domain there."""
+        caps, used = {}, None
+        for scope_level in _STRICTER[level] if need else ():
+            below = self.below[ms.id, scope_level]
+            if not below:
+                continue
+            if used is None:  # per strict scope, the cpu and mem the path's slots take in it
+                used = {}
+                for placed, slots in path:
+                    for node_id, k in slots:
+                        for scope in self.scopes[node_id]:
+                            cpu, mem = used.get(scope, (0, 0))
+                            used[scope] = (cpu + k * placed.cpu_req, mem + k * placed.mem_req)
+            terms = []  # per descendant: its instances per instance of ms, and its requests
+            for t_id, m in below.items():
+                t = self.app.microservices[t_id]
+                share = rps * m / (need * t.capacity_rps)
+                terms.append((share.numerator, share.denominator, t.cpu_req, t.mem_req))
+            for scope in {self.graph.anchor_of(self.scopes[n][0], scope_level) for n in node_ids}:
+                if any(scope not in self.live_scopes[t, scope_level] for t in below):
+                    caps[scope] = 0
+                    continue
+                (cpu, mem), (cpu_used, mem_used) = self.room[scope], used.get(scope, (0, 0))
+                cpu, mem = cpu - cpu_used, mem - mem_used
+                # fitting is monotone in k, so this counts the k in 1..need that fit
+                cap = bisect_right(range(1, need + 1), False, key=lambda k: not _fits(k, ms, terms, cpu, mem))
+                if cap < need:
+                    caps[scope] = cap
+        return ([self.scopes[n] for n in node_ids], caps) if caps else None
+
+
+def _fits(k: int, ms: Microservice, terms, cpu: int, mem: int) -> bool:
+    """Whether k instances of ``ms`` and the descendant instances ``terms``
+    ask of them fit in ``cpu`` and ``mem``."""
+    for num, den, cpu_req, mem_req in terms:
+        instances = -(-k * num // den)
+        cpu, mem = cpu - instances * cpu_req, mem - instances * mem_req
+    return cpu >= k * ms.cpu_req and mem >= k * ms.mem_req
+
+
 # --- the reconciler ------------------------------------------------------------
 
 
-def _distributions(node_ids, cpu_req: int, mem_req: int, count: int, ledger: _Ledger, budget: _Budget):
+def _distributions(node_ids, cpu_req: int, mem_req: int, count: int, ledger: _Ledger, budget: _Budget,
+                   caps: tuple[list[tuple[str, str]], dict[str, int]] | None = None):
     """All ways to split ``count`` instances across the nodes, greedy-first.
 
     Splits come in descending lexicographic order of their per-node counts:
@@ -504,10 +630,16 @@ def _distributions(node_ids, cpu_req: int, mem_req: int, count: int, ledger: _Le
     Every node's room is read once, when the first split is asked for: the
     search hands back everything it placed below a choice point before it
     asks that point for its next split, so the ledger is the same at every
-    resumption.
+    resumption.  ``caps``, each node's (domain, region) and a cap per scope,
+    keeps only the splits within the caps (:func:`_capped_distributions`);
+    the loop here, with its fixed suffix sums for room, serves every search
+    that has not backtracked.
     """
     cpu, mem = ledger.cpu, ledger.mem
     fits = [min(cpu[node_id] // cpu_req, mem[node_id] // mem_req) for node_id in node_ids]
+    if caps is not None:
+        yield from _capped_distributions(node_ids, fits, count, budget, *caps)
+        return
     room = list(accumulate(reversed(fits), initial=0))[::-1]  # room[i]: what nodes i.. take
     counts: list[int] = []  # instances on node_ids[0], node_ids[1], ... so far
     remaining = count
@@ -524,6 +656,62 @@ def _distributions(node_ids, cpu_req: int, mem_req: int, count: int, ledger: _Le
             counts.pop()
         if not counts:
             return
+        counts[-1] -= 1
+        remaining += 1
+
+
+def _capped_distributions(node_ids, fits, count: int, budget: _Budget, scopes, caps: dict[str, int]):
+    """The splits of :func:`_distributions` that put at most ``caps[s]``
+    instances on the nodes whose ``scopes`` pair (domain, region) names ``s``,
+    in the same order; a scope without a cap takes any number.
+
+    ``room`` is what the nodes from the next one on can still take: per
+    region the lesser of its cap left and, summed over its domains, the
+    lesser of each domain's cap left and what its unvisited nodes fit.  The
+    scopes are nested, so that sum is exact, and a split starts down a node
+    only where it can be completed.  It changes only at the node visited.
+    """
+    left = {scope: caps.get(scope, count) for pair in scopes for scope in pair}  # caps left
+    unvisited = dict.fromkeys(left, 0)  # per domain, what its nodes from the next one on fit
+    for (domain_id, _), fit in zip(scopes, fits):
+        unvisited[domain_id] += fit
+    inner = dict.fromkeys(left, 0)  # per region, what its domains' unvisited nodes take
+    for domain_id, region_id in set(scopes):
+        inner[region_id] += min(left[domain_id], unvisited[domain_id])
+    room = sum(min(left[region_id], inner[region_id]) for region_id in {r for _, r in scopes})
+
+    def shift(i: int, fit: int, k: int):
+        """Change node i's unvisited fit by ``fit`` and its instances by ``k``."""
+        nonlocal room
+        domain_id, region_id = scopes[i]
+        was_domain = min(left[domain_id], unvisited[domain_id])
+        was_region = min(left[region_id], inner[region_id])
+        unvisited[domain_id] += fit
+        left[domain_id] -= k
+        left[region_id] -= k
+        inner[region_id] += min(left[domain_id], unvisited[domain_id]) - was_domain
+        room += min(left[region_id], inner[region_id]) - was_region
+
+    counts: list[int] = []
+    remaining = count
+    while True:
+        if remaining == 0:
+            budget.spend()
+            yield [(node_ids[i], k) for i, k in enumerate(counts) if k]
+        elif room >= remaining:
+            i = len(counts)
+            domain_id, region_id = scopes[i]
+            k = min(remaining, fits[i], left[domain_id], left[region_id])
+            shift(i, -fits[i], k)
+            counts.append(k)
+            remaining -= k
+            continue
+        while counts and counts[-1] == 0:
+            shift(len(counts) - 1, fits[len(counts) - 1], 0)
+            counts.pop()
+        if not counts:
+            return
+        shift(len(counts) - 1, 0, -1)
         counts[-1] -= 1
         remaining += 1
 
@@ -555,20 +743,35 @@ def _reconcile(
 
     The first choice point to run out of choices runs the root capacity
     ``check`` (a fresh :class:`_RootCheck` unless given one), which raises a
-    proved InfeasiblePlacement if it finds a cut; a search that never
-    backtracks never pays for it.  Otherwise raises InfeasiblePlacement
-    naming the deepest unsatisfiable microservice and anchor, with the cause:
-    proved when the tree of a fresh search (no ``current``) is exhausted, not
-    proved when the step budget runs out.
+    proved InfeasiblePlacement if it finds a cut.  Otherwise the search
+    starts again from the root, with the same budget, ``current`` and
+    ``check``, and with the look-ahead on (:class:`_Lookahead`): the splits
+    leave out nodes in dead domains and keep within the downstream scope
+    caps, while an anchor's kept first branch stays as it is.  Both prunes
+    are admissible (they drop only splits no completion satisfies) and the
+    splits left come in the same order, so the plan found is the first one
+    the search without them finds, and only the step count falls.  The
+    lazy trigger keeps their cost off searches that never backtrack.
+    Raises InfeasiblePlacement naming the deepest unsatisfiable
+    microservice and anchor reached, with the cause: proved when the tree
+    of a fresh search (no ``current``) is exhausted, not proved when the
+    step budget runs out.
     """
     current = current or {}
     check = check or _RootCheck(graph, app, pset, demand, drained)
-    ledger = _Ledger({n.id: n.cpu_capacity for n in graph.nodes.values()},
-                     {n.id: n.mem_capacity for n in graph.nodes.values()})
-    for ms_id, anchors in current.items():
-        for ap in anchors.values():
-            ledger.take(ap.slots, app.microservices[ms_id])
     sequence = _placement_sequence(app, pset)
+
+    def root_ledger() -> _Ledger:
+        """Free capacity at the root of the search: every slot of ``current`` held."""
+        free = _Ledger({n.id: n.cpu_capacity for n in graph.nodes.values()},
+                       {n.id: n.mem_capacity for n in graph.nodes.values()})
+        for ms_id, anchors in current.items():
+            for ap in anchors.values():
+                free.take(ap.slots, app.microservices[ms_id])
+        return free
+
+    ledger = root_ledger()
+    lookahead: _Lookahead | None = None  # built at the first choice point that runs out of choices
     acc: dict[str, dict[str, AnchorPlacement]] = {}
     usable: dict[tuple[str, str], list[str]] = {}  # (ms id, anchor) -> eligible undrained node ids, by id
 
@@ -593,8 +796,10 @@ def _reconcile(
 
         return sorted(node_ids, key=lambda n: (tier(n), -ledger.cpu[n]))
 
-    def choices(ms: Microservice, anchor: str, need: int, old: AnchorPlacement | None):
-        """Slot lists for one anchor: its kept slots resized, then every split."""
+    def choices(pos: int, ms: Microservice, anchor: str, old: AnchorPlacement | None,
+                level: LocalityLevel, rps: Fraction, need: int):
+        """Slot lists for one anchor of the microservice at ``pos``: its kept
+        slots resized, then every split."""
         first = None
         if old is not None:
             kept = [slot for slot in old.slots if slot[0] not in drained]
@@ -615,7 +820,17 @@ def _reconcile(
             if kept is not None:
                 yield kept
                 first = _by_node(kept)
-        for dist in _distributions(nodes_for(ms, anchor), ms.cpu_req, ms.mem_req, need, ledger, budget):
+        node_ids, caps = nodes_for(ms, anchor), None
+        if lookahead is not None:  # leave out dead domains and keep within the caps
+            live = lookahead.live[ms.id]
+            node_ids = [n for n in node_ids if graph.nodes[n].domain_id in live]
+            # The slots chosen so far, read from ``acc``: held slots not reached
+            # yet count as free.  Reading ``stack`` here instead would make each
+            # search's stack a reference cycle through its own generators.
+            path = ((app.microservices[ms_id], ap.slots) for ms_id in sequence[:pos + 1]
+                    for ap in acc[ms_id].values())
+            caps = lookahead.caps(ms, level, rps, need, node_ids, path)
+        for dist in _distributions(node_ids, ms.cpu_req, ms.mem_req, need, ledger, budget, caps):
             if first is None or _by_node(dist) != first:
                 yield dist
 
@@ -654,10 +869,10 @@ def _reconcile(
                     anchors = anchors_of(ms)
                 if not anchors:
                     break
-            anchor, old, _, _, need = anchors[j]
+            anchor, old, level, rps, need = anchors[j]
             if old is not None:
                 ledger.give(old.slots, ms)
-            stack.append((pos, j, ms, anchors, choices(ms, anchor, need, old)))
+            stack.append((pos, j, ms, anchors, choices(pos, ms, anchor, old, level, rps, need)))
             while stack:  # move the innermost choice point on to its next choice
                 pos, j, ms, anchors, options = stack[-1]
                 anchor, old, level, rps, need = anchors[j]
@@ -679,6 +894,12 @@ def _reconcile(
                     deepest = (pos, j)
                     empty = need > 0 and not eligible_domains_for_anchor(pset, ms.id, anchor, graph)
                     failed = (ms.id, anchor, "policy-empty scope" if empty else "insufficient capacity")
+                if lookahead is None:  # search again from the root, with the look-ahead on
+                    lookahead = _Lookahead(graph, app, pset, drained, sequence)
+                    ledger = root_ledger()
+                    acc.clear()
+                    stack.clear()
+                    break
             else:  # a tree searched from held slots proves nothing about a fresh placement
                 raise InfeasiblePlacement(*failed, proved=not current)
     except _BudgetExhausted:
@@ -795,9 +1016,11 @@ def validate_plan(
     restriction rules are re-evaluated from their raw data, and each target's
     instances are grouped once per level by scope keys read from the domain
     records (domain id, region id, or one global key), so a defect in the
-    planner cannot hide itself here.  A slot on a drained node is a violation.
+    planner cannot hide itself here.  A slot on a drained node is a violation,
+    and so is a drained id that names no node.
     """
-    violations: list[Violation] = []
+    violations = [Violation("capacity", node_id, f"drained node {node_id} is unknown")
+                  for node_id in sorted(plan.drained - graph.nodes.keys())]
 
     counts: dict[tuple[str, str], int] = {}
     for ms_id, anchors in plan.mapping.per_ms.items():

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import itertools
 import random
 import time
@@ -23,6 +24,7 @@ from edgeplane.controlplane import (
     _capacity_cut,
     _distributions,
     _Ledger,
+    _Lookahead,
     _placement_sequence,
     _reconcile,
     generate_routes,
@@ -245,8 +247,11 @@ def test_backtracking_recovers_greedy_dead_end():
 
 def test_distributions_order_and_budget():
     """Splits come greedy-first in descending lexicographic order of their
-    per-node counts, zero entries dropped, each for one budget step."""
+    per-node counts, zero entries dropped, each for one budget step; under
+    caps on nested (domain, region) scopes, exactly the splits within the
+    caps come, in that order."""
     rng = random.Random(5)
+    cap_rng = random.Random(6)
     for _ in range(300):
         node_ids = [f"n{i}" for i in range(rng.randint(0, 6))]
         cpu = {n: 100 * rng.randint(0, 4) + rng.randint(0, 99) for n in node_ids}
@@ -262,6 +267,15 @@ def test_distributions_order_and_budget():
         got = list(_distributions(node_ids, 100, 10, count, _Ledger(cpu, mem), budget))
         assert got == want, (rooms, count)
         assert budget.left == 1000 - len(want)
+        # with caps on nested scopes: the splits within them, in the same order
+        scopes = [(f"d{d}", f"r{d // 2}") for d in (cap_rng.randint(0, 3) for _ in node_ids)]
+        caps = {scope: cap_rng.randint(0, 3) for pair in scopes for scope in pair if cap_rng.random() < 0.5}
+        within = [v for v in vectors if all(
+            sum(k for k, pair in zip(v, scopes) if scope in pair) <= cap for scope, cap in caps.items())]
+        budget = _Budget(1000)
+        got = list(_distributions(node_ids, 100, 10, count, _Ledger(cpu, mem), budget, (scopes, caps)))
+        assert got == [[(n, k) for n, k in zip(node_ids, v) if k] for v in within], (rooms, count, caps)
+        assert budget.left == 1000 - len(within)
 
 
 def test_wide_anchor_places_one_instance_per_node():
@@ -376,21 +390,21 @@ def test_reconciler_never_offers_a_drained_node():
 
 
 @pytest.mark.parametrize("seed, factor, drained, steps, placed", [
-    (297, 2, None, 466, True),
-    (348, 2, None, 128, True),
-    (29, 2, None, 201, False),
+    (297, 2, None, 5, True),
+    (348, 2, None, 20, True),
+    (29, 2, None, 38, False),
     (166, 2, None, 4, False),
-    (194, 2, "d11-n1", 771, True),
-    (120, 2, "d20-n0", 249, True),
+    (194, 2, "d11-n1", 13, True),
+    (120, 2, "d20-n0", 11, True),
     (348, 2, "d00-n0", 3, False),
-    (229, 1, "d10-n0", 2685, False),
+    (229, 1, "d10-n0", 58, False),
 ])
 def test_search_step_counts_pinned(seed, factor, drained, steps, placed):
     """Budget steps one search spends on seeded ``gen_case`` inputs at
     ``factor`` x demand where it backtracks: a fresh placement, or with
     ``drained`` a replan from the placed mapping after that node's drain.
-    A change to the order in which the search tries splits, or to what
-    counts as a step, changes these counts."""
+    A change to the order in which the search tries splits, to what counts
+    as a step, or to what the look-ahead prunes changes these counts."""
     topo_doc, app_doc, policy_doc, demand_doc = gen_case(random.Random(seed))
     demand_doc = {d: {m: r * factor for m, r in per.items()} for d, per in demand_doc.items()}
     graph, app, pset, request = build(topo_doc, app_doc, policy_doc, demand_doc)
@@ -406,6 +420,141 @@ def test_search_step_counts_pinned(seed, factor, drained, steps, placed):
     except InfeasiblePlacement:
         ok = False
     assert (SEARCH_BUDGET - budget.left, ok) == (steps, placed)
+
+
+# --- forward checking ---
+
+
+def pool_case(level: str, deny_m2=()):
+    """A global m1 of 4 instances feeding m2 over a ``level`` edge, on two
+    domains of one region with one 1000m node each; m2 is denied the
+    domains in ``deny_m2``."""
+    topo = {
+        "regions": [{"id": "r0", "domains": ["d0", "d1"]}],
+        "domains": [{"id": d, "region": "r0", "admin": "a", "kind": "edge"} for d in ("d0", "d1")],
+        "nodes": [{"id": f"{d}-n0", "domain": d, "cpu_m": 1000, "mem_mi": 4096} for d in ("d0", "d1")],
+        "attachments": [{"id": "iot0", "domain": "d0"}],
+    }
+    app = {
+        "id": "pool",
+        "microservices": [
+            {"id": "io", "iot": True},
+            {"id": "m1", "cpu_m": 250, "mem_mi": 256, "capacity_rps": 50},
+            {"id": "m2", "cpu_m": 250, "mem_mi": 256, "capacity_rps": 50},
+        ],
+        "edges": [{"from": "io", "to": "m1"}, {"from": "m1", "to": "m2"}],
+        "ingress": ["m1"],
+    }
+    policies = {"ms_locality": [{"consumer": "m1", "consumed": "m2", "level": level}],
+                "placement_restriction": [{"microservice": "m2", "mode": "deny", "domains": list(deny_m2)}],
+                "default_locality": "global"}
+    return build(topo, app, policies, {"d0": {"m1": 200}})
+
+
+@pytest.mark.parametrize("level, m1_live", [("strict-domain", {"d0"}), ("strict-region", {"d0", "d1"})])
+def test_dead_scopes_by_hand(level, m1_live):
+    """With m2 denied in d1, an m1 instance in d1 would need an m2 instance
+    in d1 over a strict-domain edge, so d1 is dead for m1; over a
+    strict-region edge d0 can host that m2, and d1 stays live."""
+    graph, app, pset, _ = pool_case(level, deny_m2=["d1"])
+    lookahead = _Lookahead(graph, app, pset, frozenset(), _placement_sequence(app, pset))
+    assert lookahead.live == {"m1": m1_live, "m2": {"d0"}}
+
+
+@pytest.mark.parametrize("level, drained, live, caps, m1, m2", [
+    ("strict-domain", (), {"d0", "d1"}, {"d0": 2, "d1": 2}, {"d0-n0": 2, "d1-n0": 2}, {"d0-n0": 2, "d1-n0": 2}),
+    ("strict-region", (), {"d0", "d1"}, None, {"d0-n0": 4}, {"d1-n0": 4}),
+    ("strict-region", ("d1-n0",), {"d0"}, {"r0": 2}, None, None),
+])
+def test_scope_caps_by_hand(level, drained, live, caps, m1, m2):
+    """m1's 4 instances serve 200 rps, 50 rps each, so k of them in a scope
+    bring k m2 instances there: 250k + 250k millicores.  One 1000m node
+    holds that for k <= 2, so a strict-domain edge caps each domain at 2,
+    and the search splits m1 2 + 2.  Over a strict-region edge the region's
+    two nodes hold all 4 and their 4 m2, so nothing is capped; with d1-n0
+    drained only d0-n0 counts, the region is capped at 2, and no placement
+    exists.  A drained node's domain is live for neither."""
+    graph, app, pset, request = pool_case(level)
+    sequence = _placement_sequence(app, pset)
+    lookahead = _Lookahead(graph, app, pset, frozenset(drained), sequence)
+    assert lookahead.live == {"m1": live, "m2": live}
+    node_ids = [n for n in sorted(graph.nodes) if n not in drained]
+    got = lookahead.caps(app.microservices["m1"], LocalityLevel.GLOBAL, Fraction(200), 4, node_ids, ())
+    assert (got and got[1]) == caps
+    try:
+        mapping = _reconcile(graph, app, pset, request.normalized_demand(), _Budget(SEARCH_BUDGET),
+                             drained=frozenset(drained))
+    except InfeasiblePlacement:
+        assert m1 is None
+    else:
+        assert (mapping.instances_of("m1"), mapping.instances_of("m2")) == (m1, m2)
+
+
+def settled_case(name: str):
+    """The graph, app, policies and demand of one case that used to end on
+    the search budget."""
+    if name == "global-pool-150x2":
+        loaded = load_scenario(ROOT / "perfbench" / "cases" / "global-pool-150x2.yaml")
+        return loaded.graph, loaded.app, loaded.policies, loaded.request.normalized_demand()
+    if name == "gen_case-350-x2":
+        topo_doc, app_doc, policy_doc, demand_doc = gen_case(random.Random(350))
+        demand_doc = {d: {m: r * 2 for m, r in per.items()} for d, per in demand_doc.items()}
+        graph, app, pset, request = build(topo_doc, app_doc, policy_doc, demand_doc)
+        return graph, app, pset, request.normalized_demand()
+    rng, case = random.Random(7), int(name.rsplit("-", 1)[1])  # scripts/fuzz_placement.py's stream
+    for _ in range(case):
+        gen_case(rng)
+    graph, app, pset, request = build(*gen_case(rng))
+    return graph, app, pset, request.normalized_demand()
+
+
+@pytest.mark.parametrize("name, placed", [
+    ("global-pool-150x2", True),
+    ("gen_case-350-x2", True),
+    ("fuzz-seed7-1015", True),
+    ("fuzz-seed7-308", False),
+])
+def test_settled_give_ups(name, placed):
+    """Each case ran out the full search budget before the look-ahead; now
+    it places cleanly, or exhausts its tree (a proof), in under 1,000 steps."""
+    graph, app, pset, demand = settled_case(name)
+    budget = _Budget(SEARCH_BUDGET)
+    try:
+        mapping = _reconcile(graph, app, pset, demand, budget)
+    except InfeasiblePlacement as exc:
+        assert not placed and exc.proved
+    else:
+        assert placed
+        plan = DeploymentPlan(app.id, 1, mapping, generate_routes(graph, app, mapping, pset), demand)
+        assert validate_plan(graph, app, pset, plan).ok
+    assert SEARCH_BUDGET - budget.left < 1000
+
+
+def test_plans_do_not_move():
+    """The plan documents of gen_case seeds 0-199 at 1x and 2x demand, and of
+    one seeded drain replan per placed case, hash to what the search gave
+    before the look-ahead: its prunes drop only splits no completion
+    satisfies and keep the order of the rest."""
+    digest = hashlib.sha256()
+    for seed, factor in itertools.product(range(200), (1, 2)):
+        topo_doc, app_doc, policy_doc, demand_doc = gen_case(random.Random(seed))
+        demand_doc = {d: {m: r * factor for m, r in per.items()} for d, per in demand_doc.items()}
+        graph, app, pset, request = build(topo_doc, app_doc, policy_doc, demand_doc)
+        try:
+            plan = place_application(graph, app, request, pset)
+        except InfeasiblePlacement:
+            digest.update(f"{seed} {factor}: infeasible\n".encode())
+            continue
+        digest.update(dump_doc(plan_to_doc(plan)).encode())
+        used = sorted({node for ms_id in plan.mapping.per_ms for node in plan.mapping.instances_of(ms_id)})
+        node = random.Random(seed).choice(used)
+        try:
+            plan = handle_alert(graph, app, pset, plan, Alert("node_drain", {"node": node}))
+        except InfeasiblePlacement:
+            digest.update(f"{seed} {factor} {node}: infeasible\n".encode())
+            continue
+        digest.update(dump_doc(plan_to_doc(plan)).encode())
+    assert digest.hexdigest() == "7ae23d7ab9e1a387cae16470b3b01b2f20fb47df072677a0607c8bfcb5e3c711"
 
 
 # --- infeasibility ---
@@ -527,14 +676,14 @@ def test_root_check_finds_no_cut_where_the_search_places():
 
 def test_exhausted_tree_is_a_proof_and_a_budget_give_up_is_not():
     """gen_case(Random(29)) at 2x demand has no capacity cut.  A fresh search
-    exhausts its tree in 201 steps, which proves it infeasible; with 100
+    exhausts its tree in 38 steps, which proves it infeasible; with 20
     steps it gives up, and only the give-up says the budget ran out."""
     topo_doc, app_doc, policy_doc, demand_doc = gen_case(random.Random(29))
     demand_doc = {d: {m: r * 2 for m, r in per.items()} for d, per in demand_doc.items()}
     graph, app, pset, request = build(topo_doc, app_doc, policy_doc, demand_doc)
     demand = request.normalized_demand()
     assert _capacity_cut(graph, app, pset, demand, frozenset()) is None
-    for limit, proved in ((SEARCH_BUDGET, True), (100, False)):
+    for limit, proved in ((SEARCH_BUDGET, True), (20, False)):
         with pytest.raises(InfeasiblePlacement) as exc:
             _reconcile(graph, app, pset, demand, _Budget(limit))
         assert (exc.value.proved, exc.value.certificate) == (proved, None)

@@ -530,6 +530,19 @@ def test_cli_routes_audits_the_plans_drained_nodes(tmp_path, capsys):
     assert err and all(line.endswith("node ed3-n1 is drained") for line in err)
 
 
+def test_cli_routes_rejects_a_plan_draining_an_unknown_node(tmp_path, capsys):
+    """``routes --plan`` fails on a plan document whose drained set names a
+    node the scenario lacks, as a replan of that plan does."""
+    doc = yaml.safe_load((GOLDEN / "plan_canonical.yaml").read_text(encoding="utf-8"))
+    doc["drained"] = ["ghost", "ed3-n1"]
+    plan_path = tmp_path / "plan.yaml"
+    plan_path.write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
+    assert main(["routes", "--scenario", CANONICAL, "--plan", str(plan_path), "--quiet"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "capacity: ghost: drained node ghost is unknown"
+    assert err[1:] and all(line.endswith("node ed3-n1 is drained") for line in err[1:])
+
+
 # --- CLI: simulate ---
 
 
