@@ -29,15 +29,16 @@ bounds the whole request: instance lower bounds that no placement can
 change, routed through one transportation max-flow per resource onto the
 nodes each may use.  A flow short of the need proves the request infeasible,
 and the minimum cut is the proof's certificate.  If it finds no cut, the
-search starts again from the root with two forward-checking prunes on:
-domains where a strict successor is certain to meet an empty scope are
-dead, and a split may put no more instances of a microservice in a
-stricter scope than that scope can hold together with what they make its
-strict descendants need there.  Both drop only splits that no completion
-can satisfy, and the splits left keep their order, so a plan the search
-finds is the one the search without them finds first, and an exhausted
-tree is still a proof.  A search that never backtracks runs neither the
-check nor the prunes.
+search starts again from the root with two forward-checking prunes on and
+the budget steps spent so far given back: domains where a strict successor
+is certain to meet an empty scope are dead, and a split may put no more
+instances of a microservice in a stricter scope than that scope can hold
+together with what they make its strict descendants need there.  Both drop
+only splits that no completion can satisfy, and the splits left keep their
+order, so the pruned search walks part of the tree the search without them
+walks, in the same order.  It finds the plan that search finds first, in no
+more steps, and an exhausted tree is still a proof.  A search that never
+backtracks runs neither the check nor the prunes.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
 
 from .appmodel import ApplicationDag, Microservice, PlacementRequest
 from .errors import (
@@ -630,90 +630,76 @@ def _distributions(node_ids, cpu_req: int, mem_req: int, count: int, ledger: _Le
     Every node's room is read once, when the first split is asked for: the
     search hands back everything it placed below a choice point before it
     asks that point for its next split, so the ledger is the same at every
-    resumption.  ``caps``, each node's (domain, region) and a cap per scope,
-    keeps only the splits within the caps (:func:`_capped_distributions`);
-    the loop here, with its fixed suffix sums for room, serves every search
-    that has not backtracked.
-    """
-    cpu, mem = ledger.cpu, ledger.mem
-    fits = [min(cpu[node_id] // cpu_req, mem[node_id] // mem_req) for node_id in node_ids]
-    if caps is not None:
-        yield from _capped_distributions(node_ids, fits, count, budget, *caps)
-        return
-    room = list(accumulate(reversed(fits), initial=0))[::-1]  # room[i]: what nodes i.. take
-    counts: list[int] = []  # instances on node_ids[0], node_ids[1], ... so far
-    remaining = count
-    while True:
-        if remaining == 0:
-            budget.spend()
-            yield [(node_ids[i], k) for i, k in enumerate(counts) if k]
-        elif room[len(counts)] >= remaining:
-            k = min(remaining, fits[len(counts)])
-            counts.append(k)
-            remaining -= k
-            continue
-        while counts and counts[-1] == 0:  # back up to the last node holding instances
-            counts.pop()
-        if not counts:
-            return
-        counts[-1] -= 1
-        remaining += 1
+    resumption.
 
-
-def _capped_distributions(node_ids, fits, count: int, budget: _Budget, scopes, caps: dict[str, int]):
-    """The splits of :func:`_distributions` that put at most ``caps[s]``
-    instances on the nodes whose ``scopes`` pair (domain, region) names ``s``,
-    in the same order; a scope without a cap takes any number.
-
+    ``caps``, each node's (domain, region) and a cap per scope, keeps only
+    the splits that put at most ``caps[s]`` instances on the nodes in scope
+    ``s``, in the same order; a scope without a cap takes any number, and
+    without ``caps`` every node sits in one uncapped domain and region.
     ``room`` is what the nodes from the next one on can still take: per
     region the lesser of its cap left and, summed over its domains, the
     lesser of each domain's cap left and what its unvisited nodes fit.  The
     scopes are nested, so that sum is exact, and a split starts down a node
     only where it can be completed.  It changes only at the node visited.
     """
-    left = {scope: caps.get(scope, count) for pair in scopes for scope in pair}  # caps left
-    unvisited = dict.fromkeys(left, 0)  # per domain, what its nodes from the next one on fit
-    for (domain_id, _), fit in zip(scopes, fits):
-        unvisited[domain_id] += fit
-    inner = dict.fromkeys(left, 0)  # per region, what its domains' unvisited nodes take
-    for domain_id, region_id in set(scopes):
-        inner[region_id] += min(left[domain_id], unvisited[domain_id])
-    room = sum(min(left[region_id], inner[region_id]) for region_id in {r for _, r in scopes})
+    cpu, mem = ledger.cpu, ledger.mem
+    fits = [min(cpu[node_id] // cpu_req, mem[node_id] // mem_req) for node_id in node_ids]
+    if caps is None:  # every node in one uncapped domain and region
+        dom = reg = [0] * len(node_ids)  # per node, the number of its domain and of its region
+        domain_left, region_left, unvisited = [count], [count], [sum(fits)]
+        inner = [min(count, unvisited[0])]
+    else:
+        scopes, cap_of = caps
+        domains, regions = {}, {}  # scope -> its number in dom or reg
+        dom = [domains.setdefault(domain_id, len(domains)) for domain_id, _ in scopes]
+        reg = [regions.setdefault(region_id, len(regions)) for _, region_id in scopes]
+        domain_left = [cap_of.get(domain_id, count) for domain_id in domains]  # caps left
+        region_left = [cap_of.get(region_id, count) for region_id in regions]
+        unvisited = [0] * len(domains)  # per domain, what its nodes from the next one on fit
+        for d, fit in zip(dom, fits):
+            unvisited[d] += fit
+        inner = [0] * len(regions)  # per region, what its domains' unvisited nodes take
+        for d, r in set(zip(dom, reg)):
+            inner[r] += min(domain_left[d], unvisited[d])
+    room = sum(map(min, region_left, inner))
 
-    def shift(i: int, fit: int, k: int):
-        """Change node i's unvisited fit by ``fit`` and its instances by ``k``."""
-        nonlocal room
-        domain_id, region_id = scopes[i]
-        was_domain = min(left[domain_id], unvisited[domain_id])
-        was_region = min(left[region_id], inner[region_id])
-        unvisited[domain_id] += fit
-        left[domain_id] -= k
-        left[region_id] -= k
-        inner[region_id] += min(left[domain_id], unvisited[domain_id]) - was_domain
-        room += min(left[region_id], inner[region_id]) - was_region
-
-    counts: list[int] = []
+    counts: list[int] = []  # instances on node_ids[0], node_ids[1], ... so far
     remaining = count
+    backing = False  # backing up to the last node holding instances, to take one off it
     while True:
-        if remaining == 0:
-            budget.spend()
-            yield [(node_ids[i], k) for i, k in enumerate(counts) if k]
-        elif room >= remaining:
-            i = len(counts)
-            domain_id, region_id = scopes[i]
-            k = min(remaining, fits[i], left[domain_id], left[region_id])
-            shift(i, -fits[i], k)
-            counts.append(k)
-            remaining -= k
-            continue
-        while counts and counts[-1] == 0:
-            shift(len(counts) - 1, fits[len(counts) - 1], 0)
-            counts.pop()
-        if not counts:
-            return
-        shift(len(counts) - 1, 0, -1)
-        counts[-1] -= 1
-        remaining += 1
+        if not backing:
+            if remaining == 0:
+                budget.spend()
+                yield [(node_ids[i], k) for i, k in enumerate(counts) if k]
+                backing = True
+            elif room >= remaining:  # on to the next node, with all it may take
+                i = len(counts)
+                d, r = dom[i], reg[i]
+                k = min(remaining, fits[i], domain_left[d], region_left[r])
+                counts.append(k)
+                remaining -= k
+                fit = -fits[i]
+            else:
+                backing = True
+        if backing:
+            if not counts:
+                return
+            i = len(counts) - 1
+            d, r = dom[i], reg[i]
+            if counts[i]:
+                counts[i] -= 1
+                remaining += 1
+                fit, k, backing = 0, -1, False
+            else:
+                counts.pop()
+                fit, k = fits[i], 0
+        # node i's fit leaves or rejoins what the unvisited nodes fit, and it takes k more instances
+        was_domain, was_region = min(domain_left[d], unvisited[d]), min(region_left[r], inner[r])
+        unvisited[d] += fit
+        domain_left[d] -= k
+        region_left[r] -= k
+        inner[r] += min(domain_left[d], unvisited[d]) - was_domain
+        room += min(region_left[r], inner[r]) - was_region
 
 
 def _reconcile(
@@ -744,14 +730,18 @@ def _reconcile(
     The first choice point to run out of choices runs the root capacity
     ``check`` (a fresh :class:`_RootCheck` unless given one), which raises a
     proved InfeasiblePlacement if it finds a cut.  Otherwise the search
-    starts again from the root, with the same budget, ``current`` and
-    ``check``, and with the look-ahead on (:class:`_Lookahead`): the splits
-    leave out nodes in dead domains and keep within the downstream scope
-    caps, while an anchor's kept first branch stays as it is.  Both prunes
-    are admissible (they drop only splits no completion satisfies) and the
-    splits left come in the same order, so the plan found is the first one
-    the search without them finds, and only the step count falls.  The
-    lazy trigger keeps their cost off searches that never backtrack.
+    starts again from the root, with the same ``current`` and ``check``,
+    the budget it was called with (the steps spent so far are given back)
+    and the look-ahead on (:class:`_Lookahead`): the splits leave out nodes
+    in dead domains and keep within the downstream scope caps, while an
+    anchor's kept first branch stays as it is.  Both prunes are admissible
+    (they drop only splits no completion satisfies) and the splits left
+    come in the same order, so the pruned search visits a subset of the
+    choice points and splits the search without them visits, in the same
+    order: the plan found is the first one that search finds, in no more
+    steps, so a plan found within the budget before is found within it
+    now.  The lazy trigger keeps their cost off searches that never
+    backtrack.
     Raises InfeasiblePlacement naming the deepest unsatisfiable
     microservice and anchor reached, with the cause: proved when the tree
     of a fresh search (no ``current``) is exhausted, not proved when the
@@ -760,6 +750,7 @@ def _reconcile(
     current = current or {}
     check = check or _RootCheck(graph, app, pset, demand, drained)
     sequence = _placement_sequence(app, pset)
+    steps = budget.left  # what the search may spend, given back at the restart
 
     def root_ledger() -> _Ledger:
         """Free capacity at the root of the search: every slot of ``current`` held."""
@@ -896,6 +887,7 @@ def _reconcile(
                     failed = (ms.id, anchor, "policy-empty scope" if empty else "insufficient capacity")
                 if lookahead is None:  # search again from the root, with the look-ahead on
                     lookahead = _Lookahead(graph, app, pset, drained, sequence)
+                    budget.left = steps
                     ledger = root_ledger()
                     acc.clear()
                     stack.clear()
