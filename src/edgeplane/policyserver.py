@@ -6,8 +6,16 @@ Two endpoints, both JSON:
   POST /v1/evaluate                      {"policy": ..., "input": {...}} -> decision
 
 Responses are canonical JSON (sorted keys, no whitespace), so the in-process
-functions and the wire endpoints can be compared byte for byte.  A body
-over MAX_BODY_BYTES is refused (413) unread, and a silent connection dropped.
+functions and the wire endpoints can be compared byte for byte.  The errors
+the HTTP layer answers itself (an unknown method, a malformed or over-long
+request line) are JSON too, with an HTTP/1.1 status line, and close the
+connection.  A body over MAX_BODY_BYTES is refused (413) unread, and a silent
+connection dropped.
+
+The socket is ``TCP_NODELAY``, so a keep-alive client waits on no timer: a
+response leaves as two writes, headers then body, and under Nagle's algorithm
+(RFC 896) the body would sit in the kernel until the client's delayed ACK of
+the headers, up to 40 ms later (RFC 1122 section 4.2.3.2).
 """
 
 from __future__ import annotations
@@ -53,7 +61,7 @@ def evaluate_response(pset: PolicySet, graph: InfrastructureGraph, body: bytes):
     """Resolve a /v1/evaluate request body to (status, payload)."""
     try:
         doc = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):  # too deeply nested
         return 400, {"error": "body is not valid JSON"}
     if not isinstance(doc, dict) or "policy" not in doc or "input" not in doc:
         return 400, {"error": "body must carry 'policy' and 'input'"}
@@ -70,9 +78,21 @@ class PolicyAgentHandler(BaseHTTPRequestHandler):
     server_version = "edgeplane-policy/0.1"
     protocol_version = "HTTP/1.1"
     timeout = CONNECTION_TIMEOUT_S  # a timed-out read closes the connection
+    disable_nagle_algorithm = True  # TCP_NODELAY: the body never waits on the peer's ACK
 
     def log_message(self, fmt, *args):  # request logging is the CLI's concern
         pass
+
+    def send_error(self, code, message=None, explain=None):
+        """The stdlib's own refusals (unknown method, bad request line, 414,
+        431), as JSON like every other answer; the connection then closes.
+        A line with no version or a bad one leaves request_version at
+        HTTP/0.9, which would send the body alone; the refusal keeps its
+        status line and headers."""
+        if message is None:
+            message = self.responses[code][0]
+        self.request_version = self.protocol_version
+        self._send(code, {"error": message}, close=True)
 
     def _send(self, status: int, payload, close: bool = False):
         data = canonical_json(payload)
@@ -82,7 +102,8 @@ class PolicyAgentHandler(BaseHTTPRequestHandler):
         if close:  # also ends this connection once the response is out
             self.send_header("Connection", "close")
         self.end_headers()
-        self.wfile.write(data)
+        if self.command != "HEAD":  # only send_error answers a HEAD, and without a body
+            self.wfile.write(data)
 
     def do_GET(self):
         path = urlparse(self.path).path

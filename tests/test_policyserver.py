@@ -1,5 +1,7 @@
+import http.client
 import json
 import socket
+import statistics
 import threading
 import time
 import urllib.error
@@ -97,6 +99,10 @@ def test_evaluate_response_malformed(setup):
     graph, pset = setup
     assert evaluate_response(pset, graph, b"{not json") == \
         (400, {"error": "body is not valid JSON"})
+    # nested too deeply for json.loads, which raises RecursionError on these
+    for body in (b"[" * 5000, b'{"policy":' + b"[" * 5000):
+        assert evaluate_response(pset, graph, body) == \
+            (400, {"error": "body is not valid JSON"})
     assert evaluate_response(pset, graph, b"[]") == \
         (400, {"error": "body must carry 'policy' and 'input'"})
     assert evaluate_response(pset, graph, b'{"policy": "iot_locality"}') == \
@@ -235,3 +241,107 @@ def test_wire_drops_a_client_that_never_sends_its_body(server, monkeypatch):
         assert read_until_closed(sock) == b""
         assert time.monotonic() - started < 4
     assert http_get(base, "/v1/data/iot_locality/m2")[:2] == (200, b'{"result":"StrictDomain"}')
+
+
+def keep_alive(srv) -> http.client.HTTPConnection:
+    return http.client.HTTPConnection("127.0.0.1", srv.server_address[1], timeout=5)
+
+
+def exchange(conn, method, path, body=None):
+    conn.request(method, path, body=body)
+    response = conn.getresponse()
+    return response.status, response.read()
+
+
+def test_wire_keep_alive_answers_wait_on_no_timer(server, canonical):
+    """Twenty requests, alternating GET and POST, on one keep-alive connection:
+    every answer equals the in-process one, and the median round trip stays far
+    below the 40 ms delayed-ACK timer that the body, written after the headers,
+    waits on when Nagle's algorithm holds it until the headers are ACKed."""
+    srv, base = server
+    pset, graph = canonical.policies, canonical.graph
+    parts = ["ms_locality", "m2", "m3"]
+    body = json.dumps({"policy": "placement_restriction",
+                       "input": {"microservice": "m2", "domain": "ed3"}}).encode()
+    requests = [("GET", "/v1/data/" + "/".join(parts), None, data_response(pset, graph, parts)),
+                ("POST", "/v1/evaluate", body, evaluate_response(pset, graph, body))]
+    conn = keep_alive(srv)
+    round_trips = []
+    try:
+        for i in range(20):
+            method, path, data, (status, payload) = requests[i % 2]
+            started = time.perf_counter()
+            assert exchange(conn, method, path, data) == (status, canonical_json(payload))
+            round_trips.append(time.perf_counter() - started)
+    finally:
+        conn.close()
+    assert statistics.median(round_trips) < 0.010, round_trips
+
+
+def test_wire_too_deeply_nested_body_keeps_the_connection(server):
+    srv, base = server
+    conn = keep_alive(srv)
+    try:
+        assert exchange(conn, "POST", "/v1/evaluate", b"[" * 5000) == \
+            (400, canonical_json({"error": "body is not valid JSON"}))
+        assert exchange(conn, "GET", "/v1/data/iot_locality/m2") == \
+            (200, b'{"result":"StrictDomain"}')
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize("request_bytes, status, message", [
+    (b"PUT /v1/evaluate HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n\r\n",
+     501, "Unsupported method ('PUT')"),
+    (b"this is not http HTTP/1.1\r\n\r\n",
+     400, "Bad request syntax ('this is not http HTTP/1.1')"),
+    # lines with no version or a bad one, which the stdlib parses as HTTP/0.9
+    (b"garbage\r\n", 400, "Bad request syntax ('garbage')"),
+    (b"GET / HTTP/x\r\n", 400, "Bad request version ('HTTP/x')"),
+    (b"POST /v1/evaluate\r\n", 400, "Bad HTTP/0.9 request type ('POST')"),
+    # a request line over the stdlib's 65,536 bytes, sent without its end
+    (b"GET /" + b"a" * 65532, 414, http.HTTPStatus(414).phrase),
+], ids=["unknown-method", "garbage-request-line", "one-word-request-line",
+        "bad-version", "versionless-post", "over-long-request-line"])
+def test_wire_http_layer_errors_are_json_and_close(server, request_bytes, status, message):
+    srv, base = server
+    with socket.create_connection(srv.server_address, timeout=5) as sock:
+        sock.sendall(request_bytes)
+        head, _, body = read_until_closed(sock).partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 %d " % status)
+    assert b"\r\nContent-Type: application/json; charset=utf-8\r\n" in head
+    assert b"\r\nContent-Length: %d\r\n" % len(body) in head
+    assert b"\r\nConnection: close" in head
+    assert body == canonical_json({"error": message})
+
+
+def test_wire_head_is_refused_without_a_body(server):
+    srv, base = server
+    with socket.create_connection(srv.server_address, timeout=5) as sock:
+        sock.sendall(b"HEAD /v1/data/iot_locality/m2 HTTP/1.1\r\nHost: t\r\n\r\n")
+        head, _, body = read_until_closed(sock).partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 501 ")
+    assert b"\r\nConnection: close" in head
+    assert body == b""
+
+
+def test_wire_expect_100_continue_is_answered_before_the_body(server):
+    """A client that sends `Expect: 100-continue` holds its body back until the
+    interim response arrives, so that response must leave at once, not wait in
+    a buffer for the final one."""
+    srv, base = server
+    body = json.dumps({"policy": "placement_restriction",
+                       "input": {"microservice": "m2", "domain": "ed3"}}).encode()
+    with socket.create_connection(srv.server_address, timeout=2) as sock:
+        sock.sendall(b"POST /v1/evaluate HTTP/1.1\r\nHost: t\r\nExpect: 100-continue\r\n"
+                     b"Connection: close\r\nContent-Length: %d\r\n\r\n" % len(body))
+        interim = b""
+        while not interim.endswith(b"\r\n\r\n"):
+            chunk = sock.recv(4096)  # a 100 held back times this out
+            assert chunk, interim
+            interim += chunk
+        assert interim.startswith(b"HTTP/1.1 100 ")
+        sock.sendall(body)
+        head, _, answer = read_until_closed(sock).partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 200 ")
+    assert answer == canonical_json(evaluate_response(srv.pset, srv.graph, body)[1])
