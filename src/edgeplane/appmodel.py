@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import isfinite
 
 from .errors import (
     CycleDetected,
@@ -23,20 +24,23 @@ from .errors import (
     InvalidRequest,
     UnknownDomain,
     UnknownMicroservice,
+    doc_id,
+    doc_int,
     doc_list,
 )
 
 
 def as_rate(value) -> Fraction:
-    """Normalize a document number to an exact rate.
+    """Normalize a document number to an exact rate; the package's one rate reader.
 
     Floats go through their shortest decimal repr, so a YAML ``0.1`` becomes
-    exactly 1/10 rather than the binary approximation.
+    exactly 1/10 rather than the binary approximation.  A bool, a non-number
+    or a non-finite float (YAML ``.inf``, ``.nan``) raises InvalidRequest.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
-        raise InvalidRequest(f"expected a number, got {value!r}")
-    if isinstance(value, float):
+    if isinstance(value, float) and isfinite(value):
         return Fraction(repr(value))
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise InvalidRequest(f"expected a finite number, got {value!r}")
     return Fraction(value)
 
 
@@ -183,33 +187,24 @@ def validate_app(app: ApplicationDag) -> ApplicationDag:
     return app
 
 
-def _integer(value, what: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidApplication(f"{what} must be an integer, got {value!r}") from None
-
-
 def app_from_doc(doc: dict) -> ApplicationDag:
     """Parse and validate the application fragment of a scenario document."""
     if not isinstance(doc, dict):
         raise InvalidApplication("application fragment must be a mapping")
-    app_id = doc.get("id")
-    if not isinstance(app_id, str) or not app_id:
-        raise InvalidApplication("application id must be a non-empty string")
+    app_id = doc_id(doc.get("id"), "application id", InvalidApplication)
 
     microservices: dict[str, Microservice] = {}
     for entry in doc_list(doc.get("microservices"), "application microservices", InvalidApplication):
-        ms_id = entry.get("id")
-        if not isinstance(ms_id, str) or not ms_id:
-            raise InvalidApplication(f"microservice id must be a non-empty string, got {ms_id!r}")
+        ms_id = doc_id(entry.get("id"), "microservice id", InvalidApplication)
         if ms_id in microservices:
             raise DuplicateId(f"microservice id {ms_id!r} already used")
-        iot = bool(entry.get("iot", False))
+        iot = entry.get("iot", False)
+        if not isinstance(iot, bool):
+            raise InvalidApplication(f"microservice {ms_id!r} iot must be true or false, got {iot!r}")
         microservices[ms_id] = Microservice(
             id=ms_id,
-            cpu_req=_integer(entry.get("cpu_m", 0), f"microservice {ms_id!r} cpu_m"),
-            mem_req=_integer(entry.get("mem_mi", 0), f"microservice {ms_id!r} mem_mi"),
+            cpu_req=doc_int(entry.get("cpu_m", 0), f"microservice {ms_id!r} cpu_m", InvalidApplication),
+            mem_req=doc_int(entry.get("mem_mi", 0), f"microservice {ms_id!r} mem_mi", InvalidApplication),
             capacity_rps=as_rate(entry.get("capacity_rps", 0)),
             placed_on_iot=iot,
         )

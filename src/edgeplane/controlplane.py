@@ -575,8 +575,7 @@ class _Lookahead:
         binds.  Per scope stricter than ``level`` that holds one of the nodes:
         the largest k whose instances and their descendants' fit in the cpu
         and the mem of its undrained nodes, less the (microservice, slots)
-        pairs chosen on the search ``path``; 0 if a descendant has no live
-        domain there."""
+        pairs chosen on the search ``path``."""
         caps, used = {}, None
         for scope_level in _STRICTER[level] if need else ():
             below = self.below[ms.id, scope_level]
@@ -595,9 +594,6 @@ class _Lookahead:
                 share = rps * m / (need * t.capacity_rps)
                 terms.append((share.numerator, share.denominator, t.cpu_req, t.mem_req))
             for scope in {self.graph.anchor_of(self.scopes[n][0], scope_level) for n in node_ids}:
-                if any(scope not in self.live_scopes[t, scope_level] for t in below):
-                    caps[scope] = 0
-                    continue
                 (cpu, mem), (cpu_used, mem_used) = self.room[scope], used.get(scope, (0, 0))
                 cpu, mem = cpu - cpu_used, mem - mem_used
                 # fitting is monotone in k, so this counts the k in 1..need that fit

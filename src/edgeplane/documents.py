@@ -22,7 +22,7 @@ from .controlplane import (
     RoutingRule,
     RoutingRuleSet,
 )
-from .errors import InvalidRequest, ScenarioParseError, doc_list
+from .errors import InvalidRequest, ScenarioParseError, doc_id, doc_int, doc_list
 from .locality import LocalityLevel
 from .meshsim import SimulationReport
 from .topology import InfrastructureGraph
@@ -86,7 +86,7 @@ def plan_from_doc(doc: dict) -> DeploymentPlan:
 
     Slot order inside each placement entry is preserved, so scale-down after
     a round trip still removes the newest instances first.  Every id must be
-    a string, ``revision`` and every ``weight`` an integer, every
+    a non-empty string, ``revision`` and every ``weight`` an integer, every
     ``instances`` a positive integer (a bool is neither), ``demand`` a
     mapping of mappings and ``drained``, when present, a list of node ids;
     any other shape raises ScenarioParseError ("malformed plan document: ...").
@@ -97,24 +97,27 @@ def plan_from_doc(doc: dict) -> DeploymentPlan:
         per_ms: dict[str, dict[str, AnchorPlacement]] = {}
         order: list[str] = []
         for entry in _plan_list(doc.get("placements", []), "placements"):
-            ms_id, anchor = _plan_id(entry, "microservice"), _plan_id(entry, "anchor")
+            ms_id = doc_id(entry["microservice"], "microservice", ScenarioParseError)
+            anchor = doc_id(entry["anchor"], "anchor", ScenarioParseError)
             if ms_id not in order:
                 order.append(ms_id)
             per_ms.setdefault(ms_id, {})[anchor] = AnchorPlacement(
                 anchor=anchor,
                 level=LocalityLevel(entry["level"]),
                 demand_rps=as_rate(entry["demand_rps"]),
-                slots=[(_plan_id(n, "node"), _plan_int(n, "instances", positive=True))
+                slots=[(doc_id(n["node"], "node", ScenarioParseError),
+                        doc_int(n["instances"], "instances", ScenarioParseError, least=1))
                        for n in _plan_list(entry["nodes"], "placement nodes")],
             )
         rules = tuple(
             RoutingRule(
-                domain_id=_plan_id(entry, "domain"),
-                consumer=_plan_id(entry, "consumer"),
-                target_ms=_plan_id(entry, "target"),
+                domain_id=doc_id(entry["domain"], "domain", ScenarioParseError),
+                consumer=doc_id(entry["consumer"], "consumer", ScenarioParseError),
+                target_ms=doc_id(entry["target"], "target", ScenarioParseError),
                 level=LocalityLevel(entry["level"]),
                 destinations=tuple(
-                    (_plan_id(d, "node"), _plan_int(d, "weight"))
+                    (doc_id(d["node"], "node", ScenarioParseError),
+                     doc_int(d["weight"], "weight", ScenarioParseError))
                     for d in _plan_list(entry["destinations"], "route destinations")),
             )
             for entry in _plan_list(doc.get("routes", []), "routes")
@@ -130,8 +133,8 @@ def plan_from_doc(doc: dict) -> DeploymentPlan:
         if not (isinstance(drained, list) and all(isinstance(node, str) for node in drained)):
             raise ScenarioParseError("drained must be a list of node ids")
         return DeploymentPlan(
-            app_id=str(doc["application"]),
-            revision=_plan_int(doc, "revision"),
+            app_id=doc_id(doc["application"], "application", ScenarioParseError),
+            revision=doc_int(doc["revision"], "revision", ScenarioParseError),
             mapping=PlacementMapping(per_ms=per_ms, order=tuple(order)),
             routes=RoutingRuleSet(rules),
             demand=demand,
@@ -146,22 +149,6 @@ def _plan_list(value, what: str) -> list:
     if not isinstance(value, list):
         raise ScenarioParseError(f"{what} must be a list of mappings")
     return doc_list(value, what, ScenarioParseError)
-
-
-def _plan_id(entry: dict, key: str) -> str:
-    """``entry[key]``, which a plan document must give as a string id."""
-    value = entry[key]
-    if not isinstance(value, str):
-        raise ScenarioParseError(f"{key} must be a string id, got {value!r}")
-    return value
-
-
-def _plan_int(entry: dict, key: str, positive: bool = False) -> int:
-    """``entry[key]``, which a plan document must give as an integer, not a bool."""
-    value = entry[key]
-    if isinstance(value, bool) or not isinstance(value, int) or (positive and value < 1):
-        raise ScenarioParseError(f"{key} must be {'a positive' if positive else 'an'} integer, got {value!r}")
-    return value
 
 
 def routes_docs(graph: InfrastructureGraph, plan: DeploymentPlan) -> list[dict]:

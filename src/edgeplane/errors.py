@@ -1,8 +1,11 @@
-"""Exception types raised across the package.
+"""Exception types raised across the package, and the document value checks.
 
 Kept in one flat module so that loaders, the planner and the simulator can
 share reference errors (unknown domain, unknown microservice) without import
-cycles, and so that every document loader can share :func:`doc_list`.
+cycles, and so that every document loader reads lists, ids and integers
+through one check each: :func:`doc_list`, :func:`doc_id` and :func:`doc_int`.
+Each raises the calling loader's own error class.  Rates have their one
+reader in ``appmodel.as_rate``.
 """
 
 
@@ -155,7 +158,7 @@ class ScenarioParseError(EdgeplaneError):
     output file could not be written."""
 
 
-# --- document shape -----------------------------------------------------------
+# --- document values ----------------------------------------------------------
 
 
 def doc_list(value, what: str, error: type[EdgeplaneError], item: type = dict) -> list:
@@ -165,4 +168,20 @@ def doc_list(value, what: str, error: type[EdgeplaneError], item: type = dict) -
         return []
     if not isinstance(value, list) or not all(isinstance(entry, item) for entry in value):
         raise error(f"{what} must be a list of {'mappings' if item is dict else 'ids'}")
+    return value
+
+
+def doc_id(value, what: str, error: type[EdgeplaneError]) -> str:
+    """A document id: a non-empty string, or the calling loader's ``error``."""
+    if not isinstance(value, str) or not value:
+        raise error(f"{what} must be a non-empty string, got {value!r}")
+    return value
+
+
+def doc_int(value, what: str, error: type[EdgeplaneError], least: int | None = None) -> int:
+    """A document integer: an ``int`` that is not a bool and, with ``least``,
+    at least ``least``; anything else raises the calling loader's ``error``."""
+    if isinstance(value, bool) or not isinstance(value, int) or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise error(f"{what} must be an integer{bound}, got {value!r}")
     return value

@@ -86,7 +86,7 @@ def parse_policies(doc: dict, app, graph) -> PolicySet:
         raise PolicyError("policies fragment must be a mapping")
     unknown = set(doc) - {*POLICY_TYPES, "default_locality"}
     if unknown:
-        raise UnknownPolicyType(sorted(unknown)[0])
+        raise UnknownPolicyType(str(min(unknown, key=str)))
 
     ms_ids = frozenset(app.microservices)
     domain_ids = frozenset(graph.domains)

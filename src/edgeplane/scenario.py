@@ -4,20 +4,23 @@ A scenario is one YAML document describing everything a run needs.
 :func:`read_yaml` is the package's one file reader and :func:`check_scenario`
 its one section parser: ``edgeplane validate`` prints every problem found,
 every other path raises the first.  Parsing is strict: unreadable files,
-unknown event kinds, dangling references and malformed settings fail fast
-with ScenarioParseError or the underlying model error rather than surfacing
-as confusing behavior mid-simulation.
+unknown event kinds and settings keys, dangling references, and ids,
+integers or rates of the wrong type (see ``errors.doc_id``, ``errors.doc_int``
+and ``appmodel.as_rate``) fail fast with ScenarioParseError or the
+underlying model error rather than surfacing as confusing behavior
+mid-simulation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from pathlib import Path
 
 import yaml
 
 from .appmodel import ApplicationDag, PlacementRequest, app_from_doc, as_rate, demand_from_doc
-from .errors import EdgeplaneError, ScenarioParseError, UnknownNode, doc_list
+from .errors import EdgeplaneError, ScenarioParseError, UnknownNode, doc_int, doc_list
 from .meshsim import ScenarioEvent
 from .policy import PolicySet, parse_policies
 from .topology import InfrastructureGraph, load_topology
@@ -33,7 +36,6 @@ YAML_LOADER, YAML_DUMPER = (
 
 @dataclass(frozen=True)
 class Settings:
-    default_locality: str | None = None
     overload_threshold: float = 0.8
 
 
@@ -108,7 +110,7 @@ def check_scenario(doc) -> tuple[Scenario | None, list[tuple[str, EdgeplaneError
     app = parse("application", app_from_doc)
     if graph is None or app is None:
         return None, problems
-    policies = parse("policies", lambda raw: parse_policies(_policy_doc(raw, settings), app, graph))
+    policies = parse("policies", lambda raw: parse_policies(_policy_doc(raw), app, graph))
     request = parse("demand", lambda raw: demand_from_doc(app, raw).validate_against(graph))
     events = parse("events", lambda raw: _events_from_doc(raw, graph, app))
     if problems:
@@ -120,35 +122,30 @@ def _settings_from_doc(raw) -> Settings:
     raw = raw or {}
     if not isinstance(raw, dict):
         raise ScenarioParseError("settings must be a mapping")
+    unknown = set(raw) - {"overload_threshold", "deterministic"}
+    if unknown:
+        raise ScenarioParseError(f"unknown settings key {min(unknown, key=str)!r}")
     threshold = raw.get("overload_threshold", 0.8)
-    if isinstance(threshold, bool) or not isinstance(threshold, (int, float)) or threshold <= 0:
-        raise ScenarioParseError("settings.overload_threshold must be a positive number")
+    if isinstance(threshold, bool) or not isinstance(threshold, (int, float)) or not 0 < threshold < inf:
+        raise ScenarioParseError("settings.overload_threshold must be a positive finite number")
     if raw.get("deterministic", True) is not True:
         # the simulator has no stochastic mode; reject rather than pretend
         raise ScenarioParseError("settings.deterministic must be true")
-    default_locality = raw.get("default_locality")
-    if default_locality is not None and not isinstance(default_locality, str):
-        raise ScenarioParseError("settings.default_locality must be a string")
-    return Settings(default_locality=default_locality, overload_threshold=float(threshold))
+    return Settings(overload_threshold=threshold)
 
 
-def _policy_doc(raw, settings: Settings | None) -> dict:
-    """The scenario's policies, with settings.default_locality filling a gap."""
+def _policy_doc(raw) -> dict:
+    """The scenario's policies section: a mapping, or empty when absent."""
     policies = raw or {}
     if not isinstance(policies, dict):
         raise ScenarioParseError("policies must be a mapping")
-    policy_doc = dict(policies)
-    if settings is not None and settings.default_locality is not None:
-        policy_doc.setdefault("default_locality", settings.default_locality)
-    return policy_doc
+    return policies
 
 
 def _events_from_doc(raw, graph: InfrastructureGraph, app: ApplicationDag) -> list[ScenarioEvent]:
     events: list[ScenarioEvent] = []
     for i, entry in enumerate(doc_list(raw, "events", ScenarioParseError)):
-        tick = entry.get("tick")
-        if isinstance(tick, bool) or not isinstance(tick, int) or tick < 0:
-            raise ScenarioParseError(f"events[{i}].tick must be a non-negative integer")
+        tick = doc_int(entry.get("tick"), f"events[{i}].tick", ScenarioParseError, least=0)
         kind = entry.get("type")
         if kind == "set_demand":
             domain = entry.get("domain")

@@ -18,6 +18,8 @@ from .errors import (
     EmptyTopology,
     InvalidTopology,
     UnknownDomain,
+    doc_id,
+    doc_int,
     doc_list,
 )
 from .locality import LocalityLevel
@@ -123,9 +125,8 @@ def _require(condition: bool, error: Exception):
 
 
 def _ident(value, what: str) -> str:
-    if not isinstance(value, str) or not value:
-        raise InvalidTopology(f"{what} id must be a non-empty string, got {value!r}")
-    if value == GLOBAL_ANCHOR:
+    """A topology id: a document id other than the reserved GLOBAL_ANCHOR."""
+    if doc_id(value, f"{what} id", InvalidTopology) == GLOBAL_ANCHOR:
         raise InvalidTopology(f"{what} id {value!r} is reserved")
     return value
 
@@ -133,12 +134,6 @@ def _ident(value, what: str) -> str:
 def _known(ident, table: dict) -> bool:
     """Whether ``ident`` names an entry of ``table``; a non-string names none."""
     return isinstance(ident, str) and ident in table
-
-
-def _capacity(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidTopology(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def load_topology(doc: dict) -> InfrastructureGraph:
@@ -178,7 +173,8 @@ def load_topology(doc: dict) -> InfrastructureGraph:
         kind = entry.get("kind")
         if kind not in DOMAIN_KINDS:
             raise InvalidTopology(f"domain {did!r} kind must be one of {DOMAIN_KINDS}, got {kind!r}")
-        domains[did] = Domain(did, entry.get("region"), entry.get("admin"), kind)
+        admin = doc_id(entry.get("admin"), f"domain {did!r} admin", InvalidTopology)
+        domains[did] = Domain(did, entry.get("region"), admin, kind)
 
     _require(len(domains) > 0, EmptyTopology("topology has no domains"))
 
@@ -203,8 +199,8 @@ def load_topology(doc: dict) -> InfrastructureGraph:
         nodes[nid] = ComputeNode(
             id=nid,
             domain_id=entry["domain"],
-            cpu_capacity=_capacity(entry.get("cpu_m"), f"node {nid!r} cpu_m"),
-            mem_capacity=_capacity(entry.get("mem_mi"), f"node {nid!r} mem_mi"),
+            cpu_capacity=doc_int(entry.get("cpu_m"), f"node {nid!r} cpu_m", InvalidTopology),
+            mem_capacity=doc_int(entry.get("mem_mi"), f"node {nid!r} mem_mi", InvalidTopology),
         )
 
     attachments: dict[str, IoTAttachment] = {}

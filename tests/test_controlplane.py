@@ -1325,14 +1325,16 @@ def test_replan_backtracks_where_first_fit_strands_a_successor():
     assert validate_plan(graph, dag, pset, plan2).ok
 
 
-def test_replan_fails_only_where_fresh_placement_fails():
+@pytest.mark.parametrize("gen, least", [(gen_small_case, 100), (gen_case, 300)],
+                         ids=["gen_small_case", "gen_case"])
+def test_replan_fails_only_where_fresh_placement_fails(gen, least):
     """After one seeded drain or demand change, a replan is infeasible
     exactly when a fresh placement of the post-alert state is, and every
     replan it returns is compliant."""
     replanned = 0
     for seed in range(400):
         rng = random.Random(seed)
-        topo_doc, app_doc, policy_doc, demand_doc = gen_small_case(rng)
+        topo_doc, app_doc, policy_doc, demand_doc = gen(rng)
         graph, app, pset, request = build(topo_doc, app_doc, policy_doc, demand_doc)
         try:
             plan = place_application(graph, app, request, pset)
@@ -1364,4 +1366,4 @@ def test_replan_fails_only_where_fresh_placement_fails():
         assert fresh_ok, f"seed {seed}: replan succeeded, fresh placement failed"
         assert validate_plan(graph, app, pset, plan2).ok, seed
         replanned += 1
-    assert replanned >= 100
+    assert replanned >= least, replanned

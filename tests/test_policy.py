@@ -85,6 +85,7 @@ def _parse(policy_doc, app_doc=None, topo_doc=None):
     ({"iot_locality": [{"microservice": "m2", "level": "Region"}]}, PolicyError),
     ({"unknown_block": []}, UnknownPolicyType),
     ({"default_locality": "sometimes"}, PolicyError),
+    ({1: [], "unknown_block": []}, UnknownPolicyType),
 ])
 def test_parse_rejections(doc, err):
     with pytest.raises(err):

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import re
 import socket
 from http.server import ThreadingHTTPServer
@@ -12,7 +13,6 @@ from edgeplane.cli import main
 from edgeplane.controlplane import ControlPlane, validate_plan
 from edgeplane.documents import plan_from_doc
 from edgeplane.errors import EdgeplaneError, ScenarioParseError, UnknownNode
-from edgeplane.locality import LocalityLevel
 from edgeplane.scenario import check_scenario, load_scenario, scenario_from_doc
 
 from .support import GOLDEN, SCENARIOS
@@ -25,8 +25,9 @@ SURGE = str(SCENARIOS / "uav_demand_surge.yaml")
 LOADERS = (yaml.SafeLoader, *([yaml.CSafeLoader] if yaml.__with_libyaml__ else []))
 
 
-def canonical_doc():
-    with open(CANONICAL, encoding="utf-8") as fh:
+def canonical_doc(path=CANONICAL):
+    """The canonical scenario's document, or that of the scenario at ``path``."""
+    with open(path, encoding="utf-8") as fh:
         return yaml.safe_load(fh)
 
 
@@ -54,6 +55,15 @@ def node_paths(node, prefix=()):
     for key, child in children:
         yield prefix + (key,)
         yield from node_paths(child, prefix + (key,))
+
+
+def leaves(node, prefix=()):
+    """The key path and value of every scalar under ``node``, lists in full."""
+    if not isinstance(node, (dict, list)):
+        yield prefix, node
+        return
+    for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield from leaves(child, prefix + (key,))
 
 
 # --- scenario loading ---
@@ -118,7 +128,7 @@ def test_load_rejects_stochastic_mode(tmp_path):
         load_scenario(write_scenario(tmp_path, doc))
 
 
-@pytest.mark.parametrize("threshold", [0, -1, "fast", True])
+@pytest.mark.parametrize("threshold", [0, -1, "fast", True, float("inf"), float("nan")])
 def test_load_rejects_bad_threshold(tmp_path, threshold):
     doc = canonical_doc()
     doc["settings"]["overload_threshold"] = threshold
@@ -126,19 +136,18 @@ def test_load_rejects_bad_threshold(tmp_path, threshold):
         load_scenario(write_scenario(tmp_path, doc))
 
 
-def test_settings_default_locality_fills_policy_gap(tmp_path):
+@pytest.mark.parametrize("key, value", [("default_locality", "strict-region"), ("overload_treshold", 0.01)],
+                         ids=["default_locality", "overload_treshold"])
+def test_unknown_settings_key_exits_2_naming_it(tmp_path, capsys, key, value):
+    """The settings keys are closed: the default locality is set in
+    ``policies`` only, and a misspelt key is not silently ignored."""
     doc = canonical_doc()
-    del doc["policies"]["default_locality"]
-    doc["settings"]["default_locality"] = "strict-region"
-    scenario = load_scenario(write_scenario(tmp_path, doc))
-    assert scenario.policies.default_locality is LocalityLevel.STRICT_REGION
-
-
-def test_policy_default_locality_wins_over_settings(tmp_path):
-    doc = canonical_doc()
-    doc["settings"]["default_locality"] = "strict-region"  # policies says global
-    scenario = load_scenario(write_scenario(tmp_path, doc))
-    assert scenario.policies.default_locality is LocalityLevel.GLOBAL
+    doc["settings"][key] = value
+    path = write_scenario(tmp_path, doc)
+    with pytest.raises(ScenarioParseError, match=f"unknown settings key '{key}'"):
+        load_scenario(path)
+    assert main(["simulate", "--scenario", path, "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: unknown settings key '{key}'\n"
 
 
 def test_events_sorted_and_alias_accepted(tmp_path):
@@ -260,6 +269,10 @@ MALFORMED = {
     "demand-domain-a-list": (("events",), [{"tick": 0, "type": "set_demand", "domain": [1],
                                             "ms": "m2", "rps": 5}], 2, "ScenarioParseError"),
     "cpu-not-a-number": (("application", "microservices", 1, "cpu_m"), "x", 1, "InvalidApplication"),
+    "cpu-a-fraction": (("application", "microservices", 1, "cpu_m"), 1.5, 1, "InvalidApplication"),
+    "iot-a-string": (("application", "microservices", 0, "iot"), "false", 1, "InvalidApplication"),
+    "capacity-rps-infinite": (("application", "microservices", 1, "capacity_rps"), float("inf"),
+                              1, "InvalidRequest"),
 }
 
 
@@ -276,6 +289,14 @@ def test_cli_malformed_entry_is_a_one_line_error(tmp_path, capsys, command, path
         assert err.startswith(f"{path[0]}: {error}: ")
     elif error != "ScenarioParseError":
         assert err.startswith(f"error: {error}: ")
+
+
+def test_cli_simulate_infinite_threshold_exits_2(tmp_path, capsys):
+    doc = canonical_doc(SURGE)
+    doc["settings"]["overload_threshold"] = float("inf")
+    assert main(["simulate", "--scenario", write_scenario(tmp_path, doc), "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        "error: settings.overload_threshold must be a positive finite number\n")
 
 
 def test_malformed_shapes_never_escape_as_raw_exceptions():
@@ -299,6 +320,34 @@ def test_malformed_shapes_never_escape_as_raw_exceptions():
             except EdgeplaneError:
                 pass
     assert tried > 900
+
+
+def test_leaf_values_load_typed_or_fail_as_edgeplane_errors():
+    """Every scalar of both bundled scenarios, replaced by each value of any
+    YAML kind, either loads and places or raises an EdgeplaneError.  A
+    document loads only with integer ``cpu_m``, ``mem_mi`` and ``tick``
+    values and bool ``iot`` flags, so nothing is truncated or read as true,
+    and never with ``.nan`` or ``.inf``."""
+    tried = 0
+    for base in (canonical_doc(), canonical_doc(SURGE)):
+        for path, original in list(leaves(base)):
+            for value in (None, True, "", "x", [], {}, 1.5, -1, float("nan"), float("inf"), 1e30):
+                set_path(base, path, value)
+                tried += 1
+                try:
+                    sc = scenario_from_doc(base)
+                except EdgeplaneError:
+                    continue
+                finally:
+                    set_path(base, path, original)
+                kind = {"cpu_m": int, "mem_mi": int, "tick": int, "iot": bool}.get(path[-1])
+                assert kind is None or type(value) is kind, (path, value)
+                assert not (isinstance(value, float) and not math.isfinite(value)), (path, value)
+                try:
+                    ControlPlane(sc.graph, sc.app, sc.policies).place(sc.request)
+                except EdgeplaneError:
+                    pass
+    assert tried == 2035
 
 
 @pytest.mark.parametrize("argv", [
