@@ -1,4 +1,4 @@
-"""Control plane: demand-driven placement, routing rules, validation, replans.
+"""Control plane: demand-driven placement, routing rules, replans.
 
 One reconciler chooses node slots for both placement and replans.  It takes
 the microservices in one Kahn walk of the application DAG (a microservice is
@@ -48,6 +48,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .appmodel import ApplicationDag, Microservice, PlacementRequest
+from .audit import ComplianceReport, Violation, validate_plan  # noqa: F401 (re-exported)
 from .errors import (
     InfeasiblePlacement,
     NoDestinationInScope,
@@ -55,12 +56,9 @@ from .errors import (
     UnknownMicroservice,
     UnknownNode,
 )
-from .locality import LocalityLevel
+from .locality import IOT_SOURCE, LocalityLevel
 from .policy import PolicySet, eligible_domains_for_anchor
-from .topology import GLOBAL_ANCHOR, InfrastructureGraph
-
-#: Routing-rule consumer marker for traffic entering from IoT device groups.
-IOT_SOURCE = "iot"
+from .topology import GLOBAL_ANCHOR, ComputeNode, InfrastructureGraph
 
 #: Upper bound on placement assignments explored before the search gives up.
 SEARCH_BUDGET = 200_000
@@ -181,30 +179,6 @@ class CapacityCut:
     nodes: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str  # "placement" | "locality" | "capacity" | "route"
-    subject: str
-    detail: str
-
-
-@dataclass
-class ComplianceReport:
-    violations: list[Violation]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_doc(self) -> dict:
-        return {
-            "violations": [
-                {"kind": v.kind, "subject": v.subject, "detail": v.detail}
-                for v in self.violations
-            ]
-        }
-
-
 # --- capacity bookkeeping ----------------------------------------------------
 
 
@@ -248,6 +222,13 @@ def _by_node(slots) -> dict[str, int]:
     for node_id, k in slots:
         agg[node_id] = agg.get(node_id, 0) + k
     return agg
+
+
+def _usable_nodes(graph: InfrastructureGraph, pset: PolicySet, ms_id: str, anchor: str,
+                  drained: frozenset[str]) -> list[ComputeNode]:
+    """The eligible, undrained nodes of (microservice, anchor), domain by domain."""
+    return [node for domain_id in eligible_domains_for_anchor(pset, ms_id, anchor, graph)
+            for node in graph.nodes_of_domain(domain_id) if node.id not in drained]
 
 
 # --- demand anchoring ----------------------------------------------------------
@@ -436,8 +417,7 @@ def _capacity_cut(
             bound = -(-rps // ms.capacity_rps)
             if bound <= 0:
                 continue
-            nodes = [node for domain_id in eligible_domains_for_anchor(pset, ms_id, anchor, graph)
-                     for node in graph.nodes_of_domain(domain_id) if node.id not in drained]
+            nodes = _usable_nodes(graph, pset, ms_id, anchor, drained)
             if not nodes:
                 return CapacityCut("cpu", bound * ms.cpu_req, 0, ((ms_id, anchor, bound),), ())
             items.append((ms, anchor, bound, nodes))
@@ -768,11 +748,7 @@ def _reconcile(
         node_ids = usable.get((ms.id, anchor))
         if node_ids is None:
             node_ids = usable[ms.id, anchor] = sorted(
-                node.id
-                for domain_id in eligible_domains_for_anchor(pset, ms.id, anchor, graph)
-                for node in graph.nodes_of_domain(domain_id)
-                if node.id not in drained
-            )
+                node.id for node in _usable_nodes(graph, pset, ms.id, anchor, drained))
         if prefer is None:  # a stable sort keeps equal-cpu nodes in id order
             return sorted(node_ids, key=ledger.cpu.__getitem__, reverse=True)
 
@@ -983,158 +959,6 @@ def generate_routes(
 
     ordered = tuple(sorted(rules, key=lambda r: (r.domain_id, r.target_ms, r.consumer)))
     return RoutingRuleSet(ordered)
-
-
-# --- independent validation ------------------------------------------------------
-
-
-def _rule_key(rule: RoutingRule) -> str:
-    return f"{rule.domain_id}/{rule.consumer}->{rule.target_ms}"
-
-
-def validate_plan(
-    graph: InfrastructureGraph,
-    app: ApplicationDag,
-    pset: PolicySet,
-    plan: DeploymentPlan,
-) -> ComplianceReport:
-    """Re-check a plan against the policies from scratch.
-
-    Deliberately does not reuse the planner's eligibility machinery: the
-    restriction rules are re-evaluated from their raw data, and each target's
-    instances are grouped once per level by scope keys read from the domain
-    records (domain id, region id, or one global key), so a defect in the
-    planner cannot hide itself here.  A slot on a drained node is a violation,
-    and so is a drained id that names no node.
-    """
-    violations = [Violation("capacity", node_id, f"drained node {node_id} is unknown")
-                  for node_id in sorted(plan.drained - graph.nodes.keys())]
-
-    counts: dict[tuple[str, str], int] = {}
-    for ms_id, anchors in plan.mapping.per_ms.items():
-        for ap in anchors.values():
-            for node_id, k in ap.slots:
-                counts[(ms_id, node_id)] = counts.get((ms_id, node_id), 0) + k
-
-    def scope_key(domain_id: str, level: LocalityLevel) -> str | None:
-        """The domain record's scope at ``level``: itself, its region, or None for global."""
-        if level is LocalityLevel.STRICT_DOMAIN:
-            return domain_id
-        if level is LocalityLevel.STRICT_REGION:
-            return graph.domains[domain_id].region_id
-        return None
-
-    def restriction_ok(ms_id: str, domain_id: str) -> bool:
-        rule = pset.restriction.get(ms_id)
-        if rule is None:
-            return True
-        if rule.mode == "allow":
-            return domain_id in rule.domains
-        return domain_id not in rule.domains
-
-    cpu_used: dict[str, int] = {}
-    mem_used: dict[str, int] = {}
-    hosted: dict[str, dict[str, int]] = {}  # microservice -> {known node id: instances}
-    for (ms_id, node_id), k in sorted(counts.items()):
-        if ms_id not in app.microservices:
-            violations.append(Violation("placement", ms_id, "unknown microservice"))
-            continue
-        if node_id not in graph.nodes:
-            violations.append(Violation("placement", f"{ms_id}@{node_id}", "unknown node"))
-            continue
-        node = graph.nodes[node_id]
-        if not restriction_ok(ms_id, node.domain_id):
-            violations.append(Violation(
-                "placement", f"{ms_id}@{node_id}",
-                f"placement restriction forbids {ms_id} in {node.domain_id}",
-            ))
-        if node_id in plan.drained:
-            violations.append(Violation(
-                "capacity", f"{ms_id}@{node_id}", f"node {node_id} is drained",
-            ))
-        ms = app.microservices[ms_id]
-        if k > 0:
-            hosted.setdefault(ms_id, {})[node_id] = k
-        cpu_used[node_id] = cpu_used.get(node_id, 0) + ms.cpu_req * k
-        mem_used[node_id] = mem_used.get(node_id, 0) + ms.mem_req * k
-
-    for node_id in sorted(cpu_used):
-        node = graph.nodes[node_id]
-        if cpu_used[node_id] > node.cpu_capacity or mem_used[node_id] > node.mem_capacity:
-            violations.append(Violation(
-                "capacity", node_id,
-                f"requested {cpu_used[node_id]}m/{mem_used[node_id]}Mi exceeds "
-                f"{node.cpu_capacity}m/{node.mem_capacity}Mi",
-            ))
-
-    # (microservice, level) -> {scope key: {node id: instances}}, grouped on first use
-    scoped: dict[tuple[str, LocalityLevel], dict[str | None, dict[str, int]]] = {}
-    for rule in plan.routes.rules:
-        if rule.consumer == IOT_SOURCE:
-            if rule.target_ms not in pset.ingress_ids:
-                violations.append(Violation("route", _rule_key(rule), "ingress rule for non-ingress target"))
-                continue
-            level = pset.iot_level(rule.target_ms)
-        else:
-            if (rule.consumer, rule.target_ms) not in pset.edge_pairs:
-                violations.append(Violation("route", _rule_key(rule), "rule does not match an application edge"))
-                continue
-            level = pset.edge_level(rule.consumer, rule.target_ms)
-
-        anchor = rule.domain_id
-        if anchor not in graph.domains:
-            violations.append(Violation("route", _rule_key(rule), f"unknown domain {anchor!r}"))
-            continue
-        key = scope_key(anchor, level)
-
-        if not rule.destinations:
-            violations.append(Violation("route", _rule_key(rule), "rule has no destinations"))
-            continue
-        for node_id, weight in rule.destinations:
-            if weight < 1:
-                violations.append(Violation("route", _rule_key(rule),
-                                            f"weight of {node_id} is {weight}, not positive"))
-            node = graph.nodes.get(node_id)
-            if node is None:
-                violations.append(Violation("route", _rule_key(rule), f"unknown node {node_id!r}"))
-                continue
-            if scope_key(node.domain_id, level) != key:
-                violations.append(Violation(
-                    "locality", _rule_key(rule),
-                    f"destination {node_id} in {node.domain_id} leaves the "
-                    f"{level.value} scope of {anchor}",
-                ))
-            if counts.get((rule.target_ms, node_id), 0) <= 0:
-                violations.append(Violation(
-                    "route", _rule_key(rule),
-                    f"destination {node_id} hosts no {rule.target_ms} instance",
-                ))
-
-        groups = scoped.get((rule.target_ms, level))
-        if groups is None:
-            groups = scoped[rule.target_ms, level] = {}
-            for node_id, k in hosted.get(rule.target_ms, {}).items():
-                groups.setdefault(scope_key(graph.nodes[node_id].domain_id, level), {})[node_id] = k
-        expected = groups.get(key, {})
-        dest_nodes = {node_id for node_id, _ in rule.destinations}
-        missing = sorted(set(expected) - dest_nodes)
-        if missing:
-            violations.append(Violation(
-                "route", _rule_key(rule),
-                f"in-scope instances not load-balanced: {', '.join(missing)}",
-            ))
-        total_weight = sum(w for _, w in rule.destinations)
-        total_count = sum(expected.values())
-        if total_weight > 0 and total_count > 0:
-            for node_id, weight in rule.destinations:
-                if weight * total_count != expected.get(node_id, 0) * total_weight:
-                    violations.append(Violation(
-                        "route", _rule_key(rule),
-                        f"weight of {node_id} not proportional to its instance count",
-                    ))
-                    break
-
-    return ComplianceReport(violations=violations)
 
 
 # --- alert handling ---------------------------------------------------------------

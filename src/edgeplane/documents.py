@@ -14,9 +14,9 @@ import yaml
 
 from . import scenario
 from .appmodel import as_rate, rate_to_number
+from .audit import ComplianceReport
 from .controlplane import (
     AnchorPlacement,
-    ComplianceReport,
     DeploymentPlan,
     PlacementMapping,
     RoutingRule,

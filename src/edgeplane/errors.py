@@ -162,9 +162,10 @@ class ScenarioParseError(EdgeplaneError):
 
 
 def doc_list(value, what: str, error: type[EdgeplaneError], item: type = dict) -> list:
-    """A document list whose entries are all ``item`` (mappings or string ids);
-    absent or empty is ``[]``, anything else raises the calling loader's ``error``."""
-    if not value:
+    """A document list whose entries are all ``item`` (mappings or string ids).
+    Only ``None`` (absent) is ``[]``; any other value that is not such a list,
+    ``0``, ``""`` and ``{}`` included, raises the calling loader's ``error``."""
+    if value is None:
         return []
     if not isinstance(value, list) or not all(isinstance(entry, item) for entry in value):
         raise error(f"{what} must be a list of {'mappings' if item is dict else 'ids'}")

@@ -1,4 +1,5 @@
-"""Locality levels shared by the policy engine and the infrastructure model."""
+"""Locality levels shared by the policy engine and the infrastructure model,
+and the consumer marker of IoT ingress traffic."""
 
 from __future__ import annotations
 
@@ -54,3 +55,6 @@ _WIRE_NAMES = {
 #: Fallback applied when neither the policy document nor the scenario settings
 #: pin a default locality.
 DEFAULT_LOCALITY = LocalityLevel.GLOBAL
+
+#: Routing-rule and flow-row consumer marker for traffic from IoT device groups.
+IOT_SOURCE = "iot"

@@ -7,10 +7,6 @@ destination weights, and every microservice forwards the load that arrived
 at each domain's instances along its outgoing edges, scaled by the edge's
 rate ratio.  What arrives is tallied per microservice and domain as the
 rules split it, and node utilization is read off the flow rows in one pass.
-
-Compliance checking re-derives restriction and locality scopes from the
-policy data rather than trusting the routing rules, so a bad rule shows up
-as a violation instead of being rationalized.
 """
 
 from __future__ import annotations
@@ -19,15 +15,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .appmodel import ApplicationDag, PlacementRequest, as_rate, rate_to_number
-from .controlplane import (
-    IOT_SOURCE,
-    Alert,
-    ControlPlane,
-    DeploymentPlan,
-    Violation,
-)
+from .audit import Violation, check_compliance
+from .controlplane import Alert, ControlPlane, DeploymentPlan
 from .errors import InfeasiblePlacement, MissingRoute
-from .locality import LocalityLevel
+from .locality import IOT_SOURCE
 from .policy import PolicySet
 from .topology import InfrastructureGraph
 
@@ -157,52 +148,6 @@ def node_utilization(
     for (_, _, node_id, ms_id), rps in flows.rows.items():
         used[node_id] += rps * cost[ms_id]
     return {node_id: u / graph.nodes[node_id].cpu_capacity for node_id, u in used.items()}
-
-
-def check_compliance(
-    graph: InfrastructureGraph,
-    policies: PolicySet,
-    flows: FlowAssignment,
-) -> list[Violation]:
-    """Audit realized flows against restriction and locality policies.
-
-    Scopes are recomputed from the policy data per flow row; the routing
-    rules that produced the flows are not consulted.
-    """
-    violations: list[Violation] = []
-    for key in sorted(flows.rows):
-        source_domain, source, node_id, target_ms = key
-        if flows.rows[key] <= 0:
-            continue
-        target_domain = graph.nodes[node_id].domain_id
-
-        rule = policies.restriction.get(target_ms)
-        if rule is not None:
-            allowed = (target_domain in rule.domains) if rule.mode == "allow" \
-                else (target_domain not in rule.domains)
-            if not allowed:
-                violations.append(Violation(
-                    "placement", f"{target_ms}@{node_id}",
-                    f"flow served in {target_domain}, forbidden by placement restriction",
-                ))
-
-        if source == IOT_SOURCE:
-            level = policies.iot_level(target_ms)
-        else:
-            level = policies.edge_level(source, target_ms)
-        if level is LocalityLevel.STRICT_DOMAIN:
-            ok = target_domain == source_domain
-        elif level is LocalityLevel.STRICT_REGION:
-            ok = graph.domains[target_domain].region_id == graph.domains[source_domain].region_id
-        else:
-            ok = True
-        if not ok:
-            violations.append(Violation(
-                "locality", f"{source_domain}/{source}->{target_ms}",
-                f"flow crosses into {target_domain}, outside the {level.value} "
-                f"scope of {source_domain}",
-            ))
-    return violations
 
 
 def _throughput_summary(

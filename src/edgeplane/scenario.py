@@ -119,7 +119,7 @@ def check_scenario(doc) -> tuple[Scenario | None, list[tuple[str, EdgeplaneError
 
 
 def _settings_from_doc(raw) -> Settings:
-    raw = raw or {}
+    raw = {} if raw is None else raw
     if not isinstance(raw, dict):
         raise ScenarioParseError("settings must be a mapping")
     unknown = set(raw) - {"overload_threshold", "deterministic"}
@@ -136,7 +136,7 @@ def _settings_from_doc(raw) -> Settings:
 
 def _policy_doc(raw) -> dict:
     """The scenario's policies section: a mapping, or empty when absent."""
-    policies = raw or {}
+    policies = {} if raw is None else raw
     if not isinstance(policies, dict):
         raise ScenarioParseError("policies must be a mapping")
     return policies

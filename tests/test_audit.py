@@ -1,0 +1,97 @@
+"""The audit module's boundary, and the module attributes its callers go through.
+
+``validate_plan`` and ``check_compliance`` are independent auditors only as
+long as they share nothing with the search: the boundary test reads
+``audit.py``'s syntax tree and refuses any import of the planner or the
+simulator and any use of the scope resolvers the search decides with.  The
+span contract test pins that the control plane and the simulator call the
+auditors through their own module globals, which is where perfbench's
+tracer installs its span wrappers.
+"""
+
+import ast
+from pathlib import Path
+
+from edgeplane import audit, controlplane, meshsim
+from edgeplane.meshsim import run_scenario
+
+#: Modules the auditors must not import, under any spelling or guard.
+PLANNER_MODULES = {"controlplane", "meshsim"}
+
+#: The planner's scope resolvers and the policy engine's decision entry points.
+RESOLVERS = {
+    "anchor_of",
+    "anchor_domains",
+    "eligible_domains_for_anchor",
+    "nodes_of_domain",
+    "is_allowed",
+    "evaluate_query",
+}
+
+
+def boundary_breaches(source: str) -> list[str]:
+    """Every import of the planner or simulator, and every resolver named, in ``source``."""
+    breaches = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [a.name for a in node.names]
+            modules = [node.module or "", *names]  # ``from . import meshsim`` names the module
+        elif isinstance(node, ast.Import):
+            modules = names = [a.name for a in node.names]
+        elif isinstance(node, ast.Name):
+            modules, names = [], [node.id]
+        elif isinstance(node, ast.Attribute):
+            modules, names = [], [node.attr]
+        else:
+            continue
+        breaches += [f"line {node.lineno}: imports {m}" for m in modules
+                     if PLANNER_MODULES & set(m.split("."))]
+        breaches += [f"line {node.lineno}: uses {n}" for n in names if n.split(".")[-1] in RESOLVERS]
+    return breaches
+
+
+def test_audit_module_shares_nothing_with_the_search():
+    assert boundary_breaches(Path(audit.__file__).read_text(encoding="utf-8")) == []
+
+
+def test_boundary_check_catches_each_kind_of_breach():
+    for source in (
+        "from .controlplane import DeploymentPlan",
+        "from . import meshsim",
+        "import edgeplane.controlplane",
+        "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    from .meshsim import FlowAssignment",
+        "graph.anchor_of(domain_id, level)",
+        "from .policy import eligible_domains_for_anchor",
+        "nodes_of_domain",
+    ):
+        assert boundary_breaches(source), source
+
+
+def test_callers_reach_the_one_audit_module():
+    assert controlplane.validate_plan is audit.validate_plan
+    assert meshsim.check_compliance is audit.check_compliance
+    assert controlplane.ComplianceReport is audit.ComplianceReport
+    assert meshsim.Violation is controlplane.Violation is audit.Violation
+
+
+def test_auditors_are_called_through_their_module_globals(surge, monkeypatch):
+    """A replan validates through ``controlplane.validate_plan`` and every
+    routed tick audits through ``meshsim.check_compliance``, so wrappers
+    installed at those attributes (as perfbench's tracer does) see each call."""
+    calls = {"validate_plan": 0, "check_compliance": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(controlplane, "validate_plan")
+    counting(meshsim, "check_compliance")
+    _, report = run_scenario(surge.graph, surge.app, surge.policies, surge.request, surge.events,
+                             overload_threshold=surge.settings.overload_threshold)
+    assert [a.kind for a in report.alerts] == ["demand_change"]
+    assert calls == {"validate_plan": len(report.alerts), "check_compliance": report.ticks}

@@ -12,7 +12,7 @@ from edgeplane import scenario
 from edgeplane.cli import main
 from edgeplane.controlplane import ControlPlane, validate_plan
 from edgeplane.documents import plan_from_doc
-from edgeplane.errors import EdgeplaneError, ScenarioParseError, UnknownNode
+from edgeplane.errors import EdgeplaneError, PolicyError, ScenarioParseError, UnknownNode
 from edgeplane.scenario import check_scenario, load_scenario, scenario_from_doc
 
 from .support import GOLDEN, SCENARIOS
@@ -384,6 +384,39 @@ def test_broken_sections_reported_once_each_in_order(tmp_path, capsys):
     assert "scenario is missing the 'topology' section" in str(problems[1][1])
     with pytest.raises(ScenarioParseError, match="overload_threshold"):
         scenario_from_doc(doc)
+
+
+# id -> (section path, section problems are reported under, its error, its empty value)
+OPTIONAL_SECTIONS = {
+    "events": (("events",), "events", ScenarioParseError, []),
+    "settings": (("settings",), "settings", ScenarioParseError, {}),
+    "policies": (("policies",), "policies", ScenarioParseError, {}),
+    "iot_locality": (("policies", "iot_locality"), "policies", PolicyError, []),
+}
+
+
+@pytest.mark.parametrize("value", [0, False, "", "wrong-kind empty"])
+@pytest.mark.parametrize("path, section, error, empty", OPTIONAL_SECTIONS.values(),
+                         ids=OPTIONAL_SECTIONS.keys())
+def test_falsy_section_of_the_wrong_kind_is_an_error(path, section, error, empty, value):
+    """Only null means an optional list or mapping section is absent."""
+    if value == "wrong-kind empty":
+        value = {} if isinstance(empty, list) else []
+    doc = canonical_doc(SURGE)
+    set_path(doc, path, value)
+    scenario, problems = check_scenario(doc)
+    assert scenario is None
+    assert [(s, type(exc)) for s, exc in problems] == [(section, error)]
+
+
+@pytest.mark.parametrize("path, section, error, empty", OPTIONAL_SECTIONS.values(),
+                         ids=OPTIONAL_SECTIONS.keys())
+def test_null_or_empty_section_loads(path, section, error, empty):
+    for value in (None, empty):
+        doc = canonical_doc(SURGE)
+        set_path(doc, path, value)
+        scenario, problems = check_scenario(doc)
+        assert problems == [] and scenario is not None, value
 
 
 @pytest.mark.parametrize("command, scenario, out", [
