@@ -254,8 +254,6 @@ class PlacementRequest:
 
 
 def demand_from_doc(app: ApplicationDag, doc: dict) -> PlacementRequest:
-    if doc is None:
-        doc = {}
     if not isinstance(doc, dict):
         raise InvalidRequest("demand fragment must be a mapping")
     demand: dict[str, dict[str, Fraction]] = {}

@@ -11,7 +11,8 @@ Files are read and parsed by the ``scenario`` module alone; ``validate``
 prints one ``section: Type: message`` line per failing section.
 
 Exit codes: 0 success, 1 semantic violation, 2 parse error (an unreadable
-input or unwritable output included), 3 infeasible placement.  Set
+input or unwritable output included), 3 infeasible placement, 4 internal
+error (a defect in edgeplane, reported as one ``internal error:`` line).  Set
 EDGEPLANE_LOG=debug (or any logging level name) for diagnostics on stderr;
 output documents are byte-deterministic.
 """
@@ -37,6 +38,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_PARSE = 2
 EXIT_INFEASIBLE = 3
+EXIT_INTERNAL = 4
 
 
 def _configure_logging():
@@ -218,6 +220,11 @@ def main(argv=None) -> int:
     except EdgeplaneError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
+    except Exception as exc:  # a defect, not an input problem: one line, traceback under debug
+        log.debug("internal error", exc_info=True)
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

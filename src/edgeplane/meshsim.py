@@ -192,6 +192,12 @@ def run_scenario(
     overload alert (worst node, lowest id among equals) triggers a replan
     for the current demand, whose flows are re-routed in place.  An
     infeasible replan halts the loop with the failure recorded.
+
+    Flows depend only on the graph, the app, the routing rules and the
+    demand, and utilization and violations only on the flows, so a tick
+    whose rules and demand equal the last routed ones reuses the last
+    flows, utilization and violations: a quiet tick, or an overload replan
+    that keeps the rules, costs no routing.
     """
     control = control or ControlPlane(graph, app, policies)
     plan = control.place(request)
@@ -208,6 +214,19 @@ def run_scenario(
     violations: list[tuple[int, Violation]] = []
     flows = FlowAssignment()
     halted: dict | None = None
+    routed: tuple | None = None  # the rules and demand ``flows`` was routed for
+    measured: FlowAssignment | None = None  # the flows ``load`` and ``found`` were read off
+    load: dict[str, Fraction] = {}
+    found: list[Violation] = []
+
+    def route():
+        """Re-route only when the rules or the demand moved since the last routing."""
+        nonlocal flows, routed
+        # the rules tuple, not the RoutingRuleSet, whose lookup index joins its equality
+        if routed != (plan.routes.rules, demand):
+            flows = route_flows(graph, app, plan, demand)
+            # events change ``demand`` in place, so keep a copy
+            routed = (plan.routes.rules, {d: dict(per) for d, per in demand.items()})
 
     for tick in range(ticks):
         event_alerts: list[Alert] = []
@@ -223,17 +242,20 @@ def run_scenario(
             for alert in event_alerts:
                 alerts.append(alert)
                 plan = control.handle_alert(plan, alert)
-            flows = route_flows(graph, app, plan, demand)
-            load = node_utilization(graph, app, flows)
-            utilization.append(load)
-            violations.extend((tick, v) for v in check_compliance(graph, policies, flows))
+            route()
+            if measured is not flows:
+                measured = flows
+                load = node_utilization(graph, app, flows)
+                found = check_compliance(graph, policies, flows)
+            utilization.append(dict(load))
+            violations.extend((tick, v) for v in found)
             # nodes are in id order and max keeps the first of equals
             worst = max(load, key=load.__getitem__, default=None)
             if not event_alerts and worst is not None and load[worst] > threshold:
                 alert = Alert("overload", {"node": worst, "utilization": float(load[worst])}, tick)
                 alerts.append(alert)
                 plan = control.handle_alert(plan, alert)
-                flows = route_flows(graph, app, plan, demand)
+                route()
         except InfeasiblePlacement as exc:
             halted = {"tick": tick, "reason": str(exc)}
             break

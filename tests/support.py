@@ -15,6 +15,9 @@ recursion) so that a planner bug cannot hide inside a shared helper:
   recursion over the raw application and demand documents.
 * ``check_capacity_cut`` re-derives a capacity cut's bounds, nodes and
   inequality from the raw documents.
+
+``reference_run_scenario`` is the simulator loop that routes, measures and
+audits on every tick, kept as the reference the reusing loop must match.
 """
 
 from __future__ import annotations
@@ -25,7 +28,17 @@ from fractions import Fraction
 from pathlib import Path
 
 from edgeplane.appmodel import PlacementRequest, app_from_doc, as_rate
+from edgeplane.controlplane import Alert, ControlPlane
+from edgeplane.errors import InfeasiblePlacement
 from edgeplane.locality import LocalityLevel
+from edgeplane.meshsim import (
+    FlowAssignment,
+    SimulationReport,
+    _throughput_summary,
+    check_compliance,
+    node_utilization,
+    route_flows,
+)
 from edgeplane.policy import parse_policies
 from edgeplane.topology import load_topology
 
@@ -515,3 +528,65 @@ def check_capacity_cut(topo_doc, app_doc, policy_doc, demand_doc, cut, drained=(
     capacity = sum(min(nodes[node_id][key], h) for node_id, h in held.items())
     return (tuple(sorted(held)) == tuple(cut.nodes) and need == cut.need
             and capacity == cut.capacity and need > capacity)
+
+
+# --- reference simulator loop ----------------------------------------------------
+
+
+def reference_run_scenario(graph, app, policies, request, events, control=None, *,
+                           overload_threshold=0.8):
+    """``meshsim.run_scenario`` as it was before ticks reused unchanged flows:
+    every tick routes, measures and audits, and an overload replan re-routes."""
+    control = control or ControlPlane(graph, app, policies)
+    plan = control.place(request)
+    demand = {d: dict(per) for d, per in plan.demand.items()}
+    threshold = as_rate(overload_threshold)
+
+    by_tick = {}
+    for event in events:
+        by_tick.setdefault(event.tick, []).append(event)
+    ticks = (max(by_tick) + 1) if by_tick else 1
+
+    alerts, utilization, violations = [], [], []
+    flows = FlowAssignment()
+    halted = None
+
+    for tick in range(ticks):
+        event_alerts = []
+        for event in by_tick.get(tick, []):
+            if event.kind == "set_demand":
+                demand.setdefault(event.domain, {})[event.microservice] = event.rps
+                payload = {"demand": {d: dict(per) for d, per in demand.items()}}
+                event_alerts.append(Alert("demand_change", payload, tick))
+            elif event.kind == "drain_node":
+                event_alerts.append(Alert("node_drain", {"node": event.node}, tick))
+
+        try:
+            for alert in event_alerts:
+                alerts.append(alert)
+                plan = control.handle_alert(plan, alert)
+            flows = route_flows(graph, app, plan, demand)
+            load = node_utilization(graph, app, flows)
+            utilization.append(load)
+            violations.extend((tick, v) for v in check_compliance(graph, policies, flows))
+            worst = max(load, key=load.__getitem__, default=None)
+            if not event_alerts and worst is not None and load[worst] > threshold:
+                alert = Alert("overload", {"node": worst, "utilization": float(load[worst])}, tick)
+                alerts.append(alert)
+                plan = control.handle_alert(plan, alert)
+                flows = route_flows(graph, app, plan, demand)
+        except InfeasiblePlacement as exc:
+            halted = {"tick": tick, "reason": str(exc)}
+            break
+
+    report = SimulationReport(
+        flows=flows,
+        violations=violations,
+        throughput=_throughput_summary(graph, app, plan),
+        alerts=alerts,
+        utilization=utilization,
+        final_revision=plan.revision,
+        ticks=ticks,
+        halted=halted,
+    )
+    return plan, report

@@ -76,9 +76,12 @@ def test_callers_reach_the_one_audit_module():
 
 def test_auditors_are_called_through_their_module_globals(surge, monkeypatch):
     """A replan validates through ``controlplane.validate_plan`` and every
-    routed tick audits through ``meshsim.check_compliance``, so wrappers
-    installed at those attributes (as perfbench's tracer does) see each call."""
-    calls = {"validate_plan": 0, "check_compliance": 0}
+    routed tick routes through ``meshsim.route_flows`` and audits through
+    ``meshsim.check_compliance``, so wrappers installed at those attributes
+    (as perfbench's tracer does) see each call.  A tick whose rules and demand
+    did not move reuses the last audit, so only the first tick and the surge
+    tick route and audit."""
+    calls = {"validate_plan": 0, "route_flows": 0, "check_compliance": 0}
 
     def counting(module, name):
         original = getattr(module, name)
@@ -90,8 +93,10 @@ def test_auditors_are_called_through_their_module_globals(surge, monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counting(controlplane, "validate_plan")
+    counting(meshsim, "route_flows")
     counting(meshsim, "check_compliance")
     _, report = run_scenario(surge.graph, surge.app, surge.policies, surge.request, surge.events,
                              overload_threshold=surge.settings.overload_threshold)
     assert [a.kind for a in report.alerts] == ["demand_change"]
-    assert calls == {"validate_plan": len(report.alerts), "check_compliance": report.ticks}
+    assert report.ticks == 6
+    assert calls == {"validate_plan": len(report.alerts), "route_flows": 2, "check_compliance": 2}

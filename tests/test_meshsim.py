@@ -3,13 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+from edgeplane import meshsim
 from edgeplane.appmodel import PlacementRequest
 from edgeplane.controlplane import (
+    Alert,
     ControlPlane,
     RoutingRuleSet,
     place_application,
     validate_plan,
 )
+from edgeplane.documents import dump_doc, report_to_doc
 from edgeplane.errors import InfeasiblePlacement, MissingRoute
 from edgeplane.meshsim import (
     FlowAssignment,
@@ -23,8 +26,10 @@ from edgeplane.meshsim import (
 from .support import (
     build,
     gen_case,
+    gen_chain_app,
     gen_dag_app,
     oracle_routed_totals,
+    reference_run_scenario,
 )
 
 
@@ -426,3 +431,116 @@ def test_run_scenario_set_demand_event_updates_alert_payload(surge):
     # full demand snapshot, not a delta
     assert payload["demand"]["ed3"]["m2"] == F(200)
     assert payload["demand"]["ed4"]["m2"] == F(200)
+
+
+# --- reuse of unchanged ticks, against the loop that recomputes every tick ---
+
+
+class DrainHotNode(ControlPlane):
+    """Answers an overload by draining the hot node, so that replan moves rules."""
+
+    def handle_alert(self, plan, alert):
+        if alert.kind == "overload":
+            alert = Alert("node_drain", {"node": alert.payload["node"]}, alert.tick)
+        return super().handle_alert(plan, alert)
+
+
+def churn_events(rng, graph, request, ticks=8):
+    """Seeded events on ticks 1..ticks-1: quiet ticks, demand changes, one
+    change to the value already set (on tick 2) and drains."""
+    demand = {d: dict(per) for d, per in request.demand.items()}
+    keys = [(d, m) for d in sorted(demand) for m in sorted(demand[d])]
+    nodes = sorted(graph.nodes)
+    events = []
+    for tick in range(1, ticks):
+        roll = rng.random()
+        if tick == 2 or 0.4 <= roll < 0.8:
+            domain, ms_id = rng.choice(keys)
+            rps = demand[domain][ms_id] if tick == 2 else F(rng.choice((0, 25, 50, 100, 150)))
+            demand[domain][ms_id] = rps
+            events.append(ScenarioEvent(kind="set_demand", tick=tick, domain=domain,
+                                        microservice=ms_id, rps=rps))
+        elif roll >= 0.8:
+            events.append(ScenarioEvent(kind="drain_node", tick=tick, node=rng.choice(nodes)))
+    return events
+
+
+def run_both(graph, app, pset, request, events, control_cls=ControlPlane, threshold=0.3):
+    """``run_scenario`` and the reference loop on the same inputs, each with its own control plane."""
+    return [run(graph, app, pset, request, events, control_cls(graph, app, pset),
+                overload_threshold=threshold)
+            for run in (run_scenario, reference_run_scenario)]
+
+
+def assert_same_run(got, want):
+    (plan, report), (ref_plan, ref) = got, want
+    assert report.flows.rows == ref.flows.rows
+    assert report.utilization == ref.utilization
+    assert len({id(load) for load in report.utilization}) == len(report.utilization)
+    assert report.violations == ref.violations
+    assert report.alerts == ref.alerts
+    assert (report.final_revision, report.ticks, report.halted) == \
+        (ref.final_revision, ref.ticks, ref.halted)
+    assert plan.routes.rules == ref_plan.routes.rules
+    assert dump_doc(report_to_doc(report)) == dump_doc(report_to_doc(ref))
+
+
+@pytest.mark.parametrize("gen_app", [gen_chain_app, gen_dag_app], ids=["chain", "dag"])
+def test_reusing_ticks_matches_recomputing_every_tick(gen_app, monkeypatch):
+    """Quiet ticks, repeated demand, drains and overload replans that keep the
+    rules reuse the last routing; reports stay those of the recomputing loop."""
+    routed = []
+    monkeypatch.setattr(meshsim, "route_flows",
+                        lambda *args: routed.append(1) or route_flows(*args))
+    kinds, halts, ticks, runs = set(), 0, 0, 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        graph, app, pset, request = build(*gen_case(rng, gen_app=gen_app))
+        events = churn_events(rng, graph, request)
+        try:
+            got, want = run_both(graph, app, pset, request, events)
+        except InfeasiblePlacement:
+            continue
+        assert_same_run(got, want)
+        report = want[1]
+        kinds |= {a.kind for a in report.alerts}
+        halts += report.halted is not None
+        ticks += len(report.utilization)
+        runs += 1
+    assert runs >= 20 and halts and kinds == {"demand_change", "node_drain", "overload"}
+    assert len(routed) < ticks  # some tick reused the last routing
+
+
+def test_overload_replan_that_moves_rules_reroutes(canonical):
+    """A replan that changes the rules re-routes at once, so the report's flows
+    are the final plan's, and the next tick measures and audits the new flows."""
+    c = canonical
+    repeat = ScenarioEvent(kind="set_demand", tick=3, domain="ed3", microservice="m2",
+                           rps=c.request.demand["ed3"]["m2"])
+    for events in ([], [repeat]):
+        got, want = run_both(c.graph, c.app, c.policies, c.request, events,
+                             control_cls=DrainHotNode, threshold=0.8)
+        assert_same_run(got, want)
+        plan, report = want
+        assert report.alerts[0].kind == "overload"
+        assert plan.drained and report.flows.rows != CANONICAL_ROWS
+    assert report.utilization[1]["cl-n1"] == 0  # tick 1 measured the flows after the drain
+
+
+def test_overload_replans_that_move_rules_match_on_generated_cases():
+    """Quiet ticks up to one repeated demand: each overload drains the hot
+    node, and a run that overloads twice routed and measured after a drain."""
+    overloads = []
+    for seed in range(30):
+        graph, app, pset, request = build(*gen_case(random.Random(seed)))
+        domain, per = min(request.demand.items())
+        ms_id = min(per)
+        events = [ScenarioEvent(kind="set_demand", tick=4, domain=domain, microservice=ms_id,
+                                rps=per[ms_id])]
+        try:
+            got, want = run_both(graph, app, pset, request, events, control_cls=DrainHotNode)
+        except InfeasiblePlacement:
+            continue
+        assert_same_run(got, want)
+        overloads.append(sum(a.kind == "overload" for a in want[1].alerts))
+    assert len(overloads) >= 20 and sum(overloads) >= 10 and max(overloads) >= 2

@@ -8,7 +8,7 @@ from http.server import ThreadingHTTPServer
 import pytest
 import yaml
 
-from edgeplane import scenario
+from edgeplane import cli, scenario
 from edgeplane.cli import main
 from edgeplane.controlplane import ControlPlane, validate_plan
 from edgeplane.documents import plan_from_doc
@@ -121,6 +121,28 @@ def test_load_rejects_missing_section(tmp_path, section):
         load_scenario(write_scenario(tmp_path, doc))
 
 
+@pytest.mark.parametrize("section", ["topology", "application", "demand"])
+def test_null_required_section_is_refused(tmp_path, capsys, section):
+    """A required section set to null is not a mapping: each one exits 1 with one line."""
+    doc = canonical_doc()
+    doc[section] = None
+    scenario, problems = check_scenario(doc)
+    assert scenario is None
+    assert [(s, str(exc)) for s, exc in problems] == [(section, f"{section} fragment must be a mapping")]
+    path = write_scenario(tmp_path, doc)
+    for command in ("validate", "place"):
+        assert main([command, "--scenario", path]) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_empty_demand_loads(tmp_path):
+    doc = canonical_doc()
+    doc["demand"] = {}
+    scenario, problems = check_scenario(doc)
+    assert problems == [] and scenario.request.demand == {}
+    assert main(["validate", "--scenario", write_scenario(tmp_path, doc), "--quiet"]) == 0
+
+
 def test_load_rejects_stochastic_mode(tmp_path):
     doc = canonical_doc()
     doc["settings"]["deterministic"] = False
@@ -190,6 +212,15 @@ def test_event_drain_unknown_node(tmp_path):
 
 
 # --- CLI: validate ---
+
+
+def test_cli_unexpected_exception_is_one_line_exit_4(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom\nat two lines")
+
+    monkeypatch.setattr(cli, "cmd_validate", broken)
+    assert main(["validate", "--scenario", CANONICAL]) == 4
+    assert capsys.readouterr().err.splitlines() == ["internal error: RuntimeError: boom at two lines"]
 
 
 def test_cli_validate_ok(capsys):
