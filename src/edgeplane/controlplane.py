@@ -44,7 +44,7 @@ backtracks runs neither the check nor the prunes.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .appmodel import ApplicationDag, Microservice, PlacementRequest
@@ -964,6 +964,39 @@ def generate_routes(
 # --- alert handling ---------------------------------------------------------------
 
 
+def _post_alert_state(
+    graph: InfrastructureGraph,
+    app: ApplicationDag,
+    plan: DeploymentPlan,
+    alert: Alert,
+) -> tuple[dict[str, dict[str, Fraction]], frozenset[str]]:
+    """The demand and drained set ``plan`` is replanned for under ``alert``.
+
+    A demand change's payload is validated and normalized; a node drain adds
+    its node to the drained set; an overload keeps both.  A microservice or
+    node id in ``plan`` or the alert that the scenario lacks raises
+    UnknownMicroservice or UnknownNode.
+    """
+    if alert.kind == "demand_change":
+        request = PlacementRequest(app=app, demand=alert.payload["demand"])
+        demand = request.validate_against(graph).normalized_demand()
+    else:
+        demand = plan.demand
+
+    for ms_id, anchors in plan.mapping.per_ms.items():
+        if ms_id not in app.microservices:
+            raise UnknownMicroservice(f"plan names unknown microservice {ms_id!r}")
+        unknown = {node_id for ap in anchors.values() for node_id, _ in ap.slots} - graph.nodes.keys()
+        if unknown:
+            raise UnknownNode(f"plan places {ms_id!r} on unknown node {min(unknown)!r}")
+
+    drained = plan.drained | ({alert.payload["node"]} if alert.kind == "node_drain" else set())
+    unknown = drained - graph.nodes.keys()
+    if unknown:
+        raise UnknownNode(f"cannot drain unknown node {min(unknown)!r}")
+    return demand, drained
+
+
 def handle_alert(
     graph: InfrastructureGraph,
     app: ApplicationDag,
@@ -990,25 +1023,18 @@ def handle_alert(
     rules are regenerated and the plan re-validated before it is returned
     with a bumped revision.  A microservice or node id in ``plan`` or the
     alert that the scenario lacks raises UnknownMicroservice or UnknownNode.
+
+    A returned mapping is a fixed point: replanning the returned plan for
+    the same demand and drained set (an overload, a demand change to its own
+    demand, a drain of a drained node) gives the same mapping, slot for slot,
+    and so the same rules.  Every anchor's need is unchanged, because each
+    consumer keeps its slots first, so every first branch keeps its slots in
+    their order without spending budget or running the root check, whether
+    the mapping came from the kept or the fresh run.  This function is the
+    reference path; :meth:`ControlPlane.handle_alert` skips such replans,
+    so treat a returned plan as a value: edit a copy, not the plan.
     """
-    if alert.kind == "demand_change":
-        request = PlacementRequest(app=app, demand=alert.payload["demand"])
-        demand = request.validate_against(graph).normalized_demand()
-    else:
-        demand = plan.demand
-
-    for ms_id, anchors in plan.mapping.per_ms.items():
-        if ms_id not in app.microservices:
-            raise UnknownMicroservice(f"plan names unknown microservice {ms_id!r}")
-        unknown = {node_id for ap in anchors.values() for node_id, _ in ap.slots} - graph.nodes.keys()
-        if unknown:
-            raise UnknownNode(f"plan places {ms_id!r} on unknown node {min(unknown)!r}")
-
-    drained = plan.drained | ({alert.payload["node"]} if alert.kind == "node_drain" else set())
-    unknown = drained - graph.nodes.keys()
-    if unknown:
-        raise UnknownNode(f"cannot drain unknown node {min(unknown)!r}")
-
+    demand, drained = _post_alert_state(graph, app, plan, alert)
     budget = _Budget(SEARCH_BUDGET)
     check = _RootCheck(graph, app, policies, demand, drained)
     try:
@@ -1036,15 +1062,38 @@ def handle_alert(
 
 
 class ControlPlane:
-    """Binds one application and policy set to an infrastructure graph."""
+    """Binds one application and policy set to an infrastructure graph.
+
+    It remembers the last plan its :meth:`handle_alert` returned, which
+    passed the audit, and the last plan its :meth:`place` returned.  An
+    alert on one of those very plans (by identity) that moves neither the
+    demand nor the drained set gets it back at the next revision, with no
+    search and no routing, and with no audit, or for the placed plan one
+    audit: :func:`handle_alert` would return the same mapping, rules,
+    demand and drained set (its fixed point, for a fresh placement too),
+    and the audit reads no revision.  Every other alert, and any other
+    plan, such as one read from a document or a plan from another control
+    plane, takes the full :func:`handle_alert`, audit included.  A returned
+    plan is a value: edit a copy, not the plan.
+    """
 
     def __init__(self, graph: InfrastructureGraph, app: ApplicationDag, policies: PolicySet):
         self.graph = graph
         self.app = app
         self.policies = policies
+        self._last: DeploymentPlan | None = None
+        self._placed: DeploymentPlan | None = None  # not audited here yet
 
     def place(self, request: PlacementRequest) -> DeploymentPlan:
-        return place_application(self.graph, self.app, request, self.policies)
+        self._placed = place_application(self.graph, self.app, request, self.policies)
+        return self._placed
 
     def handle_alert(self, plan: DeploymentPlan, alert: Alert) -> DeploymentPlan:
-        return handle_alert(self.graph, self.app, self.policies, plan, alert)
+        if plan is self._last or plan is self._placed:
+            demand, drained = _post_alert_state(self.graph, self.app, plan, alert)
+            if demand == plan.demand and drained == plan.drained and (
+                    plan is self._last or validate_plan(self.graph, self.app, self.policies, plan).ok):
+                self._last = replace(plan, revision=plan.revision + 1)
+                return self._last
+        self._last = handle_alert(self.graph, self.app, self.policies, plan, alert)
+        return self._last

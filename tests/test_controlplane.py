@@ -38,11 +38,13 @@ from edgeplane.errors import (
     InfeasiblePlacement,
     NoDestinationInScope,
     PlanningError,
+    UnknownDomain,
     UnknownMicroservice,
     UnknownNode,
 )
-from edgeplane.locality import LocalityLevel
+from edgeplane.locality import IOT_SOURCE, LocalityLevel
 from edgeplane.meshsim import run_scenario
+from edgeplane.policy import evaluate_query
 from edgeplane.scenario import load_scenario, read_yaml, scenario_from_doc
 
 from .support import (
@@ -51,6 +53,7 @@ from .support import (
     build,
     check_capacity_cut,
     gen_case,
+    gen_chain_app,
     gen_dag_app,
     gen_policies,
     gen_small_case,
@@ -1367,3 +1370,219 @@ def test_replan_fails_only_where_fresh_placement_fails(gen, least):
         assert validate_plan(graph, app, pset, plan2).ok, seed
         replanned += 1
     assert replanned >= least, replanned
+
+
+# --- replans that move neither the demand nor the drained set ---
+
+
+def plan_state(plan):
+    """Everything a replan decides, with microservice, anchor and slot order."""
+    mapping = plan.mapping
+    return (mapping.order, [(ms_id, list(anchors.items())) for ms_id, anchors in mapping.per_ms.items()],
+            plan.routes.rules, plan.demand, plan.drained)
+
+
+def unmoving_alerts(plan, hot):
+    """An overload of node ``hot``, a demand change to the plan's own demand
+    and, when it has one, a drain of a drained node: none moves the demand or
+    the drained set."""
+    yield Alert("overload", {"node": hot, "utilization": 1.5})
+    yield Alert("demand_change", {"demand": {d: dict(per) for d, per in plan.demand.items()}})
+    for node in sorted(plan.drained)[:1]:
+        yield Alert("node_drain", {"node": node})
+
+
+@pytest.mark.parametrize("gen_app", [gen_chain_app, gen_dag_app], ids=["chain", "dag"])
+def test_a_replanned_mapping_is_a_fixed_point(gen_app, monkeypatch):
+    """Every placed plan, and every plan the module-level handle_alert
+    returns after one seeded drain or demand change, from the kept or the
+    fresh run, comes back unchanged, slot order and anchor order included,
+    when an alert that moves neither its demand nor its drained set is
+    replayed through the full replan.  (Seeds stop short of gen_dag_app seed
+    192, whose fresh placement gives up after the whole search budget.)"""
+    reconciles = count_calls(monkeypatch, "_reconcile")
+    replans = fresh = drained = 0
+    for seed in range(150):
+        rng = random.Random(seed)
+        graph, app, pset, request = build(*gen_case(rng, gen_app=gen_app))
+        try:
+            plan = place_application(graph, app, request, pset)
+        except InfeasiblePlacement:
+            continue
+        for replay in unmoving_alerts(plan, min(graph.nodes)):
+            again = handle_alert(graph, app, pset, plan, replay)
+            assert plan_state(again) == plan_state(plan), (seed, "placed", replay.kind)
+        if rng.random() < 0.5:
+            alert = Alert("node_drain", {"node": rng.choice(sorted(graph.nodes))})
+        else:
+            factor = rng.choice([Fraction(1, 2), Fraction(3, 2), 2, 3])
+            alert = Alert("demand_change", {"demand": {
+                d: {m: r * factor for m, r in per.items()} for d, per in plan.demand.items()}})
+        reconciles.clear()
+        try:
+            plan = handle_alert(graph, app, pset, plan, alert)
+        except InfeasiblePlacement:
+            continue
+        fresh += len(reconciles) == 2
+        drained += bool(plan.drained)
+        replans += 1
+        for replay in unmoving_alerts(plan, min(graph.nodes)):
+            again = handle_alert(graph, app, pset, plan, replay)
+            assert plan_state(again) == plan_state(plan), (seed, replay.kind)
+            assert again.revision == plan.revision + 1
+    assert replans >= 100 and drained >= 30
+    if gen_app is gen_chain_app:
+        assert fresh >= 1  # a plan from the fresh fallback is a fixed point too
+
+
+OVERLOAD = Alert("overload", {"node": "ed3-n1", "utilization": 1.2})
+
+
+@pytest.fixture
+def replanned(placed):
+    """A control plane and the last plan its handle_alert returned."""
+    scenario, plan = placed
+    control = ControlPlane(scenario.graph, scenario.app, scenario.policies)
+    return scenario, control, control.handle_alert(plan, OVERLOAD)
+
+
+def test_control_plane_returns_the_last_plan_for_an_unmoving_alert(replanned, monkeypatch):
+    """On the plan it returned last, an overload, a demand change to the same
+    demand and a drain of a drained node run no search, no routing and no
+    audit; the plan comes back at the next revision, equal to what the full
+    replan returns."""
+    scenario, control, plan = replanned
+    plan = control.handle_alert(plan, Alert("node_drain", {"node": "cl-n1"}))
+    calls = [count_calls(monkeypatch, name) for name in ("_reconcile", "generate_routes", "validate_plan")]
+    for alert in unmoving_alerts(plan, "ed3-n1"):
+        want = handle_alert(scenario.graph, scenario.app, scenario.policies, plan, alert)
+        for counted in calls:
+            counted.clear()
+        got = control.handle_alert(plan, alert)
+        assert calls == [[], [], []], alert.kind
+        assert (got.revision, got.mapping, got.routes) == (plan.revision + 1, plan.mapping, plan.routes)
+        assert dump_doc(plan_to_doc(got)) == dump_doc(plan_to_doc(want))
+        plan = got
+    moved = control.handle_alert(plan, Alert("demand_change", {"demand": {"ed3": {"m2": 150}}}))
+    assert calls[0] and len(calls[2]) == 1 and moved.demand != plan.demand
+
+
+@pytest.mark.parametrize("source", ["document", "other control plane"])
+def test_a_plan_that_is_not_the_last_takes_the_full_replan(replanned, monkeypatch, source):
+    """A plan read back from its document and one another control plane
+    returned may carry edits nobody audited here: each replan searches,
+    routes and audits as the module-level handle_alert does."""
+    scenario, control, plan = replanned
+    if source == "document":
+        plan = plan_from_doc(plan_to_doc(plan))
+    else:
+        plan = ControlPlane(scenario.graph, scenario.app, scenario.policies).handle_alert(plan, OVERLOAD)
+    calls = [count_calls(monkeypatch, name) for name in ("_reconcile", "generate_routes", "validate_plan")]
+    got = control.handle_alert(plan, OVERLOAD)
+    assert [len(counted) for counted in calls] == [1, 1, 1]
+    assert got.revision == plan.revision + 1
+
+
+def moved_to_cl_n2(plan):
+    """A copy of ``plan``, on fresh objects, with its last m3 slot in
+    region-2 moved to cl-n2, where m3 may not run."""
+    kept = plan.mapping.per_ms["m3"]["region-2"]
+    assert kept.slots[-1] == ("ed4-n1", 1)
+    per_ms = {ms_id: dict(anchors) for ms_id, anchors in plan.mapping.per_ms.items()}
+    per_ms["m3"]["region-2"] = replace(kept, slots=kept.slots[:-1] + [("cl-n2", 1)])  # m3 is edge-only
+    return replace(plan, mapping=replace(plan.mapping, per_ms=per_ms))
+
+
+def test_a_placed_plan_is_audited_before_it_comes_back(canonical, monkeypatch):
+    """An overload on the plan place() returned runs no search and no
+    routing, only one audit, and gives the full replan's plan; the plan it
+    returns then comes back with no audit.  A placement the audit refuses,
+    here one whose planner put an m3 slot on cl-n2, takes the full replan,
+    whose audit refuses it as the module-level handle_alert does."""
+    control = ControlPlane(canonical.graph, canonical.app, canonical.policies)
+    calls = [count_calls(monkeypatch, name) for name in ("_reconcile", "generate_routes", "validate_plan")]
+    plan = control.place(canonical.request)
+    for counted in calls:
+        counted.clear()
+    got = control.handle_alert(plan, OVERLOAD)
+    assert [len(counted) for counted in calls] == [0, 0, 1]
+    want = handle_alert(canonical.graph, canonical.app, canonical.policies, plan, OVERLOAD)
+    assert dump_doc(plan_to_doc(got)) == dump_doc(plan_to_doc(want))
+    for counted in calls:
+        counted.clear()
+    assert control.handle_alert(got, OVERLOAD).revision == got.revision + 1
+    assert calls == [[], [], []]
+
+    placed = controlplane.place_application
+    monkeypatch.setattr(controlplane, "place_application", lambda *args: moved_to_cl_n2(placed(*args)))
+    bad = control.place(canonical.request)
+    with pytest.raises(PlanningError, match="^replan produced a non-compliant plan: "):
+        control.handle_alert(bad, OVERLOAD)
+
+
+def test_an_edited_copy_of_the_last_plan_is_audited(replanned):
+    """A copy of the last plan with one m3 slot moved to cl-n2, where m3 may
+    not run, made on fresh objects, is searched and audited on an overload:
+    the audit refuses it, as in the module-level handle_alert, and the last
+    plan is untouched."""
+    scenario, control, plan = replanned
+    kept = plan.mapping.per_ms["m3"]["region-2"]
+    edited = moved_to_cl_n2(plan)
+    for replan in (control.handle_alert,
+                   lambda p, a: handle_alert(scenario.graph, scenario.app, scenario.policies, p, a)):
+        with pytest.raises(PlanningError, match="^replan produced a non-compliant plan: "):
+            replan(edited, OVERLOAD)
+    assert plan.mapping.per_ms["m3"]["region-2"] is kept and kept.slots[-1] == ("ed4-n1", 1)
+    assert control.handle_alert(plan, OVERLOAD).mapping is plan.mapping
+
+
+def test_a_bad_demand_change_on_the_last_plan_still_raises(replanned):
+    """The post-alert demand is validated before any shortcut: an unknown
+    domain raises UnknownDomain, as the module-level handle_alert does."""
+    scenario, control, plan = replanned
+    alert = Alert("demand_change", {"demand": {"nowhere": {"m2": 100}}})
+    with pytest.raises(UnknownDomain) as want:
+        handle_alert(scenario.graph, scenario.app, scenario.policies, plan, alert)
+    with pytest.raises(UnknownDomain) as got:
+        control.handle_alert(plan, alert)
+    assert str(got.value) == str(want.value)
+
+
+# --- placer and policy agent agree ---
+
+
+@pytest.mark.parametrize("gen_app", [gen_chain_app, gen_dag_app], ids=["chain", "dag"])
+def test_placed_slots_and_routes_are_allowed_by_the_policy_agent(gen_app):
+    """Every slot of a placed plan is allowed by the placement restriction the
+    policy server evaluates, and every rule destination by the locality
+    policy of its rule: ``iot_locality`` from the device domain for ingress
+    rules, ``ms_locality`` from the consumer's domain otherwise."""
+    placed = checked = 0
+    for seed in range(125):
+        graph, app, pset, request = build(*gen_case(random.Random(seed), gen_app=gen_app))
+        try:
+            plan = place_application(graph, app, request, pset)
+        except InfeasiblePlacement:
+            continue
+        placed += 1
+        for ms_id, anchors in plan.mapping.per_ms.items():
+            for ap in anchors.values():
+                for node_id, _ in ap.slots:
+                    query = {"microservice": ms_id, "domain": graph.nodes[node_id].domain_id}
+                    decision = evaluate_query(pset, graph, "placement_restriction", query)
+                    assert decision.allowed, (seed, query, decision.reason)
+                    checked += 1
+        for rule in plan.routes.rules:
+            for node_id, _ in rule.destinations:
+                target = graph.nodes[node_id].domain_id
+                if rule.consumer == IOT_SOURCE:
+                    policy, query = "iot_locality", {"microservice": rule.target_ms,
+                                                     "device_domain": rule.domain_id}
+                else:
+                    policy, query = "ms_locality", {"consumer": rule.consumer,
+                                                    "consumed": rule.target_ms,
+                                                    "consumer_domain": rule.domain_id}
+                decision = evaluate_query(pset, graph, policy, {**query, "target_domain": target})
+                assert decision.allowed, (seed, policy, query, target, decision.reason)
+                checked += 1
+    assert placed >= 90 and checked >= 600

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from edgeplane import meshsim
+from edgeplane import controlplane, meshsim
 from edgeplane.appmodel import PlacementRequest
 from edgeplane.controlplane import (
     Alert,
@@ -12,7 +12,7 @@ from edgeplane.controlplane import (
     place_application,
     validate_plan,
 )
-from edgeplane.documents import dump_doc, report_to_doc
+from edgeplane.documents import dump_doc, plan_to_doc, report_to_doc
 from edgeplane.errors import InfeasiblePlacement, MissingRoute
 from edgeplane.meshsim import (
     FlowAssignment,
@@ -544,3 +544,46 @@ def test_overload_replans_that_move_rules_match_on_generated_cases():
         assert_same_run(got, want)
         overloads.append(sum(a.kind == "overload" for a in want[1].alerts))
     assert len(overloads) >= 20 and sum(overloads) >= 10 and max(overloads) >= 2
+
+
+# --- replans that move nothing, against the replan that always searches ---
+
+
+class FullReplan(ControlPlane):
+    """Replans every alert through the module-level handle_alert."""
+
+    def handle_alert(self, plan, alert):
+        return controlplane.handle_alert(self.graph, self.app, self.policies, plan, alert)
+
+
+@pytest.mark.parametrize("gen_app", [gen_chain_app, gen_dag_app], ids=["chain", "dag"])
+def test_skipped_replans_match_the_full_replan(gen_app, monkeypatch):
+    """A control plane that hands back its last plan for overloads and
+    unmoving demand changes gives the plan and report documents and the halts
+    of one that always searches, routes and audits, with fewer searches."""
+    searches = []
+    reconcile = controlplane._reconcile
+    monkeypatch.setattr(controlplane, "_reconcile",
+                        lambda *args, **kwargs: searches.append(1) or reconcile(*args, **kwargs))
+    counts = {ControlPlane: 0, FullReplan: 0}
+    runs = halts = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        graph, app, pset, request = build(*gen_case(rng, gen_app=gen_app))
+        events = churn_events(rng, graph, request)
+        docs = []
+        for control_cls in (ControlPlane, FullReplan):
+            before = len(searches)
+            try:
+                plan, report = run_scenario(graph, app, pset, request, events,
+                                            control_cls(graph, app, pset), overload_threshold=0.3)
+            except InfeasiblePlacement:
+                break
+            counts[control_cls] += len(searches) - before
+            docs.append((dump_doc(plan_to_doc(plan)), dump_doc(report_to_doc(report)), report.halted))
+        else:
+            assert docs[0] == docs[1], seed
+            runs += 1
+            halts += docs[0][2] is not None
+    assert runs >= 20 and halts
+    assert counts[ControlPlane] < counts[FullReplan]
