@@ -260,5 +260,7 @@ def demand_from_doc(app: ApplicationDag, doc: dict) -> PlacementRequest:
     for domain, per in doc.items():
         if not isinstance(per, dict):
             raise InvalidRequest(f"demand for domain {domain!r} must map microservices to rps")
-        demand[str(domain)] = {str(ms): as_rate(rps) for ms, rps in per.items()}
+        demand[doc_id(domain, "demand domain", InvalidRequest)] = {
+            doc_id(ms, "demand microservice", InvalidRequest): as_rate(rps)
+            for ms, rps in per.items()}
     return PlacementRequest(app=app, demand=demand)

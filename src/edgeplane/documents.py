@@ -3,11 +3,28 @@
 Documents are plain dicts of YAML/JSON-safe values.  Exact Fraction rates
 are rendered as ints when integral and floats otherwise, and every list is
 emitted in a deterministic order so repeated runs produce identical bytes.
+
+:func:`dump_doc` and :func:`dump_docs` write block-style YAML themselves,
+byte for byte as ``yaml.dump``/``yaml.dump_all`` with ``scenario.YAML_DUMPER``
+would, when the document's root is a mapping or a sequence and
+
+* every value is exactly a ``dict``, ``list``, ``tuple``, ``str``, ``int``,
+  ``bool``, ``None`` or finite ``float`` (subclasses do not count);
+* every key is a ``str``;
+* no container appears twice, so PyYAML would write no ``&id`` anchor;
+* every string, key or value, is one PyYAML writes bare: non-empty, at most
+  100 characters, no space, resolved as a string by PyYAML's own resolver
+  and allowed as a block plain scalar by its emitter's analysis.
+
+Any other document goes to ``yaml.dump`` unchanged, which stays the
+reference the emitter is tested against.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from fractions import Fraction
 
 import yaml
@@ -126,12 +143,15 @@ def plan_from_doc(doc: dict) -> DeploymentPlan:
         if not (isinstance(demand_doc, dict) and all(isinstance(per, dict) for per in demand_doc.values())):
             raise ScenarioParseError("demand must be a mapping of mappings")
         demand = {
-            str(domain): {str(ms): as_rate(rps) for ms, rps in per.items()}
+            doc_id(domain, "demand domain", ScenarioParseError): {
+                doc_id(ms, "demand microservice", ScenarioParseError): as_rate(rps)
+                for ms, rps in per.items()}
             for domain, per in demand_doc.items()
         }
         drained = doc.get("drained", [])
         if not (isinstance(drained, list) and all(isinstance(node, str) for node in drained)):
             raise ScenarioParseError("drained must be a list of node ids")
+        drained = [doc_id(node, "drained node", ScenarioParseError) for node in drained]
         return DeploymentPlan(
             app_id=doc_id(doc["application"], "application", ScenarioParseError),
             revision=doc_int(doc["revision"], "revision", ScenarioParseError),
@@ -205,11 +225,122 @@ def report_to_doc(report: SimulationReport) -> dict:
 def dump_doc(doc, fmt: str = "yaml") -> str:
     if fmt == "json":
         return json.dumps(doc, indent=2) + "\n"
-    return yaml.dump(doc, Dumper=scenario.YAML_DUMPER, sort_keys=False, default_flow_style=False)
+    try:
+        return _emit(doc)
+    except _Fallback:
+        return yaml.dump(doc, Dumper=scenario.YAML_DUMPER, sort_keys=False,
+                         default_flow_style=False)
 
 
 def dump_docs(docs: list, fmt: str = "yaml") -> str:
     if fmt == "json":
         return json.dumps(docs, indent=2) + "\n"
-    return yaml.dump_all(docs, Dumper=scenario.YAML_DUMPER, sort_keys=False,
-                         default_flow_style=False)
+    try:
+        texts = [_emit(doc) for doc in docs]
+    except _Fallback:
+        return yaml.dump_all(docs, Dumper=scenario.YAML_DUMPER, sort_keys=False,
+                             default_flow_style=False)
+    # each document after the first opens with "---", on the line above a
+    # block collection and on the same line as an empty one
+    return "".join(texts[:1] + [("--- " if text[0] in "[{" else "---\n") + text
+                                for text in texts[1:]])
+
+
+class _Fallback(Exception):
+    """The document holds something the block emitter leaves to ``yaml.dump``."""
+
+
+_STR_TAG = "tag:yaml.org,2002:str"
+_RESOLVER = yaml.resolver.Resolver()
+_ANALYZER = yaml.emitter.Emitter(None)
+
+
+@functools.lru_cache(maxsize=4096)
+def _bare(text: str) -> bool:
+    """Whether PyYAML writes the string ``text`` as a plain scalar in block context."""
+    return (0 < len(text) <= 100 and " " not in text
+            and _RESOLVER.resolve(yaml.ScalarNode, text, (True, False)) == _STR_TAG
+            and _ANALYZER.analyze_scalar(text).allow_block_plain)
+
+
+def _scalar(value) -> str:
+    """``value`` as PyYAML's safe representer writes it, when that is bare."""
+    kind = type(value)
+    if kind is str:
+        if _bare(value):
+            return value
+    elif kind is bool:
+        return "true" if value else "false"
+    elif kind is int:
+        return str(value)
+    elif value is None:
+        return "null"
+    elif kind is float and math.isfinite(value):
+        # SafeRepresenter.represent_float: "1e+17" is no YAML float, "1.0e+17" is
+        text = repr(value).lower()
+        return text.replace("e", ".0e", 1) if "." not in text and "e" in text else text
+    raise _Fallback
+
+
+#: The block collections, and how PyYAML writes each one empty.
+_EMPTY = {dict: "{}\n", list: "[]\n", tuple: "[]\n"}
+
+
+def _emit(doc) -> str:
+    empty = _EMPTY.get(type(doc))
+    if empty is None:
+        raise _Fallback
+    if not doc:
+        return empty
+    out: list[str] = []
+    (_mapping if type(doc) is dict else _sequence)(doc, "", False, out, {id(doc)})
+    return "".join(out)
+
+
+def _mapping(doc: dict, pad: str, inline: bool, out: list, seen: set) -> None:
+    """Each key on its own line at ``pad``; the first one after "- " when ``inline``.
+    ``seen`` holds the ids of the collections written so far: a second sight
+    of one would be an alias in PyYAML."""
+    for key, value in doc.items():
+        if type(key) is not str or not _bare(key):
+            raise _Fallback
+        head = key + ":" if inline else pad + key + ":"
+        inline = False
+        empty = _EMPTY.get(type(value))
+        if empty is None:
+            out.append(f"{head} {_scalar(value)}\n")
+            continue
+        if id(value) in seen:
+            raise _Fallback
+        seen.add(id(value))
+        if not value:
+            out.append(f"{head} {empty}")
+        elif type(value) is dict:
+            out.append(head + "\n")
+            _mapping(value, pad + "  ", False, out, seen)
+        else:
+            # PyYAML does not indent a sequence under a mapping key
+            out.append(head + "\n")
+            _sequence(value, pad, False, out, seen)
+
+
+def _sequence(items, pad: str, inline: bool, out: list, seen: set) -> None:
+    """Each item on its own "- " line at ``pad``; the first one inline when ``inline``."""
+    for item in items:
+        head = "- " if inline else pad + "- "
+        inline = False
+        empty = _EMPTY.get(type(item))
+        if empty is None:
+            out.append(f"{head}{_scalar(item)}\n")
+            continue
+        if id(item) in seen:
+            raise _Fallback
+        seen.add(id(item))
+        if not item:
+            out.append(head + empty)
+        elif type(item) is dict:
+            out.append(head)
+            _mapping(item, pad + "  ", True, out, seen)
+        else:
+            out.append(head)
+            _sequence(item, pad + "  ", True, out, seen)

@@ -27,7 +27,9 @@ from .topology import InfrastructureGraph, load_topology
 
 #: The package's one YAML loader/dumper choice, used by :func:`read_yaml` and
 #: ``documents``: libyaml's C classes when PyYAML has them, the pure-Python
-#: ones otherwise.  Both parse to equal documents and emit identical bytes.
+#: ones otherwise.  Both parse to equal documents.  ``documents`` writes most
+#: documents itself; the dumper writes the rest and is the reference its
+#: emitter is tested against, and both dumpers emit identical bytes.
 YAML_LOADER, YAML_DUMPER = (
     (yaml.CSafeLoader, yaml.CSafeDumper) if yaml.__with_libyaml__
     else (yaml.SafeLoader, yaml.SafeDumper)

@@ -219,3 +219,12 @@ def test_demand_from_doc_normalizes():
     app = app_from_doc(chain_doc())
     request = demand_from_doc(app, {"d1": {"m2": 12.5}})
     assert request.demand["d1"]["m2"] == Fraction(25, 2)
+
+
+@pytest.mark.parametrize("doc, what", [
+    ({12: {"m2": 1}}, "domain"), ({"": {"m2": 1}}, "domain"), ({None: {"m2": 1}}, "domain"),
+    ({"d1": {7: 1}}, "microservice"), ({"d1": {"": 1}}, "microservice"),
+])
+def test_demand_keys_are_ids(doc, what):
+    with pytest.raises(InvalidRequest, match=f"demand {what} must be a non-empty string"):
+        demand_from_doc(app_from_doc(chain_doc()), doc)

@@ -2,8 +2,10 @@
 
 ``scenario.YAML_LOADER``/``YAML_DUMPER`` is the package's one YAML choice:
 libyaml's C classes when PyYAML has them.  The ``pure_python`` fixture forces
-the fallback, so the golden comparisons run on both paths, and the checks
-below compare the two paths directly where libyaml is present.
+the pure-Python classes, so the golden comparisons run on both loaders, and
+the checks below compare the two paths directly where libyaml is present.
+``tests/test_documents.py`` compares ``documents``' own emitter with both
+dumpers.
 """
 
 import pytest
@@ -11,8 +13,8 @@ import yaml
 
 from edgeplane import scenario
 from edgeplane.cli import main
-from edgeplane.controlplane import ControlPlane
-from edgeplane.documents import dump_doc, report_to_doc
+from edgeplane.controlplane import ControlPlane, validate_plan
+from edgeplane.documents import dump_doc, plan_from_doc, plan_to_doc, report_to_doc
 from edgeplane.meshsim import run_scenario
 from edgeplane.scenario import load_scenario, read_yaml
 
@@ -44,12 +46,14 @@ class CountingDumper(yaml.SafeDumper):
 
 @pytest.fixture
 def pure_python(monkeypatch):
-    """Force the pure-Python loader and dumper, and check both were used."""
+    """Force the pure-Python loader and dumper, and check the loader was used.
+    Plan and route documents take ``documents``' own emitter, so the tests
+    that need the dumper check it themselves."""
     CountingLoader.used = CountingDumper.used = 0
     monkeypatch.setattr(scenario, "YAML_LOADER", CountingLoader)
     monkeypatch.setattr(scenario, "YAML_DUMPER", CountingDumper)
     yield
-    assert CountingLoader.used and CountingDumper.used
+    assert CountingLoader.used
 
 
 def surge_report_yaml() -> str:
@@ -79,6 +83,21 @@ def test_pure_python_routes_out_dir_matches_golden(pure_python, tmp_path):
                  "--out", str(out_dir), "--quiet"]) == 0
     for name in ("routes-ed3.yaml", "routes-ed4.yaml", "routes-cloud.yaml"):
         assert (out_dir / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def test_pure_python_dumps_what_the_emitter_leaves_to_pyyaml(pure_python):
+    """A plan whose compliance section has a violation detail with spaces
+    is no document the emitter writes: the dumper writes it."""
+    sc = load_scenario(SCENARIOS / "uav_canonical.yaml")
+    doc = read_yaml(GOLDEN / "plan_canonical.yaml")
+    doc["routes"][0]["destinations"][0]["weight"] = 0
+    plan = plan_from_doc(doc)
+    report = validate_plan(sc.graph, sc.app, sc.policies, plan)
+    assert report.violations[0].detail == "weight of ed3-n1 is 0, not positive"
+    text = dump_doc(plan_to_doc(plan, report))
+    assert CountingDumper.used == 1
+    assert text == yaml.dump(plan_to_doc(plan, report), Dumper=yaml.SafeDumper,
+                             sort_keys=False, default_flow_style=False)
 
 
 @needs_libyaml
