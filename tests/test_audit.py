@@ -6,17 +6,22 @@ long as they share nothing with the search: the boundary test reads
 simulator and any use of the scope resolvers the search decides with.  The
 span contract test pins that the control plane and the simulator call the
 auditors through their own module globals, which is where perfbench's
-tracer installs its span wrappers.
+tracer installs its span wrappers.  The search module's own boundary keeps
+it below the control plane: it imports none of the modules built on it, and
+the control plane reaches it only through its public names.
 """
 
 import ast
 from pathlib import Path
 
-from edgeplane import audit, controlplane, meshsim
+from edgeplane import audit, controlplane, meshsim, search
 from edgeplane.meshsim import run_scenario
 
 #: Modules the auditors must not import, under any spelling or guard.
-PLANNER_MODULES = {"controlplane", "meshsim"}
+PLANNER_MODULES = {"controlplane", "meshsim", "search"}
+
+#: Modules built on the search, which it must not import.
+ABOVE_THE_SEARCH = {"controlplane", "meshsim", "audit", "documents", "scenario", "cli", "policyserver"}
 
 #: The planner's scope resolvers and the policy engine's decision entry points.
 RESOLVERS = {
@@ -65,6 +70,37 @@ def test_boundary_check_catches_each_kind_of_breach():
         "nodes_of_domain",
     ):
         assert boundary_breaches(source), source
+
+
+def imported_names(source: str) -> list[tuple[str, str]]:
+    """(module, name) per name imported in ``source``; a plain ``import m`` gives (m, "")."""
+    pairs = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            pairs += [(node.module or "", a.name) for a in node.names]
+        elif isinstance(node, ast.Import):
+            pairs += [(a.name, "") for a in node.names]
+    return pairs
+
+
+def test_search_imports_nothing_built_on_it():
+    source = Path(search.__file__).read_text(encoding="utf-8")
+    imported = [f"{module}.{name}" for module, name in imported_names(source)]
+    assert [m for m in imported if ABOVE_THE_SEARCH & set(m.split("."))] == []
+
+
+def test_control_plane_imports_no_private_name_of_the_search():
+    source = Path(controlplane.__file__).read_text(encoding="utf-8")
+    private = [(m, n) for m, n in imported_names(source) if m.split(".")[-1] == "search" and n.startswith("_")]
+    assert ("search", "reconcile") in imported_names(source)
+    assert private == []
+
+
+def test_callers_reach_the_one_search_module():
+    assert controlplane.PlacementMapping is search.PlacementMapping
+    assert controlplane.AnchorPlacement is search.AnchorPlacement
+    assert controlplane.CapacityCut is search.CapacityCut
+    assert controlplane.SEARCH_BUDGET is search.SEARCH_BUDGET
 
 
 def test_callers_reach_the_one_audit_module():

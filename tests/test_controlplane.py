@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from edgeplane import controlplane
+from edgeplane import controlplane, search
 from edgeplane.appmodel import PlacementRequest
 from edgeplane.controlplane import (
     Alert,
@@ -18,15 +18,6 @@ from edgeplane.controlplane import (
     PlacementMapping,
     RoutingRule,
     RoutingRuleSet,
-    SEARCH_BUDGET,
-    _anchor_demand,
-    _Budget,
-    _capacity_cut,
-    _distributions,
-    _Ledger,
-    _Lookahead,
-    _placement_sequence,
-    _reconcile,
     generate_routes,
     handle_alert,
     place_application,
@@ -46,6 +37,17 @@ from edgeplane.locality import IOT_SOURCE, LocalityLevel
 from edgeplane.meshsim import run_scenario
 from edgeplane.policy import evaluate_query
 from edgeplane.scenario import load_scenario, read_yaml, scenario_from_doc
+from edgeplane.search import (
+    SEARCH_BUDGET,
+    _anchor_demand,
+    _Budget,
+    _capacity_cut,
+    _distributions,
+    _Ledger,
+    _Lookahead,
+    _placement_sequence,
+    _reconcile,
+)
 
 from .support import (
     ROOT,
@@ -697,14 +699,16 @@ def test_exhausted_tree_is_a_proof_and_a_budget_give_up_is_not():
 
 
 def count_calls(monkeypatch, name: str) -> list:
-    """Record each call of ``controlplane.<name>`` in the returned list."""
-    calls, wrapped = [], getattr(controlplane, name)
+    """Record each call of ``<module>.<name>`` in the returned list: the
+    search's private names on ``search``, the rest on ``controlplane``."""
+    module = search if name.startswith("_") else controlplane
+    calls, wrapped = [], getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return wrapped(*args, **kwargs)
 
-    monkeypatch.setattr(controlplane, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from edgeplane import controlplane, meshsim
+from edgeplane import controlplane, meshsim, search
 from edgeplane.appmodel import PlacementRequest
 from edgeplane.controlplane import (
     Alert,
@@ -562,8 +562,8 @@ def test_skipped_replans_match_the_full_replan(gen_app, monkeypatch):
     unmoving demand changes gives the plan and report documents and the halts
     of one that always searches, routes and audits, with fewer searches."""
     searches = []
-    reconcile = controlplane._reconcile
-    monkeypatch.setattr(controlplane, "_reconcile",
+    reconcile = search._reconcile
+    monkeypatch.setattr(search, "_reconcile",
                         lambda *args, **kwargs: searches.append(1) or reconcile(*args, **kwargs))
     counts = {ControlPlane: 0, FullReplan: 0}
     runs = halts = 0

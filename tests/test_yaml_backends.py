@@ -16,7 +16,7 @@ from edgeplane.cli import main
 from edgeplane.controlplane import ControlPlane, validate_plan
 from edgeplane.documents import dump_doc, plan_from_doc, plan_to_doc, report_to_doc
 from edgeplane.meshsim import run_scenario
-from edgeplane.scenario import load_scenario, read_yaml
+from edgeplane.scenario import load_scenario, read_yaml, scenario_from_doc
 
 from .support import GOLDEN, ROOT, SCENARIOS
 
@@ -36,12 +36,19 @@ class CountingLoader(yaml.SafeLoader):
         super().__init__(stream)
 
 
-class CountingDumper(yaml.SafeDumper):
-    used = 0
+def counting_dumper(base):
+    """A subclass of the dumper ``base`` that counts its constructions in ``used``."""
+    class Counting(base):
+        used = 0
 
-    def __init__(self, stream, **kwargs):
-        CountingDumper.used += 1
-        super().__init__(stream, **kwargs)
+        def __init__(self, stream, **kwargs):
+            Counting.used += 1
+            super().__init__(stream, **kwargs)
+
+    return Counting
+
+
+CountingDumper = counting_dumper(yaml.SafeDumper)
 
 
 @pytest.fixture
@@ -56,11 +63,17 @@ def pure_python(monkeypatch):
     assert CountingLoader.used
 
 
-def surge_report_yaml() -> str:
-    sc = load_scenario(SCENARIOS / "uav_demand_surge.yaml")
+def halted_report_yaml() -> str:
+    """The report of the canonical scenario with its only m4 host drained at
+    tick 1, which halts the run: the halt reason holds spaces, so the report
+    is one the emitter leaves to ``scenario.YAML_DUMPER``."""
+    doc = read_yaml(SCENARIOS / "uav_canonical.yaml")
+    doc["events"] = [{"tick": 1, "type": "drain_node", "node": "ed4-n2"}]
+    sc = scenario_from_doc(doc)
     control = ControlPlane(sc.graph, sc.app, sc.policies)
     _, report = run_scenario(sc.graph, sc.app, sc.policies, sc.request, sc.events, control,
                              overload_threshold=sc.settings.overload_threshold)
+    assert " " in report.halted["reason"]
     return dump_doc(report_to_doc(report))
 
 
@@ -102,10 +115,13 @@ def test_pure_python_dumps_what_the_emitter_leaves_to_pyyaml(pure_python):
 
 @needs_libyaml
 def test_report_bytes_identical_under_both_dumpers(monkeypatch):
-    fast = surge_report_yaml()
+    fast_dumper, pure_dumper = counting_dumper(yaml.CSafeDumper), counting_dumper(yaml.SafeDumper)
+    monkeypatch.setattr(scenario, "YAML_DUMPER", fast_dumper)
+    fast = halted_report_yaml()
     monkeypatch.setattr(scenario, "YAML_LOADER", yaml.SafeLoader)
-    monkeypatch.setattr(scenario, "YAML_DUMPER", yaml.SafeDumper)
-    assert surge_report_yaml() == fast
+    monkeypatch.setattr(scenario, "YAML_DUMPER", pure_dumper)
+    assert halted_report_yaml() == fast
+    assert (fast_dumper.used, pure_dumper.used) == (1, 1)
 
 
 @needs_libyaml
