@@ -23,7 +23,9 @@ from .errors import (
     InvalidApplication,
     InvalidRequest,
     UnknownDomain,
+    UnknownIngress,
     UnknownMicroservice,
+    UnreachableMicroservice,
     doc_id,
     doc_int,
     doc_list,
@@ -151,8 +153,6 @@ def validate_app(app: ApplicationDag) -> ApplicationDag:
         UnreachableMicroservice: a schedulable microservice is not reachable
             from any ingress.
     """
-    from .errors import UnknownIngress, UnreachableMicroservice
-
     for edge in app.edges:
         for endpoint in (edge.from_ms, edge.to_ms):
             if not isinstance(endpoint, str) or endpoint not in app.microservices:

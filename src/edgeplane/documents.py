@@ -16,8 +16,8 @@ would, when the document's root is a mapping or a sequence and
   100 characters, no space, resolved as a string by PyYAML's own resolver
   and allowed as a block plain scalar by its emitter's analysis.
 
-Any other document goes to ``yaml.dump`` unchanged, which stays the
-reference the emitter is tested against.
+Any other document sends its whole list to ``yaml.dump_all`` unchanged (of
+which ``yaml.dump`` is the one-document case), the emitter's reference.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import functools
 import json
 import math
 from fractions import Fraction
+from itertools import repeat
 
 import yaml
 
@@ -223,18 +224,15 @@ def report_to_doc(report: SimulationReport) -> dict:
 
 
 def dump_doc(doc, fmt: str = "yaml") -> str:
-    if fmt == "json":
-        return json.dumps(doc, indent=2) + "\n"
-    try:
-        return _emit(doc)
-    except _Fallback:
-        return yaml.dump(doc, Dumper=scenario.YAML_DUMPER, sort_keys=False,
-                         default_flow_style=False)
+    return json.dumps(doc, indent=2) + "\n" if fmt == "json" else _dump_yaml([doc])
 
 
 def dump_docs(docs: list, fmt: str = "yaml") -> str:
-    if fmt == "json":
-        return json.dumps(docs, indent=2) + "\n"
+    return json.dumps(docs, indent=2) + "\n" if fmt == "json" else _dump_yaml(docs)
+
+
+def _dump_yaml(docs: list) -> str:
+    """``docs`` as ``yaml.dump_all`` writes them, which for ``[doc]`` is ``yaml.dump(doc)``."""
     try:
         texts = [_emit(doc) for doc in docs]
     except _Fallback:
@@ -293,18 +291,22 @@ def _emit(doc) -> str:
     if not doc:
         return empty
     out: list[str] = []
-    (_mapping if type(doc) is dict else _sequence)(doc, "", False, out, {id(doc)})
+    _block(doc, "", False, out, {id(doc)})
     return "".join(out)
 
 
-def _mapping(doc: dict, pad: str, inline: bool, out: list, seen: set) -> None:
-    """Each key on its own line at ``pad``; the first one after "- " when ``inline``.
-    ``seen`` holds the ids of the collections written so far: a second sight
-    of one would be an alias in PyYAML."""
-    for key, value in doc.items():
-        if type(key) is not str or not _bare(key):
-            raise _Fallback
-        head = key + ":" if inline else pad + key + ":"
+def _block(doc, pad: str, inline: bool, out: list, seen: set) -> None:
+    """Each "key:" of a mapping, or "-" of a sequence item, on its own line at ``pad``;
+    the first one right after "- " when ``inline``.  ``seen`` holds the ids of the
+    collections written so far: a second sight of one would be an alias in PyYAML."""
+    mapping = type(doc) is dict
+    for head, value in doc.items() if mapping else zip(repeat("-"), doc):
+        if mapping:
+            if type(head) is not str or not _bare(head):
+                raise _Fallback
+            head += ":"
+        if not inline:
+            head = pad + head
         inline = False
         empty = _EMPTY.get(type(value))
         if empty is None:
@@ -315,32 +317,10 @@ def _mapping(doc: dict, pad: str, inline: bool, out: list, seen: set) -> None:
         seen.add(id(value))
         if not value:
             out.append(f"{head} {empty}")
-        elif type(value) is dict:
+        elif mapping:
+            # PyYAML indents a mapping under a key, but not a sequence
             out.append(head + "\n")
-            _mapping(value, pad + "  ", False, out, seen)
+            _block(value, pad + "  " if type(value) is dict else pad, False, out, seen)
         else:
-            # PyYAML does not indent a sequence under a mapping key
-            out.append(head + "\n")
-            _sequence(value, pad, False, out, seen)
-
-
-def _sequence(items, pad: str, inline: bool, out: list, seen: set) -> None:
-    """Each item on its own "- " line at ``pad``; the first one inline when ``inline``."""
-    for item in items:
-        head = "- " if inline else pad + "- "
-        inline = False
-        empty = _EMPTY.get(type(item))
-        if empty is None:
-            out.append(f"{head}{_scalar(item)}\n")
-            continue
-        if id(item) in seen:
-            raise _Fallback
-        seen.add(id(item))
-        if not item:
-            out.append(head + empty)
-        elif type(item) is dict:
-            out.append(head)
-            _mapping(item, pad + "  ", True, out, seen)
-        else:
-            out.append(head)
-            _sequence(item, pad + "  ", True, out, seen)
+            out.append(head + " ")
+            _block(value, pad + "  ", True, out, seen)

@@ -22,6 +22,9 @@ from .locality import IOT_SOURCE
 from .policy import PolicySet
 from .topology import InfrastructureGraph
 
+#: The node utilization above which a quiet tick raises an overload alert.
+OVERLOAD_THRESHOLD = 0.8
+
 
 @dataclass
 class FlowAssignment:
@@ -181,7 +184,7 @@ def run_scenario(
     events: list[ScenarioEvent],
     control: ControlPlane | None = None,
     *,
-    overload_threshold: float = 0.8,
+    overload_threshold: float = OVERLOAD_THRESHOLD,
 ) -> tuple[DeploymentPlan, SimulationReport]:
     """Closed-loop run: place, then tick through events with replans.
 
@@ -214,19 +217,19 @@ def run_scenario(
     violations: list[tuple[int, Violation]] = []
     flows = FlowAssignment()
     halted: dict | None = None
-    routed: tuple | None = None  # the rules and demand ``flows`` was routed for
-    measured: FlowAssignment | None = None  # the flows ``load`` and ``found`` were read off
+    routed: tuple | None = None  # the rules and demand ``flows``, ``load`` and ``found`` are for
     load: dict[str, Fraction] = {}
     found: list[Violation] = []
 
     def route():
-        """Re-route only when the rules or the demand moved since the last routing."""
-        nonlocal flows, routed
+        """Route, measure and audit the plan, unless its rules and demand were the last routed."""
+        nonlocal flows, load, found, routed
         # the rules tuple, not the RoutingRuleSet, whose lookup index joins its equality
-        if routed != (plan.routes.rules, demand):
-            flows = route_flows(graph, app, plan, demand)
-            # events change ``demand`` in place, so keep a copy
-            routed = (plan.routes.rules, {d: dict(per) for d, per in demand.items()})
+        if routed != (plan.routes.rules, plan.demand):
+            routed = (plan.routes.rules, plan.demand)
+            flows = route_flows(graph, app, plan, plan.demand)
+            load = node_utilization(graph, app, flows)
+            found = check_compliance(graph, policies, flows)
 
     for tick in range(ticks):
         event_alerts: list[Alert] = []
@@ -243,10 +246,6 @@ def run_scenario(
                 alerts.append(alert)
                 plan = control.handle_alert(plan, alert)
             route()
-            if measured is not flows:
-                measured = flows
-                load = node_utilization(graph, app, flows)
-                found = check_compliance(graph, policies, flows)
             utilization.append(dict(load))
             violations.extend((tick, v) for v in found)
             # nodes are in id order and max keeps the first of equals

@@ -21,7 +21,7 @@ import yaml
 
 from .appmodel import ApplicationDag, PlacementRequest, app_from_doc, as_rate, demand_from_doc
 from .errors import EdgeplaneError, ScenarioParseError, UnknownNode, doc_int, doc_list
-from .meshsim import ScenarioEvent
+from .meshsim import OVERLOAD_THRESHOLD, ScenarioEvent
 from .policy import PolicySet, parse_policies
 from .topology import InfrastructureGraph, load_topology
 
@@ -38,7 +38,7 @@ YAML_LOADER, YAML_DUMPER = (
 
 @dataclass(frozen=True)
 class Settings:
-    overload_threshold: float = 0.8
+    overload_threshold: float = OVERLOAD_THRESHOLD
 
 
 @dataclass
@@ -127,7 +127,7 @@ def _settings_from_doc(raw) -> Settings:
     unknown = set(raw) - {"overload_threshold", "deterministic"}
     if unknown:
         raise ScenarioParseError(f"unknown settings key {min(unknown, key=str)!r}")
-    threshold = raw.get("overload_threshold", 0.8)
+    threshold = raw.get("overload_threshold", OVERLOAD_THRESHOLD)
     if isinstance(threshold, bool) or not isinstance(threshold, (int, float)) or not 0 < threshold < inf:
         raise ScenarioParseError("settings.overload_threshold must be a positive finite number")
     if raw.get("deterministic", True) is not True:

@@ -11,6 +11,7 @@ from edgeplane.appmodel import (
 )
 from edgeplane.errors import (
     CycleDetected,
+    DuplicateId,
     InvalidApplication,
     InvalidRequest,
     UnknownDomain,
@@ -125,6 +126,20 @@ def test_cycle_found_past_a_microservice_it_feeds():
     with pytest.raises(CycleDetected) as exc:
         app_from_doc(doc)
     assert exc.value.cycle in (["m3", "m4", "m3"], ["m4", "m3", "m4"])
+
+
+def test_negative_edge_ratio():
+    doc = chain_doc()
+    doc["edges"][1]["ratio"] = -1
+    with pytest.raises(InvalidApplication, match="^edge m2->m3 ratio must be >= 0$"):
+        app_from_doc(doc)
+
+
+def test_duplicate_microservice_id():
+    doc = chain_doc()
+    doc["microservices"].append({"id": "m3", "cpu_m": 100, "mem_mi": 128, "capacity_rps": 10})
+    with pytest.raises(DuplicateId, match="'m3'"):
+        app_from_doc(doc)
 
 
 def test_unknown_edge_endpoint():

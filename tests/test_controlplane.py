@@ -925,6 +925,14 @@ def test_validate_detects_phantom_host(placed):
     assert any("hosts no" in v.detail for v in report.violations)
 
 
+def test_validate_detects_rule_without_destinations(placed):
+    scenario, plan = placed
+    _swap_rule(plan, ("ed4", "m4", "m5"), destinations=())
+    report = validate_plan(scenario.graph, scenario.app, scenario.policies, plan)
+    assert ("route", "ed4/m4->m5", "rule has no destinations") in {
+        (v.kind, v.subject, v.detail) for v in report.violations}
+
+
 def test_validate_detects_non_edge_rule(placed):
     scenario, plan = placed
     _swap_rule(plan, ("ed4", "m4", "m5"), consumer="m2")

@@ -26,7 +26,7 @@ from edgeplane.documents import (
     routes_docs,
 )
 from edgeplane.errors import EdgeplaneError, ScenarioParseError
-from edgeplane.meshsim import run_scenario
+from edgeplane.meshsim import check_compliance, run_scenario
 from edgeplane.scenario import load_scenario, read_yaml, scenario_from_doc
 
 from .support import GOLDEN, SCENARIOS, gen_case, gen_chain_app, gen_dag_app
@@ -139,6 +139,18 @@ def test_generated_plans_routes_and_reports_dump_as_pyyaml_does(dumper):
     assert alerts
 
 
+def test_report_with_violations_dumps_as_pyyaml_does(dumper, canonical):
+    """Violation rows carry details with spaces, so the dumper writes the report."""
+    _, report = run_scenario(canonical.graph, canonical.app, canonical.policies,
+                             canonical.request, canonical.events)
+    report.flows.add("ed3", "iot", "ed4-n1", "m2", Fraction(5))  # leaks strict-domain m2
+    report.violations = [(1, v) for v in check_compliance(canonical.graph, canonical.policies,
+                                                         report.flows)]
+    doc = report_to_doc(report)
+    assert doc["violations"] and all(" " in row["detail"] for row in doc["violations"])
+    assert not emitted(doc, dumper)
+
+
 class Colour(enum.IntEnum):
     RED = 1
 
@@ -199,6 +211,14 @@ def test_fuzzed_documents_dump_as_pyyaml_does(dumper):
         groups += dumper.used == before
     assert paths[True] > 500 and paths[False] > 250, paths
     assert groups > 500
+
+
+@pytest.mark.parametrize("doc", [
+    {"a": Tag("x")}, [Tag("x")], {Tag("k"): 1}, [{"a": 1, Tag("k"): [2]}], {"a": Colour.RED}])
+def test_subclasses_of_plain_types_go_to_pyyaml(dumper, doc):
+    """An otherwise plain document holding a ``str`` or ``int`` subclass, as a
+    key or a value, is the dumper's to write (or refuse)."""
+    assert not emitted(doc, dumper)
 
 
 def test_cli_routes_stdout_is_pyyaml_dump_all(capsys):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -142,6 +143,23 @@ def test_missing_midchain_route(canonical_flows):
         if not (r.domain_id == "ed3" and r.consumer == "m2")))
     with pytest.raises(MissingRoute, match="m2->m3"):
         route_flows(scenario.graph, scenario.app, plan, plan.demand)
+
+
+@pytest.mark.parametrize("weights", [(0, 0, 0), (2, -2, 0)])
+def test_route_whose_weights_sum_to_zero_is_missing(canonical_flows, weights):
+    scenario, plan, _ = canonical_flows
+    key = ("ed3", "m2", "m3")
+    plan.routes = RoutingRuleSet(tuple(
+        replace(r, destinations=tuple(
+            (n, w) for (n, _), w in zip(r.destinations, weights, strict=True)))
+        if (r.domain_id, r.consumer, r.target_ms) == key else r
+        for r in plan.routes.rules))
+    with pytest.raises(MissingRoute, match="^route ed3/m2->m3 has no usable weights$"):
+        route_flows(scenario.graph, scenario.app, plan, plan.demand)
+    # only a rule that carries traffic needs usable weights: m2 in ed3 serves ed3 alone
+    quiet = {**plan.demand, "ed3": {ms: Fraction(0) for ms in plan.demand["ed3"]}}
+    rows = route_flows(scenario.graph, scenario.app, plan, quiet).rows
+    assert rows and not any(row[:2] == key[:2] for row in rows)
 
 
 def test_zero_demand_needs_no_routes(canonical):

@@ -118,6 +118,20 @@ def test_evaluate_response_malformed(setup):
     assert status == 400
 
 
+@pytest.mark.parametrize("policy, input_doc, unknown", [
+    ("iot_locality", {"microservice": "ghost", "device_domain": "ed3", "target_domain": "ed4"}, "ghost"),
+    ("iot_locality", {"microservice": "m2", "device_domain": "nowhere", "target_domain": "ed4"}, "nowhere"),
+    ("iot_locality", {"microservice": "m2", "device_domain": "ed3", "target_domain": "nowhere"}, "nowhere"),
+    ("ms_locality", {"consumer": "m2", "consumed": "ghost",
+                     "consumer_domain": "ed3", "target_domain": "ed4"}, "ghost"),
+    ("ms_locality", {"consumer": "m2", "consumed": "m3",
+                     "consumer_domain": "nowhere", "target_domain": "ed4"}, "nowhere"),
+])
+def test_evaluate_response_unknown_ids(setup, policy, input_doc, unknown):
+    graph, pset = setup
+    assert evaluate(pset, graph, policy, input_doc) == (400, {"error": unknown})
+
+
 @pytest.fixture
 def server(canonical):
     srv = make_server(canonical.policies, canonical.graph)

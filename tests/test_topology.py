@@ -115,6 +115,13 @@ def test_region_domain_membership_must_agree():
         load_topology(doc)
 
 
+def test_domain_listed_by_two_regions():
+    doc = minimal_doc()
+    doc["regions"][1]["domains"].append("d1")  # d1 claims r1
+    with pytest.raises(DanglingReference, match="'d1' \\(domain claims region 'r1'\\)"):
+        load_topology(doc)
+
+
 def test_node_in_unknown_domain():
     doc = minimal_doc()
     doc["nodes"][0]["domain"] = "ghost"
