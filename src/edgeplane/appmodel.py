@@ -225,42 +225,46 @@ def app_from_doc(doc: dict) -> ApplicationDag:
     return validate_app(app)
 
 
+def read_demand(doc) -> dict[str, dict[str, Fraction]]:
+    """The package's one demand reader, domain -> microservice -> rps: ids through
+    ``errors.doc_id``, rates through :func:`as_rate`, both levels sorted by id.
+    A ``doc``, or a value in it, that is not a mapping raises InvalidRequest."""
+    if not isinstance(doc, dict):
+        raise InvalidRequest("demand fragment must be a mapping")
+    if not all(isinstance(per, dict) for per in doc.values()):
+        raise InvalidRequest("demand must be a mapping of mappings")
+    demand = {
+        doc_id(domain, "demand domain", InvalidRequest): {
+            doc_id(ms, "demand microservice", InvalidRequest): as_rate(rps) for ms, rps in per.items()}
+        for domain, per in doc.items()
+    }
+    return {domain: dict(sorted(per.items())) for domain, per in sorted(demand.items())}
+
+
 @dataclass
 class PlacementRequest:
-    """Offered ingress load: per attachment domain, rps per ingress microservice."""
+    """Offered ingress load: per attachment domain, rps per ingress microservice,
+    as :func:`read_demand` reads it on construction."""
 
     app: ApplicationDag
     demand: dict[str, dict[str, Fraction]]
 
+    def __post_init__(self):
+        self.demand = read_demand(self.demand)
+
     def normalized_demand(self) -> dict[str, dict[str, Fraction]]:
-        return {
-            domain: {ms: as_rate(rps) for ms, rps in sorted(per.items())}
-            for domain, per in sorted(self.demand.items())
-        }
+        return {domain: dict(per) for domain, per in self.demand.items()}
 
     def validate_against(self, graph) -> "PlacementRequest":
         attachment_domains = set(graph.attachment_domains())
         for domain, per in self.demand.items():
             if domain not in graph.domains:
-                raise UnknownDomain(domain)
+                raise UnknownDomain(f"unknown domain {domain!r}")
             if domain not in attachment_domains:
                 raise InvalidRequest(f"demand domain {domain!r} has no IoT attachment")
             for ms_id, rps in per.items():
                 if ms_id not in self.app.ingress_ids:
-                    raise InvalidRequest(f"demand names non-ingress microservice {ms_id!r}")
-                if as_rate(rps) < 0:
-                    raise InvalidRequest(f"demand for {ms_id!r} in {domain!r} must be >= 0")
+                    raise InvalidRequest(f"demand microservice {ms_id!r} is not an ingress microservice")
+                if rps < 0:
+                    raise InvalidRequest(f"demand for {ms_id!r} in {domain!r} must be non-negative")
         return self
-
-
-def demand_from_doc(app: ApplicationDag, doc: dict) -> PlacementRequest:
-    if not isinstance(doc, dict):
-        raise InvalidRequest("demand fragment must be a mapping")
-    demand: dict[str, dict[str, Fraction]] = {}
-    for domain, per in doc.items():
-        if not isinstance(per, dict):
-            raise InvalidRequest(f"demand for domain {domain!r} must map microservices to rps")
-        demand[doc_id(domain, "demand domain", InvalidRequest)] = {
-            doc_id(ms, "demand microservice", InvalidRequest): as_rate(rps)
-            for ms, rps in per.items()}
-    return PlacementRequest(app=app, demand=demand)

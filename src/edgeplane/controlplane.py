@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .appmodel import ApplicationDag, PlacementRequest
 from .audit import ComplianceReport, Violation, validate_plan  # noqa: F401 (re-exported)
-from .errors import NoDestinationInScope, PlanningError, UnknownMicroservice, UnknownNode
+from .errors import NoDestinationInScope, PlanningError, UnknownMicroservice, UnknownNode, doc_id
 from .locality import IOT_SOURCE, LocalityLevel
 from .policy import PolicySet
 from .search import SEARCH_BUDGET, AnchorPlacement, CapacityCut, PlacementMapping, reconcile  # noqa: F401 (re-exported)
@@ -35,7 +35,7 @@ class RoutingRule:
 @dataclass
 class RoutingRuleSet:
     rules: tuple[RoutingRule, ...]
-    _index: dict[tuple[str, str, str], RoutingRule] = field(default_factory=dict, repr=False)
+    _index: dict[tuple[str, str, str], RoutingRule] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self._index = {(r.domain_id, r.consumer, r.target_ms): r for r in self.rules}
@@ -77,6 +77,8 @@ class Alert:
     def __post_init__(self):
         if self.kind not in ALERT_KINDS:
             raise PlanningError(f"unknown alert kind {self.kind!r}")
+        if not isinstance(self.payload, dict):
+            raise PlanningError(f"{self.kind} alert payload must be a mapping, got {self.payload!r}")
         missing = [k for k in ALERT_KINDS[self.kind] if k not in self.payload]
         if missing:
             raise PlanningError(f"{self.kind} alert payload missing {missing}")
@@ -171,10 +173,10 @@ def _post_alert_state(
 ) -> tuple[dict[str, dict[str, Fraction]], frozenset[str]]:
     """The demand and drained set ``plan`` is replanned for under ``alert``.
 
-    A demand change's payload is validated and normalized; a node drain adds
-    its node to the drained set; an overload keeps both.  A microservice or
-    node id in ``plan`` or the alert that the scenario lacks raises
-    UnknownMicroservice or UnknownNode.
+    A demand change's payload is read as a PlacementRequest (InvalidRequest
+    when malformed); a node drain adds its node to the drained set; an
+    overload keeps both.  A microservice or node id in ``plan`` or the alert
+    that the scenario lacks raises UnknownMicroservice or UnknownNode.
     """
     if alert.kind == "demand_change":
         request = PlacementRequest(app=app, demand=alert.payload["demand"])
@@ -189,7 +191,8 @@ def _post_alert_state(
         if unknown:
             raise UnknownNode(f"plan places {ms_id!r} on unknown node {min(unknown)!r}")
 
-    drained = plan.drained | ({alert.payload["node"]} if alert.kind == "node_drain" else set())
+    drained = plan.drained | (
+        {doc_id(alert.payload["node"], "drained node", UnknownNode)} if alert.kind == "node_drain" else set())
     unknown = drained - graph.nodes.keys()
     if unknown:
         raise UnknownNode(f"cannot drain unknown node {min(unknown)!r}")

@@ -31,7 +31,7 @@ from itertools import repeat
 import yaml
 
 from . import scenario
-from .appmodel import as_rate, rate_to_number
+from .appmodel import as_rate, rate_to_number, read_demand
 from .audit import ComplianceReport
 from .controlplane import (
     AnchorPlacement,
@@ -105,8 +105,9 @@ def plan_from_doc(doc: dict) -> DeploymentPlan:
     Slot order inside each placement entry is preserved, so scale-down after
     a round trip still removes the newest instances first.  Every id must be
     a non-empty string, ``revision`` and every ``weight`` an integer, every
-    ``instances`` a positive integer (a bool is neither), ``demand`` a
-    mapping of mappings and ``drained``, when present, a list of node ids;
+    ``instances`` a positive integer (a bool is neither), ``demand`` what
+    ``appmodel.read_demand`` reads (a mapping of mappings of rates) and
+    ``drained``, when present, a list of node ids;
     any other shape raises ScenarioParseError ("malformed plan document: ...").
     """
     if not isinstance(doc, dict):
@@ -140,15 +141,7 @@ def plan_from_doc(doc: dict) -> DeploymentPlan:
             )
             for entry in _plan_list(doc.get("routes", []), "routes")
         )
-        demand_doc = doc.get("demand", {})
-        if not (isinstance(demand_doc, dict) and all(isinstance(per, dict) for per in demand_doc.values())):
-            raise ScenarioParseError("demand must be a mapping of mappings")
-        demand = {
-            doc_id(domain, "demand domain", ScenarioParseError): {
-                doc_id(ms, "demand microservice", ScenarioParseError): as_rate(rps)
-                for ms, rps in per.items()}
-            for domain, per in demand_doc.items()
-        }
+        demand = read_demand(doc.get("demand", {}))
         drained = doc.get("drained", [])
         if not (isinstance(drained, list) and all(isinstance(node, str) for node in drained)):
             raise ScenarioParseError("drained must be a list of node ids")

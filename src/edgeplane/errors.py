@@ -4,8 +4,8 @@ Kept in one flat module so that loaders, the planner and the simulator can
 share reference errors (unknown domain, unknown microservice) without import
 cycles, and so that every document loader reads lists, ids and integers
 through one check each: :func:`doc_list`, :func:`doc_id` and :func:`doc_int`.
-Each raises the calling loader's own error class.  Rates have their one
-reader in ``appmodel.as_rate``.
+Each raises the calling loader's own error class.  Rates and demand have
+their one readers in ``appmodel.as_rate`` and ``appmodel.read_demand``.
 """
 
 

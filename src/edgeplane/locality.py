@@ -31,8 +31,6 @@ class LocalityLevel(enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> "LocalityLevel":
-        if isinstance(text, cls):
-            return text
         try:
             return cls(text)
         except ValueError:

@@ -224,9 +224,8 @@ def run_scenario(
     def route():
         """Route, measure and audit the plan, unless its rules and demand were the last routed."""
         nonlocal flows, load, found, routed
-        # the rules tuple, not the RoutingRuleSet, whose lookup index joins its equality
-        if routed != (plan.routes.rules, plan.demand):
-            routed = (plan.routes.rules, plan.demand)
+        if routed != (plan.routes, plan.demand):
+            routed = (plan.routes, plan.demand)
             flows = route_flows(graph, app, plan, plan.demand)
             load = node_utilization(graph, app, flows)
             found = check_compliance(graph, policies, flows)

@@ -9,7 +9,8 @@ Responses are canonical JSON (sorted keys, no whitespace), so the in-process
 functions and the wire endpoints can be compared byte for byte.  The errors
 the HTTP layer answers itself (an unknown method, a malformed or over-long
 request line) are JSON too, with an HTTP/1.1 status line, and close the
-connection.  A body over MAX_BODY_BYTES is refused (413) unread, and a silent
+connection.  A body over MAX_BODY_BYTES (413) or with a ``Content-Length``
+that is not a decimal number (400) is refused unread, and a silent
 connection dropped.
 
 The socket is ``TCP_NODELAY``, so a keep-alive client waits on no timer: a
@@ -115,20 +116,22 @@ class PolicyAgentHandler(BaseHTTPRequestHandler):
         self._send(status, payload)
 
     def do_POST(self):
-        path = urlparse(self.path).path
-        if path != "/v1/evaluate":
-            self._send(404, {"error": "unknown_path"})
+        """Read the body, whatever the path, so that the next request on the
+        connection starts where this one ends; then answer."""
+        text = self.headers.get("Content-Length", "0").strip(" \t")
+        if not (text.isascii() and text.isdigit()):  # where the body ends is unknown: it stays unread
+            self._send(400, {"error": "Content-Length must be a decimal number"}, close=True)
             return
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-        except (TypeError, ValueError):
-            length = 0
+        digits = text.lstrip("0") or "0"  # int() would refuse a value of over 4,300 digits
+        length = int(digits) if len(digits) <= len(str(MAX_BODY_BYTES)) else MAX_BODY_BYTES + 1
         if length > MAX_BODY_BYTES:  # the body stays unread, so the connection cannot go on
             self._send(413, {"error": f"body over {MAX_BODY_BYTES} bytes"}, close=True)
             return
         body = self.rfile.read(length) if length > 0 else b""
-        status, payload = evaluate_response(self.server.pset, self.server.graph, body)
-        self._send(status, payload)
+        if urlparse(self.path).path == "/v1/evaluate":
+            self._send(*evaluate_response(self.server.pset, self.server.graph, body))
+        else:
+            self._send(404, {"error": "unknown_path"})
 
 
 def make_server(

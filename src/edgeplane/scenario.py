@@ -5,10 +5,10 @@ A scenario is one YAML document describing everything a run needs.
 its one section parser: ``edgeplane validate`` prints every problem found,
 every other path raises the first.  Parsing is strict: unreadable files,
 unknown event kinds and settings keys, dangling references, and ids,
-integers or rates of the wrong type (see ``errors.doc_id``, ``errors.doc_int``
-and ``appmodel.as_rate``) fail fast with ScenarioParseError or the
-underlying model error rather than surfacing as confusing behavior
-mid-simulation.
+integers, rates or demand of the wrong type (see ``errors.doc_id``,
+``errors.doc_int``, ``appmodel.as_rate`` and ``appmodel.read_demand``) fail
+fast with ScenarioParseError or the underlying model error rather than
+surfacing as confusing behavior mid-simulation.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from pathlib import Path
 
 import yaml
 
-from .appmodel import ApplicationDag, PlacementRequest, app_from_doc, as_rate, demand_from_doc
-from .errors import EdgeplaneError, ScenarioParseError, UnknownNode, doc_int, doc_list
+from .appmodel import ApplicationDag, PlacementRequest, app_from_doc
+from .errors import EdgeplaneError, ScenarioParseError, UnknownNode, doc_id, doc_int, doc_list
 from .meshsim import OVERLOAD_THRESHOLD, ScenarioEvent
 from .policy import PolicySet, parse_policies
 from .topology import InfrastructureGraph, load_topology
@@ -113,7 +113,7 @@ def check_scenario(doc) -> tuple[Scenario | None, list[tuple[str, EdgeplaneError
     if graph is None or app is None:
         return None, problems
     policies = parse("policies", lambda raw: parse_policies(_policy_doc(raw), app, graph))
-    request = parse("demand", lambda raw: demand_from_doc(app, raw).validate_against(graph))
+    request = parse("demand", lambda raw: PlacementRequest(app, raw).validate_against(graph))
     events = parse("events", lambda raw: _events_from_doc(raw, graph, app))
     if problems:
         return None, problems
@@ -150,17 +150,13 @@ def _events_from_doc(raw, graph: InfrastructureGraph, app: ApplicationDag) -> li
         tick = doc_int(entry.get("tick"), f"events[{i}].tick", ScenarioParseError, least=0)
         kind = entry.get("type")
         if kind == "set_demand":
-            domain = entry.get("domain")
-            ms_id = entry.get("ms", entry.get("microservice"))
-            if not isinstance(domain, str) or domain not in graph.domains:
-                raise ScenarioParseError(f"events[{i}]: unknown domain {domain!r}")
-            if domain not in graph.attachment_domains():
-                raise ScenarioParseError(f"events[{i}]: domain {domain!r} has no IoT attachment")
-            if not isinstance(ms_id, str) or ms_id not in app.ingress_ids:
-                raise ScenarioParseError(f"events[{i}]: {ms_id!r} is not an ingress microservice")
-            rps = as_rate(entry.get("rps", 0))
-            if rps < 0:
-                raise ScenarioParseError(f"events[{i}].rps must be non-negative")
+            domain = doc_id(entry.get("domain"), f"events[{i}].domain", ScenarioParseError)
+            ms_id = doc_id(entry.get("ms", entry.get("microservice")), f"events[{i}].ms", ScenarioParseError)
+            try:
+                request = PlacementRequest(app, {domain: {ms_id: entry.get("rps", 0)}}).validate_against(graph)
+            except EdgeplaneError as exc:
+                raise ScenarioParseError(f"events[{i}]: {exc}") from exc
+            rps = request.demand[domain][ms_id]
             events.append(ScenarioEvent("set_demand", tick, domain=domain, microservice=ms_id, rps=rps))
         elif kind == "drain_node":
             node = entry.get("node")

@@ -6,7 +6,6 @@ from edgeplane.appmodel import (
     PlacementRequest,
     app_from_doc,
     as_rate,
-    demand_from_doc,
     rate_to_number,
 )
 from edgeplane.errors import (
@@ -232,7 +231,7 @@ def test_request_validation(canonical):
 
 def test_demand_from_doc_normalizes():
     app = app_from_doc(chain_doc())
-    request = demand_from_doc(app, {"d1": {"m2": 12.5}})
+    request = PlacementRequest(app, {"d1": {"m2": 12.5}})
     assert request.demand["d1"]["m2"] == Fraction(25, 2)
 
 
@@ -242,4 +241,4 @@ def test_demand_from_doc_normalizes():
 ])
 def test_demand_keys_are_ids(doc, what):
     with pytest.raises(InvalidRequest, match=f"demand {what} must be a non-empty string"):
-        demand_from_doc(app_from_doc(chain_doc()), doc)
+        PlacementRequest(app_from_doc(chain_doc()), doc)

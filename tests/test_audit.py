@@ -110,6 +110,52 @@ def test_callers_reach_the_one_audit_module():
     assert meshsim.Violation is controlplane.Violation is audit.Violation
 
 
+#: Names a module imports only to re-export them, each marked ``# noqa: F401``
+#: and pinned by the two tests above.
+REEXPORTS = {
+    "controlplane": {"AnchorPlacement", "CapacityCut", "ComplianceReport", "SEARCH_BUDGET", "Violation"},
+}
+
+
+def unused_imports(source: str) -> dict[str, int]:
+    """Each name ``source`` imports but never reads, with its import's line;
+    ``from __future__`` imports bind no name."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update({a.asname or a.name: node.lineno for a in node.names})
+        elif isinstance(node, ast.Import):
+            imported.update({a.asname or a.name.split(".")[0]: node.lineno for a in node.names})
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return {name: line for name, line in imported.items() if name not in read}
+
+
+def test_every_import_is_used_or_a_marked_re_export():
+    """The project runs no linter, so this stands in for its unused-import check:
+    a module reads every name it imports, except the package's public names
+    in ``__init__`` and the re-exports pinned above, which carry the marker."""
+    found = {}
+    for path in sorted(Path(audit.__file__).parent.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        unused = unused_imports(source)
+        if path.stem == "__init__":
+            assert not [name for name in unused if name.startswith("_")]
+            continue
+        lines = source.splitlines()
+        assert [name for name, line in unused.items() if "# noqa: F401" not in lines[line - 1]] == [], path.name
+        if unused:
+            found[path.stem] = set(unused)
+    assert found == REEXPORTS
+
+
+def test_unused_import_check_sees_each_spelling():
+    assert unused_imports("import os\nimport a.b\nfrom x import y as z\nfrom . import w\n") == \
+        {"os": 1, "a": 2, "z": 3, "w": 4}
+    assert unused_imports("from __future__ import annotations\nimport a.b\nfrom x import y\n"
+                          "def f() -> y:\n    return a.b\n") == {}
+
+
 def test_auditors_are_called_through_their_module_globals(surge, monkeypatch):
     """A replan validates through ``controlplane.validate_plan`` and every
     routed tick routes through ``meshsim.route_flows`` and audits through

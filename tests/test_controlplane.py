@@ -27,6 +27,7 @@ from edgeplane.documents import dump_doc, plan_from_doc, plan_to_doc
 from edgeplane.errors import (
     EdgeplaneError,
     InfeasiblePlacement,
+    InvalidRequest,
     NoDestinationInScope,
     PlanningError,
     UnknownDomain,
@@ -34,7 +35,7 @@ from edgeplane.errors import (
     UnknownNode,
 )
 from edgeplane.locality import IOT_SOURCE, LocalityLevel
-from edgeplane.meshsim import run_scenario
+from edgeplane.meshsim import check_compliance, route_flows, run_scenario
 from edgeplane.policy import evaluate_query
 from edgeplane.scenario import load_scenario, read_yaml, scenario_from_doc
 from edgeplane.search import (
@@ -822,6 +823,10 @@ def test_zero_ratio_edge_needs_no_rule():
     assert plan.mapping.instances_of("b") == {}  # no demand, no instances
     assert plan.routes.lookup("dd", "a", "b") is None
     assert validate_plan(graph, dag, pset, plan).ok
+    # a's traffic crosses the zero-ratio edge as nothing: no row, no MissingRoute
+    flows = route_flows(graph, dag, plan, plan.demand)
+    assert {target_ms for *_, target_ms in flows.rows} == {"a"}
+    assert check_compliance(graph, pset, flows) == []
 
 
 # --- independent validation ---
@@ -1558,6 +1563,39 @@ def test_a_bad_demand_change_on_the_last_plan_still_raises(replanned):
     with pytest.raises(UnknownDomain) as got:
         control.handle_alert(plan, alert)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("kind, payload, error, message", [
+    ("demand_change", {"demand": {"ed3": 5}}, InvalidRequest, "demand must be a mapping of mappings"),
+    ("demand_change", {"demand": {"ed3": None}}, InvalidRequest, "demand must be a mapping of mappings"),
+    ("demand_change", {"demand": [1]}, InvalidRequest, "demand fragment must be a mapping"),
+    ("node_drain", {"node": ["x"]}, UnknownNode, "drained node must be a non-empty string"),
+], ids=["number-per-domain", "null-per-domain", "list", "list-node"])
+def test_a_malformed_alert_payload_raises_the_same_error_on_every_path(replanned, kind, payload, error, message):
+    """A demand change whose demand is not a mapping of mappings of rates, and
+    a drain whose node is not an id, raise the package's own error, from the
+    module-level handle_alert and from the control plane's shortcut alike."""
+    scenario, control, plan = replanned
+    alert = Alert(kind, payload)
+    with pytest.raises(error, match=message) as want:
+        handle_alert(scenario.graph, scenario.app, scenario.policies, plan, alert)
+    with pytest.raises(error) as got:
+        control.handle_alert(plan, alert)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("payload", [None, "demand", ["demand"], 0])
+def test_an_alert_payload_must_be_a_mapping(payload):
+    """``"demand" in "demand"`` holds, so only a type check refuses a string."""
+    with pytest.raises(PlanningError, match="^demand_change alert payload must be a mapping"):
+        Alert("demand_change", payload)
+
+
+def test_a_malformed_request_is_refused_before_placement(canonical):
+    for demand in ({"ed3": 5}, [1], {"ed3": {"m2": None}}):
+        with pytest.raises(InvalidRequest):
+            place_application(canonical.graph, canonical.app, PlacementRequest(canonical.app, demand),
+                              canonical.policies)
 
 
 # --- placer and policy agent agree ---

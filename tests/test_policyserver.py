@@ -212,6 +212,20 @@ def test_wire_unknown_paths(server):
     assert body == canonical_json({"error": "unknown_path"})
 
 
+def test_wire_post_to_an_unknown_path_keeps_the_connection_in_step(server):
+    """The body of a POST answered 404 is read, so the request after it on
+    the same keep-alive connection is answered, not parsed from that body."""
+    srv, base = server
+    conn = keep_alive(srv)
+    try:
+        assert exchange(conn, "POST", "/v1/other", b'{"policy": "x"}') == \
+            (404, canonical_json({"error": "unknown_path"}))
+        assert exchange(conn, "GET", "/v1/data/iot_locality/m2") == \
+            (200, b'{"result":"StrictDomain"}')
+    finally:
+        conn.close()
+
+
 def test_wire_get_documented_lookup(server):
     # the README's example lookup for a strict-domain ingress service
     srv, base = server
@@ -240,6 +254,36 @@ def test_wire_refuses_an_oversized_body_unread(server):
     # a body of exactly the cap is read and judged
     status, body, _ = http_post(base, "/v1/evaluate", b" " * MAX_BODY_BYTES)
     assert (status, body) == (400, canonical_json({"error": "body is not valid JSON"}))
+
+
+@pytest.mark.parametrize("length, status, error", [
+    (b"abc", 400, "Content-Length must be a decimal number"),
+    (b"-5", 400, "Content-Length must be a decimal number"),
+    (b"+17", 400, "Content-Length must be a decimal number"),
+    (b"", 400, "Content-Length must be a decimal number"),
+    (b"9" * 5000, 413, f"body over {MAX_BODY_BYTES} bytes"),  # more digits than int() reads
+], ids=["letters", "negative", "signed", "empty", "5000-digits"])
+def test_wire_refuses_a_malformed_content_length_unread(server, length, status, error):
+    """A Content-Length that is not a decimal number, or one too long to
+    read, gets one JSON answer and the connection closes: the body after it
+    is never read as a next request."""
+    srv, base = server
+    body = b'{"policy": "placement_restriction", "input": {}}'
+    with socket.create_connection(srv.server_address, timeout=5) as sock:
+        sock.sendall(b"POST /v1/evaluate HTTP/1.1\r\nHost: t\r\nContent-Length: %s\r\n\r\n%s" % (length, body))
+        sent = read_until_closed(sock)
+    head, _, answer = sent.partition(b"\r\n\r\n")
+    assert sent.count(b"HTTP/1.1 ") == 1, sent
+    assert head.startswith(b"HTTP/1.1 %d " % status)
+    assert b"\r\nConnection: close" in head
+    assert answer == canonical_json({"error": error})
+    # zero-padded digits between optional whitespace are still a length
+    want = http_post(base, "/v1/evaluate", body)[:2]
+    with socket.create_connection(srv.server_address, timeout=5) as sock:
+        sock.sendall(b"POST /v1/evaluate HTTP/1.1\r\nHost: t\r\nConnection: close\r\n"
+                     b"Content-Length: \t%06d \r\n\r\n%s" % (len(body), body))
+        head, _, answer = read_until_closed(sock).partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 %d " % want[0]) and answer == want[1]
 
 
 def test_wire_drops_a_client_that_never_sends_its_body(server, monkeypatch):

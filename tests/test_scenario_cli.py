@@ -204,6 +204,16 @@ def test_events_validation(tmp_path, event, match):
         load_scenario(write_scenario(tmp_path, doc))
 
 
+@pytest.mark.parametrize("rps", ["many", True, float("inf")])
+def test_event_rates_are_read_as_demand(tmp_path, rps):
+    """A set_demand event's rate goes through the demand reader, so a rate
+    that is not a finite number is a parse error naming the event."""
+    doc = canonical_doc()
+    doc["events"] = [{"tick": 0, "type": "set_demand", "domain": "ed3", "ms": "m2", "rps": rps}]
+    with pytest.raises(ScenarioParseError, match=r"^events\[0\]: expected a finite number"):
+        load_scenario(write_scenario(tmp_path, doc))
+
+
 def test_event_drain_unknown_node(tmp_path):
     doc = canonical_doc()
     doc["events"] = [{"tick": 0, "type": "drain_node", "node": "ghost"}]
