@@ -6,8 +6,8 @@ Fan-in sums and fan-out duplicates.  Rates are kept as ``Fraction`` end to
 end so propagation, instance arithmetic and flow conservation are exact.
 
 Microservices flagged ``placed_on_iot`` live on the devices themselves: they
-are never scheduled, consume no modeled resources, and act purely as traffic
-sources for the ingress set.
+are never scheduled, consume no modeled resources and carry no modeled traffic,
+since demand is offered per ingress; ``predecessors`` and ``successors`` say so.
 """
 
 from __future__ import annotations
@@ -91,10 +91,12 @@ class ApplicationDag:
     ingress_ids: frozenset[str]
 
     def predecessors(self, ms_id: str) -> list[AppEdge]:
-        return [e for e in self.edges if e.to_ms == ms_id]
+        """The traffic edges into ``ms_id``, in document order: none from an IoT-placed microservice."""
+        return [e for e in self.edges if e.to_ms == ms_id and not self.microservices[e.from_ms].placed_on_iot]
 
     def successors(self, ms_id: str) -> list[AppEdge]:
-        return [e for e in self.edges if e.from_ms == ms_id]
+        """The traffic edges out of ``ms_id``, in document order: none from an IoT-placed microservice."""
+        return [e for e in self.edges if e.from_ms == ms_id and not self.microservices[ms_id].placed_on_iot]
 
     def topological_order(self, key=None, done=frozenset()) -> list[str]:
         """Kahn's walk: each step takes the ready microservice with the
@@ -149,7 +151,7 @@ def validate_app(app: ApplicationDag) -> ApplicationDag:
         UnknownIngress: an ingress id is undeclared, or names an IoT-placed
             microservice.
         InvalidApplication: an edge feeds an IoT-placed microservice, or an
-            ingress microservice has a non-IoT predecessor.
+            ingress microservice has a traffic predecessor.
         UnreachableMicroservice: a schedulable microservice is not reachable
             from any ingress.
     """
@@ -171,11 +173,9 @@ def validate_app(app: ApplicationDag) -> ApplicationDag:
             raise UnknownIngress(f"ingress {ingress!r} not declared")
         if app.microservices[ingress].placed_on_iot:
             raise UnknownIngress(f"ingress {ingress!r} is placed on IoT devices")
-        for edge in app.predecessors(ingress):
-            if not app.microservices[edge.from_ms].placed_on_iot:
-                raise InvalidApplication(
-                    f"ingress {ingress!r} has non-IoT predecessor {edge.from_ms!r}"
-                )
+        traffic = app.predecessors(ingress)
+        if traffic:
+            raise InvalidApplication(f"ingress {ingress!r} has non-IoT predecessor {traffic[0].from_ms!r}")
 
     reachable = set(app.ingress_ids)
     for ms_id in app.topological_order():  # raises CycleDetected on cycles

@@ -13,8 +13,8 @@ prints one ``section: Type: message`` line per failing section.
 Exit codes: 0 success, 1 semantic violation, 2 parse error (an unreadable
 input or unwritable output included), 3 infeasible placement, 4 internal
 error (a defect in edgeplane, reported as one ``internal error:`` line).  Set
-EDGEPLANE_LOG=debug (or any logging level name) for diagnostics on stderr;
-output documents are byte-deterministic.
+EDGEPLANE_LOG=debug (or any logging level name; any other name means info)
+for diagnostics on stderr; output documents are byte-deterministic.
 """
 
 from __future__ import annotations
@@ -44,7 +44,9 @@ EXIT_INTERNAL = 4
 def _configure_logging():
     level_name = os.environ.get("EDGEPLANE_LOG", "").upper()
     if level_name:
-        level = getattr(logging, level_name, logging.INFO)
+        level = logging.getLevelName(level_name)  # an int only for a level's name
+        if not isinstance(level, int):
+            level = logging.INFO
         logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 

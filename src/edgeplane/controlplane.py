@@ -9,9 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .appmodel import ApplicationDag, PlacementRequest
+from .appmodel import ApplicationDag, PlacementRequest, as_rate
 from .audit import ComplianceReport, Violation, validate_plan  # noqa: F401 (re-exported)
-from .errors import NoDestinationInScope, PlanningError, UnknownMicroservice, UnknownNode, doc_id
+from .errors import InvalidRequest, NoDestinationInScope, PlanningError, UnknownMicroservice, UnknownNode, doc_id
 from .locality import IOT_SOURCE, LocalityLevel
 from .policy import PolicySet
 from .search import SEARCH_BUDGET, AnchorPlacement, CapacityCut, PlacementMapping, reconcile  # noqa: F401 (re-exported)
@@ -143,9 +143,8 @@ def generate_routes(
             if dest:
                 rules.append(RoutingRule(domain_id, IOT_SOURCE, ms_id, level, dest))
 
-    for edge in sorted(app.edges, key=lambda e: (e.from_ms, e.to_ms)):
-        if app.microservices[edge.from_ms].placed_on_iot:
-            continue
+    for edge in sorted((e for ms_id in app.microservices for e in app.successors(ms_id)),
+                       key=lambda e: (e.from_ms, e.to_ms)):
         level = pset.edge_level(edge.from_ms, edge.to_ms)
         for domain_id in sorted({graph.nodes[n].domain_id for n in instances[edge.from_ms]}):
             dest = scope_instances(edge.to_ms, domain_id, level)
@@ -175,8 +174,10 @@ def _post_alert_state(
 
     A demand change's payload is read as a PlacementRequest (InvalidRequest
     when malformed); a node drain adds its node to the drained set; an
-    overload keeps both.  A microservice or node id in ``plan`` or the alert
-    that the scenario lacks raises UnknownMicroservice or UnknownNode.
+    overload keeps both, once its utilization reads as a non-negative rate
+    (else InvalidRequest).  A microservice or node id in ``plan`` or the
+    alert that the scenario lacks, or that is not an id, raises
+    UnknownMicroservice or UnknownNode.
     """
     if alert.kind == "demand_change":
         request = PlacementRequest(app=app, demand=alert.payload["demand"])
@@ -196,6 +197,13 @@ def _post_alert_state(
     unknown = drained - graph.nodes.keys()
     if unknown:
         raise UnknownNode(f"cannot drain unknown node {min(unknown)!r}")
+    if alert.kind == "overload":
+        node_id = doc_id(alert.payload["node"], "overloaded node", UnknownNode)
+        if node_id not in graph.nodes:
+            raise UnknownNode(f"overload on unknown node {node_id!r}")
+        utilization = alert.payload["utilization"]
+        if as_rate(utilization) < 0:
+            raise InvalidRequest(f"overload utilization must be non-negative, got {utilization!r}")
     return demand, drained
 
 

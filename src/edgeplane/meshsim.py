@@ -116,8 +116,6 @@ def route_flows(
             split(rule, domain_id, IOT_SOURCE, ms_id, rps)
 
     for ms_id in app.topological_order():
-        if app.microservices[ms_id].placed_on_iot:
-            continue
         emitted = arrived.get(ms_id, {})
         for edge in sorted(app.successors(ms_id), key=lambda e: e.to_ms):
             for domain_id in sorted(emitted):

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .errors import (
     DuplicateRule,
+    EdgeplaneError,
     NonEdgeMsRule,
     NonIngressIotRule,
     PolicyError,
@@ -68,6 +69,14 @@ class PolicySet:
         return self.ms_locality.get((consumer, consumed), self.default_locality)
 
 
+def _known(value, ids: frozenset[str], error: type[EdgeplaneError]) -> str:
+    """``value`` when it is one of ``ids``; else ``error`` naming it.  The
+    policy engine's one check of a microservice or domain id."""
+    if not isinstance(value, str) or value not in ids:
+        raise error(str(value))
+    return value
+
+
 def parse_policies(doc: dict, app, graph) -> PolicySet:
     """Validate the policy fragment against the application and topology.
 
@@ -92,17 +101,12 @@ def parse_policies(doc: dict, app, graph) -> PolicySet:
     domain_ids = frozenset(graph.domains)
     edge_pairs = frozenset((e.from_ms, e.to_ms) for e in app.edges)
 
-    def known_ms(ms_id) -> str:
-        if not isinstance(ms_id, str) or ms_id not in ms_ids:
-            raise UnknownMicroservice(str(ms_id))
-        return ms_id
-
     def rules(policy_type: str) -> list[dict]:
         return doc_list(doc.get(policy_type), f"policies {policy_type}", PolicyError)
 
     restriction: dict[str, RestrictionRule] = {}
     for entry in rules("placement_restriction"):
-        ms_id = known_ms(entry.get("microservice"))
+        ms_id = _known(entry.get("microservice"), ms_ids, UnknownMicroservice)
         if ms_id in restriction:
             raise DuplicateRule(f"placement_restriction for {ms_id!r}")
         mode = entry.get("mode")
@@ -110,14 +114,12 @@ def parse_policies(doc: dict, app, graph) -> PolicySet:
             raise PolicyError(f"restriction mode must be allow or deny, got {mode!r}")
         domains = doc_list(entry.get("domains"), f"placement_restriction domains of {ms_id!r}",
                            PolicyError, str)
-        for domain in domains:
-            if domain not in domain_ids:
-                raise UnknownDomain(str(domain))
-        restriction[ms_id] = RestrictionRule(mode=mode, domains=frozenset(domains))
+        restriction[ms_id] = RestrictionRule(
+            mode=mode, domains=frozenset(_known(domain, domain_ids, UnknownDomain) for domain in domains))
 
     iot_locality: dict[str, LocalityLevel] = {}
     for entry in rules("iot_locality"):
-        ms_id = known_ms(entry.get("microservice"))
+        ms_id = _known(entry.get("microservice"), ms_ids, UnknownMicroservice)
         if ms_id not in app.ingress_ids:
             raise NonIngressIotRule(ms_id)
         if ms_id in iot_locality:
@@ -126,7 +128,7 @@ def parse_policies(doc: dict, app, graph) -> PolicySet:
 
     ms_locality: dict[tuple[str, str], LocalityLevel] = {}
     for entry in rules("ms_locality"):
-        pair = (known_ms(entry.get("consumer")), known_ms(entry.get("consumed")))
+        pair = tuple(_known(entry.get(role), ms_ids, UnknownMicroservice) for role in ("consumer", "consumed"))
         if pair not in edge_pairs:
             raise NonEdgeMsRule(f"{pair[0]}->{pair[1]} is not an application edge")
         if pair in ms_locality:
@@ -151,18 +153,23 @@ def parse_policies(doc: dict, app, graph) -> PolicySet:
 def get_data(pset: PolicySet, policy_type: str, key) -> object:
     """Raw policy lookup mirroring the wire API's data endpoint.
 
-    Unlisted keys return the type's default rather than failing, so callers
-    can always resolve a value.
+    The key of ``placement_restriction`` and ``iot_locality`` is a
+    microservice id, a string; the key of ``ms_locality`` is a (consumer,
+    consumed) pair of strings, a tuple or a list.  Any other key, or any
+    other policy type, raises UnknownPolicyType.  Unlisted keys return the
+    type's default rather than failing, so callers can always resolve a value.
     """
-    if policy_type == "placement_restriction":
+    if policy_type in ("placement_restriction", "iot_locality"):
+        if not isinstance(key, str):
+            raise UnknownPolicyType(f"{policy_type} key must be a microservice id, got {key!r}")
+        if policy_type == "iot_locality":
+            return pset.iot_level(key).wire_name
         rule = pset.restriction.get(key)
         if rule is None:
             return UNRESTRICTED
         return {"mode": rule.mode, "domains": sorted(rule.domains)}
-    if policy_type == "iot_locality":
-        return pset.iot_level(key).wire_name
     if policy_type == "ms_locality":
-        if not isinstance(key, (tuple, list)) or len(key) != 2:
+        if not isinstance(key, (tuple, list)) or len(key) != 2 or not all(isinstance(k, str) for k in key):
             raise UnknownPolicyType(f"ms_locality key must be (consumer, consumed), got {key!r}")
         return pset.edge_level(key[0], key[1]).wire_name
     raise UnknownPolicyType(policy_type)
@@ -170,10 +177,8 @@ def get_data(pset: PolicySet, policy_type: str, key) -> object:
 
 def is_allowed(pset: PolicySet, ms_id: str, domain_id: str) -> PolicyDecision:
     """Evaluate the placement restriction policy for one (microservice, domain)."""
-    if ms_id not in pset.ms_ids:
-        raise UnknownMicroservice(ms_id)
-    if domain_id not in pset.domain_ids:
-        raise UnknownDomain(domain_id)
+    _known(ms_id, pset.ms_ids, UnknownMicroservice)
+    _known(domain_id, pset.domain_ids, UnknownDomain)
     rule = pset.restriction.get(ms_id)
     if rule is None:
         return PolicyDecision(True, f"unrestricted: no placement rule for {ms_id}")
@@ -209,31 +214,21 @@ def evaluate_query(pset: PolicySet, graph, policy: str, payload: dict) -> Policy
             raise PolicyError(f"evaluate input field {name!r} missing or not a string")
         return value
 
-    def known_ms(ms_id: str) -> str:
-        if ms_id not in pset.ms_ids:
-            raise UnknownMicroservice(ms_id)
-        return ms_id
-
-    def known_domain(domain_id: str) -> str:
-        if domain_id not in pset.domain_ids:
-            raise UnknownDomain(domain_id)
-        return domain_id
-
     if policy == "placement_restriction":
         return is_allowed(pset, field("microservice"), field("domain"))
 
     if policy == "iot_locality":
-        subject = known_ms(field("microservice"))
+        subject = _known(field("microservice"), pset.ms_ids, UnknownMicroservice)
         kind, level = "iot-locality", pset.iot_level(subject)
-        source = known_domain(field("device_domain"))
+        source = _known(field("device_domain"), pset.domain_ids, UnknownDomain)
     elif policy == "ms_locality":
         consumer, consumed = field("consumer"), field("consumed")
-        subject = f"{known_ms(consumer)}->{known_ms(consumed)}"
+        subject = "->".join(_known(ms_id, pset.ms_ids, UnknownMicroservice) for ms_id in (consumer, consumed))
         kind, level = "ms-locality", pset.edge_level(consumer, consumed)
-        source = known_domain(field("consumer_domain"))
+        source = _known(field("consumer_domain"), pset.domain_ids, UnknownDomain)
     else:
         raise UnknownPolicyType(policy)
-    target = known_domain(field("target_domain"))
+    target = _known(field("target_domain"), pset.domain_ids, UnknownDomain)
     inside = graph.anchor_of(target, level) == graph.anchor_of(source, level)
     relation = "within" if inside else "outside"
     return PolicyDecision(

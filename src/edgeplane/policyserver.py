@@ -25,7 +25,7 @@ import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import unquote, urlparse
 
-from .errors import EdgeplaneError
+from .errors import EdgeplaneError, UnknownPolicyType
 from .policy import PolicySet, evaluate_query, get_data
 from .topology import InfrastructureGraph
 
@@ -34,12 +34,6 @@ MAX_BODY_BYTES = 64 * 1024
 
 #: Seconds a connection may stay silent, mid-request or between requests.
 CONNECTION_TIMEOUT_S = 10
-
-_KEY_ARITY = {
-    "placement_restriction": 1,
-    "iot_locality": 1,
-    "ms_locality": 2,
-}
 
 
 def canonical_json(payload) -> bytes:
@@ -50,12 +44,11 @@ def data_response(pset: PolicySet, graph: InfrastructureGraph, parts: list[str])
     """Resolve a /v1/data path (already split) to (status, payload)."""
     if not parts:
         return 404, {"error": "unknown_key"}
-    ptype, key_parts = parts[0], [unquote(p) for p in parts[1:]]
-    arity = _KEY_ARITY.get(ptype)
-    if arity is None or len(key_parts) != arity:
+    key = [unquote(p) for p in parts[1:]]
+    try:
+        return 200, {"result": get_data(pset, parts[0], key[0] if len(key) == 1 else tuple(key))}
+    except UnknownPolicyType:
         return 404, {"error": "unknown_key"}
-    key = key_parts[0] if arity == 1 else tuple(key_parts)
-    return 200, {"result": get_data(pset, ptype, key)}
 
 
 def evaluate_response(pset: PolicySet, graph: InfrastructureGraph, body: bytes):

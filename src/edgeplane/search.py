@@ -207,8 +207,6 @@ def _anchor_demand(
                 add(graph.anchor_of(domain, level), level, rps)
         return acc
     for edge in sorted(app.predecessors(ms_id), key=lambda e: e.from_ms):
-        if app.microservices[edge.from_ms].placed_on_iot:
-            continue
         level = pset.edge_level(edge.from_ms, ms_id)
         for anchor, ap in per_ms_mapping.get(edge.from_ms, {}).items():
             rps = ap.demand_rps * edge.rate_ratio
@@ -241,7 +239,7 @@ def _placement_sequence(app: ApplicationDag, pset: PolicySet) -> list[str]:
     strictness = {ms_id: pset.iot_level(ms_id).strictness for ms_id in app.ingress_ids}
     for ms_id in app.microservices.keys() - iot - app.ingress_ids:
         strictness[ms_id] = min((pset.edge_level(e.from_ms, ms_id).strictness
-                                 for e in app.predecessors(ms_id) if e.from_ms not in iot),
+                                 for e in app.predecessors(ms_id)),
                                 default=pset.default_locality.strictness)
     rank = {ms_id: i for i, ms_id in enumerate(app.topological_order())}
     return app.topological_order(key=lambda ms_id: (strictness[ms_id], rank[ms_id]), done=iot)
@@ -339,16 +337,12 @@ def _capacity_cut(
     for ms_id in sequence:
         ms = app.microservices[ms_id]
         if ms_id in app.ingress_ids:
-            level = pset.iot_level(ms_id)
-            scopes: dict[str, Fraction] = {}
-            for domain_id, per in demand.items():
-                anchor = graph.anchor_of(domain_id, level)
-                scopes[anchor] = scopes.get(anchor, Fraction(0)) + per.get(ms_id, Fraction(0))
-            load[ms_id] = sum(scopes.values(), Fraction(0))
-        else:  # IoT consumers are not in ``load``: they forward nothing
-            load[ms_id] = sum((load[e.from_ms] * e.rate_ratio
-                               for e in app.predecessors(ms_id) if e.from_ms in load), Fraction(0))
-            scopes = {GLOBAL_ANCHOR: load[ms_id]}
+            anchored = _anchor_demand(graph, app, pset, demand, ms_id, {})
+            scopes = {anchor: rps for anchor, (_, rps) in anchored.items()}
+        else:
+            scopes = {GLOBAL_ANCHOR: sum((load[e.from_ms] * e.rate_ratio for e in app.predecessors(ms_id)),
+                                        Fraction(0))}
+        load[ms_id] = sum(scopes.values(), Fraction(0))
         for anchor, rps in sorted(scopes.items()):
             bound = -(-rps // ms.capacity_rps)
             if bound <= 0:

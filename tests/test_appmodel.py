@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,8 @@ from edgeplane.errors import (
     UnknownMicroservice,
     UnreachableMicroservice,
 )
+
+from .support import gen_case, gen_chain_app, gen_dag_app
 
 
 def chain_doc():
@@ -160,6 +163,24 @@ def test_ingress_must_be_declared():
     doc["ingress"] = ["ghost"]
     with pytest.raises(UnknownIngress):
         app_from_doc(doc)
+
+
+@pytest.mark.parametrize("gen_app", [gen_chain_app, gen_dag_app])
+def test_traffic_edges_are_the_document_edges_from_non_iot_microservices(gen_app):
+    """``predecessors`` and ``successors`` give, in document order, exactly the
+    edges that leave a microservice not placed on IoT devices.  The DAG cases
+    include IoT sources that feed microservices past the ingress set."""
+    past_ingress = 0
+    for seed in range(40):
+        _, app_doc, _, _ = gen_case(random.Random(seed), gen_app=gen_app)
+        app = app_from_doc(app_doc)
+        iot = {m["id"] for m in app_doc["microservices"] if m.get("iot")}
+        traffic = [(e["from"], e["to"]) for e in app_doc["edges"] if e["from"] not in iot]
+        past_ingress += sum(e["from"] in iot and e["to"] not in app.ingress_ids for e in app_doc["edges"])
+        for ms_id in app.microservices:
+            assert [(e.from_ms, e.to_ms) for e in app.predecessors(ms_id)] == [p for p in traffic if p[1] == ms_id]
+            assert [(e.from_ms, e.to_ms) for e in app.successors(ms_id)] == [p for p in traffic if p[0] == ms_id]
+    assert (past_ingress > 0) == (gen_app is gen_dag_app)
 
 
 def test_ingress_cannot_be_iot():

@@ -14,8 +14,9 @@ the control plane reaches it only through its public names.
 import ast
 from pathlib import Path
 
-from edgeplane import audit, controlplane, meshsim, search
+from edgeplane import audit, controlplane, meshsim, policyserver, search
 from edgeplane.meshsim import run_scenario
+from edgeplane.policy import POLICY_TYPES
 
 #: Modules the auditors must not import, under any spelling or guard.
 PLANNER_MODULES = {"controlplane", "meshsim", "search"}
@@ -154,6 +155,34 @@ def test_unused_import_check_sees_each_spelling():
         {"os": 1, "a": 2, "z": 3, "w": 4}
     assert unused_imports("from __future__ import annotations\nimport a.b\nfrom x import y\n"
                           "def f() -> y:\n    return a.b\n") == {}
+
+
+def attribute_readers(source: str, attr: str) -> set[str]:
+    """The top-level functions and classes of ``source`` that read ``.attr``,
+    by name; ``<module>`` for any other statement."""
+    return {getattr(top, "name", "<module>") for top in ast.parse(source).body
+            if any(isinstance(node, ast.Attribute) and node.attr == attr for node in ast.walk(top))}
+
+
+def test_only_the_application_model_says_which_edges_carry_traffic():
+    """``ApplicationDag.predecessors`` and ``successors`` own the rule that an
+    IoT-placed microservice carries no traffic.  Outside ``appmodel.py`` only
+    the placement order (which leaves those microservices out) and the
+    utilization model (which gives them no cpu cost) read the flag."""
+    readers = set()
+    for path in sorted(Path(audit.__file__).parent.glob("*.py")):
+        if path.stem != "appmodel":
+            source = path.read_text(encoding="utf-8")
+            readers |= {f"{path.stem}.{name}" for name in attribute_readers(source, "placed_on_iot")}
+    assert readers == {"search._placement_sequence", "meshsim.node_utilization"}
+
+
+def test_the_policy_server_leaves_policy_types_to_the_policy_engine():
+    """``policy.get_data`` owns every policy type and its key's shape; the
+    server names none of them."""
+    source = Path(policyserver.__file__).read_text(encoding="utf-8")
+    literals = {node.value for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Constant)}
+    assert literals & set(POLICY_TYPES) == set()
 
 
 def test_auditors_are_called_through_their_module_globals(surge, monkeypatch):

@@ -1565,6 +1565,25 @@ def test_a_bad_demand_change_on_the_last_plan_still_raises(replanned):
     assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("payload, error, message", [
+    ({"node": ["x"], "utilization": "abc"}, UnknownNode, "overloaded node must be a non-empty string, got ['x']"),
+    ({"node": "ghost", "utilization": None}, UnknownNode, "overload on unknown node 'ghost'"),
+    ({"node": "ed3-n1", "utilization": "abc"}, InvalidRequest, "expected a finite number, got 'abc'"),
+    ({"node": "ed3-n1", "utilization": -0.5}, InvalidRequest, "overload utilization must be non-negative, got -0.5"),
+], ids=["list-node", "unknown-node", "text-utilization", "negative-utilization"])
+def test_a_bad_overload_report_raises_on_every_path(replanned, payload, error, message):
+    """An overload's node is read as a drain's is, an id the graph holds, and
+    its utilization as a non-negative rate, by the module-level handle_alert
+    and by the control plane's shortcut alike."""
+    scenario, control, plan = replanned
+    alert = Alert("overload", payload)
+    with pytest.raises(error) as want:
+        handle_alert(scenario.graph, scenario.app, scenario.policies, plan, alert)
+    with pytest.raises(error) as got:
+        control.handle_alert(plan, alert)
+    assert str(got.value) == str(want.value) == message
+
+
 @pytest.mark.parametrize("kind, payload, error, message", [
     ("demand_change", {"demand": {"ed3": 5}}, InvalidRequest, "demand must be a mapping of mappings"),
     ("demand_change", {"demand": {"ed3": None}}, InvalidRequest, "demand must be a mapping of mappings"),

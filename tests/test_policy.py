@@ -118,6 +118,13 @@ def test_get_data_values(setup):
         get_data(pset, "acl", "m2")
     with pytest.raises(UnknownPolicyType):
         get_data(pset, "ms_locality", "m2")  # wrong key arity
+    for policy_type in ("placement_restriction", "iot_locality"):
+        for key in (["m2"], ("m2", "x"), None):
+            with pytest.raises(UnknownPolicyType):
+                get_data(pset, policy_type, key)
+    for key in (("m2", "m3", "m4"), ("m2", None)):
+        with pytest.raises(UnknownPolicyType):
+            get_data(pset, "ms_locality", key)
 
 
 # --- decision endpoint semantics ---

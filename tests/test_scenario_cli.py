@@ -1,5 +1,6 @@
 import copy
 import json
+import logging
 import math
 import re
 import socket
@@ -709,6 +710,21 @@ def test_cli_env_log_level(tmp_path, capsys, monkeypatch):
     assert main(["validate", "--scenario", CANONICAL, "--quiet"]) == 0
     monkeypatch.setenv("EDGEPLANE_LOG", "not-a-level")
     assert main(["validate", "--scenario", CANONICAL, "--quiet"]) == 0
+
+
+def test_cli_env_log_names_a_level_and_nothing_else(monkeypatch):
+    """EDGEPLANE_LOG is read as a logging level's name; any other name, even
+    that of another attribute of the logging module, means INFO."""
+    level = logging.root.level
+    monkeypatch.setattr(logging.root, "handlers", [])  # so that main configures logging
+    try:
+        for name, want in [("basic_format", logging.INFO), ("warn", logging.WARNING), ("debug", logging.DEBUG)]:
+            logging.root.handlers.clear()
+            monkeypatch.setenv("EDGEPLANE_LOG", name)
+            assert main(["validate", "--scenario", CANONICAL, "--quiet"]) == 0
+            assert logging.root.level == want
+    finally:
+        logging.root.setLevel(level)
 
 
 def test_cli_serve_policy_bad_bind(capsys):
