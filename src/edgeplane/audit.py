@@ -33,14 +33,6 @@ class ComplianceReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def to_doc(self) -> dict:
-        return {
-            "violations": [
-                {"kind": v.kind, "subject": v.subject, "detail": v.detail}
-                for v in self.violations
-            ]
-        }
-
 
 def _restriction_ok(pset: PolicySet, ms_id: str, domain_id: str) -> bool:
     """Whether ``ms_id``'s raw placement restriction rule lets it run in ``domain_id``."""
@@ -120,14 +112,15 @@ def validate_plan(
 
     # (microservice, level) -> {scope key: {node id: instances}}, grouped on first use
     scoped: dict[tuple[str, LocalityLevel], dict[str | None, dict[str, int]]] = {}
+    edges = {(e.from_ms, e.to_ms) for e in app.edges}
     for rule in plan.routes.rules:
         if rule.consumer == IOT_SOURCE:
-            if rule.target_ms not in pset.ingress_ids:
+            if rule.target_ms not in app.ingress_ids:
                 violations.append(Violation("route", _rule_key(rule), "ingress rule for non-ingress target"))
                 continue
             level = pset.iot_level(rule.target_ms)
         else:
-            if (rule.consumer, rule.target_ms) not in pset.edge_pairs:
+            if (rule.consumer, rule.target_ms) not in edges:
                 violations.append(Violation("route", _rule_key(rule), "rule does not match an application edge"))
                 continue
             level = pset.edge_level(rule.consumer, rule.target_ms)

@@ -10,11 +10,11 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .appmodel import ApplicationDag, PlacementRequest, as_rate
-from .audit import ComplianceReport, Violation, validate_plan  # noqa: F401 (re-exported)
+from .audit import validate_plan
 from .errors import InvalidRequest, NoDestinationInScope, PlanningError, UnknownMicroservice, UnknownNode, doc_id
 from .locality import IOT_SOURCE, LocalityLevel
 from .policy import PolicySet
-from .search import SEARCH_BUDGET, AnchorPlacement, CapacityCut, PlacementMapping, reconcile  # noqa: F401 (re-exported)
+from .search import AnchorPlacement, PlacementMapping, reconcile  # noqa: F401 (re-exported)
 from .topology import InfrastructureGraph
 
 

@@ -92,11 +92,13 @@ def plan_to_doc(plan: DeploymentPlan, compliance: ComplianceReport | None = None
     if plan.drained:
         doc["drained"] = sorted(plan.drained)
     if compliance is not None:
-        doc["compliance"] = {
-            "ok": compliance.ok,
-            **compliance.to_doc(),
-        }
+        doc["compliance"] = {"ok": compliance.ok, "violations": [_violation(v) for v in compliance.violations]}
     return doc
+
+
+def _violation(v, **first) -> dict:
+    """One violation entry, after the ``first`` keys (a report's ``tick``)."""
+    return {**first, "kind": v.kind, "subject": v.subject, "detail": v.detail}
 
 
 def plan_from_doc(doc: dict) -> DeploymentPlan:
@@ -202,10 +204,7 @@ def report_to_doc(report: SimulationReport) -> dict:
         "ticks": report.ticks,
         "final_revision": report.final_revision,
         "flows": report.flows.table(),
-        "violations": [
-            {"tick": tick, "kind": v.kind, "subject": v.subject, "detail": v.detail}
-            for tick, v in report.violations
-        ],
+        "violations": [_violation(v, tick=tick) for tick, v in report.violations],
         "throughput": report.throughput,
         "alerts": [
             {"tick": a.tick, "kind": a.kind, "payload": _plain(a.payload)}

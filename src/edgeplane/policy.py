@@ -42,6 +42,10 @@ class RestrictionRule:
     mode: str  # "allow" | "deny"
     domains: frozenset[str]
 
+    def allows(self, domain_id: str) -> bool:
+        """The engine's one restriction predicate: listed by an allow-list, or not by a deny-list."""
+        return (domain_id in self.domains) == (self.mode == "allow")
+
 
 @dataclass(frozen=True)
 class PolicyDecision:
@@ -58,8 +62,6 @@ class PolicySet:
     ms_locality: dict[tuple[str, str], LocalityLevel]
     default_locality: LocalityLevel
     ms_ids: frozenset[str]
-    ingress_ids: frozenset[str]
-    edge_pairs: frozenset[tuple[str, str]]
     domain_ids: frozenset[str]
 
     def iot_level(self, ms_id: str) -> LocalityLevel:
@@ -144,8 +146,6 @@ def parse_policies(doc: dict, app, graph) -> PolicySet:
         ms_locality=ms_locality,
         default_locality=default_level,
         ms_ids=ms_ids,
-        ingress_ids=frozenset(app.ingress_ids),
-        edge_pairs=edge_pairs,
         domain_ids=domain_ids,
     )
 
@@ -182,23 +182,19 @@ def is_allowed(pset: PolicySet, ms_id: str, domain_id: str) -> PolicyDecision:
     rule = pset.restriction.get(ms_id)
     if rule is None:
         return PolicyDecision(True, f"unrestricted: no placement rule for {ms_id}")
-    listed = domain_id in rule.domains
-    if rule.mode == "allow":
-        if listed:
-            return PolicyDecision(True, f"restriction: {ms_id} allow-list includes {domain_id}")
-        return PolicyDecision(False, f"restriction: {ms_id} allow-list excludes {domain_id}")
-    if listed:
-        return PolicyDecision(False, f"restriction: {ms_id} deny-list includes {domain_id}")
-    return PolicyDecision(True, f"restriction: {ms_id} deny-list excludes {domain_id}")
+    listed = "includes" if domain_id in rule.domains else "excludes"
+    return PolicyDecision(rule.allows(domain_id), f"restriction: {ms_id} {rule.mode}-list {listed} {domain_id}")
 
 
 def eligible_domains_for_anchor(pset: PolicySet, ms_id: str, anchor: str, graph) -> list[str]:
     """Domains where ``ms_id`` may be placed to serve demand held at ``anchor``.
 
-    The anchor is a scope key as :meth:`InfrastructureGraph.anchor_of` gives
-    it; its scope's domains are filtered by the placement restriction policy.
+    The anchor is a scope key as :meth:`InfrastructureGraph.anchor_of` gives it;
+    its scope's domains, all known to the graph the policy set was parsed
+    against, are filtered by ``ms_id``'s placement restriction rule.
     """
-    return [d for d in graph.anchor_domains(anchor) if is_allowed(pset, ms_id, d).allowed]
+    rule = pset.restriction.get(_known(ms_id, pset.ms_ids, UnknownMicroservice))
+    return [d for d in graph.anchor_domains(anchor) if rule is None or rule.allows(d)]
 
 
 def evaluate_query(pset: PolicySet, graph, policy: str, payload: dict) -> PolicyDecision:

@@ -24,8 +24,10 @@ PLANNER_MODULES = {"controlplane", "meshsim", "search"}
 #: Modules built on the search, which it must not import.
 ABOVE_THE_SEARCH = {"controlplane", "meshsim", "audit", "documents", "scenario", "cli", "policyserver"}
 
-#: The planner's scope resolvers and the policy engine's decision entry points.
+#: The planner's scope resolvers and the policy engine's decision entry points,
+#: its restriction predicate ``RestrictionRule.allows`` among them.
 RESOLVERS = {
+    "allows",
     "anchor_of",
     "anchor_domains",
     "eligible_domains_for_anchor",
@@ -69,6 +71,7 @@ def test_boundary_check_catches_each_kind_of_breach():
         "graph.anchor_of(domain_id, level)",
         "from .policy import eligible_domains_for_anchor",
         "nodes_of_domain",
+        "rule.allows(domain_id)",
     ):
         assert boundary_breaches(source), source
 
@@ -100,21 +103,17 @@ def test_control_plane_imports_no_private_name_of_the_search():
 def test_callers_reach_the_one_search_module():
     assert controlplane.PlacementMapping is search.PlacementMapping
     assert controlplane.AnchorPlacement is search.AnchorPlacement
-    assert controlplane.CapacityCut is search.CapacityCut
-    assert controlplane.SEARCH_BUDGET is search.SEARCH_BUDGET
 
 
 def test_callers_reach_the_one_audit_module():
     assert controlplane.validate_plan is audit.validate_plan
     assert meshsim.check_compliance is audit.check_compliance
-    assert controlplane.ComplianceReport is audit.ComplianceReport
-    assert meshsim.Violation is controlplane.Violation is audit.Violation
 
 
 #: Names a module imports only to re-export them, each marked ``# noqa: F401``
 #: and pinned by the two tests above.
 REEXPORTS = {
-    "controlplane": {"AnchorPlacement", "CapacityCut", "ComplianceReport", "SEARCH_BUDGET", "Violation"},
+    "controlplane": {"AnchorPlacement"},
 }
 
 
@@ -175,6 +174,17 @@ def test_only_the_application_model_says_which_edges_carry_traffic():
             source = path.read_text(encoding="utf-8")
             readers |= {f"{path.stem}.{name}" for name in attribute_readers(source, "placed_on_iot")}
     assert readers == {"search._placement_sequence", "meshsim.node_utilization"}
+
+
+def test_only_the_policy_engine_names_is_allowed():
+    """``is_allowed`` answers one wire query; the search filters through
+    ``RestrictionRule.allows`` and the auditors read the raw rule themselves."""
+    def names(path):  # every name read, defined or imported in the module at ``path``
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        return {getattr(node, field, None) for node in ast.walk(tree) for field in ("id", "attr", "name")}
+
+    namers = {path.stem for path in Path(audit.__file__).parent.glob("*.py") if "is_allowed" in names(path)}
+    assert namers == {"policy", "__init__"}
 
 
 def test_the_policy_server_leaves_policy_types_to_the_policy_engine():

@@ -843,7 +843,6 @@ def test_validate_plan_clean(placed):
     scenario, plan = placed
     report = validate_plan(scenario.graph, scenario.app, scenario.policies, plan)
     assert report.ok
-    assert report.to_doc() == {"violations": []}
 
 
 def test_validate_detects_restriction_breach(placed):
@@ -944,6 +943,77 @@ def test_validate_detects_non_edge_rule(placed):
     report = validate_plan(scenario.graph, scenario.app, scenario.policies, plan)
     assert any("does not match an application edge" in v.detail
                for v in report.violations)
+
+
+def _audit(scenario, plan, graph=None):
+    """``validate_plan``'s violations as (kind, subject, detail), in order."""
+    report = validate_plan(graph or scenario.graph, scenario.app, scenario.policies, plan)
+    return [(v.kind, v.subject, v.detail) for v in report.violations]
+
+
+def test_validate_detects_slot_of_ghost_microservice(placed):
+    scenario, plan = placed
+    plan.mapping = copy.deepcopy(plan.mapping)
+    plan.mapping.per_ms["ghost"] = {"global": AnchorPlacement("global", LocalityLevel.GLOBAL, Fraction(1),
+                                                              [("cl-n1", 1)])}
+    assert _audit(scenario, plan) == [("placement", "ghost", "unknown microservice")]
+
+
+def test_validate_detects_slot_on_ghost_node(placed):
+    scenario, plan = placed
+    plan.mapping = copy.deepcopy(plan.mapping)
+    plan.mapping.per_ms["m5"]["global"].slots.append(("ghost-node", 1))
+    assert _audit(scenario, plan) == [("placement", "m5@ghost-node", "unknown node")]
+
+
+def test_validate_ignores_slot_of_no_instances(placed):
+    """A slot of zero instances hosts nothing, so no rule has to reach it."""
+    scenario, plan = placed
+    plan.mapping = copy.deepcopy(plan.mapping)
+    plan.mapping.per_ms["m5"]["global"].slots.append(("ed4-n2", 0))
+    assert _audit(scenario, plan) == []
+
+
+@pytest.mark.parametrize("key, changes, violation", [
+    (("ed3", "iot", "m2"), {"domain_id": "nowhere"}, ("route", "nowhere/iot->m2", "unknown domain 'nowhere'")),
+    (("ed3", "m3", "m4"), {"consumer": IOT_SOURCE, "destinations": (("ed3-n1", 1),)},
+     ("route", "ed3/iot->m4", "ingress rule for non-ingress target")),
+    (("ed3", "m2", "m3"), {"consumer": "m4", "destinations": (("cl-n1", 1),)},
+     ("route", "ed3/m4->m3", "rule does not match an application edge")),
+    (("ed3", "iot", "m2"), {"destinations": ()}, ("route", "ed3/iot->m2", "rule has no destinations")),
+    (("ed3", "m2", "m3"), {"destinations": (("ed3-n1", -2), ("ed3-n2", 1), ("ed4-n1", 1))},
+     ("route", "ed3/m2->m3", "weight of ed3-n1 is -2, not positive")),
+])
+def test_validate_reports_one_violation_per_broken_rule(placed, key, changes, violation):
+    """The audit stops at a refused target or anchor and at an empty rule,
+    so checks of its destinations, which would fail too, do not run; weights
+    that sum to zero are not compared with the instance counts."""
+    scenario, plan = placed
+    _swap_rule(plan, key, **changes)
+    assert _audit(scenario, plan) == [violation]
+
+
+def test_validate_detects_rule_to_unknown_node(placed):
+    scenario, plan = placed
+    _swap_rule(plan, ("ed4", "m4", "m5"),
+               destinations=(("cl-n1", 1), ("cl-n2", 1), ("cl-n3", 1), ("ghost-node", 1)))
+    assert _audit(scenario, plan) == [
+        ("route", "ed4/m4->m5", "unknown node 'ghost-node'"),
+        ("route", "ed4/m4->m5", "weight of cl-n1 not proportional to its instance count"),
+    ]
+
+
+@pytest.mark.parametrize("capacity, detail", [
+    ({"cpu_capacity": 2999}, "requested 3000m/3072Mi exceeds 2999m/8192Mi"),
+    ({"mem_capacity": 3071}, "requested 3000m/3072Mi exceeds 3500m/3071Mi"),
+])
+def test_validate_detects_node_over_one_resource(placed, capacity, detail):
+    """ed3-n1 hosts two m2 and two m3 instances: 3000m and 3072Mi."""
+    scenario, plan = placed
+    graph = copy.deepcopy(scenario.graph)
+    graph.nodes["ed3-n1"] = replace(graph.nodes["ed3-n1"], **capacity)
+    assert _audit(scenario, plan) == []
+    assert _audit(scenario, plan, graph) == [("capacity", "ed3-n1", detail)]
 
 
 # --- plan document round trip ---

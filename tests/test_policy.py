@@ -174,6 +174,13 @@ def test_eligible_domains_for_anchor(setup):
         eligible_domains_for_anchor(pset, "m2", "nowhere", graph)
 
 
+def test_eligible_domains_refuse_an_unknown_microservice(setup):
+    graph, _, pset = setup
+    for ms_id in ("ghost", "", None, ["m2"]):
+        with pytest.raises(UnknownMicroservice):
+            eligible_domains_for_anchor(pset, ms_id, "global", graph)
+
+
 def test_eligible_against_oracle_seeded():
     rng = random.Random(20240817)
     for _ in range(150):

@@ -1,5 +1,6 @@
 """The scripts under scripts/ run from a plain checkout: no installed package."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -29,3 +30,49 @@ def test_fuzz_placement_finds_no_violations(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == (
         "20 cases: 18 placed, 2 proved infeasible, 0 gave up, 0 non-compliant")
+
+
+def test_mutate_makes_one_mutant_per_operator():
+    """Each comparison operator is flipped, each boolean expression's operators
+    swapped and each append or continue statement dropped, one mutant at a
+    time; the ``in`` of a for loop and the words of a comment are left alone."""
+    source = (
+        "def f(a, b, out):\n"
+        "    if a == b and a != 1 or (a) < b:  # in and or\n"
+        "        out.append(a)\n"
+        "    for x in out:\n"
+        "        if x <= a or x > b and x >= 0:\n"
+        "            continue\n"
+        "        if x in out and x not in b or x is None or x is not a:\n"
+        "            return x\n"
+    )
+    spec = importlib.util.spec_from_file_location("mutate", ROOT / "scripts" / "mutate.py")
+    mutate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutate)
+    lines = source.splitlines()
+    made = []
+    for line, what, text in mutate.mutants(source):
+        mutated = text.splitlines()
+        assert mutated[:line - 1] + mutated[line:] == lines[:line - 1] + lines[line:], what
+        compile(text, "mutant", "exec")
+        made.append((line, what, mutated[line - 1].strip()))
+    assert made == [
+        (2, "== -> !=", "if a  !=  b and a != 1 or (a) < b:  # in and or"),
+        (2, "and -> or", "if a == b  or  a != 1 or (a) < b:  # in and or"),
+        (2, "!= -> ==", "if a == b and a  ==  1 or (a) < b:  # in and or"),
+        (2, "or -> and", "if a == b and a != 1  and  (a) < b:  # in and or"),
+        (2, "< -> <=", "if a == b and a != 1 or (a)  <=  b:  # in and or"),
+        (3, "drop append", "pass"),
+        (5, "<= -> <", "if x  <  a or x > b and x >= 0:"),
+        (5, "or -> and", "if x <= a  and  x > b and x >= 0:"),
+        (5, "> -> >=", "if x <= a or x  >=  b and x >= 0:"),
+        (5, "and -> or", "if x <= a or x > b  or  x >= 0:"),
+        (5, ">= -> >", "if x <= a or x > b and x  >  0:"),
+        (6, "drop continue", "pass"),
+        (7, "in -> not in", "if x  not in  out and x not in b or x is None or x is not a:"),
+        (7, "and -> or", "if x in out  or  x not in b or x is None or x is not a:"),
+        (7, "not in -> in", "if x in out and x  in  b or x is None or x is not a:"),
+        (7, "or -> and", "if x in out and x not in b  and  x is None  and  x is not a:"),
+        (7, "is -> is not", "if x in out and x not in b or x  is not  None or x is not a:"),
+        (7, "is not -> is", "if x in out and x not in b or x is None or x  is  a:"),
+    ]
