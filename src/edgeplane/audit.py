@@ -64,7 +64,11 @@ def validate_plan(
     Each target's instances are grouped once per level by their scope keys,
     and every routing rule must reach exactly the instances in its anchor's
     scope, weighted by instance count.  A slot on a drained node is a
-    violation, and so is a drained id that names no node.
+    violation, and so is a drained id that names no node.  Traffic the
+    routing would carry needs a rule: each positive demand at its domain,
+    and each domain where a consumer holds instances, along every edge whose
+    rate ratio is positive.  Those come after the rules' own violations, in
+    demand order, then by consumer in id order and its edges in document order.
     """
     violations = [Violation("capacity", node_id, f"drained node {node_id} is unknown")
                   for node_id in sorted(plan.drained - graph.nodes.keys())]
@@ -177,6 +181,22 @@ def validate_plan(
                         f"weight of {node_id} not proportional to its instance count",
                     ))
                     break
+
+    # traffic that needs a rule, as routing looks it up: positive demand at its
+    # domain, and a consumer's instances in a domain along an edge that forwards traffic
+    lookup = plan.routes.lookup
+    for domain_id, per in plan.demand.items():
+        violations += [Violation("route", f"{domain_id}/{IOT_SOURCE}->{ms_id}",
+                                 "no rule routes its positive demand")
+                       for ms_id, rps in per.items()
+                       if rps > 0 and lookup(domain_id, IOT_SOURCE, ms_id) is None]
+    for ms_id, nodes in hosted.items():
+        domains = sorted({graph.nodes[node_id].domain_id for node_id in nodes})
+        for edge in app.successors(ms_id):
+            if edge.rate_ratio > 0:
+                violations += [Violation("route", f"{domain_id}/{ms_id}->{edge.to_ms}",
+                                         f"no rule routes {ms_id}'s traffic from {domain_id}")
+                               for domain_id in domains if lookup(domain_id, ms_id, edge.to_ms) is None]
 
     return ComplianceReport(violations=violations)
 

@@ -1,18 +1,22 @@
 """Deterministic service-mesh simulator over a deployment plan.
 
-Traffic flows are computed exactly (Fraction arithmetic) by walking the
-application DAG in topological order: ingress demand enters at each IoT
-attachment domain, each routing rule splits its load proportionally to
-destination weights, and every microservice forwards the load that arrived
-at each domain's instances along its outgoing edges, scaled by the edge's
-rate ratio.  What arrives is tallied per microservice and domain as the
-rules split it, and node utilization is read off the flow rows in one pass.
+Traffic flows are computed exactly by walking the application DAG in
+topological order: ingress demand enters at each IoT attachment domain, each
+routing rule splits its load proportionally to destination weights, and
+every microservice forwards the load that arrived at each domain's instances
+along its outgoing edges, scaled by the edge's rate ratio.  The results are
+exact rationals, computed as integer numerators over one denominator per
+microservice and normalised once per row; node utilization sums integer
+numerators too and is normalised once per node.  What arrives is tallied per
+microservice and domain as the rules split it, and node utilization is read
+off the flow rows in one pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .appmodel import ApplicationDag, PlacementRequest, as_rate, rate_to_number
 from .audit import Violation, check_compliance
@@ -34,10 +38,6 @@ class FlowAssignment:
     """
 
     rows: dict[tuple[str, str, str, str], Fraction] = field(default_factory=dict)
-
-    def add(self, source_domain: str, source: str, node_id: str, target_ms: str, rps: Fraction):
-        key = (source_domain, source, node_id, target_ms)
-        self.rows[key] = self.rows.get(key, Fraction(0)) + rps
 
     def table(self) -> list[dict]:
         out = []
@@ -83,27 +83,38 @@ def route_flows(
 ) -> FlowAssignment:
     """Propagate offered demand through the routing rules.
 
-    Each rule splits its load over its destinations by weight, and every
-    share is also tallied in ``arrived[target][domain]``, so a microservice
-    forwards what arrived at each domain without rescanning the rows.
+    A first walk, in routing order, finds every rule traffic reaches and
+    fixes one denominator per microservice: the lcm, over what feeds it, of
+    the feed's denominator times its rule's total weight.  A demand's feed
+    denominator is its own; a feeder's is the feeder's denominator times the
+    edge's rate ratio denominator.  The second walk replays those splits in
+    integers: each rule's destinations of positive weight take integer
+    shares over the target's denominator, which are also tallied in
+    ``arrived[target][domain]``, so a microservice forwards what arrived at
+    each domain without rescanning the rows.  Each row becomes one Fraction
+    at the end.
 
     Raises MissingRoute when positive traffic has no rule to follow; edges
     with a zero rate ratio forward nothing and need no rule.
     """
-    flows = FlowAssignment()
-    arrived: dict[str, dict[str, Fraction]] = {}
+    denominator: dict[str, int] = {}
+    reached: dict[str, set[str]] = {}  # microservice -> domains where some share lands
+    # (source domain, source, target, [(node, domain, weight)], feeder or None, numerator,
+    # split denominator): a destination's share is weight * numerator / split denominator,
+    # times the numerator of what arrived at the feeder in the source domain
+    splits = []
 
-    def split(rule, source_domain: str, source: str, target_ms: str, rps: Fraction):
+    def reach(rule, source_domain: str, source: str, target_ms: str,
+              feeder: str | None, feed_numerator: int, feed_denominator: int):
         total_weight = sum(w for _, w in rule.destinations)
         if total_weight <= 0:
             raise MissingRoute(f"route {source_domain}/{source}->{target_ms} has no usable weights")
-        tally = arrived.setdefault(target_ms, {})
-        for node_id, weight in rule.destinations:
-            share = rps * Fraction(weight, total_weight)
-            if share > 0:
-                flows.add(source_domain, source, node_id, target_ms, share)
-                domain_id = graph.nodes[node_id].domain_id
-                tally[domain_id] = tally.get(domain_id, 0) + share
+        shares = [(node_id, graph.nodes[node_id].domain_id, weight)
+                  for node_id, weight in rule.destinations if weight > 0]
+        split_denominator = feed_denominator * total_weight
+        denominator[target_ms] = lcm(denominator.get(target_ms, 1), split_denominator)
+        reached.setdefault(target_ms, set()).update(domain_id for _, domain_id, _ in shares)
+        splits.append((source_domain, source, target_ms, shares, feeder, feed_numerator, split_denominator))
 
     for domain_id in sorted(demand):
         for ms_id in sorted(demand[domain_id]):
@@ -113,23 +124,37 @@ def route_flows(
             rule = plan.routes.lookup(domain_id, IOT_SOURCE, ms_id)
             if rule is None:
                 raise MissingRoute(f"no ingress route for {ms_id} from {domain_id}")
-            split(rule, domain_id, IOT_SOURCE, ms_id, rps)
+            reach(rule, domain_id, IOT_SOURCE, ms_id, None, rps.numerator, rps.denominator)
 
     for ms_id in app.topological_order():
-        emitted = arrived.get(ms_id, {})
+        domains = sorted(reached.get(ms_id, ()))
         for edge in sorted(app.successors(ms_id), key=lambda e: e.to_ms):
-            for domain_id in sorted(emitted):
-                rps = emitted[domain_id] * edge.rate_ratio
-                if rps <= 0:
-                    continue
+            ratio = edge.rate_ratio
+            if ratio <= 0:
+                continue
+            for domain_id in domains:
                 rule = plan.routes.lookup(domain_id, ms_id, edge.to_ms)
                 if rule is None:
                     raise MissingRoute(
                         f"no route for {ms_id}->{edge.to_ms} from {domain_id}"
                     )
-                split(rule, domain_id, ms_id, edge.to_ms, rps)
+                reach(rule, domain_id, ms_id, edge.to_ms, ms_id,
+                      ratio.numerator, denominator[ms_id] * ratio.denominator)
 
-    return flows
+    rows: dict[tuple[str, str, str, str], int] = {}
+    arrived: dict[str, dict[str, int]] = {}
+    for source_domain, source, target_ms, shares, feeder, numerator, split_denominator in splits:
+        per_weight = numerator * (denominator[target_ms] // split_denominator)
+        if feeder is not None:
+            per_weight *= arrived[feeder][source_domain]
+        tally = arrived.setdefault(target_ms, {})
+        for node_id, domain_id, weight in shares:
+            share = per_weight * weight
+            key = (source_domain, source, node_id, target_ms)
+            rows[key] = rows.get(key, 0) + share
+            tally[domain_id] = tally.get(domain_id, 0) + share
+
+    return FlowAssignment({key: Fraction(n, denominator[key[3]]) for key, n in rows.items()})
 
 
 def node_utilization(
@@ -141,14 +166,22 @@ def node_utilization(
 
     Each instance is sized for its rated capacity, so serving one rps costs
     cpu_req/capacity_rps millicores regardless of how many instances share
-    the load.  Idle nodes read 0.
+    the load.  A node's terms are summed as integer numerators over the lcm
+    of their denominators, and divided by its capacity once.  Idle nodes
+    read 0.
     """
     cost = {ms_id: Fraction(ms.cpu_req) / ms.capacity_rps
             for ms_id, ms in app.microservices.items() if not ms.placed_on_iot}
-    used = dict.fromkeys(sorted(graph.nodes), Fraction(0))
+    terms: dict[str, list[tuple[int, int]]] = {node_id: [] for node_id in sorted(graph.nodes)}
     for (_, _, node_id, ms_id), rps in flows.rows.items():
-        used[node_id] += rps * cost[ms_id]
-    return {node_id: u / graph.nodes[node_id].cpu_capacity for node_id, u in used.items()}
+        c = cost[ms_id]
+        terms[node_id].append((rps.numerator * c.numerator, rps.denominator * c.denominator))
+    load = {}
+    for node_id, node_terms in terms.items():
+        common = lcm(*{d for _, d in node_terms})
+        used = sum(n * (common // d) for n, d in node_terms)
+        load[node_id] = Fraction(used, common * graph.nodes[node_id].cpu_capacity)
+    return load
 
 
 def _throughput_summary(

@@ -18,6 +18,10 @@ recursion) so that a planner bug cannot hide inside a shared helper:
 
 ``reference_run_scenario`` is the simulator loop that routes, measures and
 audits on every tick, kept as the reference the reusing loop must match.
+It routes and measures with ``reference_route_flows`` and
+``reference_node_utilization``, the simulator's arithmetic in plain
+``Fraction`` sums, one normalisation per addition, kept as the reference
+the integer arithmetic of ``meshsim`` must match row for row.
 """
 
 from __future__ import annotations
@@ -29,15 +33,13 @@ from pathlib import Path
 
 from edgeplane.appmodel import PlacementRequest, app_from_doc, as_rate
 from edgeplane.controlplane import Alert, ControlPlane
-from edgeplane.errors import InfeasiblePlacement
-from edgeplane.locality import LocalityLevel
+from edgeplane.errors import InfeasiblePlacement, MissingRoute
+from edgeplane.locality import IOT_SOURCE, LocalityLevel
 from edgeplane.meshsim import (
     FlowAssignment,
     SimulationReport,
     _throughput_summary,
     check_compliance,
-    node_utilization,
-    route_flows,
 )
 from edgeplane.policy import parse_policies
 from edgeplane.topology import load_topology
@@ -530,7 +532,64 @@ def check_capacity_cut(topo_doc, app_doc, policy_doc, demand_doc, cut, drained=(
             and capacity == cut.capacity and need > capacity)
 
 
-# --- reference simulator loop ----------------------------------------------------
+# --- reference simulator ---------------------------------------------------------
+
+
+def reference_route_flows(graph, app, plan, demand):
+    """``meshsim.route_flows`` in Fraction arithmetic: each rule splits its load
+    by weight as it is reached, and every share is added to its row and to
+    ``arrived[target][domain]`` as a normalised Fraction."""
+    flows = FlowAssignment()
+    arrived = {}
+
+    def split(rule, source_domain, source, target_ms, rps):
+        total_weight = sum(w for _, w in rule.destinations)
+        if total_weight <= 0:
+            raise MissingRoute(f"route {source_domain}/{source}->{target_ms} has no usable weights")
+        tally = arrived.setdefault(target_ms, {})
+        for node_id, weight in rule.destinations:
+            share = rps * Fraction(weight, total_weight)
+            if share > 0:
+                key = (source_domain, source, node_id, target_ms)
+                flows.rows[key] = flows.rows.get(key, Fraction(0)) + share
+                domain_id = graph.nodes[node_id].domain_id
+                tally[domain_id] = tally.get(domain_id, 0) + share
+
+    for domain_id in sorted(demand):
+        for ms_id in sorted(demand[domain_id]):
+            rps = demand[domain_id][ms_id]
+            if rps <= 0:
+                continue
+            rule = plan.routes.lookup(domain_id, IOT_SOURCE, ms_id)
+            if rule is None:
+                raise MissingRoute(f"no ingress route for {ms_id} from {domain_id}")
+            split(rule, domain_id, IOT_SOURCE, ms_id, rps)
+
+    for ms_id in app.topological_order():
+        emitted = arrived.get(ms_id, {})
+        for edge in sorted(app.successors(ms_id), key=lambda e: e.to_ms):
+            for domain_id in sorted(emitted):
+                rps = emitted[domain_id] * edge.rate_ratio
+                if rps <= 0:
+                    continue
+                rule = plan.routes.lookup(domain_id, ms_id, edge.to_ms)
+                if rule is None:
+                    raise MissingRoute(
+                        f"no route for {ms_id}->{edge.to_ms} from {domain_id}"
+                    )
+                split(rule, domain_id, ms_id, edge.to_ms, rps)
+
+    return flows
+
+
+def reference_node_utilization(graph, app, flows):
+    """``meshsim.node_utilization`` in Fraction arithmetic, one addition per row."""
+    cost = {ms_id: Fraction(ms.cpu_req) / ms.capacity_rps
+            for ms_id, ms in app.microservices.items() if not ms.placed_on_iot}
+    used = dict.fromkeys(sorted(graph.nodes), Fraction(0))
+    for (_, _, node_id, ms_id), rps in flows.rows.items():
+        used[node_id] += rps * cost[ms_id]
+    return {node_id: u / graph.nodes[node_id].cpu_capacity for node_id, u in used.items()}
 
 
 def reference_run_scenario(graph, app, policies, request, events, control=None, *,
@@ -565,8 +624,8 @@ def reference_run_scenario(graph, app, policies, request, events, control=None, 
             for alert in event_alerts:
                 alerts.append(alert)
                 plan = control.handle_alert(plan, alert)
-            flows = route_flows(graph, app, plan, demand)
-            load = node_utilization(graph, app, flows)
+            flows = reference_route_flows(graph, app, plan, demand)
+            load = reference_node_utilization(graph, app, flows)
             utilization.append(load)
             violations.extend((tick, v) for v in check_compliance(graph, policies, flows))
             worst = max(load, key=load.__getitem__, default=None)
@@ -574,7 +633,7 @@ def reference_run_scenario(graph, app, policies, request, events, control=None, 
                 alert = Alert("overload", {"node": worst, "utilization": float(load[worst])}, tick)
                 alerts.append(alert)
                 plan = control.handle_alert(plan, alert)
-                flows = route_flows(graph, app, plan, demand)
+                flows = reference_route_flows(graph, app, plan, demand)
         except InfeasiblePlacement as exc:
             halted = {"tick": tick, "reason": str(exc)}
             break

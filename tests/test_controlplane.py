@@ -975,22 +975,27 @@ def test_validate_ignores_slot_of_no_instances(placed):
 
 
 @pytest.mark.parametrize("key, changes, violation", [
-    (("ed3", "iot", "m2"), {"domain_id": "nowhere"}, ("route", "nowhere/iot->m2", "unknown domain 'nowhere'")),
+    (("ed3", "iot", "m2"), {"domain_id": "nowhere"},
+     [("route", "nowhere/iot->m2", "unknown domain 'nowhere'"),
+      ("route", "ed3/iot->m2", "no rule routes its positive demand")]),
     (("ed3", "m3", "m4"), {"consumer": IOT_SOURCE, "destinations": (("ed3-n1", 1),)},
-     ("route", "ed3/iot->m4", "ingress rule for non-ingress target")),
+     [("route", "ed3/iot->m4", "ingress rule for non-ingress target"),
+      ("route", "ed3/m3->m4", "no rule routes m3's traffic from ed3")]),
     (("ed3", "m2", "m3"), {"consumer": "m4", "destinations": (("cl-n1", 1),)},
-     ("route", "ed3/m4->m3", "rule does not match an application edge")),
-    (("ed3", "iot", "m2"), {"destinations": ()}, ("route", "ed3/iot->m2", "rule has no destinations")),
+     [("route", "ed3/m4->m3", "rule does not match an application edge"),
+      ("route", "ed3/m2->m3", "no rule routes m2's traffic from ed3")]),
+    (("ed3", "iot", "m2"), {"destinations": ()}, [("route", "ed3/iot->m2", "rule has no destinations")]),
     (("ed3", "m2", "m3"), {"destinations": (("ed3-n1", -2), ("ed3-n2", 1), ("ed4-n1", 1))},
-     ("route", "ed3/m2->m3", "weight of ed3-n1 is -2, not positive")),
+     [("route", "ed3/m2->m3", "weight of ed3-n1 is -2, not positive")]),
 ])
 def test_validate_reports_one_violation_per_broken_rule(placed, key, changes, violation):
     """The audit stops at a refused target or anchor and at an empty rule,
     so checks of its destinations, which would fail too, do not run; weights
-    that sum to zero are not compared with the instance counts."""
+    that sum to zero are not compared with the instance counts.  A rule moved
+    off its key leaves that key's traffic without a rule, a second violation."""
     scenario, plan = placed
     _swap_rule(plan, key, **changes)
-    assert _audit(scenario, plan) == [violation]
+    assert _audit(scenario, plan) == violation
 
 
 def test_validate_detects_rule_to_unknown_node(placed):

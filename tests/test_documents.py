@@ -143,7 +143,7 @@ def test_report_with_violations_dumps_as_pyyaml_does(dumper, canonical):
     """Violation rows carry details with spaces, so the dumper writes the report."""
     _, report = run_scenario(canonical.graph, canonical.app, canonical.policies,
                              canonical.request, canonical.events)
-    report.flows.add("ed3", "iot", "ed4-n1", "m2", Fraction(5))  # leaks strict-domain m2
+    report.flows.rows[("ed3", "iot", "ed4-n1", "m2")] = Fraction(5)  # leaks strict-domain m2
     report.violations = [(1, v) for v in check_compliance(canonical.graph, canonical.policies,
                                                          report.flows)]
     doc = report_to_doc(report)

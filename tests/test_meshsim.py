@@ -1,20 +1,23 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from edgeplane import controlplane, meshsim, search
-from edgeplane.appmodel import PlacementRequest
+from edgeplane.appmodel import PlacementRequest, app_from_doc, as_rate
 from edgeplane.controlplane import (
     Alert,
     ControlPlane,
+    RoutingRule,
     RoutingRuleSet,
     place_application,
     validate_plan,
 )
 from edgeplane.documents import dump_doc, plan_to_doc, report_to_doc
 from edgeplane.errors import InfeasiblePlacement, MissingRoute
+from edgeplane.locality import IOT_SOURCE, LocalityLevel
 from edgeplane.meshsim import (
     FlowAssignment,
     ScenarioEvent,
@@ -23,6 +26,7 @@ from edgeplane.meshsim import (
     route_flows,
     run_scenario,
 )
+from edgeplane.topology import load_topology
 
 from .support import (
     build,
@@ -30,6 +34,8 @@ from .support import (
     gen_chain_app,
     gen_dag_app,
     oracle_routed_totals,
+    reference_node_utilization,
+    reference_route_flows,
     reference_run_scenario,
 )
 
@@ -177,7 +183,7 @@ def test_utilization_frozen(canonical):
     def util_of(rows):
         flows = FlowAssignment()
         for ms, rps in rows.items():
-            flows.add("ed3", "iot", "ed3-n1", ms, rps)
+            flows.rows[("ed3", "iot", "ed3-n1", ms)] = rps
         return node_utilization(graph, app, flows)["ed3-n1"]  # 3500 millicores
 
     # m2 costs 500/50 = 10 millicores per rps
@@ -210,7 +216,7 @@ def test_compliance_clean(canonical_flows):
 
 def test_compliance_flags_restricted_domain(canonical_flows):
     scenario, _, flows = canonical_flows
-    flows.add("cloud", "iot", "cl-n1", "m2", F(10))  # m2 is edge-only
+    flows.rows[("cloud", "iot", "cl-n1", "m2")] = F(10)  # m2 is edge-only
     violations = check_compliance(scenario.graph, scenario.policies, flows)
     assert any(v.kind == "placement" and "cl-n1" in v.subject for v in violations)
 
@@ -218,7 +224,7 @@ def test_compliance_flags_restricted_domain(canonical_flows):
 def test_compliance_flags_domain_leak(canonical_flows):
     scenario, _, flows = canonical_flows
     # iot->m2 is strict-domain; a hop from ed3 into ed4 leaks
-    flows.add("ed3", "iot", "ed4-n1", "m2", F(5))
+    flows.rows[("ed3", "iot", "ed4-n1", "m2")] = F(5)
     violations = check_compliance(scenario.graph, scenario.policies, flows)
     assert any(v.kind == "locality" and "strict-domain" in v.detail
                for v in violations)
@@ -228,7 +234,7 @@ def test_compliance_flags_region_leak(canonical_flows):
     scenario, _, flows = canonical_flows
     # m2->m3 is strict-region; cloud is in another region.  The row also
     # breaches m3's placement restriction, so both kinds surface.
-    flows.add("ed3", "m2", "cl-n1", "m3", F(5))
+    flows.rows[("ed3", "m2", "cl-n1", "m3")] = F(5)
     violations = check_compliance(scenario.graph, scenario.policies, flows)
     kinds = {v.kind for v in violations}
     assert kinds == {"placement", "locality"}
@@ -303,6 +309,72 @@ def test_flow_conservation_on_dags():
         assert check_compliance(graph, pset, flows) == [], attempts
         checked += 1
     assert checked == 50
+
+
+# --- integer arithmetic against the Fraction reference ---
+
+
+def assert_routes_as_reference(graph, app, plan, demand):
+    """Rows (values and insertion order) and utilizations equal the Fraction reference's."""
+    flows = route_flows(graph, app, plan, demand)
+    want = reference_route_flows(graph, app, plan, demand)
+    assert list(flows.rows.items()) == list(want.rows.items())
+    assert all(type(rps) is Fraction for rps in flows.rows.values())
+    load = node_utilization(graph, app, flows)
+    assert list(load.items()) == list(reference_node_utilization(graph, app, want).items())
+    assert all(type(u) is Fraction for u in load.values())
+    return flows
+
+
+@pytest.mark.parametrize("gen_app", [gen_chain_app, gen_dag_app], ids=["chain", "dag"])
+def test_integer_routing_matches_the_fraction_reference(gen_app):
+    """Placed generated cases, at their own demand and at a fractional one."""
+    placed = 0
+    for seed in range(40):
+        graph, app, pset, request = build(*gen_case(random.Random(seed), gen_app=gen_app))
+        try:
+            plan = place_application(graph, app, request, pset)
+        except InfeasiblePlacement:
+            continue
+        scaled = {d: {ms: as_rate(float(rps) * 3.7) for ms, rps in per.items()}
+                  for d, per in plan.demand.items()}
+        for demand in (plan.demand, scaled):
+            assert assert_routes_as_reference(graph, app, plan, demand).rows, seed
+        placed += 1
+    assert placed >= 30
+
+
+def test_integer_routing_matches_the_fraction_reference_on_a_deep_chain():
+    """Five hops over coprime weights 7, 11 and 13, spread differently from
+    each of two domains, and ratios 1/3 and 2/7, fed at coprime demands, so
+    the exact values keep a factor of each split's total weight.  A
+    destination of weight 0 gets no row."""
+    graph = load_topology({
+        "regions": [{"id": "r", "domains": ["d0", "d1"]}],
+        "domains": [{"id": d, "region": "r", "admin": d, "kind": "edge"} for d in ("d0", "d1")],
+        "nodes": [{"id": n, "domain": d, "cpu_m": 4000, "mem_mi": 8192}
+                  for n, d in (("n0", "d0"), ("n1", "d1"), ("n2", "d0"), ("n3", "d1"))],
+        "attachments": [{"id": "iot0", "domain": "d0"}, {"id": "iot1", "domain": "d1"}],
+    })
+    chain = [f"m{i}" for i in range(6)]
+    app = app_from_doc({
+        "id": "deep",
+        "microservices": [{"id": m, "cpu_m": 300, "mem_mi": 64, "capacity_rps": 9} for m in chain],
+        "edges": [{"from": a, "to": b, "ratio": (F(1, 3), F(2, 7))[i % 2]}
+                  for i, (a, b) in enumerate(zip(chain, chain[1:]))],
+        "ingress": ["m0"],
+    })
+    assert [e.rate_ratio for e in app.edges[:2]] == [F(1, 3), F(2, 7)]
+    spread = {"d0": (("n0", 7), ("n1", 11), ("n2", 13)),
+              "d1": (("n0", 11), ("n1", 13), ("n2", 7), ("n3", 0))}
+    rules = [RoutingRule(d, IOT_SOURCE, "m0", LocalityLevel.GLOBAL, spread[d]) for d in spread]
+    rules += [RoutingRule(d, a, b, LocalityLevel.GLOBAL, spread[d])
+              for a, b in zip(chain, chain[1:]) for d in spread]
+    plan = SimpleNamespace(routes=RoutingRuleSet(tuple(rules)))
+    demand = {"d0": {"m0": F(100, 3)}, "d1": {"m0": F(5, 17)}}
+    flows = assert_routes_as_reference(graph, app, plan, demand)
+    assert len(flows.rows) == 2 * 3 * len(chain)
+    assert any(rps.denominator % 31 ** 6 == 0 for rps in flows.rows.values())  # one 31 per split
 
 
 # --- closed-loop runs ---

@@ -582,6 +582,37 @@ def test_non_positive_route_weight_fails_the_audit(tmp_path, capsys, weight):
     assert capsys.readouterr().err == f"route: ed3/iot->m2: weight of ed3-n1 is {weight}, not positive\n"
 
 
+@pytest.mark.parametrize("key, detail", [
+    (("ed3", "m3", "m4"), "no rule routes m3's traffic from ed3"),
+    (("ed4", "iot", "m2"), "no rule routes its positive demand"),
+])
+def test_a_plan_missing_a_rule_that_traffic_needs_fails_the_audit(tmp_path, capsys, key, detail):
+    """A rule is needed for each positive demand at its domain and for each
+    domain where a consumer holds instances along an edge that forwards
+    traffic; the golden plan without one fails ``validate_plan`` and
+    ``routes --plan``."""
+    sc = load_scenario(CANONICAL)
+    doc = yaml.safe_load((GOLDEN / "plan_canonical.yaml").read_text(encoding="utf-8"))
+    doc["routes"] = [r for r in doc["routes"] if (r["domain"], r["consumer"], r["target"]) != key]
+    violation = ("route", "{}/{}->{}".format(*key), detail)
+    report = validate_plan(sc.graph, sc.app, sc.policies, plan_from_doc(doc))
+    assert [(v.kind, v.subject, v.detail) for v in report.violations] == [violation]
+    plan_path = tmp_path / "plan.yaml"
+    plan_path.write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
+    assert main(["routes", "--scenario", CANONICAL, "--plan", str(plan_path), "--quiet"]) == 1
+    assert capsys.readouterr().err == "{}: {}: {}\n".format(*violation)
+
+
+def test_an_ingress_without_demand_needs_no_rule():
+    """Zero demand at a domain asks for no ingress rule there; the instances
+    placed for it still need their consumers' rules."""
+    sc = load_scenario(CANONICAL)
+    doc = yaml.safe_load((GOLDEN / "plan_canonical.yaml").read_text(encoding="utf-8"))
+    doc["demand"]["ed3"]["m2"] = 0
+    doc["routes"] = [r for r in doc["routes"] if (r["domain"], r["consumer"]) != ("ed3", "iot")]
+    assert validate_plan(sc.graph, sc.app, sc.policies, plan_from_doc(doc)).ok
+
+
 def test_cli_routes_rejects_malformed_plan(tmp_path, capsys):
     plan_path = tmp_path / "plan.yaml"
     plan_path.write_text("placements: 7\n", encoding="utf-8")
