@@ -30,6 +30,7 @@ from .errors import (
     doc_int,
     doc_list,
 )
+from .locality import IOT_SOURCE
 
 
 def as_rate(value) -> Fraction:
@@ -150,11 +151,15 @@ def validate_app(app: ApplicationDag) -> ApplicationDag:
         UnknownMicroservice: an edge endpoint is not declared.
         UnknownIngress: an ingress id is undeclared, or names an IoT-placed
             microservice.
-        InvalidApplication: an edge feeds an IoT-placed microservice, or an
-            ingress microservice has a traffic predecessor.
+        InvalidApplication: a microservice takes the reserved id IOT_SOURCE,
+            which marks ingress rules and flow rows, an edge feeds an
+            IoT-placed microservice, or an ingress microservice has a traffic
+            predecessor.
         UnreachableMicroservice: a schedulable microservice is not reachable
             from any ingress.
     """
+    if IOT_SOURCE in app.microservices:
+        raise InvalidApplication(f"microservice id {IOT_SOURCE!r} is reserved")
     for edge in app.edges:
         for endpoint in (edge.from_ms, edge.to_ms):
             if not isinstance(endpoint, str) or endpoint not in app.microservices:

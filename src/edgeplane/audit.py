@@ -62,8 +62,9 @@ def validate_plan(
     """Re-check a deployment plan against the policies from scratch.
 
     Each target's instances are grouped once per level by their scope keys,
-    and every routing rule must reach exactly the instances in its anchor's
-    scope, weighted by instance count.  A slot on a drained node is a
+    and every routing rule must carry the policy's level for its key and
+    reach exactly the instances in its anchor's scope at that level,
+    weighted by instance count.  A slot on a drained node is a
     violation, and so is a drained id that names no node.  Traffic the
     routing would carry needs a rule: each positive demand at its domain,
     and each domain where a consumer holds instances, along every edge whose
@@ -128,6 +129,9 @@ def validate_plan(
                 violations.append(Violation("route", _rule_key(rule), "rule does not match an application edge"))
                 continue
             level = pset.edge_level(rule.consumer, rule.target_ms)
+        if rule.level is not level:
+            violations.append(Violation("locality", _rule_key(rule),
+                                        f"rule level {rule.level.value} is not the policy's {level.value}"))
 
         anchor = rule.domain_id
         if anchor not in graph.domains:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .appmodel import ApplicationDag, PlacementRequest, as_rate
 from .audit import validate_plan
-from .errors import InvalidRequest, NoDestinationInScope, PlanningError, UnknownMicroservice, UnknownNode, doc_id
+from .errors import InvalidRequest, PlanningError, UnknownMicroservice, UnknownNode, doc_id
 from .locality import IOT_SOURCE, LocalityLevel
 from .policy import PolicySet
 from .search import AnchorPlacement, PlacementMapping, reconcile  # noqa: F401 (re-exported)
@@ -114,48 +114,32 @@ def generate_routes(
 ) -> RoutingRuleSet:
     """Derive weighted routing rules from a placement mapping.
 
-    One rule per (source domain, consumer, target): destinations are the
-    target's instances inside the locality scope anchored at the source
-    domain, weighted by instance count.  Ingress rules anchor at each IoT
-    attachment domain whose scope holds instances; consumer rules anchor at
-    every domain where the consumer holds instances, and raise
-    NoDestinationInScope when such a domain's scope is starved.
+    One rule per (source domain, consumer, target) whose locality scope,
+    anchored at the source domain, holds target instances: those instances,
+    by node id, weighted by instance count.  Ingress rules anchor at each
+    IoT attachment domain, and consumer rules at every domain where the
+    consumer holds instances.  A starved scope gets no rule;
+    :func:`validate_plan` reports it where traffic would need one.
     """
-    rules: list[RoutingRule] = []
     instances = {ms_id: mapping.instances_of(ms_id) for ms_id in app.microservices}
+    attached = graph.attachment_domains()
+    keys = [(attached, IOT_SOURCE, ms_id, pset.iot_level(ms_id)) for ms_id in app.ingress_ids]
+    keys += [({graph.nodes[n].domain_id for n in instances[ms_id]}, ms_id, edge.to_ms,
+              pset.edge_level(ms_id, edge.to_ms))
+             for ms_id in app.microservices for edge in app.successors(ms_id)]
+    rules: list[RoutingRule] = []
     by_anchor: dict[tuple[str, LocalityLevel], dict[str, list[tuple[str, int]]]] = {}
-
-    def scope_instances(target_ms: str, source_domain: str, level: LocalityLevel):
-        """The target's (node, count) pairs, by node id, that share the source's
-        anchor; a target's instances are grouped by anchor once per level."""
+    for domains, consumer, target_ms, level in keys:
         groups = by_anchor.get((target_ms, level))
-        if groups is None:
+        if groups is None:  # the target's (node, count) pairs by node id, grouped by anchor once per level
             groups = by_anchor[target_ms, level] = {}
             for node_id, count in instances[target_ms].items():
                 anchor = graph.anchor_of(graph.nodes[node_id].domain_id, level)
                 groups.setdefault(anchor, []).append((node_id, count))
-        return tuple(groups.get(graph.anchor_of(source_domain, level), ()))
-
-    for ms_id in sorted(app.ingress_ids):
-        level = pset.iot_level(ms_id)
-        for domain_id in graph.attachment_domains():
-            dest = scope_instances(ms_id, domain_id, level)
+        for domain_id in domains:
+            dest = groups.get(graph.anchor_of(domain_id, level))
             if dest:
-                rules.append(RoutingRule(domain_id, IOT_SOURCE, ms_id, level, dest))
-
-    for edge in sorted((e for ms_id in app.microservices for e in app.successors(ms_id)),
-                       key=lambda e: (e.from_ms, e.to_ms)):
-        level = pset.edge_level(edge.from_ms, edge.to_ms)
-        for domain_id in sorted({graph.nodes[n].domain_id for n in instances[edge.from_ms]}):
-            dest = scope_instances(edge.to_ms, domain_id, level)
-            if not dest:
-                if edge.rate_ratio > 0:
-                    raise NoDestinationInScope(
-                        f"{edge.from_ms} in {domain_id} has no {edge.to_ms} instance "
-                        f"within its {level.value} scope"
-                    )
-                continue
-            rules.append(RoutingRule(domain_id, edge.from_ms, edge.to_ms, level, dest))
+                rules.append(RoutingRule(domain_id, consumer, target_ms, level, tuple(dest)))
 
     ordered = tuple(sorted(rules, key=lambda r: (r.domain_id, r.target_ms, r.consumer)))
     return RoutingRuleSet(ordered)

@@ -135,10 +135,6 @@ class InfeasiblePlacement(PlanningError):
         super().__init__(f"cannot place {microservice!r} for anchor {anchor!r}: {cause}{suffix}")
 
 
-class NoDestinationInScope(PlanningError):
-    """A consumer holds instances in a domain whose locality scope contains no target instance."""
-
-
 # --- simulation -------------------------------------------------------------
 
 

@@ -1,15 +1,15 @@
 """Deterministic service-mesh simulator over a deployment plan.
 
-Traffic flows are computed exactly by walking the application DAG in
+Traffic flows are computed exactly in one walk of the application DAG in
 topological order: ingress demand enters at each IoT attachment domain, each
 routing rule splits its load proportionally to destination weights, and
 every microservice forwards the load that arrived at each domain's instances
 along its outgoing edges, scaled by the edge's rate ratio.  The results are
-exact rationals, computed as integer numerators over one denominator per
-microservice and normalised once per row; node utilization sums integer
-numerators too and is normalised once per node.  What arrives is tallied per
-microservice and domain as the rules split it, and node utilization is read
-off the flow rows in one pass.
+exact rationals: a rule splits one rate held as an integer numerator over a
+denominator, each row is one Fraction, and what arrives is tallied per
+microservice and domain in integers as the rules split it.  Node utilization
+sums integer numerators too, is normalised once per node, and is read off the
+flow rows in one pass.
 """
 
 from __future__ import annotations
@@ -83,38 +83,35 @@ def route_flows(
 ) -> FlowAssignment:
     """Propagate offered demand through the routing rules.
 
-    A first walk, in routing order, finds every rule traffic reaches and
-    fixes one denominator per microservice: the lcm, over what feeds it, of
-    the feed's denominator times its rule's total weight.  A demand's feed
-    denominator is its own; a feeder's is the feeder's denominator times the
-    edge's rate ratio denominator.  The second walk replays those splits in
-    integers: each rule's destinations of positive weight take integer
-    shares over the target's denominator, which are also tallied in
-    ``arrived[target][domain]``, so a microservice forwards what arrived at
-    each domain without rescanning the rows.  Each row becomes one Fraction
-    at the end.
+    Ingress demand is split first, then each microservice in topological
+    order forwards what arrived at it, by then complete, per domain.  A rule
+    splits one exact rate, an integer numerator over a denominator: each
+    destination of positive weight gets the row ``Fraction(numerator *
+    weight, denominator * total weight)``, and the same share is tallied in
+    ints as ``arrived[target][domain][denominator] += numerator * weight``.
+    A microservice's arrivals in a domain are brought over the lcm of their
+    denominators once, and that rate, scaled by each edge's rate ratio, is
+    what its rules split.
 
     Raises MissingRoute when positive traffic has no rule to follow; edges
     with a zero rate ratio forward nothing and need no rule.
     """
-    denominator: dict[str, int] = {}
-    reached: dict[str, set[str]] = {}  # microservice -> domains where some share lands
-    # (source domain, source, target, [(node, domain, weight)], feeder or None, numerator,
-    # split denominator): a destination's share is weight * numerator / split denominator,
-    # times the numerator of what arrived at the feeder in the source domain
-    splits = []
+    rows: dict[tuple[str, str, str, str], Fraction] = {}
+    arrived: dict[str, dict[str, dict[int, int]]] = {}  # target -> domain -> {denominator: numerator}
 
-    def reach(rule, source_domain: str, source: str, target_ms: str,
-              feeder: str | None, feed_numerator: int, feed_denominator: int):
+    def split(rule, source_domain: str, source: str, target_ms: str, numerator: int, denominator: int):
         total_weight = sum(w for _, w in rule.destinations)
         if total_weight <= 0:
             raise MissingRoute(f"route {source_domain}/{source}->{target_ms} has no usable weights")
-        shares = [(node_id, graph.nodes[node_id].domain_id, weight)
-                  for node_id, weight in rule.destinations if weight > 0]
-        split_denominator = feed_denominator * total_weight
-        denominator[target_ms] = lcm(denominator.get(target_ms, 1), split_denominator)
-        reached.setdefault(target_ms, set()).update(domain_id for _, domain_id, _ in shares)
-        splits.append((source_domain, source, target_ms, shares, feeder, feed_numerator, split_denominator))
+        denominator *= total_weight
+        tally = arrived.setdefault(target_ms, {})
+        for node_id, weight in rule.destinations:
+            if weight > 0:
+                key = (source_domain, source, node_id, target_ms)
+                share = Fraction(numerator * weight, denominator)
+                rows[key] = rows[key] + share if key in rows else share
+                held = tally.setdefault(graph.nodes[node_id].domain_id, {})
+                held[denominator] = held.get(denominator, 0) + numerator * weight
 
     for domain_id in sorted(demand):
         for ms_id in sorted(demand[domain_id]):
@@ -124,37 +121,27 @@ def route_flows(
             rule = plan.routes.lookup(domain_id, IOT_SOURCE, ms_id)
             if rule is None:
                 raise MissingRoute(f"no ingress route for {ms_id} from {domain_id}")
-            reach(rule, domain_id, IOT_SOURCE, ms_id, None, rps.numerator, rps.denominator)
+            split(rule, domain_id, IOT_SOURCE, ms_id, rps.numerator, rps.denominator)
 
     for ms_id in app.topological_order():
-        domains = sorted(reached.get(ms_id, ()))
+        rates = []
+        for domain_id, held in sorted(arrived.get(ms_id, {}).items()):
+            common = lcm(*held)
+            rates.append((domain_id, sum(n * (common // d) for d, n in held.items()), common))
         for edge in sorted(app.successors(ms_id), key=lambda e: e.to_ms):
             ratio = edge.rate_ratio
             if ratio <= 0:
                 continue
-            for domain_id in domains:
+            for domain_id, numerator, denominator in rates:
                 rule = plan.routes.lookup(domain_id, ms_id, edge.to_ms)
                 if rule is None:
                     raise MissingRoute(
                         f"no route for {ms_id}->{edge.to_ms} from {domain_id}"
                     )
-                reach(rule, domain_id, ms_id, edge.to_ms, ms_id,
-                      ratio.numerator, denominator[ms_id] * ratio.denominator)
+                split(rule, domain_id, ms_id, edge.to_ms,
+                      numerator * ratio.numerator, denominator * ratio.denominator)
 
-    rows: dict[tuple[str, str, str, str], int] = {}
-    arrived: dict[str, dict[str, int]] = {}
-    for source_domain, source, target_ms, shares, feeder, numerator, split_denominator in splits:
-        per_weight = numerator * (denominator[target_ms] // split_denominator)
-        if feeder is not None:
-            per_weight *= arrived[feeder][source_domain]
-        tally = arrived.setdefault(target_ms, {})
-        for node_id, domain_id, weight in shares:
-            share = per_weight * weight
-            key = (source_domain, source, node_id, target_ms)
-            rows[key] = rows.get(key, 0) + share
-            tally[domain_id] = tally.get(domain_id, 0) + share
-
-    return FlowAssignment({key: Fraction(n, denominator[key[3]]) for key, n in rows.items()})
+    return FlowAssignment(rows)
 
 
 def node_utilization(

@@ -28,7 +28,6 @@ from edgeplane.errors import (
     EdgeplaneError,
     InfeasiblePlacement,
     InvalidRequest,
-    NoDestinationInScope,
     PlanningError,
     UnknownDomain,
     UnknownMicroservice,
@@ -204,7 +203,7 @@ def test_zero_demand_places_nothing():
 # --- backtracking beyond plain first-fit ---
 
 
-def backtrack_case():
+def backtrack_docs():
     topo = {
         "regions": [{"id": "r1", "domains": ["dd", "cl"]}],
         "domains": [
@@ -235,7 +234,11 @@ def backtrack_case():
         "ms_locality": [{"consumer": "g", "consumed": "s", "level": "strict-domain"}],
         "default_locality": "global",
     }
-    return build(topo, app, policies, {"dd": {"a": 100}})
+    return topo, app, policies, {"dd": {"a": 100}}
+
+
+def backtrack_case():
+    return build(*backtrack_docs())
 
 
 def test_backtracking_recovers_greedy_dead_end():
@@ -249,6 +252,24 @@ def test_backtracking_recovers_greedy_dead_end():
     assert plan.mapping.instances_of("s") == {"cl-n2": 1}
     report = validate_plan(graph, app, pset, plan)
     assert report.ok
+
+
+def test_root_check_sets_no_bound_behind_a_zero_ratio_edge(monkeypatch):
+    """backtrack_case's dead end runs the root check.  A tail z behind a
+    zero-ratio edge carries no load, so the check gives it no item, and its
+    restriction to a domain with no node proves nothing."""
+    topo, app_doc, policies, demand = backtrack_docs()
+    app_doc["microservices"].append({"id": "z", "cpu_m": 100, "mem_mi": 64, "capacity_rps": 100})
+    app_doc["edges"].append({"from": "s", "to": "z", "ratio": 0})
+    topo["domains"].append({"id": "bare", "region": "r1", "admin": "a3", "kind": "edge"})
+    topo["regions"][0]["domains"].append("bare")
+    policies["placement_restriction"] = [{"microservice": "z", "mode": "allow", "domains": ["bare"]}]
+    graph, app, pset, request = build(topo, app_doc, policies, demand)
+    checks = count_calls(monkeypatch, "_capacity_cut")
+    plan = place_application(graph, app, request, pset)
+    assert len(checks) == 1
+    assert plan.mapping.instances_of("s") == {"cl-n2": 1}
+    assert plan.mapping.instances_of("z") == {}
 
 
 def test_distributions_order_and_budget():
@@ -792,7 +813,7 @@ def test_ingress_rule_only_where_instances_in_scope():
 
 
 def test_no_destination_in_scope_raises():
-    graph, app, pset, _ = backtrack_case()
+    graph, app, pset, request = backtrack_case()
     # hand-build a mapping that strands g's strict-domain successor
     mapping = PlacementMapping(per_ms={
         "a": {"dd": AnchorPlacement("dd", LocalityLevel.STRICT_DOMAIN,
@@ -802,8 +823,14 @@ def test_no_destination_in_scope_raises():
         "s": {"dd": AnchorPlacement("dd", LocalityLevel.STRICT_DOMAIN,
                                     Fraction(100), [("dd-n1", 1)])},
     }, order=("a", "g", "s"))
-    with pytest.raises(NoDestinationInScope):
-        generate_routes(graph, app, mapping, pset)
+    plan = DeploymentPlan(app_id=app.id, revision=1, mapping=mapping,
+                          routes=generate_routes(graph, app, mapping, pset), demand=request.normalized_demand())
+    # generate_routes leaves the starved scope without a rule, and the audit reports it;
+    # the mapping also oversubscribes dd-n1's cpu
+    assert [f"{v.kind} {v.subject}: {v.detail}" for v in validate_plan(graph, app, pset, plan).violations] == [
+        "capacity dd-n1: requested 1500m/1024Mi exceeds 1000m/8192Mi",
+        "route cl/g->s: no rule routes g's traffic from cl",
+    ]
 
 
 def test_zero_ratio_edge_needs_no_rule():

@@ -92,6 +92,18 @@ def test_parse_rejections(doc, err):
         _parse(doc)
 
 
+def test_absent_policies_fragment_is_an_empty_set():
+    pset, _, _ = _parse(None)
+    assert (pset.restriction, pset.iot_locality, pset.ms_locality) == ({}, {}, {})
+    assert pset.default_locality is DEFAULT_LOCALITY
+
+
+@pytest.mark.parametrize("doc", [[], ["placement_restriction"], 7])
+def test_non_mapping_policies_fragment_is_refused(doc):
+    with pytest.raises(PolicyError, match="^policies fragment must be a mapping$"):
+        _parse(doc)
+
+
 def test_default_locality_fallback():
     pset, _, _ = _parse({})
     assert pset.default_locality is DEFAULT_LOCALITY

@@ -280,6 +280,15 @@ def test_cli_validate_semantic_failure_exits_1(tmp_path, capsys):
     assert "policies: UnknownMicroservice" in capsys.readouterr().err
 
 
+def test_cli_validate_refuses_the_reserved_microservice_id(tmp_path, capsys):
+    """``iot`` marks ingress rules and flow rows, so no microservice may take it."""
+    text = re.sub(r"\bm3\b", "iot", (SCENARIOS / "uav_canonical.yaml").read_text(encoding="utf-8"))
+    path = tmp_path / "scenario.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err == "application: InvalidApplication: microservice id 'iot' is reserved\n"
+
+
 def test_cli_validate_demand_against_topology(tmp_path, capsys):
     doc = canonical_doc()
     doc["demand"]["cloud"] = {"m2": 10}  # cloud has no IoT attachment
@@ -582,6 +591,26 @@ def test_non_positive_route_weight_fails_the_audit(tmp_path, capsys, weight):
     assert capsys.readouterr().err == f"route: ed3/iot->m2: weight of ed3-n1 is {weight}, not positive\n"
 
 
+def test_a_rule_at_another_level_than_its_policy_fails_the_audit(tmp_path, capsys):
+    """``iot_locality`` pins m2 to strict-domain, so the golden plan's ingress
+    rule read back at global fails ``validate_plan``, and ``routes --plan``
+    exits 1 without writing route documents."""
+    sc = load_scenario(CANONICAL)
+    doc = yaml.safe_load((GOLDEN / "plan_canonical.yaml").read_text(encoding="utf-8"))
+    rule = doc["routes"][0]
+    assert (rule["domain"], rule["consumer"], rule["target"], rule["level"]) == ("ed3", "iot", "m2", "strict-domain")
+    rule["level"] = "global"
+    violation = ("locality", "ed3/iot->m2", "rule level global is not the policy's strict-domain")
+    report = validate_plan(sc.graph, sc.app, sc.policies, plan_from_doc(doc))
+    assert [(v.kind, v.subject, v.detail) for v in report.violations] == [violation]
+    plan_path = tmp_path / "plan.yaml"
+    plan_path.write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
+    out = tmp_path / "routes"
+    assert main(["routes", "--scenario", CANONICAL, "--plan", str(plan_path), "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == "{}: {}: {}\n".format(*violation)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, detail", [
     (("ed3", "m3", "m4"), "no rule routes m3's traffic from ed3"),
     (("ed4", "iot", "m2"), "no rule routes its positive demand"),
@@ -619,6 +648,13 @@ def test_cli_routes_rejects_malformed_plan(tmp_path, capsys):
     assert main(["routes", "--scenario", CANONICAL, "--plan", str(plan_path),
                  "--quiet"]) == 2
     assert "malformed plan document" in capsys.readouterr().err
+
+
+def test_cli_routes_refuses_a_plan_document_that_is_not_a_mapping(tmp_path, capsys):
+    plan_path = tmp_path / "plan.yaml"
+    plan_path.write_text("- placements\n- routes\n", encoding="utf-8")
+    assert main(["routes", "--scenario", CANONICAL, "--plan", str(plan_path), "--quiet"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: plan document must be a mapping"]
 
 
 def test_malformed_plan_shapes_never_escape_as_raw_exceptions(tmp_path, capsys):
