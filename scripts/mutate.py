@@ -36,12 +36,20 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: (module file name, the mutated line, stripped) -> why no input tells the
+#: (module file name, the line before the mutated one, the mutated line, both
+#: stripped; a dropped statement reads ``pass``) -> why no input tells the
 #: mutant from the module.  Only a mutant that no input can tell apart belongs
 #: here; one that the tests miss needs a test instead.
 EQUIVALENT = {
-    ("audit.py", "if total_weight > 0 and total_count  >=  0:"):
+    ("audit.py", "total_count = sum(expected.values())", "if total_weight > 0 and total_count  >=  0:"):
         "no instance in scope makes both sides of every comparison 0, so the loop finds nothing",
+    ("search.py", "queue.append(head[a])", "if level[sink]  <=  0:"):
+        "the sink is never the source, so its level is never 0",
+    ("search.py", "if level[sink] < 0:", "return flow, [lv  >  0 for lv in level]"):
+        "only item vertices are read, and the source, the one vertex at level 0, is none",
+    ("search.py", "if not below:", "pass"):
+        "with no strict descendant a scope's cap is at least what the anchor's usable nodes in it fit, "
+        "so it drops no split",
 }
 
 #: Each comparison operator and its flip: a bound made strict or loose, a test negated.
@@ -132,7 +140,8 @@ def main(argv: list[str]) -> int:
             return 2
         limit = 10 * (time.perf_counter() - began) + 10
         survivors = [(line, what, text) for line, what, text in found if passes(text, limit)]
-    reasons = [EQUIVALENT.get((module.name, text.splitlines()[line - 1].strip())) for line, _, text in survivors]
+    reasons = [EQUIVALENT.get((module.name, *(row.strip() for row in text.splitlines()[line - 2:line])))
+               for line, _, text in survivors]
     print(f"{relative}: {len(found)} mutants, {len(found) - len(survivors)} killed, "
           f"{len(survivors)} survived ({len(survivors) - reasons.count(None)} listed equivalent) "
           f"in {time.perf_counter() - began:.0f} s")

@@ -217,9 +217,9 @@ def check_compliance(
     consulted.
     """
     violations: list[Violation] = []
-    for key in sorted(flows.rows):
-        source_domain, source, node_id, target_ms = key
-        if flows.rows[key] <= 0:
+    # the keys are unique, so the sort compares no rates; a row of no traffic has numerator 0
+    for (source_domain, source, node_id, target_ms), rps in sorted(flows.rows.items()):
+        if rps.numerator <= 0:
             continue
         target_domain = graph.nodes[node_id].domain_id
 

@@ -109,20 +109,20 @@ def plan_from_doc(doc: dict) -> DeploymentPlan:
     a non-empty string, ``revision`` and every ``weight`` an integer, every
     ``instances`` a positive integer (a bool is neither), ``demand`` what
     ``appmodel.read_demand`` reads (a mapping of mappings of rates) and
-    ``drained``, when present, a list of node ids;
-    any other shape raises ScenarioParseError ("malformed plan document: ...").
+    ``drained``, when present, a list of node ids, and no (microservice,
+    anchor) placed twice; any other shape raises ScenarioParseError
+    ("malformed plan document: ...").
     """
     if not isinstance(doc, dict):
         raise ScenarioParseError("plan document must be a mapping")
     try:
         per_ms: dict[str, dict[str, AnchorPlacement]] = {}
-        order: list[str] = []
         for entry in _plan_list(doc.get("placements", []), "placements"):
             ms_id = doc_id(entry["microservice"], "microservice", ScenarioParseError)
             anchor = doc_id(entry["anchor"], "anchor", ScenarioParseError)
-            if ms_id not in order:
-                order.append(ms_id)
-            per_ms.setdefault(ms_id, {})[anchor] = AnchorPlacement(
+            if anchor in per_ms.setdefault(ms_id, {}):
+                raise ScenarioParseError(f"placement of {ms_id!r} at {anchor!r} listed twice")
+            per_ms[ms_id][anchor] = AnchorPlacement(
                 anchor=anchor,
                 level=LocalityLevel(entry["level"]),
                 demand_rps=as_rate(entry["demand_rps"]),
@@ -151,7 +151,7 @@ def plan_from_doc(doc: dict) -> DeploymentPlan:
         return DeploymentPlan(
             app_id=doc_id(doc["application"], "application", ScenarioParseError),
             revision=doc_int(doc["revision"], "revision", ScenarioParseError),
-            mapping=PlacementMapping(per_ms=per_ms, order=tuple(order)),
+            mapping=PlacementMapping(per_ms=per_ms, order=tuple(per_ms)),
             routes=RoutingRuleSet(rules),
             demand=demand,
             drained=frozenset(drained),

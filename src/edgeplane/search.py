@@ -35,8 +35,8 @@ walks, in the same order.  It finds the plan that search finds first, in no
 more steps, and an exhausted tree is still a proof.  A search that never
 backtracks runs neither the check nor the prunes.
 
-:func:`reconcile` is the one entry point: it owns the step budget, the root
-check and the fallback from the kept slots to a fresh placement.
+:func:`reconcile` is the one entry point: it owns the step budget and the
+fallback from the kept slots to a fresh placement.
 """
 
 from __future__ import annotations
@@ -161,9 +161,9 @@ def _usable_nodes(graph: InfrastructureGraph, pset: PolicySet, ms_id: str, ancho
             for node in graph.nodes_of_domain(domain_id) if node.id not in drained]
 
 
-def _failure_cause(graph: InfrastructureGraph, pset: PolicySet, ms_id: str, anchor: str, need: int) -> str:
-    """Why ``need`` instances of ``ms_id`` at ``anchor`` found no room: no domain, or too little capacity."""
-    empty = need > 0 and not eligible_domains_for_anchor(pset, ms_id, anchor, graph)
+def _failure_cause(graph: InfrastructureGraph, pset: PolicySet, ms_id: str, anchor: str) -> str:
+    """Why instances of ``ms_id`` at ``anchor`` found no room: no domain, or too little capacity."""
+    empty = not eligible_domains_for_anchor(pset, ms_id, anchor, graph)
     return "policy-empty scope" if empty else "insufficient capacity"
 
 
@@ -290,7 +290,6 @@ def _max_flow(size: int, arcs, source: int, sink: int) -> tuple[int, list[bool]]
                 flow += push
                 path.clear()
                 u = source
-                continue
             arcs_u, i = out[u], ahead[u]
             while i < len(arcs_u) and not (room[arcs_u[i]] and level[head[arcs_u[i]]] == level[u] + 1):
                 i += 1
@@ -379,32 +378,6 @@ def _capacity_cut(
             nodes=tuple(sorted(held)),
         )
     return None
-
-
-class _RootCheck:
-    """The root capacity check of one (graph, drained set, demand): the first
-    call runs :func:`_capacity_cut` and raises InfeasiblePlacement, with
-    ``proved`` set and the cut as its certificate, if it finds a cut; later
-    calls do nothing.  It names the cut's first item, with the search's cause."""
-
-    def __init__(self, graph: InfrastructureGraph, app: ApplicationDag, pset: PolicySet,
-                 demand: dict[str, dict[str, Fraction]], drained: frozenset[str]):
-        self.inputs = (graph, app, pset, demand, drained)
-        self.pending = True
-
-    def __call__(self):
-        cut = self.pending and _capacity_cut(*self.inputs)
-        self.pending = False
-        if not cut:
-            return
-        graph, _, pset, *_ = self.inputs
-        ms_id, anchor, bound = cut.items[0]
-        unit = "m" if cut.resource == "cpu" else "Mi"
-        raise InfeasiblePlacement(
-            ms_id, anchor, _failure_cause(graph, pset, ms_id, anchor, bound),
-            proved=True, certificate=cut,
-            detail=f"proved by a {cut.resource} cut: need {cut.need}{unit}, capacity {cut.capacity}{unit}",
-        )
 
 
 # --- forward checking ------------------------------------------------------------
@@ -613,7 +586,6 @@ def _reconcile(
     budget: _Budget,
     current: dict[str, dict[str, AnchorPlacement]] | None = None,
     drained: frozenset[str] = frozenset(),
-    check: _RootCheck | None = None,
 ) -> PlacementMapping:
     """Choose node slots for every (microservice, anchor), in placement order.
 
@@ -629,17 +601,17 @@ def _reconcile(
     region.  On backtrack every split from :func:`_distributions` is tried.
 
     The first choice point to run out of choices runs the root capacity
-    ``check`` (a fresh :class:`_RootCheck` unless given one).  If that finds
-    no cut, the search restarts from the root with its budget given back and
-    the look-ahead (:class:`_Lookahead`) on, as the module docstring says.
+    check, :func:`_capacity_cut`: a cut ends the search, proved, naming the
+    cut's first item with the search's cause.  Without one the search restarts
+    from the root with its budget given back and the look-ahead
+    (:class:`_Lookahead`) on, as the module docstring says.
 
-    Raises InfeasiblePlacement naming the deepest unsatisfiable
+    Otherwise raises InfeasiblePlacement naming the deepest unsatisfiable
     microservice and anchor reached, with the cause: proved when the tree
     of a fresh search (no ``current``) is exhausted, not proved when the
     step budget runs out.
     """
     current = current or {}
-    check = check or _RootCheck(graph, app, pset, demand, drained)
     sequence = _placement_sequence(app, pset)
     steps = budget.left  # what the search may spend, given back at the restart
 
@@ -765,13 +737,20 @@ def _reconcile(
                         placements[anchor] = AnchorPlacement(anchor, level, rps, slots)
                     break
                 stack.pop()
-                check()
                 if old is not None:
                     ledger.take(old.slots, ms)
                 if (pos, j) > deepest:
                     deepest = (pos, j)
-                    failed = (ms.id, anchor, _failure_cause(graph, pset, ms.id, anchor, need))
-                if lookahead is None:  # search again from the root, with the look-ahead on
+                    failed = (ms.id, anchor, _failure_cause(graph, pset, ms.id, anchor))
+                if lookahead is None:  # prove the request infeasible, or search again with the look-ahead on
+                    cut = _capacity_cut(graph, app, pset, demand, drained)
+                    if cut:
+                        ms_id, anchor, _ = cut.items[0]
+                        unit = "m" if cut.resource == "cpu" else "Mi"
+                        raise InfeasiblePlacement(ms_id, anchor, _failure_cause(graph, pset, ms_id, anchor),
+                                                  proved=True, certificate=cut,
+                                                  detail=f"proved by a {cut.resource} cut: "
+                                                         f"need {cut.need}{unit}, capacity {cut.capacity}{unit}")
                     lookahead = _Lookahead(graph, app, pset, drained, sequence)
                     budget.left = steps
                     ledger = root_ledger()
@@ -797,16 +776,16 @@ def reconcile(graph: InfrastructureGraph, app: ApplicationDag, pset: PolicySet,
 
     Runs :func:`_reconcile` from ``current``, a mapping's ``per_ms`` (none
     for a fresh placement), and, if a run from held slots gives up unproved,
-    once more from an empty mapping.  Both runs share one :data:`SEARCH_BUDGET`
-    and one root check, which depends only on the demand and the drained set:
-    it runs at most once, and a cut it finds ends the call.  Raises
-    InfeasiblePlacement as :func:`_reconcile` does.
+    once more from an empty mapping.  Both runs share one :data:`SEARCH_BUDGET`.
+    Each runs the root check at its first exhaustion; the check reads only
+    the demand and the drained set, so a fallback's check finds no cut where
+    the kept run's found none.  Raises InfeasiblePlacement as
+    :func:`_reconcile` does.
     """
     budget = _Budget(SEARCH_BUDGET)
-    check = _RootCheck(graph, app, pset, demand, drained)
     try:
-        return _reconcile(graph, app, pset, demand, budget, current, drained, check)
+        return _reconcile(graph, app, pset, demand, budget, current, drained)
     except InfeasiblePlacement as exc:
         if exc.proved or not current:
             raise
-    return _reconcile(graph, app, pset, demand, budget, drained=drained, check=check)
+    return _reconcile(graph, app, pset, demand, budget, drained=drained)

@@ -142,7 +142,8 @@ def load_topology(doc: dict) -> InfrastructureGraph:
     Raises:
         EmptyTopology: no domains, or a region listing none.
         DuplicateId: an id reused anywhere across regions, domains, nodes
-            and attachments (one id namespace, to keep anchors unambiguous).
+            and attachments (one id namespace, to keep anchors unambiguous),
+            or a region listing one domain twice.
         DanglingReference: a reference to a missing region or domain, or a
             region/domain membership mismatch.
         InvalidTopology: malformed values (bad kind, non-positive capacity).
@@ -164,6 +165,9 @@ def load_topology(doc: dict) -> InfrastructureGraph:
         domain_ids = tuple(doc_list(entry.get("domains"), f"region {rid!r} domains",
                                     InvalidTopology, str))
         _require(len(domain_ids) > 0, EmptyTopology(f"region {rid!r} lists no domains"))
+        if len(set(domain_ids)) < len(domain_ids):
+            twice = next(did for k, did in enumerate(domain_ids) if did in domain_ids[:k])
+            raise DuplicateId(f"region {rid!r} lists domain {twice!r} twice")
         regions[rid] = Region(rid, domain_ids)
 
     domains: dict[str, Domain] = {}

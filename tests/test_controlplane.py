@@ -43,6 +43,7 @@ from edgeplane.search import (
     _Budget,
     _capacity_cut,
     _distributions,
+    _fits,
     _Ledger,
     _Lookahead,
     _placement_sequence,
@@ -379,6 +380,27 @@ def test_anchor_demand_matches_slot_by_slot_oracle():
     assert (splits, restricted, checked) == (370, 282, 1980)
 
 
+def test_every_anchor_needs_an_instance():
+    """Zero demand at an ingress and the traffic behind a zero-ratio edge
+    anchor nothing, so every anchor returned needs at least one instance."""
+    app_doc = {
+        "id": "optional-tail",
+        "microservices": [
+            {"id": "io", "iot": True},
+            {"id": "a", "cpu_m": 500, "mem_mi": 512, "capacity_rps": 50},
+            {"id": "b", "cpu_m": 500, "mem_mi": 512, "capacity_rps": 50},
+        ],
+        "edges": [{"from": "io", "to": "a"}, {"from": "a", "to": "b", "ratio": 0}],
+        "ingress": ["a"],
+    }
+    graph, app, pset, request = build(two_node_topo(), app_doc, {}, {"dd": {"a": 50}})
+    assert _anchor_demand(graph, app, pset, {"dd": {"a": Fraction(0)}}, "a", {}) == {}
+    per_ms = place_application(graph, app, request, pset).mapping.per_ms
+    assert _anchor_demand(graph, app, pset, request.normalized_demand(), "a", {}) == {
+        "global": (LocalityLevel.GLOBAL, Fraction(50))}
+    assert _anchor_demand(graph, app, pset, request.normalized_demand(), "b", per_ms) == {}
+
+
 def test_reconciler_never_offers_a_drained_node():
     """A node drained before a placement, and each node drained between two
     replans, never receives an instance, and the plan's drained set grows by
@@ -488,6 +510,35 @@ def test_dead_scopes_by_hand(level, m1_live):
     graph, app, pset, _ = pool_case(level, deny_m2=["d1"])
     lookahead = _Lookahead(graph, app, pset, frozenset(), _placement_sequence(app, pset))
     assert lookahead.live == {"m1": m1_live, "m2": {"d0"}}
+
+
+def test_a_zero_ratio_strict_edge_kills_no_domain():
+    """backtrack_case with a tail z behind a zero-ratio strict-domain edge
+    from s, where z may only run in a domain with no node: z has no live
+    domain, but s sends it nothing, so both of s's domains stay live and the
+    restarted search places s as before."""
+    topo, app_doc, policies, demand = backtrack_docs()
+    app_doc["microservices"].append({"id": "z", "cpu_m": 100, "mem_mi": 64, "capacity_rps": 100})
+    app_doc["edges"].append({"from": "s", "to": "z", "ratio": 0})
+    topo["domains"].append({"id": "bare", "region": "r1", "admin": "a3", "kind": "edge"})
+    topo["regions"][0]["domains"].append("bare")
+    policies["placement_restriction"] = [{"microservice": "z", "mode": "allow", "domains": ["bare"]}]
+    policies["ms_locality"].append({"consumer": "s", "consumed": "z", "level": "strict-domain"})
+    graph, app, pset, request = build(topo, app_doc, policies, demand)
+    lookahead = _Lookahead(graph, app, pset, frozenset(), _placement_sequence(app, pset))
+    assert (lookahead.live["z"], lookahead.live["s"]) == (set(), {"dd", "cl"})
+    assert place_application(graph, app, request, pset).mapping.instances_of("s") == {"cl-n2": 1}
+
+
+def test_a_scope_cap_fits_exactly():
+    """Two m1 instances and the two m2 instances they need take 1000m and
+    1024Mi: they fit in exactly that, and not in a millicore or a MiB less."""
+    _, app, _, _ = pool_case("strict-domain")
+    m1, m2 = app.microservices["m1"], app.microservices["m2"]
+    terms = [(1, 1, m2.cpu_req, m2.mem_req)]  # one m2 instance per m1 instance
+    assert _fits(2, m1, terms, 1000, 1024)
+    assert not _fits(2, m1, terms, 999, 1024)
+    assert not _fits(2, m1, terms, 1000, 1023)
 
 
 @pytest.mark.parametrize("level, drained, live, caps, m1, m2", [
@@ -720,6 +771,56 @@ def test_exhausted_tree_is_a_proof_and_a_budget_give_up_is_not():
         assert ("(search budget exhausted)" in str(exc.value)) is not proved
 
 
+@pytest.mark.parametrize("limit, proved, anchor", [(34, True, "d21"), (33, False, "d21"), (20, False, "d21"),
+                                                   (0, False, "global")])
+def test_a_budget_of_n_steps_takes_n_steps(limit, proved, anchor):
+    """gen_case(Random(29)) at 2x demand exhausts its tree in 34 steps after
+    its restart, so a budget of 34 proves it infeasible and one of 33 gives
+    up.  A give-up names the deepest choice point that ran out of choices,
+    ms4 at d21; with no step at all none has, and it names the last
+    microservice of the sequence at the global anchor."""
+    topo_doc, app_doc, policy_doc, demand_doc = gen_case(random.Random(29))
+    demand_doc = {d: {m: r * 2 for m, r in per.items()} for d, per in demand_doc.items()}
+    graph, app, pset, request = build(topo_doc, app_doc, policy_doc, demand_doc)
+    with pytest.raises(InfeasiblePlacement) as exc:
+        _reconcile(graph, app, pset, request.normalized_demand(), _Budget(limit))
+    assert (exc.value.proved, exc.value.microservice, exc.value.anchor) == (proved, "ms4", anchor)
+
+
+def test_a_proof_names_the_first_choice_point_to_fail_deepest():
+    """g's one instance goes to a first, where s (950m) no longer fits beside
+    it.  Then the look-ahead caps da at no g, since g and s (1050m) overflow
+    its 1000m, and g tries b1 and b2, where s fits on neither 600m node.
+    Both s anchors fail at the same depth; the proof names da, the first."""
+    topo = {
+        "regions": [{"id": "r1", "domains": ["da", "db", "dc"]}],
+        "domains": [{"id": d, "region": "r1", "admin": "a", "kind": "edge"} for d in ("da", "db", "dc")],
+        "nodes": [{"id": "a", "domain": "da", "cpu_m": 1000, "mem_mi": 8192},
+                  {"id": "b1", "domain": "db", "cpu_m": 600, "mem_mi": 8192},
+                  {"id": "b2", "domain": "db", "cpu_m": 600, "mem_mi": 8192},
+                  {"id": "c", "domain": "dc", "cpu_m": 8000, "mem_mi": 8192}],
+        "attachments": [{"id": "iot1", "domain": "dc"}],
+    }
+    app = {
+        "id": "fragmented",
+        "microservices": [
+            {"id": "io", "iot": True},
+            {"id": "g", "cpu_m": 100, "mem_mi": 64, "capacity_rps": 100},
+            {"id": "s", "cpu_m": 950, "mem_mi": 64, "capacity_rps": 100},
+        ],
+        "edges": [{"from": "io", "to": "g"}, {"from": "g", "to": "s"}],
+        "ingress": ["g"],
+    }
+    policies = {
+        "ms_locality": [{"consumer": "g", "consumed": "s", "level": "strict-domain"}],
+        "placement_restriction": [{"microservice": ms, "mode": "deny", "domains": ["dc"]} for ms in ("g", "s")],
+    }
+    graph, dag, pset, request = build(topo, app, policies, {"dc": {"g": 100}})
+    with pytest.raises(InfeasiblePlacement) as exc:
+        place_application(graph, dag, request, pset)
+    assert (exc.value.proved, exc.value.microservice, exc.value.anchor) == (True, "s", "da")
+
+
 def count_calls(monkeypatch, name: str) -> list:
     """Record each call of ``<module>.<name>`` in the returned list: the
     search's private names on ``search``, the rest on ``controlplane``."""
@@ -752,16 +853,76 @@ def test_replan_ends_at_a_proof(monkeypatch):
     assert not check_capacity_cut(*docs, exc.value.certificate)
 
 
-def test_replan_fallback_reuses_the_root_check(monkeypatch):
+def test_replan_fallback_places_where_the_kept_run_gives_up(monkeypatch):
     """Draining d01-n0 under gen_case(Random(70))'s plan fails from the
     current mapping, where the root check finds no cut; the fresh fallback
-    places the request without running the check again."""
+    places the request without backtracking, so it runs no check of its own."""
     graph, app, pset, request = build(*gen_case(random.Random(70)))
     plan = place_application(graph, app, request, pset)
     reconciles, checks = count_calls(monkeypatch, "_reconcile"), count_calls(monkeypatch, "_capacity_cut")
     plan2 = handle_alert(graph, app, pset, plan, Alert("node_drain", {"node": "d01-n0"}))
     assert validate_plan(graph, app, pset, plan2).ok
     assert (len(reconciles), len(checks)) == (2, 1)
+
+
+def log_search_steps(monkeypatch) -> list[str]:
+    """Log each call of ``search._reconcile`` ("search"), ``_capacity_cut``
+    ("cut" or "no cut", by its result) and ``_Lookahead`` ("look-ahead"), in order."""
+    log = []
+    reconcile, capacity_cut, lookahead = search._reconcile, search._capacity_cut, search._Lookahead
+
+    def logged_reconcile(*args, **kwargs):
+        log.append("search")
+        return reconcile(*args, **kwargs)
+
+    def logged_capacity_cut(*args):
+        cut = capacity_cut(*args)
+        log.append("no cut" if cut is None else "cut")
+        return cut
+
+    def logged_lookahead(*args):
+        log.append("look-ahead")
+        return lookahead(*args)
+
+    monkeypatch.setattr(search, "_reconcile", logged_reconcile)
+    monkeypatch.setattr(search, "_capacity_cut", logged_capacity_cut)
+    monkeypatch.setattr(search, "_Lookahead", logged_lookahead)
+    return log
+
+
+def test_the_root_check_runs_where_the_look_ahead_starts(monkeypatch, canonical):
+    """Each search's first exhaustion runs the root check, and only a check
+    that finds no cut starts the look-ahead.  With cl-n1 drained, moving the
+    canonical demand to ed3=200 and ed4=100 rps exhausts the kept run and
+    its fresh fallback, so each runs one check and one look-ahead.  In every
+    drain replan of gen_case seeds 36-40 at 1x and 2x, each search runs no
+    check, one that finds a cut, or one that finds none and then the look-ahead."""
+    graph, app, pset = canonical.graph, canonical.app, canonical.policies
+    plan = handle_alert(graph, app, pset, place_application(graph, app, canonical.request, pset),
+                        Alert("node_drain", {"node": "cl-n1"}))
+    log = log_search_steps(monkeypatch)
+    handle_alert(graph, app, pset, plan, Alert("demand_change", {"demand": {"ed3": {"m2": 200}, "ed4": {"m2": 100}}}))
+    assert log == ["search", "no cut", "look-ahead"] * 2
+
+    twice = 0
+    for seed, factor in itertools.product(range(36, 41), (1, 2)):
+        topo_doc, app_doc, policy_doc, demand_doc = gen_case(random.Random(seed))
+        demand_doc = {d: {m: r * factor for m, r in per.items()} for d, per in demand_doc.items()}
+        graph, app, pset, request = build(topo_doc, app_doc, policy_doc, demand_doc)
+        try:
+            plan = place_application(graph, app, request, pset)
+        except InfeasiblePlacement:
+            continue
+        used = sorted({node for ms_id in plan.mapping.per_ms for node in plan.mapping.instances_of(ms_id)})
+        log.clear()
+        try:
+            handle_alert(graph, app, pset, plan, Alert("node_drain", {"node": random.Random(seed).choice(used)}))
+        except InfeasiblePlacement:
+            pass
+        searches = " ".join(log).split("search")[1:]
+        assert {run.strip() for run in searches} <= {"", "cut", "no cut look-ahead"}, (seed, factor, log)
+        twice += log.count("look-ahead") == 2
+    assert twice == 3
 
 
 # --- routing rules ---
@@ -812,7 +973,7 @@ def test_ingress_rule_only_where_instances_in_scope():
     assert [(r.domain_id, r.consumer) for r in plan.routes.rules] == [("dd", "iot")]
 
 
-def test_no_destination_in_scope_raises():
+def test_a_starved_scope_gets_no_rule_and_fails_the_audit():
     graph, app, pset, request = backtrack_case()
     # hand-build a mapping that strands g's strict-domain successor
     mapping = PlacementMapping(per_ms={

@@ -289,6 +289,15 @@ def test_cli_validate_refuses_the_reserved_microservice_id(tmp_path, capsys):
     assert capsys.readouterr().err == "application: InvalidApplication: microservice id 'iot' is reserved\n"
 
 
+def test_cli_validate_refuses_a_region_listing_a_domain_twice(tmp_path, capsys):
+    """A second copy of ed3 in region-2 would count ed3's nodes twice as
+    room for the region's strict-region scope."""
+    doc = canonical_doc()
+    doc["topology"]["regions"][0]["domains"] = ["ed3", "ed4", "ed3"]
+    assert main(["validate", "--scenario", write_scenario(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err == "topology: DuplicateId: region 'region-2' lists domain 'ed3' twice\n"
+
+
 def test_cli_validate_demand_against_topology(tmp_path, capsys):
     doc = canonical_doc()
     doc["demand"]["cloud"] = {"m2": 10}  # cloud has no IoT attachment
@@ -648,6 +657,18 @@ def test_cli_routes_rejects_malformed_plan(tmp_path, capsys):
     assert main(["routes", "--scenario", CANONICAL, "--plan", str(plan_path),
                  "--quiet"]) == 2
     assert "malformed plan document" in capsys.readouterr().err
+
+
+def test_cli_routes_refuses_a_plan_placing_one_anchor_twice(tmp_path, capsys):
+    """A second m4 entry at the global anchor is refused, not read over the first."""
+    doc = yaml.safe_load((GOLDEN / "plan_canonical.yaml").read_text(encoding="utf-8"))
+    at = next(k for k, entry in enumerate(doc["placements"]) if entry["microservice"] == "m4")
+    doc["placements"].insert(at + 1, {**doc["placements"][at], "nodes": [{"node": "ed4-n2", "instances": 1}]})
+    plan_path = tmp_path / "plan.yaml"
+    plan_path.write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
+    assert main(["routes", "--scenario", CANONICAL, "--plan", str(plan_path), "--quiet"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: malformed plan document: placement of 'm4' at 'global' listed twice"]
 
 
 def test_cli_routes_refuses_a_plan_document_that_is_not_a_mapping(tmp_path, capsys):
