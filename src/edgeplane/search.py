@@ -5,7 +5,8 @@ the microservices in one Kahn walk of the application DAG (a microservice is
 ready once every predecessor is placed), strictest locality first, and
 anchors each one's offered demand per consumer edge, as
 :func:`_anchor_demand` sets out.  Instance counts are the ceiling of
-anchored demand over per-instance capacity, in exact rational arithmetic.
+anchored demand over per-instance capacity, in exact integer arithmetic on
+the rates' numerators and denominators.
 
 Each anchor's first branch keeps the slots it already holds, resized: a fresh
 placement holds none, so its first branch is first-fit over the anchor's
@@ -13,10 +14,13 @@ eligible domains, ordered by descending free cpu with node-id tie-breaks.
 When a choice strands a later, stricter microservice, the search backtracks
 through every split of the instances before it declares the request
 infeasible.  The search is one loop over an explicit stack of (microservice,
-anchor) choice points, and splits come from one iterative generator, so no
-node, anchor or microservice count runs into the recursion limit.  Each
-(microservice, anchor) resolves its eligible, undrained nodes once per
-search; a visit only re-sorts that list by the free capacity at hand.  All
+anchor) choice points, so no node, anchor or microservice count runs into
+the recursion limit.  A choice point holds only its first branch, worked
+out by a plain function; the one iterative generator of splits is built
+when the search first backtracks into the point, so a search path pays
+nothing for the points it never revisits.  Each (microservice, anchor)
+resolves its eligible, undrained nodes once per search; a visit only
+re-sorts that list by the free capacity at hand.  All
 ordering is deterministic, so identical inputs produce identical plans.
 
 The first time a choice point runs out of choices, a root capacity check
@@ -170,6 +174,12 @@ def _failure_cause(graph: InfrastructureGraph, pset: PolicySet, ms_id: str, anch
 # --- demand anchoring ----------------------------------------------------------
 
 
+def _instances(rps: Fraction, capacity_rps: Fraction) -> int:
+    """The instances ``rps`` needs at ``capacity_rps`` each, ``ceil(rps / capacity_rps)``:
+    exactly ``-(-rps // capacity_rps)``, in integers with no ``Fraction`` made."""
+    return -(-(rps.numerator * capacity_rps.denominator) // (rps.denominator * capacity_rps.numerator))
+
+
 def _anchor_demand(
     graph: InfrastructureGraph,
     app: ApplicationDag,
@@ -203,14 +213,14 @@ def _anchor_demand(
         level = pset.iot_level(ms_id)
         for domain in sorted(demand):
             rps = demand[domain].get(ms_id, Fraction(0))
-            if rps > 0:
+            if rps.numerator > 0:
                 add(graph.anchor_of(domain, level), level, rps)
         return acc
     for edge in sorted(app.predecessors(ms_id), key=lambda e: e.from_ms):
         level = pset.edge_level(edge.from_ms, ms_id)
         for anchor, ap in per_ms_mapping.get(edge.from_ms, {}).items():
             rps = ap.demand_rps * edge.rate_ratio
-            if rps <= 0 or not ap.slots:
+            if rps.numerator <= 0 or not ap.slots:
                 continue
             if level is LocalityLevel.GLOBAL:
                 add(GLOBAL_ANCHOR, level, rps)
@@ -343,7 +353,7 @@ def _capacity_cut(
                                         Fraction(0))}
         load[ms_id] = sum(scopes.values(), Fraction(0))
         for anchor, rps in sorted(scopes.items()):
-            bound = -(-rps // ms.capacity_rps)
+            bound = _instances(rps, ms.capacity_rps)
             if bound <= 0:
                 continue
             nodes = _usable_nodes(graph, pset, ms_id, anchor, drained)
@@ -506,7 +516,8 @@ def _distributions(node_ids, cpu_req: int, mem_req: int, count: int, ledger: _Le
     Every node's room is read once, when the first split is asked for: the
     search hands back everything it placed below a choice point before it
     asks that point for its next split, so the ledger is the same at every
-    resumption.
+    resumption.  A node with negative room, which an over-committed
+    ``current`` leaves, fits no instance.
 
     ``caps``, each node's (domain, region) and a cap per scope, keeps only
     the splits that put at most ``caps[s]`` instances on the nodes in scope
@@ -519,7 +530,7 @@ def _distributions(node_ids, cpu_req: int, mem_req: int, count: int, ledger: _Le
     only where it can be completed.  It changes only at the node visited.
     """
     cpu, mem = ledger.cpu, ledger.mem
-    fits = [min(cpu[node_id] // cpu_req, mem[node_id] // mem_req) for node_id in node_ids]
+    fits = [max(0, min(cpu[node_id] // cpu_req, mem[node_id] // mem_req)) for node_id in node_ids]
     if caps is None:  # every node in one uncapped domain and region
         dom = reg = [0] * len(node_ids)  # per node, the number of its domain and of its region
         domain_left, region_left, unvisited = [count], [count], [sum(fits)]
@@ -578,6 +589,43 @@ def _distributions(node_ids, cpu_req: int, mem_req: int, count: int, ledger: _Le
         room += min(region_left[r], inner[r]) - was_region
 
 
+def _first_fit(node_ids, cpu_req: int, mem_req: int, count: int, ledger: _Ledger, budget: _Budget,
+               caps: tuple[list[tuple[str, str]], dict[str, int]] | None = None) -> list[tuple[str, int]] | None:
+    """The first split :func:`_distributions` makes of the same arguments, or
+    None when it makes none, for the same one budget step: each node packed
+    in order to the most it takes within ``count`` and the caps left.
+
+    The node, domain and region bounds are nested, so the packings they
+    allow form a laminar matroid (Edmonds, 1971): a packing no node can add
+    to is a largest one, and any packing extends to a largest one through
+    the nodes it has not filled.  So packing places ``count`` exactly when
+    some split does, and the enumerator's first descent never backs up.
+    A node with negative room, which an over-committed ``current`` leaves
+    in the ledger, takes nothing in either, so the two agree on every
+    ledger.  Unlike the enumerator, it stops at the node that completes
+    ``count`` instead of reading every node's room first.
+    """
+    cpu, mem = ledger.cpu, ledger.mem
+    left = dict(caps[1]) if caps else {}  # caps left per scope; domains and regions share one id namespace
+    split = []
+    for i, node_id in enumerate(node_ids):
+        if not count:
+            break
+        k = min(count, cpu[node_id] // cpu_req, mem[node_id] // mem_req)
+        capped = [scope for scope in caps[0][i] if scope in left] if left else ()
+        for scope in capped:
+            k = min(k, left[scope])
+        if k > 0:
+            split.append((node_id, k))
+            count -= k
+            for scope in capped:
+                left[scope] -= k
+    if count:
+        return None
+    budget.spend()
+    return split
+
+
 def _reconcile(
     graph: InfrastructureGraph,
     app: ApplicationDag,
@@ -598,7 +646,16 @@ def _reconcile(
     branch keeps its current slots minus any on a ``drained`` node: a shrink
     drops the newest slots first, and growth adds instances first-fit,
     displaced ones preferring the first displaced slot's domain, then its
-    region.  On backtrack every split from :func:`_distributions` is tried.
+    region; without kept slots the first branch is the first split.  A
+    choice point holds only that branch.  On backtrack every split from
+    :func:`_distributions` is tried: the generator is built when the search
+    first asks the point for another choice, and if the first branch was
+    its first split, that split's budget step is given back before the
+    generator passes over it, so steps are spent as if it had made the first
+    branch.  It reads the same node order and caps as the first branch did:
+    every choice point above this one has been popped with its slots given
+    back, and so have the point's own slots, so the ledger and ``acc`` for
+    ``sequence[:pos + 1]`` hold what they held at the first ask.
 
     The first choice point to run out of choices runs the root capacity
     check, :func:`_capacity_cut`: a cut ends the search, proved, naming the
@@ -609,7 +666,9 @@ def _reconcile(
     Otherwise raises InfeasiblePlacement naming the deepest unsatisfiable
     microservice and anchor reached, with the cause: proved when the tree
     of a fresh search (no ``current``) is exhausted, not proved when the
-    step budget runs out.
+    step budget runs out.  The deepest point survives the restart, so the
+    verdict names the first choice point to reach the greatest depth in
+    either tree, the one searched before the restart or the pruned one.
     """
     current = current or {}
     sequence = _placement_sequence(app, pset)
@@ -646,11 +705,24 @@ def _reconcile(
 
         return sorted(node_ids, key=lambda n: (tier(n), -ledger.cpu[n]))
 
-    def choices(pos: int, ms: Microservice, anchor: str, old: AnchorPlacement | None,
-                level: LocalityLevel, rps: Fraction, need: int):
-        """Slot lists for one anchor of the microservice at ``pos``: its kept
-        slots resized, then every split."""
-        first = None
+    def split_space(pos: int, ms: Microservice, anchor: str, level: LocalityLevel, rps: Fraction,
+                    need: int) -> tuple[list[str], tuple | None]:
+        """The node ids, and the caps on them, that the anchor's splits are drawn from."""
+        node_ids, caps = nodes_for(ms, anchor), None
+        if lookahead is not None:  # leave out dead domains and keep within the caps
+            live = lookahead.live[ms.id]
+            node_ids = [n for n in node_ids if graph.nodes[n].domain_id in live]
+            # The slots chosen so far, read from ``acc``: held slots not reached yet count as free.
+            path = ((app.microservices[ms_id], ap.slots) for ms_id in sequence[:pos + 1]
+                    for ap in acc[ms_id].values())
+            caps = lookahead.caps(ms, level, rps, need, node_ids, path)
+        return node_ids, caps
+
+    def first_branch(pos: int, ms: Microservice, anchor: str, old: AnchorPlacement | None,
+                     level: LocalityLevel, rps: Fraction, need: int) -> tuple[list | None, list | None]:
+        """The first slot list of one anchor of the microservice at ``pos``, or
+        None if it has none: its kept slots resized, else the first split.
+        The second value is the same list if it keeps slots, else None."""
         if old is not None:
             kept = [slot for slot in old.slots if slot[0] not in drained]
             excess = sum(k for _, k in kept) - need
@@ -663,26 +735,26 @@ def _reconcile(
                 ledger.take(kept, ms)
                 displaced = [node_id for node_id, _ in old.slots if node_id in drained]
                 prefer = graph.nodes[displaced[0]].domain_id if displaced else None
-                node_ids = nodes_for(ms, anchor, prefer)
-                grown = next(_distributions(node_ids, ms.cpu_req, ms.mem_req, -excess, ledger, budget), None)
+                grown = _first_fit(nodes_for(ms, anchor, prefer), ms.cpu_req, ms.mem_req, -excess, ledger, budget)
                 ledger.give(kept, ms)
                 kept = None if grown is None else kept + grown
             if kept is not None:
-                yield kept
-                first = _by_node(kept)
-        node_ids, caps = nodes_for(ms, anchor), None
-        if lookahead is not None:  # leave out dead domains and keep within the caps
-            live = lookahead.live[ms.id]
-            node_ids = [n for n in node_ids if graph.nodes[n].domain_id in live]
-            # The slots chosen so far, read from ``acc``: held slots not reached
-            # yet count as free.  Reading ``stack`` here instead would make each
-            # search's stack a reference cycle through its own generators.
-            path = ((app.microservices[ms_id], ap.slots) for ms_id in sequence[:pos + 1]
-                    for ap in acc[ms_id].values())
-            caps = lookahead.caps(ms, level, rps, need, node_ids, path)
-        for dist in _distributions(node_ids, ms.cpu_req, ms.mem_req, need, ledger, budget, caps):
-            if first is None or _by_node(dist) != first:
-                yield dist
+                return kept, kept
+        node_ids, caps = split_space(pos, ms, anchor, level, rps, need)
+        return _first_fit(node_ids, ms.cpu_req, ms.mem_req, need, ledger, budget, caps), None
+
+    def later_splits(pos: int, ms: Microservice, anchor: str, level: LocalityLevel, rps: Fraction, need: int,
+                     kept: list | None):
+        """The anchor's splits after its first branch: every split other than
+        the ``kept`` slots, or, if it kept none, every split after the first."""
+        node_ids, caps = split_space(pos, ms, anchor, level, rps, need)
+        splits = _distributions(node_ids, ms.cpu_req, ms.mem_req, need, ledger, budget, caps)
+        if kept is not None:
+            kept = _by_node(kept)
+            return (dist for dist in splits if _by_node(dist) != kept)
+        budget.left += 1  # the first split was the first branch: give its step back before it is spent again
+        next(splits)
+        return splits
 
     def anchors_of(ms: Microservice) -> list[tuple]:
         """Empty ``ms``'s placements; (anchor, old placement, level, rps, instances) per anchor."""
@@ -693,23 +765,21 @@ def _reconcile(
         for anchor in sorted(set(before) | set(wanted)):
             old = before.get(anchor)
             level, rps = wanted[anchor] if anchor in wanted else (old.level, Fraction(0))
-            # ceil(rps / capacity): a Fraction floor division yields the int
-            # without normalising a quotient Fraction first
-            out.append((anchor, old, level, rps, -(-rps // ms.capacity_rps)))
+            out.append((anchor, old, level, rps, _instances(rps, ms.capacity_rps)))
         return out
 
-    # No Python call per microservice or anchor: that would bound the search
+    # No recursion per microservice or anchor: that would bound the search
     # depth by the recursion limit, and CPython 3.11 allocates and frees a
     # frame-stack chunk on every call that crosses a chunk boundary, which
     # doubled the search time of a 100-anchor replan.  A backtrack leaves the
     # ``acc`` entries of later microservices behind; no anchor demand reads
     # them before the search reaches those microservices again and resets them.
-    stack: list[tuple] = []  # (ms position, anchor position, ms, its anchors, choices)
+    stack: list[tuple] = []  # (ms position, anchor position, ms, its anchors, kept slots, later splits)
     deepest, failed = (-1, -1), None
     try:
         while True:
             if stack and stack[-1][1] + 1 < len(stack[-1][3]):
-                pos, j, ms, anchors, _ = stack[-1]
+                pos, j, ms, anchors, _, _ = stack[-1]
                 j += 1
             else:  # enter the next microservice that has any anchors
                 pos, j, anchors = (stack[-1][0] if stack else -1), 0, []
@@ -722,21 +792,9 @@ def _reconcile(
             anchor, old, level, rps, need = anchors[j]
             if old is not None:
                 ledger.give(old.slots, ms)
-            stack.append((pos, j, ms, anchors, choices(pos, ms, anchor, old, level, rps, need)))
-            while stack:  # move the innermost choice point on to its next choice
-                pos, j, ms, anchors, options = stack[-1]
-                anchor, old, level, rps, need = anchors[j]
-                placements = acc[ms.id]
-                held = placements.pop(anchor, None)
-                if held is not None:
-                    ledger.give(held.slots, ms)
-                slots = next(options, None)
-                if slots is not None:
-                    ledger.take(slots, ms)
-                    if slots:
-                        placements[anchor] = AnchorPlacement(anchor, level, rps, slots)
-                    break
-                stack.pop()
+            slots, kept = first_branch(pos, ms, anchor, old, level, rps, need)
+            splits = None  # built when the search first backtracks into this choice point
+            while slots is None:  # (pos, j) is out of choices: move the innermost choice point on
                 if old is not None:
                     ledger.take(old.slots, ms)
                 if (pos, j) > deepest:
@@ -757,8 +815,21 @@ def _reconcile(
                     acc.clear()
                     stack.clear()
                     break
-            else:  # a tree searched from held slots proves nothing about a fresh placement
-                raise InfeasiblePlacement(*failed, proved=not current)
+                if not stack:  # a tree searched from held slots proves nothing about a fresh placement
+                    raise InfeasiblePlacement(*failed, proved=not current)
+                pos, j, ms, anchors, kept, splits = stack.pop()
+                anchor, old, level, rps, need = anchors[j]
+                held = acc[ms.id].pop(anchor, None)
+                if held is not None:
+                    ledger.give(held.slots, ms)
+                if splits is None:
+                    splits = later_splits(pos, ms, anchor, level, rps, need, kept)
+                slots = next(splits, None)
+            else:
+                ledger.take(slots, ms)
+                if slots:
+                    acc[ms.id][anchor] = AnchorPlacement(anchor, level, rps, slots)
+                stack.append((pos, j, ms, anchors, kept, splits))
     except _BudgetExhausted:
         ms_id, anchor, _ = failed or (sequence[-1], GLOBAL_ANCHOR, None)
         raise InfeasiblePlacement(ms_id, anchor, "insufficient capacity", proved=False,

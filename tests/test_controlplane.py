@@ -788,10 +788,14 @@ def test_a_budget_of_n_steps_takes_n_steps(limit, proved, anchor):
 
 
 def test_a_proof_names_the_first_choice_point_to_fail_deepest():
-    """g's one instance goes to a first, where s (950m) no longer fits beside
-    it.  Then the look-ahead caps da at no g, since g and s (1050m) overflow
-    its 1000m, and g tries b1 and b2, where s fits on neither 600m node.
-    Both s anchors fail at the same depth; the proof names da, the first."""
+    """g's one instance goes first to a, where s (950m) no longer fits beside
+    it: s at da is the first choice point to run out of choices.  The root
+    check finds no cut, so the search restarts with the look-ahead on, which
+    caps da at no g, since g and s (1050m) overflow its 1000m.  g tries b1
+    and b2, where s fits on neither 600m node, so s fails at db, at the same
+    depth.  The deepest failure survives the restart, so the proof names the
+    first choice point to reach that depth in either tree: s at da, which
+    only the search before the restart tried."""
     topo = {
         "regions": [{"id": "r1", "domains": ["da", "db", "dc"]}],
         "domains": [{"id": d, "region": "r1", "admin": "a", "kind": "edge"} for d in ("da", "db", "dc")],

@@ -9,6 +9,8 @@ import urllib.request
 
 import pytest
 
+from edgeplane.errors import PolicyError
+from edgeplane.policy import evaluate_query
 from edgeplane.policyserver import (
     CONNECTION_TIMEOUT_S,
     MAX_BODY_BYTES,
@@ -159,6 +161,20 @@ def http_post(base, path, body: bytes):
             return resp.status, resp.read(), resp.headers
     except urllib.error.HTTPError as err:
         return err.code, err.read(), err.headers
+
+
+@pytest.mark.parametrize("microservice", [2, ["m2"]])
+def test_a_microservice_field_that_is_not_a_string_is_a_client_error(server, canonical, microservice):
+    """An int or a list where the input names a microservice is a PolicyError
+    in process and a 400 over the wire, not a server error."""
+    srv, base = server
+    input_doc = {"microservice": microservice, "domain": "ed3"}
+    error = "evaluate input field 'microservice' missing or not a string"
+    with pytest.raises(PolicyError, match=f"^{error}$"):
+        evaluate_query(canonical.policies, canonical.graph, "placement_restriction", input_doc)
+    body = json.dumps({"policy": "placement_restriction", "input": input_doc}).encode()
+    status, body, _ = http_post(base, "/v1/evaluate", body)
+    assert (status, body) == (400, canonical_json({"error": error}))
 
 
 def test_wire_get_matches_in_process(server, canonical):

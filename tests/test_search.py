@@ -1,0 +1,242 @@
+"""The placement search's first branches, its instance arithmetic and the
+relations its plans keep under transformations of the input."""
+
+import copy
+import gc
+import itertools
+import random
+import types
+from fractions import Fraction
+
+from edgeplane import search
+from edgeplane.controlplane import Alert, handle_alert, place_application
+from edgeplane.errors import InfeasiblePlacement
+from edgeplane.scenario import load_scenario
+from edgeplane.search import (
+    _Budget,
+    _distributions,
+    _first_fit,
+    _instances,
+    _Ledger,
+    reconcile,
+)
+
+from .support import SCENARIOS, build, gen_case, gen_dag_app
+
+# --- the first branch ---
+
+
+def test_first_fit_is_the_first_split_for_the_same_step():
+    """On seeded ledgers, with and without caps on nested (domain, region)
+    scopes, the first-fit split is the first split the enumerator makes, or
+    None where it makes none, and both spend the same budget steps.  The
+    tallies pin that the cases cover a count of 0, too little room and
+    nodes with no room."""
+    rng = random.Random(31)
+    tally = {"count 0": 0, "too little room": 0, "a node with no room": 0, "a node with negative room": 0,
+             "capped": 0, "split": 0}
+    for _ in range(600):
+        node_ids = [f"n{i}" for i in range(rng.randint(0, 6))]
+        cpu = {n: 100 * rng.randint(-2, 4) + rng.randint(0, 99) for n in node_ids}
+        mem = {n: 10 * rng.randint(0, 4) + rng.randint(0, 9) for n in node_ids}
+        count = rng.randint(0, 8)
+        scopes = [(f"d{d}", f"r{d // 2}") for d in (rng.randint(0, 3) for _ in node_ids)]
+        caps = {scope: rng.randint(0, 3) for pair in scopes for scope in pair if rng.random() < 0.4}
+        for capped in (None, (scopes, caps)):
+            want_budget, got_budget = _Budget(5), _Budget(5)
+            want = next(_distributions(node_ids, 100, 10, count, _Ledger(dict(cpu), dict(mem)), want_budget,
+                                       capped), None)
+            got = _first_fit(node_ids, 100, 10, count, _Ledger(dict(cpu), dict(mem)), got_budget, capped)
+            assert got == want, (cpu, mem, count, capped)
+            assert got_budget.left == want_budget.left
+            tally["count 0"] += count == 0
+            tally["too little room"] += want is None
+            tally["a node with no room"] += any(min(cpu[n] // 100, mem[n] // 10) == 0 for n in node_ids)
+            tally["a node with negative room"] += any(cpu[n] < 0 for n in node_ids)
+            tally["capped"] += capped is not None and bool(caps)
+            tally["split"] += bool(want)
+    assert tally == {"count 0": 150, "too little room": 796, "a node with no room": 638,
+                     "a node with negative room": 650, "capped": 461, "split": 254}
+    assert _first_fit(["b", "a"], 100, 10, 1, _Ledger({"b": 300, "a": -500}, {"b": 100, "a": 100}),
+                      _Budget(1)) == [("b", 1)]
+    # every split, not only the first: a negative count on a once ran the enumerator without end
+    splits = _distributions(["a", "b"], 100, 10, 1, _Ledger({"a": -200, "b": 300}, {"a": 100, "b": 100}), _Budget(9))
+    assert list(itertools.islice(splits, 3)) == [[("b", 1)]]
+
+
+def over_committed_docs(capacity_a: int):
+    """One domain whose node ee-a has ``capacity_a`` millicores and ee-b 300.
+    P (100m) and its strict-domain consumer S (300m) have no demand, and Q
+    and its consumer H (100m and 600m, global) have 100 rps."""
+    topo = {
+        "regions": [{"id": "r1", "domains": ["ee"]}],
+        "domains": [{"id": "ee", "region": "r1", "admin": "a1", "kind": "edge"}],
+        "nodes": [{"id": "ee-a", "domain": "ee", "cpu_m": capacity_a, "mem_mi": 8192},
+                  {"id": "ee-b", "domain": "ee", "cpu_m": 300, "mem_mi": 8192}],
+        "attachments": [{"id": "iot1", "domain": "ee"}],
+    }
+    app = {
+        "id": "over-committed",
+        "microservices": [
+            {"id": "P", "cpu_m": 100, "mem_mi": 64, "capacity_rps": 100},
+            {"id": "S", "cpu_m": 300, "mem_mi": 64, "capacity_rps": 100},
+            {"id": "Q", "cpu_m": 100, "mem_mi": 64, "capacity_rps": 100},
+            {"id": "H", "cpu_m": 600, "mem_mi": 64, "capacity_rps": 100},
+        ],
+        "edges": [{"from": "P", "to": "S"}, {"from": "Q", "to": "H"}],
+        "ingress": ["P", "Q"],
+    }
+    policies = {
+        "iot_locality": [{"microservice": "P", "level": "strict-domain"}],
+        "ms_locality": [{"consumer": "P", "consumed": "S", "level": "strict-domain"}],
+        "default_locality": "global",
+    }
+    return topo, app, policies, {"ee": {"P": 0, "Q": 100}}
+
+
+def test_a_replan_of_an_over_committed_plan_backtracks_into_a_fresh_anchor():
+    """A plan read back after ee-a's capacity fell from 1000m to 100m holds
+    Q and H on ee-a: 700m, so the replan's ledger starts ee-a at -600m,
+    room for -6 of P's instances.  Moving the demand from Q to P gives P a
+    fresh anchor at ee over [ee-b, ee-a]: the run from held slots puts P on
+    ee-b, where S then finds 200m, backtracks into P's anchor, and finds no
+    other split, since ee-a stays held until the search reaches H.  The
+    fresh run that follows places P on ee-a and S on ee-b."""
+    graph, app, pset, request = build(*over_committed_docs(1000))
+    plan = place_application(graph, app, request, pset)
+    assert {ms_id: [ap.slots for ap in per.values()] for ms_id, per in plan.mapping.per_ms.items()} == {
+        "Q": [[("ee-a", 1)]], "H": [[("ee-a", 1)]]}
+    graph, app, pset, _ = build(*over_committed_docs(100))
+    replanned = handle_alert(graph, app, pset, plan, Alert("demand_change", {"demand": {"ee": {"P": 100, "Q": 0}}}))
+    assert {ms_id: [ap.slots for ap in per.values()] for ms_id, per in replanned.mapping.per_ms.items()} == {
+        "P": [[("ee-a", 1)]], "S": [[("ee-b", 1)]]}
+
+
+def test_instances_is_the_fraction_ceiling():
+    """The integer ceiling equals ``-(-rps // capacity_rps)`` on seeded
+    rates, zero and whole rates included."""
+    rng = random.Random(17)
+    for _ in range(3000):
+        rps = Fraction(rng.randint(0, 10 ** rng.randint(1, 12)), rng.randint(1, 10 ** rng.randint(0, 6)))
+        capacity_rps = Fraction(rng.randint(1, 10 ** rng.randint(0, 6)), rng.randint(1, 10 ** rng.randint(0, 3)))
+        got = _instances(rps, capacity_rps)
+        assert type(got) is int
+        assert got == -(-rps // capacity_rps), (rps, capacity_rps)
+    assert _instances(Fraction(0), Fraction(7, 3)) == 0
+    assert _instances(Fraction(100), Fraction(50)) == 2
+    assert _instances(Fraction(101), Fraction(50)) == 3
+
+
+def strict_chain(domains: int):
+    """A 4-microservice strict-domain chain over ``domains`` attachment
+    domains of one node each, every domain's two instances of each fitting
+    on its node: a placement that never backtracks."""
+    names = [f"d{i:03d}" for i in range(domains)]
+    topo = {
+        "regions": [{"id": "r0", "domains": names}],
+        "domains": [{"id": d, "region": "r0", "admin": "a", "kind": "edge"} for d in names],
+        "nodes": [{"id": f"{d}-n0", "domain": d, "cpu_m": 64000, "mem_mi": 65536} for d in names],
+        "attachments": [{"id": f"iot-{d}", "domain": d} for d in names],
+    }
+    app = {
+        "id": "strict-chain",
+        "microservices": [{"id": f"m{i}", "cpu_m": 250, "mem_mi": 256, "capacity_rps": 50} for i in range(1, 5)],
+        "edges": [{"from": f"m{i}", "to": f"m{i + 1}"} for i in range(1, 4)],
+        "ingress": ["m1"],
+    }
+    policies = {"iot_locality": [{"microservice": "m1", "level": "strict-domain"}],
+                "ms_locality": [{"consumer": f"m{i}", "consumed": f"m{i + 1}", "level": "strict-domain"}
+                                for i in range(1, 4)]}
+    return build(topo, app, policies, {d: {"m1": 100} for d in names})
+
+
+def test_a_search_that_never_backtracks_builds_no_split_generator(monkeypatch):
+    """The canonical placement and a 300-domain strict-domain chain never
+    backtrack: the search calls the split enumerator for neither, and when
+    it returns no generator of the search's is alive."""
+    canonical = load_scenario(SCENARIOS / "uav_canonical.yaml")
+    enumerated, alive = [], []
+    enumerate_splits, mapping = search._distributions, search.PlacementMapping
+
+    def counted(*args, **kwargs):
+        enumerated.append(args)
+        return enumerate_splits(*args, **kwargs)
+
+    def counting_mapping(*args, **kwargs):  # made as _reconcile returns, its stack still alive
+        alive.append(sum(isinstance(o, types.GeneratorType) and o.gi_code.co_filename == search.__file__
+                         for o in gc.get_objects()))
+        return mapping(*args, **kwargs)
+
+    monkeypatch.setattr(search, "_distributions", counted)
+    monkeypatch.setattr(search, "PlacementMapping", counting_mapping)
+    for graph, app, pset, request in (
+            (canonical.graph, canonical.app, canonical.policies, canonical.request), strict_chain(300)):
+        plan = place_application(graph, app, request, pset)
+        assert plan.mapping.per_ms
+    assert (len(enumerated), alive) == (0, [0, 0])
+
+
+# --- metamorphic relations ---
+
+
+def verdict(docs, drained=frozenset()):
+    """The slots per (microservice, anchor) of a fresh placement, or the proof flag and message."""
+    graph, app, pset, request = build(*docs)
+    try:
+        mapping = reconcile(graph, app, pset, request.normalized_demand(), drained=drained)
+    except InfeasiblePlacement as exc:
+        return exc.proved, str(exc)
+    return {(ms_id, anchor): ap.slots for ms_id, per in mapping.per_ms.items() for anchor, ap in per.items()}
+
+
+def relation_cases():
+    """A seeded slice of the sweep: chain seeds at 1x and 2x demand and DAG seeds at 1x."""
+    for seed, factor in itertools.product(range(120), (1, 2)):
+        topo, app, policies, demand = gen_case(random.Random(seed))
+        yield topo, app, policies, {d: {m: r * factor for m, r in per.items()} for d, per in demand.items()}
+    for seed in range(150):
+        yield gen_case(random.Random(seed), gen_app=gen_dag_app)
+
+
+def test_metamorphic_relations_of_the_search():
+    """Over a seeded slice of chain and DAG cases:
+
+    * doubling every node's cpu and mem keeps a placed case placed;
+    * draining a node the plan leaves empty leaves every slot as it was;
+    * tripling both the demand and every ``capacity_rps`` gives the same
+      verdict and the same slots;
+    * shuffling the topology's node and domain records gives the same slots.
+
+    The tallies pin how many cases each relation checked."""
+    shuffler = random.Random(3)
+    tally = {"placed": 0, "infeasible": 0, "drained": 0}
+    for docs in relation_cases():
+        topo, app, policies, demand = docs
+        base = verdict(docs)
+        placed = isinstance(base, dict)
+        tally["placed" if placed else "infeasible"] += 1
+
+        roomy = copy.deepcopy(topo)
+        for node in roomy["nodes"]:
+            node["cpu_m"], node["mem_mi"] = 2 * node["cpu_m"], 2 * node["mem_mi"]
+        assert not placed or isinstance(verdict((roomy, app, policies, demand)), dict)
+
+        tripled = copy.deepcopy(app)
+        for ms in tripled["microservices"]:
+            if "capacity_rps" in ms:
+                ms["capacity_rps"] *= 3
+        demand3 = {d: {m: 3 * r for m, r in per.items()} for d, per in demand.items()}
+        assert verdict((topo, tripled, policies, demand3)) == base
+
+        shuffled = copy.deepcopy(topo)
+        shuffler.shuffle(shuffled["nodes"])
+        shuffler.shuffle(shuffled["domains"])
+        assert verdict((shuffled, app, policies, demand)) == base
+
+        if placed:
+            used = {node_id for slots in base.values() for node_id, _ in slots}
+            empty = sorted({node["id"] for node in topo["nodes"]} - used)
+            if empty:
+                tally["drained"] += 1
+                assert verdict(docs, drained=frozenset(empty[:1])) == base
+    assert tally == {"placed": 337, "infeasible": 53, "drained": 282}
