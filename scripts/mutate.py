@@ -27,6 +27,7 @@ import ast
 import bisect
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -51,6 +52,22 @@ EQUIVALENT = {
         "with no strict descendant a scope's cap is at least what the anchor's usable nodes in it fit, "
         "so it drops no split",
 }
+
+#: Address space of each test run, in bytes (``ulimit -v 2000000``): a mutant
+#: that allocates without bound dies of MemoryError, which kills it.
+MEMORY_LIMIT = 2_000_000 * 1024
+
+
+def _limit_memory():
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    soft = MEMORY_LIMIT if hard == resource.RLIM_INFINITY else min(MEMORY_LIMIT, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def run_limited(args: list[str], **kwargs) -> subprocess.CompletedProcess:
+    """``subprocess.run`` with the child's address space capped at :data:`MEMORY_LIMIT`."""
+    return subprocess.run(args, preexec_fn=_limit_memory, **kwargs)
+
 
 #: Each comparison operator and its flip: a bound made strict or loose, a test negated.
 FLIP = {
@@ -127,7 +144,7 @@ def main(argv: list[str]) -> int:
         def passes(text: str, timeout: float | None = None) -> bool:
             (copy / relative).write_text(text, encoding="utf-8")
             try:
-                return subprocess.run(
+                return run_limited(
                     [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *selection],
                     cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
                     timeout=timeout).returncode == 0

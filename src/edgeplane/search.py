@@ -48,6 +48,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .appmodel import ApplicationDag, Microservice
 from .errors import InfeasiblePlacement
@@ -507,103 +508,93 @@ def _fits(k: int, ms: Microservice, terms, cpu: int, mem: int) -> bool:
 
 def _distributions(node_ids, cpu_req: int, mem_req: int, count: int, ledger: _Ledger, budget: _Budget,
                    caps: tuple[list[tuple[str, str]], dict[str, int]] | None = None):
-    """All ways to split ``count`` instances across the nodes, greedy-first.
+    """All ways to split ``count`` instances across the nodes, greedy-first,
+    each for one budget step: in descending lexicographic order of their
+    per-node counts, so the surrounding search can backtrack.  ``caps``,
+    each node's (domain, region) and a cap per scope, keeps only the splits
+    that put at most ``caps[s]`` instances on the nodes in scope ``s``; a
+    scope without a cap takes any number.
 
-    Splits come in descending lexicographic order of their per-node counts:
-    the first packs each node to its maximum in order, which is exactly the
-    first-fit result, and later ones peel instances off earlier nodes so the
-    surrounding search can backtrack.  Each split spends one budget step.
-    Every node's room is read once, when the first split is asked for: the
-    search hands back everything it placed below a choice point before it
-    asks that point for its next split, so the ledger is the same at every
-    resumption.  A node with negative room, which an over-committed
-    ``current`` leaves, fits no instance.
-
-    ``caps``, each node's (domain, region) and a cap per scope, keeps only
-    the splits that put at most ``caps[s]`` instances on the nodes in scope
-    ``s``, in the same order; a scope without a cap takes any number, and
-    without ``caps`` every node sits in one uncapped domain and region.
-    ``room`` is what the nodes from the next one on can still take: per
-    region the lesser of its cap left and, summed over its domains, the
-    lesser of each domain's cap left and what its unvisited nodes fit.  The
-    scopes are nested, so that sum is exact, and a split starts down a node
-    only where it can be completed.  It changes only at the node visited.
+    The first split is :func:`_first_fit`'s.  Each next one takes one
+    instance off the last node that can pass one to a later node, keeps the
+    counts before it and repacks the rest with one :func:`_first_fit` under
+    the caps that prefix leaves.  A later node can take one more when it is
+    below its room and every cap over it has one left, or when its only
+    full caps contain the lowered node (a domain sits inside its region).
+    By :func:`_first_fit`'s polymatroid argument, such a node exists exactly
+    when the later nodes can hold one more instance than they do, and the
+    repack is then the greatest split with that prefix.  The search hands
+    back everything it placed below a choice point before it asks that
+    point for its next split, so the ledger is the same at every resumption.
     """
-    cpu, mem = ledger.cpu, ledger.mem
-    fits = [max(0, min(cpu[node_id] // cpu_req, mem[node_id] // mem_req)) for node_id in node_ids]
-    if caps is None:  # every node in one uncapped domain and region
-        dom = reg = [0] * len(node_ids)  # per node, the number of its domain and of its region
-        domain_left, region_left, unvisited = [count], [count], [sum(fits)]
-        inner = [min(count, unvisited[0])]
-    else:
-        scopes, cap_of = caps
-        domains, regions = {}, {}  # scope -> its number in dom or reg
-        dom = [domains.setdefault(domain_id, len(domains)) for domain_id, _ in scopes]
-        reg = [regions.setdefault(region_id, len(regions)) for _, region_id in scopes]
-        domain_left = [cap_of.get(domain_id, count) for domain_id in domains]  # caps left
-        region_left = [cap_of.get(region_id, count) for region_id in regions]
-        unvisited = [0] * len(domains)  # per domain, what its nodes from the next one on fit
-        for d, fit in zip(dom, fits):
-            unvisited[d] += fit
-        inner = [0] * len(regions)  # per region, what its domains' unvisited nodes take
-        for d, r in set(zip(dom, reg)):
-            inner[r] += min(domain_left[d], unvisited[d])
-    room = sum(map(min, region_left, inner))
-
-    counts: list[int] = []  # instances on node_ids[0], node_ids[1], ... so far
-    remaining = count
-    backing = False  # backing up to the last node holding instances, to take one off it
+    scopes, left = caps or ([()] * len(node_ids), {})
+    left = dict(left)  # caps left per scope; domains and regions share one id namespace
+    counts = [0] * len(node_ids)  # instances per node in the last split
+    rooms = None  # per node, its room, read at the first scan
+    split, i = [], -1  # the next split's (node, count) pairs before node i + 1, and the lowered node i
     while True:
-        if not backing:
-            if remaining == 0:
-                budget.spend()
-                yield [(node_ids[i], k) for i, k in enumerate(counts) if k]
-                backing = True
-            elif room >= remaining:  # on to the next node, with all it may take
-                i = len(counts)
-                d, r = dom[i], reg[i]
-                k = min(remaining, fits[i], domain_left[d], region_left[r])
-                counts.append(k)
-                remaining -= k
-                fit = -fits[i]
-            else:
-                backing = True
-        if backing:
-            if not counts:
-                return
-            i = len(counts) - 1
-            d, r = dom[i], reg[i]
-            if counts[i]:
-                counts[i] -= 1
-                remaining += 1
-                fit, k, backing = 0, -1, False
-            else:
-                counts.pop()
-                fit, k = fits[i], 0
-        # node i's fit leaves or rejoins what the unvisited nodes fit, and it takes k more instances
-        was_domain, was_region = min(domain_left[d], unvisited[d]), min(region_left[r], inner[r])
-        unvisited[d] += fit
-        domain_left[d] -= k
-        region_left[r] -= k
-        inner[r] += min(domain_left[d], unvisited[d]) - was_domain
-        room += min(region_left[r], inner[r]) - was_region
+        tail = _first_fit(node_ids[i + 1:], cpu_req, mem_req, count, ledger, budget,
+                          (scopes[i + 1:], left) if left else None)
+        if tail is None:  # only the first packing can fail
+            return
+        split += tail
+        yield split
+        if not split:
+            return
+        last = i
+        for node_id, k in tail:  # the repacked nodes take their counts off the caps left
+            last = node_ids.index(node_id, last + 1)
+            counts[last] = k
+            for scope in scopes[last]:
+                if scope in left:
+                    left[scope] -= k
+        # Scan the empty nodes after the last holding one until one can take an
+        # instance from it, then back over the nodes before it for the last giver.
+        rooms = rooms or [min(ledger.cpu[n] // cpu_req, ledger.mem[n] // mem_req) for n in node_ids]
+        free, needs = False, set()  # whether a node after the giver takes from any node; else its full scopes
+        for j in chain(range(last + 1, len(node_ids)), range(last, 0, -1)):
+            if rooms[j] > counts[j]:
+                for scope in scopes[j]:
+                    if left.get(scope, 1) <= 0:
+                        needs.add(scope)  # the domain if it is full: freeing it frees its region too
+                        break
+                else:
+                    free = True
+            i = min(j - 1, last)
+            if counts[i] and (free or not needs.isdisjoint(scopes[i])):
+                break
+        else:
+            return
+        count, kept = 0, len(split)  # node i passes one instance and the nodes after it all they hold
+        for j in range(i, last + 1):
+            if counts[j]:
+                k = 1 if j == i else counts[j]
+                counts[j] -= k
+                count += k
+                kept -= 1
+                for scope in scopes[j]:
+                    if scope in left:
+                        left[scope] += k
+        split = split[:kept]
+        if counts[i]:
+            split.append((node_ids[i], counts[i]))
 
 
 def _first_fit(node_ids, cpu_req: int, mem_req: int, count: int, ledger: _Ledger, budget: _Budget,
                caps: tuple[list[tuple[str, str]], dict[str, int]] | None = None) -> list[tuple[str, int]] | None:
     """The first split :func:`_distributions` makes of the same arguments, or
-    None when it makes none, for the same one budget step: each node packed
-    in order to the most it takes within ``count`` and the caps left.
+    None when it makes none, for one budget step: each node packed in order
+    to the most it takes within ``count`` and the caps left.  A node with
+    negative room, which an over-committed ``current`` leaves in the
+    ledger, takes nothing.  It stops at the node that completes ``count``.
 
     The node, domain and region bounds are nested, so the packings they
-    allow form a laminar matroid (Edmonds, 1971): a packing no node can add
-    to is a largest one, and any packing extends to a largest one through
-    the nodes it has not filled.  So packing places ``count`` exactly when
-    some split does, and the enumerator's first descent never backs up.
-    A node with negative room, which an over-committed ``current`` leaves
-    in the ledger, takes nothing in either, so the two agree on every
-    ledger.  Unlike the enumerator, it stops at the node that completes
-    ``count`` instead of reading every node's room first.
+    allow are the integer points of a polymatroid (Edmonds, "Submodular
+    functions, matroids and certain polyhedra", 1970): every packing that no
+    node can add to holds the same, greatest number of instances, and a
+    packing that holds fewer than another can take one more on a node where
+    it holds less.  So packing places ``count`` exactly when some split
+    does, and its split is the greatest in lexicographic order.
     """
     cpu, mem = ledger.cpu, ledger.mem
     left = dict(caps[1]) if caps else {}  # caps left per scope; domains and regions share one id namespace
@@ -690,20 +681,17 @@ def _reconcile(
 
     def nodes_for(ms: Microservice, anchor: str, prefer: str | None = None) -> list[str]:
         """The anchor's usable node ids by descending free cpu, ties by id; with
-        ``prefer``, by the strictest anchor each shares with that domain first."""
+        ``prefer``, nodes in that domain first, then nodes in its region."""
         node_ids = usable.get((ms.id, anchor))
         if node_ids is None:
             node_ids = usable[ms.id, anchor] = sorted(
                 node.id for node in _usable_nodes(graph, pset, ms.id, anchor, drained))
         if prefer is None:  # a stable sort keeps equal-cpu nodes in id order
             return sorted(node_ids, key=ledger.cpu.__getitem__, reverse=True)
-
-        def tier(node_id: str) -> int:
-            domain_id = graph.nodes[node_id].domain_id
-            return min(level.strictness for level in LocalityLevel
-                       if graph.anchor_of(domain_id, level) == graph.anchor_of(prefer, level))
-
-        return sorted(node_ids, key=lambda n: (tier(n), -ledger.cpu[n]))
+        region = graph.domains[prefer].region_id
+        return sorted(node_ids, key=lambda n: (graph.nodes[n].domain_id != prefer,
+                                               graph.domains[graph.nodes[n].domain_id].region_id != region,
+                                               -ledger.cpu[n]))
 
     def split_space(pos: int, ms: Microservice, anchor: str, level: LocalityLevel, rps: Fraction,
                     need: int) -> tuple[list[str], tuple | None]:

@@ -277,15 +277,28 @@ def test_distributions_order_and_budget():
     """Splits come greedy-first in descending lexicographic order of their
     per-node counts, zero entries dropped, each for one budget step; under
     caps on nested (domain, region) scopes, exactly the splits within the
-    caps come, in that order."""
+    caps come, in that order.  A node with negative room fits no instance."""
     rng = random.Random(5)
     cap_rng = random.Random(6)
-    for _ in range(300):
-        node_ids = [f"n{i}" for i in range(rng.randint(0, 6))]
-        cpu = {n: 100 * rng.randint(0, 4) + rng.randint(0, 99) for n in node_ids}
-        mem = {n: 10 * rng.randint(0, 4) + rng.randint(0, 9) for n in node_ids}
-        count = rng.randint(0, 6)
-        rooms = [min(cpu[n] // 100, mem[n] // 10) for n in node_ids]
+
+    def ledgers():
+        """(node ids, cpu, mem, count): 300 draws, then 150 with negative
+        room and counts up to the full room."""
+        for _ in range(300):
+            node_ids = [f"n{i}" for i in range(rng.randint(0, 6))]
+            cpu = {n: 100 * rng.randint(0, 4) + rng.randint(0, 99) for n in node_ids}
+            mem = {n: 10 * rng.randint(0, 4) + rng.randint(0, 9) for n in node_ids}
+            yield node_ids, cpu, mem, rng.randint(0, 6)
+        more = random.Random(32)
+        for _ in range(150):
+            node_ids = [f"n{i}" for i in range(more.randint(1, 6))]
+            cpu = {n: 100 * more.randint(-2, 3) + more.randint(0, 99) for n in node_ids}
+            mem = {n: 10 * more.randint(-1, 3) + more.randint(0, 9) for n in node_ids}
+            room = sum(max(0, min(cpu[n] // 100, mem[n] // 10)) for n in node_ids)
+            yield node_ids, cpu, mem, max(0, room - more.randint(0, 2))
+
+    for node_ids, cpu, mem, count in ledgers():
+        rooms = [max(0, min(cpu[n] // 100, mem[n] // 10)) for n in node_ids]
         vectors = sorted(
             (v for v in itertools.product(*(range(r + 1) for r in rooms)) if sum(v) == count),
             reverse=True,

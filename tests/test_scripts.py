@@ -32,6 +32,24 @@ def test_fuzz_placement_finds_no_violations(tmp_path):
         "20 cases: 18 placed, 2 proved infeasible, 0 gave up, 0 non-compliant")
 
 
+def load_mutate():
+    spec = importlib.util.spec_from_file_location("mutate", ROOT / "scripts" / "mutate.py")
+    mutate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutate)
+    return mutate
+
+
+def test_mutate_runs_each_selection_under_an_address_space_limit():
+    """A mutant that allocates without bound dies of MemoryError, with no
+    ``ulimit`` around the script: its child process sets its own limit."""
+    mutate = load_mutate()
+    proc = mutate.run_limited(
+        [sys.executable, "-c", "import resource; print(resource.getrlimit(resource.RLIMIT_AS)[0])"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == mutate.MEMORY_LIMIT == 2_000_000 * 1024
+
+
 def test_mutate_makes_one_mutant_per_operator():
     """Each comparison operator is flipped, each boolean expression's operators
     swapped and each append or continue statement dropped, one mutant at a
@@ -46,9 +64,7 @@ def test_mutate_makes_one_mutant_per_operator():
         "        if x in out and x not in b or x is None or x is not a:\n"
         "            return x\n"
     )
-    spec = importlib.util.spec_from_file_location("mutate", ROOT / "scripts" / "mutate.py")
-    mutate = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mutate)
+    mutate = load_mutate()
     lines = source.splitlines()
     made = []
     for line, what, text in mutate.mutants(source):

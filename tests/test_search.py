@@ -64,6 +64,52 @@ def test_first_fit_is_the_first_split_for_the_same_step():
     assert list(itertools.islice(splits, 3)) == [[("b", 1)]]
 
 
+def test_each_split_is_one_first_fit(monkeypatch):
+    """The enumerator makes every split with one first-fit call, and only the
+    first call can fail, so no repack is ever retried: on a capped-out
+    tail, on a region cap that an interleaved prefix uses up, on a count
+    equal to the room, and on seeded ledgers with negative room and caps on
+    nested (domain, region) scopes."""
+    calls = []
+    first_fit = search._first_fit
+
+    def counted(*args):
+        calls.append(first_fit(*args))
+        return calls[-1]
+
+    def splits(node_ids, cpu, count, caps=None):
+        calls.clear()
+        made = list(_distributions(node_ids, 100, 100, count, _Ledger(cpu, dict(cpu)), _Budget(10 ** 6), caps))
+        assert len(calls) == max(1, len(made)), (cpu, count, caps)
+        assert None not in calls[1:]
+        return made
+
+    monkeypatch.setattr(search, "_first_fit", counted)
+    ones = {f"n{i}": 100 for i in range(6)}
+    # the last three nodes' region has a cap of 0: the 3 pairs of the first three
+    assert len(splits(list(ones), ones, 2, ([("dA", "rA")] * 3 + [("dB", "rB")] * 3, {"rB": 0}))) == 3
+    # rX, every other node, has a cap of 2 that the first split's prefix uses up:
+    # the 20 triples of six nodes but the one on rX's three
+    alternating = [(f"d{i}", "rX" if i % 2 == 0 else "rY") for i in range(6)]
+    triples = splits(list(ones), ones, 3, (alternating, {"rX": 2}))
+    assert len(triples) == 19
+    assert triples[:5] == [[("n0", 1), ("n1", 1), ("n2", 1)], [("n0", 1), ("n1", 1), ("n3", 1)],
+                           [("n0", 1), ("n1", 1), ("n4", 1)], [("n0", 1), ("n1", 1), ("n5", 1)],
+                           [("n0", 1), ("n2", 1), ("n3", 1)]]
+    # a count equal to the room has one split
+    assert splits(["a", "b", "c"], {"a": 200, "b": 100, "c": 300}, 6) == [[("a", 2), ("b", 1), ("c", 3)]]
+    rng = random.Random(32)
+    made = 0
+    for _ in range(300):
+        node_ids = [f"n{i}" for i in range(rng.randint(0, 8))]
+        cpu = {n: 100 * rng.randint(-2, 3) + rng.randint(0, 99) for n in node_ids}
+        count = rng.randint(0, sum(max(0, cpu[n] // 100) for n in node_ids) + 1)
+        scopes = [(f"d{d}", f"r{d // 2}") for d in (rng.randint(0, 3) for _ in node_ids)]
+        caps = {scope: rng.randint(0, 3) for pair in scopes for scope in pair if rng.random() < 0.4}
+        made += len(splits(node_ids, cpu, count, (scopes, caps) if rng.random() < 0.7 else None))
+    assert made == 511
+
+
 def over_committed_docs(capacity_a: int):
     """One domain whose node ee-a has ``capacity_a`` millicores and ee-b 300.
     P (100m) and its strict-domain consumer S (300m) have no demand, and Q
