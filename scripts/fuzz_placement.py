@@ -31,7 +31,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from edgeplane.controlplane import ControlPlane, validate_plan  # noqa: E402
+from edgeplane.controlplane import place_application, validate_plan  # noqa: E402
 from edgeplane.errors import InfeasiblePlacement  # noqa: E402
 from edgeplane.meshsim import check_compliance, route_flows  # noqa: E402
 from edgeplane.search import _Budget, _reconcile  # noqa: E402
@@ -98,7 +98,7 @@ def main() -> int:
     for case in range(args.cases):
         graph, app, pset, request = build(*gen_case(rng))
         try:
-            plan = ControlPlane(graph, app, pset).place(request)
+            plan = place_application(graph, app, request, pset)
         except InfeasiblePlacement as exc:
             proved += exc.proved
             gave_up += not exc.proved

@@ -7,13 +7,16 @@ end so propagation, instance arithmetic and flow conservation are exact.
 
 Microservices flagged ``placed_on_iot`` live on the devices themselves: they
 are never scheduled, consume no modeled resources and carry no modeled traffic,
-since demand is offered per ingress; ``predecessors`` and ``successors`` say so.
+since demand is offered per ingress.  ``predecessors``, ``successors`` and
+``topological_order`` say so, and no other module of the package reads the
+flag.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
 from heapq import heapify, heappop, heappush
 from math import isfinite
 
@@ -99,12 +102,12 @@ class ApplicationDag:
         """The traffic edges out of ``ms_id``, in document order: none from an IoT-placed microservice."""
         return [e for e in self.edges if e.from_ms == ms_id and not self.microservices[ms_id].placed_on_iot]
 
-    def topological_order(self, key=None, done=frozenset()) -> list[str]:
-        """Kahn's walk: each step takes the ready microservice with the
-        smallest ``key`` (default: the id), then id.  Microservices in ``done``
-        are left out and edges from them count as satisfied.  Raises
-        CycleDetected on a cycle."""
-        indegree = {ms_id: 0 for ms_id in self.microservices if ms_id not in done}
+    def topological_order(self, key=None) -> list[str]:
+        """Kahn's walk over the microservices that carry traffic: each step
+        takes the ready one with the smallest ``key`` (default: the id), then
+        id.  IoT-placed microservices are left out, so their edges bind
+        nothing.  Raises CycleDetected on a cycle."""
+        indegree = {ms_id: 0 for ms_id, ms in self.microservices.items() if not ms.placed_on_iot}
         succ: dict[str, list[str]] = {ms_id: [] for ms_id in indegree}
         for edge in self.edges:
             if edge.from_ms in indegree and edge.to_ms in indegree:
@@ -122,25 +125,16 @@ class ApplicationDag:
                 if indegree[to_ms] == 0:
                     heappush(ready, (key(to_ms), to_ms))
         if len(order) != len(indegree):
-            raise CycleDetected(_find_cycle(self, {ms for ms, deg in indegree.items() if deg}))
+            left = {ms_id for ms_id, deg in indegree.items() if deg}
+            preds: dict[str, list[str]] = {ms_id: [] for ms_id in sorted(left)}
+            for edge in self.edges:
+                if edge.from_ms in left and edge.to_ms in left:
+                    preds[edge.to_ms].append(edge.from_ms)
+            try:  # each left-over microservice has a left-over predecessor, so this raises
+                TopologicalSorter(preds).prepare()
+            except CycleError as exc:
+                raise CycleDetected(exc.args[1]) from exc
         return order
-
-
-def _find_cycle(app: ApplicationDag, candidates: set[str]) -> list[str]:
-    """A cycle among the microservices Kahn's walk left over: each has a left-over
-    predecessor, so walking predecessors closes one (successors may dead-end)."""
-    pred: dict[str, list[str]] = {ms: [] for ms in candidates}
-    for edge in app.edges:
-        if edge.from_ms in candidates and edge.to_ms in candidates:
-            pred[edge.to_ms].append(edge.from_ms)
-    node = min(candidates)
-    path, seen = [node], {node}
-    while True:
-        node = min(pred[node])
-        if node in seen:
-            return [node] + path[path.index(node):][::-1]
-        path.append(node)
-        seen.add(node)
 
 
 def validate_app(app: ApplicationDag) -> ApplicationDag:

@@ -26,7 +26,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .controlplane import ControlPlane, validate_plan
+from .controlplane import place_application, validate_plan
 from .documents import dump_doc, dump_docs, plan_from_doc, plan_to_doc, report_to_doc, routes_docs
 from .errors import EdgeplaneError, InfeasiblePlacement, ScenarioParseError
 from .meshsim import run_scenario
@@ -82,8 +82,7 @@ def cmd_validate(args) -> int:
 
 def cmd_place(args) -> int:
     scenario = load_scenario(args.scenario)
-    control = ControlPlane(scenario.graph, scenario.app, scenario.policies)
-    plan = control.place(scenario.request)
+    plan = place_application(scenario.graph, scenario.app, scenario.request, scenario.policies)
     report = validate_plan(scenario.graph, scenario.app, scenario.policies, plan)
     doc = plan_to_doc(plan, compliance=report)
     _write_output(dump_doc(doc, args.format), args.out)
@@ -102,8 +101,7 @@ def cmd_routes(args) -> int:
     if args.plan:
         plan = plan_from_doc(read_yaml(args.plan))
     else:
-        control = ControlPlane(scenario.graph, scenario.app, scenario.policies)
-        plan = control.place(scenario.request)
+        plan = place_application(scenario.graph, scenario.app, scenario.request, scenario.policies)
     report = validate_plan(scenario.graph, scenario.app, scenario.policies, plan)
     if not report.ok:
         for violation in report.violations:

@@ -157,8 +157,8 @@ def node_utilization(
     of their denominators, and divided by its capacity once.  Idle nodes
     read 0.
     """
-    cost = {ms_id: Fraction(ms.cpu_req) / ms.capacity_rps
-            for ms_id, ms in app.microservices.items() if not ms.placed_on_iot}
+    cost = {ms_id: Fraction(app.microservices[ms_id].cpu_req) / app.microservices[ms_id].capacity_rps
+            for ms_id in app.topological_order()}
     terms: dict[str, list[tuple[int, int]]] = {node_id: [] for node_id in sorted(graph.nodes)}
     for (_, _, node_id, ms_id), rps in flows.rows.items():
         c = cost[ms_id]

@@ -241,19 +241,19 @@ def _anchor_demand(
 
 
 def _placement_sequence(app: ApplicationDag, pset: PolicySet) -> list[str]:
-    """Kahn's walk over the DAG that takes the strictest ready microservice
-    first: an ingress has its IoT level, any other the strictest level of its
-    edges from non-IoT consumers.  Ties break on topological rank.  IoT-placed
-    microservices are never scheduled, and edges from them count as placed.
+    """Kahn's walk over the microservices that carry traffic, taking the
+    strictest ready one first: an ingress has its IoT level, any other the
+    strictest level of its traffic edges.  Ties break on topological rank.
+    IoT-placed microservices are never scheduled, so no plan depends on
+    their ids.
     """
-    iot = frozenset(ms_id for ms_id, ms in app.microservices.items() if ms.placed_on_iot)
-    strictness = {ms_id: pset.iot_level(ms_id).strictness for ms_id in app.ingress_ids}
-    for ms_id in app.microservices.keys() - iot - app.ingress_ids:
-        strictness[ms_id] = min((pset.edge_level(e.from_ms, ms_id).strictness
-                                 for e in app.predecessors(ms_id)),
-                                default=pset.default_locality.strictness)
-    rank = {ms_id: i for i, ms_id in enumerate(app.topological_order())}
-    return app.topological_order(key=lambda ms_id: (strictness[ms_id], rank[ms_id]), done=iot)
+    order = app.topological_order()
+    strictness = {ms_id: min((pset.edge_level(e.from_ms, ms_id).strictness for e in app.predecessors(ms_id)),
+                             default=pset.default_locality.strictness)
+                  for ms_id in order}
+    strictness.update((ms_id, pset.iot_level(ms_id).strictness) for ms_id in app.ingress_ids)
+    rank = {ms_id: i for i, ms_id in enumerate(order)}
+    return app.topological_order(key=lambda ms_id: (strictness[ms_id], rank[ms_id]))
 
 
 # --- the root capacity check -------------------------------------------------------

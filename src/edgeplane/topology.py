@@ -119,11 +119,6 @@ class InfrastructureGraph:
         return sorted(self.regions[anchor].domain_ids)
 
 
-def _require(condition: bool, error: Exception):
-    if not condition:
-        raise error
-
-
 def _ident(value, what: str) -> str:
     """A topology id: a document id other than the reserved GLOBAL_ANCHOR."""
     if doc_id(value, f"{what} id", InvalidTopology) == GLOBAL_ANCHOR:
@@ -164,7 +159,8 @@ def load_topology(doc: dict) -> InfrastructureGraph:
         rid = claim(_ident(entry.get("id"), "region"), "region")
         domain_ids = tuple(doc_list(entry.get("domains"), f"region {rid!r} domains",
                                     InvalidTopology, str))
-        _require(len(domain_ids) > 0, EmptyTopology(f"region {rid!r} lists no domains"))
+        if not domain_ids:
+            raise EmptyTopology(f"region {rid!r} lists no domains")
         if len(set(domain_ids)) < len(domain_ids):
             twice = next(did for k, did in enumerate(domain_ids) if did in domain_ids[:k])
             raise DuplicateId(f"region {rid!r} lists domain {twice!r} twice")
@@ -180,7 +176,8 @@ def load_topology(doc: dict) -> InfrastructureGraph:
         admin = doc_id(entry.get("admin"), f"domain {did!r} admin", InvalidTopology)
         domains[did] = Domain(did, entry.get("region"), admin, kind)
 
-    _require(len(domains) > 0, EmptyTopology("topology has no domains"))
+    if not domains:
+        raise EmptyTopology("topology has no domains")
 
     for domain in domains.values():
         if not _known(domain.region_id, regions):

@@ -26,6 +26,7 @@ the integer arithmetic of ``meshsim`` must match row for row.
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 from fractions import Fraction
@@ -134,6 +135,19 @@ def gen_dag_app(rng: random.Random, max_ms=6, max_fan_in=3):
         edges += [{"from": c, "to": ms_id, "ratio": rng.choice((0.5, 1, 2))} for c in callers]
     return {"id": "dag-app", "microservices": microservices,
             "edges": edges, "ingress": ingress}
+
+
+def iot_renamed(app_doc, prefix):
+    """A copy of ``app_doc`` with its IoT-placed microservices renamed
+    ``prefix`` plus their index, in document order."""
+    names = {ms["id"]: f"{prefix}{i}"
+             for i, ms in enumerate(ms for ms in app_doc["microservices"] if ms.get("iot"))}
+    renamed = copy.deepcopy(app_doc)
+    for ms in renamed["microservices"]:
+        ms["id"] = names.get(ms["id"], ms["id"])
+    for edge in renamed["edges"]:
+        edge["from"] = names.get(edge["from"], edge["from"])
+    return renamed
 
 
 def gen_policies(rng: random.Random, app_doc, domain_ids, restrict_prob=0.4,
@@ -295,8 +309,10 @@ def _frontier_walk(app, rank, done=()):
 
 
 def oracle_topological_order(app) -> list[str]:
-    """Every microservice, the ready one with the smallest id first."""
-    return _frontier_walk(app, rank=lambda m: m)
+    """Every microservice that carries traffic, the ready one with the
+    smallest id first; IoT-placed ones count as done from the start."""
+    iot = [m for m, ms in app.microservices.items() if ms.placed_on_iot]
+    return _frontier_walk(app, rank=lambda m: m, done=iot)
 
 
 def oracle_sequence(app, policy_doc) -> list[str]:

@@ -1,4 +1,8 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,7 +24,7 @@ from edgeplane.errors import (
     UnreachableMicroservice,
 )
 
-from .support import gen_case, gen_chain_app, gen_dag_app
+from .support import ROOT, gen_case, gen_chain_app, gen_dag_app
 
 
 def chain_doc():
@@ -68,7 +72,7 @@ def test_parse_chain():
     assert app.microservices["m2"].cpu_req == 500
     assert app.microservices["m3"].capacity_rps == Fraction(50)
     assert app.ingress_ids == frozenset({"m2"})
-    assert app.topological_order() == ["m1", "m2", "m3"]
+    assert app.topological_order() == ["m2", "m3"]
 
 
 def test_edge_default_ratio_is_one():
@@ -96,7 +100,7 @@ def test_fanout_and_fanin_order():
         "ingress": ["a"],
     }
     app = app_from_doc(doc)
-    assert app.topological_order() == ["src", "a", "b", "c", "d"]
+    assert app.topological_order() == ["a", "b", "c", "d"]
     assert {e.to_ms for e in app.successors("a")} == {"b", "c"}
     assert {e.from_ms for e in app.predecessors("d")} == {"b", "c"}
 
@@ -128,6 +132,64 @@ def test_cycle_found_past_a_microservice_it_feeds():
     with pytest.raises(CycleDetected) as exc:
         app_from_doc(doc)
     assert exc.value.cycle in (["m3", "m4", "m3"], ["m4", "m3", "m4"])
+
+
+def cyclic_dag_docs():
+    """Seeded DAG documents given one to four extra edges into non-ingress
+    microservices, kept where those edges close a cycle."""
+    docs = []
+    for seed in range(400):
+        rng = random.Random(seed)
+        doc = gen_dag_app(rng, max_ms=8)
+        ids = [ms["id"] for ms in doc["microservices"] if not ms.get("iot")]
+        targets = [ms_id for ms_id in ids if ms_id not in doc["ingress"]]
+        pairs = {(e["from"], e["to"]) for e in doc["edges"]}
+        for _ in range(rng.randint(1, 4) if targets else 0):
+            pair = (rng.choice(ids), rng.choice(targets))
+            if pair[0] != pair[1] and pair not in pairs:
+                pairs.add(pair)
+                doc["edges"].append({"from": pair[0], "to": pair[1]})
+        try:
+            app_from_doc(doc)
+        except CycleDetected:
+            docs.append(doc)
+    return docs
+
+
+NAME_CYCLES = """
+import json, sys
+from edgeplane.appmodel import app_from_doc
+from edgeplane.errors import CycleDetected
+def cycle(doc):
+    try:
+        app_from_doc(doc)
+    except CycleDetected as exc:
+        return exc.cycle
+print(json.dumps([cycle(doc) for doc in json.load(sys.stdin)]))
+"""
+
+
+def test_the_named_cycle_is_a_closed_walk_and_the_same_on_every_run():
+    """On seeded cyclic DAGs, the cycle CycleDetected names runs along app
+    edges, predecessor to successor, visits no microservice twice and ends
+    where it starts; interpreters with other string hash seeds name the
+    same cycles."""
+    docs = cyclic_dag_docs()
+    cycles = []
+    for doc in docs:
+        with pytest.raises(CycleDetected) as exc:
+            app_from_doc(doc)
+        cycle = exc.value.cycle
+        edges = {(e["from"], e["to"]) for e in doc["edges"]}
+        assert cycle[0] == cycle[-1] and len(set(cycle)) == len(cycle) - 1 >= 2, cycle
+        assert set(zip(cycle, cycle[1:])) <= edges, cycle
+        cycles.append(cycle)
+    assert len(cycles) == 70
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": hash_seed}
+        child = subprocess.run([sys.executable, "-c", NAME_CYCLES], input=json.dumps(docs), env=env,
+                               capture_output=True, text=True, timeout=60, check=True)
+        assert json.loads(child.stdout) == cycles
 
 
 def test_negative_edge_ratio():

@@ -164,16 +164,15 @@ def attribute_readers(source: str, attr: str) -> set[str]:
 
 
 def test_only_the_application_model_says_which_edges_carry_traffic():
-    """``ApplicationDag.predecessors`` and ``successors`` own the rule that an
-    IoT-placed microservice carries no traffic.  Outside ``appmodel.py`` only
-    the placement order (which leaves those microservices out) and the
-    utilization model (which gives them no cpu cost) read the flag."""
+    """``ApplicationDag.predecessors``, ``successors`` and
+    ``topological_order`` own the rule that an IoT-placed microservice
+    carries no traffic.  No module outside ``appmodel.py`` reads the flag."""
     readers = set()
     for path in sorted(Path(audit.__file__).parent.glob("*.py")):
         if path.stem != "appmodel":
             source = path.read_text(encoding="utf-8")
             readers |= {f"{path.stem}.{name}" for name in attribute_readers(source, "placed_on_iot")}
-    assert readers == {"search._placement_sequence", "meshsim.node_utilization"}
+    assert readers == set()
 
 
 def test_only_the_policy_engine_names_is_allowed():

@@ -61,6 +61,7 @@ from .support import (
     gen_policies,
     gen_small_case,
     gen_topology,
+    iot_renamed,
     oracle_anchor_demand,
     oracle_sequence,
     oracle_topological_order,
@@ -125,15 +126,21 @@ def test_placement_sequence_strictest_first(canonical):
 def test_sequence_orders_match_the_oracle_on_random_dags():
     """Fan-in/fan-out DAGs with shuffled ids, IoT sources feeding past the
     ingress set and tied levels: the placement sequence and the topological
-    order agree with the oracle's own frontier loops."""
+    order agree with the oracle's own frontier loops.  Each DAG runs again
+    with its IoT ids renamed to sort last and its first ingress fed by no
+    IoT source, so a ready ingress waits on no IoT id."""
     for seed in range(400):
         rng = random.Random(seed)
         topo_doc, _ = gen_topology(rng)
         app_doc = gen_dag_app(rng)
         policy_doc = gen_policies(rng, app_doc, [d["id"] for d in topo_doc["domains"]])
-        _, app, pset, _ = build(topo_doc, app_doc, policy_doc, {})
-        assert app.topological_order() == oracle_topological_order(app), seed
-        assert _placement_sequence(app, pset) == oracle_sequence(app, policy_doc), seed
+        edited = iot_renamed(app_doc, "zz-io")
+        edited["edges"] = [e for e in edited["edges"]
+                           if not (e["from"].startswith("zz-io") and e["to"] == edited["ingress"][0])]
+        for doc in (app_doc, edited):
+            _, app, pset, _ = build(topo_doc, doc, policy_doc, {})
+            assert app.topological_order() == oracle_topological_order(app), seed
+            assert _placement_sequence(app, pset) == oracle_sequence(app, policy_doc), seed
 
 
 def test_sequence_orders_parallel_branches_by_strictness():

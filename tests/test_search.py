@@ -18,48 +18,20 @@ from edgeplane.search import (
     _first_fit,
     _instances,
     _Ledger,
+    _placement_sequence,
     reconcile,
 )
 
-from .support import SCENARIOS, build, gen_case, gen_dag_app
+from .support import SCENARIOS, build, gen_case, gen_dag_app, iot_renamed
 
 # --- the first branch ---
 
 
-def test_first_fit_is_the_first_split_for_the_same_step():
-    """On seeded ledgers, with and without caps on nested (domain, region)
-    scopes, the first-fit split is the first split the enumerator makes, or
-    None where it makes none, and both spend the same budget steps.  The
-    tallies pin that the cases cover a count of 0, too little room and
-    nodes with no room."""
-    rng = random.Random(31)
-    tally = {"count 0": 0, "too little room": 0, "a node with no room": 0, "a node with negative room": 0,
-             "capped": 0, "split": 0}
-    for _ in range(600):
-        node_ids = [f"n{i}" for i in range(rng.randint(0, 6))]
-        cpu = {n: 100 * rng.randint(-2, 4) + rng.randint(0, 99) for n in node_ids}
-        mem = {n: 10 * rng.randint(0, 4) + rng.randint(0, 9) for n in node_ids}
-        count = rng.randint(0, 8)
-        scopes = [(f"d{d}", f"r{d // 2}") for d in (rng.randint(0, 3) for _ in node_ids)]
-        caps = {scope: rng.randint(0, 3) for pair in scopes for scope in pair if rng.random() < 0.4}
-        for capped in (None, (scopes, caps)):
-            want_budget, got_budget = _Budget(5), _Budget(5)
-            want = next(_distributions(node_ids, 100, 10, count, _Ledger(dict(cpu), dict(mem)), want_budget,
-                                       capped), None)
-            got = _first_fit(node_ids, 100, 10, count, _Ledger(dict(cpu), dict(mem)), got_budget, capped)
-            assert got == want, (cpu, mem, count, capped)
-            assert got_budget.left == want_budget.left
-            tally["count 0"] += count == 0
-            tally["too little room"] += want is None
-            tally["a node with no room"] += any(min(cpu[n] // 100, mem[n] // 10) == 0 for n in node_ids)
-            tally["a node with negative room"] += any(cpu[n] < 0 for n in node_ids)
-            tally["capped"] += capped is not None and bool(caps)
-            tally["split"] += bool(want)
-    assert tally == {"count 0": 150, "too little room": 796, "a node with no room": 638,
-                     "a node with negative room": 650, "capped": 461, "split": 254}
+def test_negative_room_takes_no_instance():
+    """First-fit passes over a node with negative room, and so does every
+    later split: a negative count on it once ran the enumerator without end."""
     assert _first_fit(["b", "a"], 100, 10, 1, _Ledger({"b": 300, "a": -500}, {"b": 100, "a": 100}),
                       _Budget(1)) == [("b", 1)]
-    # every split, not only the first: a negative count on a once ran the enumerator without end
     splits = _distributions(["a", "b"], 100, 10, 1, _Ledger({"a": -200, "b": 300}, {"a": 100, "b": 100}), _Budget(9))
     assert list(itertools.islice(splits, 3)) == [[("b", 1)]]
 
@@ -286,3 +258,45 @@ def test_metamorphic_relations_of_the_search():
                 tally["drained"] += 1
                 assert verdict(docs, drained=frozenset(empty[:1])) == base
     assert tally == {"placed": 337, "infeasible": 53, "drained": 282}
+
+
+def fed_and_unfed_ingress(source):
+    """One domain with nodes n1 (250m) and n2 (150m): the IoT source
+    ``source`` feeds ingress a (100m), and ingress b (150m) has no feeder."""
+    topo = {
+        "regions": [{"id": "r1", "domains": ["dd"]}],
+        "domains": [{"id": "dd", "region": "r1", "admin": "adm", "kind": "edge"}],
+        "nodes": [{"id": "n1", "domain": "dd", "cpu_m": 250, "mem_mi": 1024},
+                  {"id": "n2", "domain": "dd", "cpu_m": 150, "mem_mi": 1024}],
+        "attachments": [{"id": "att", "domain": "dd"}],
+    }
+    app = {
+        "id": "pair",
+        "microservices": [{"id": source, "iot": True},
+                          {"id": "a", "cpu_m": 100, "mem_mi": 128, "capacity_rps": 100},
+                          {"id": "b", "cpu_m": 150, "mem_mi": 128, "capacity_rps": 100}],
+        "edges": [{"from": source, "to": "a"}],
+        "ingress": ["a", "b"],
+    }
+    return topo, app, {}, {"dd": {"a": 50, "b": 50}}
+
+
+def test_iot_placed_ids_move_no_placement():
+    """Renaming every IoT-placed microservice, to ids that sort first or
+    last, leaves the placement sequence and the placed slots as they were:
+    those microservices are never placed and carry no traffic.  An IoT
+    source named a0 or z1 once decided whether a or b placed first; seeded
+    chain and DAG cases, some with two sources, check the rest."""
+    def outcome(docs):
+        _, app, pset, _ = build(*docs)
+        return _placement_sequence(app, pset), verdict(docs)
+
+    for source in ("a0", "z1"):
+        assert outcome(fed_and_unfed_ingress(source)) == (
+            ["a", "b"], {("a", "global"): [("n1", 1)], ("b", "global"): [("n1", 1)]})
+    cases = [fed_and_unfed_ingress("a0"), *(gen_case(random.Random(seed)) for seed in range(40)),
+             *(gen_case(random.Random(seed), gen_app=gen_dag_app) for seed in range(120))]
+    for topo, app, policies, demand in cases:
+        base = outcome((topo, app, policies, demand))
+        for prefix in ("0-io", "zz-io"):
+            assert outcome((topo, iot_renamed(app, prefix), policies, demand)) == base, prefix
