@@ -47,28 +47,22 @@ from .topology import InfrastructureGraph
 
 
 def _plain(value):
-    """Recursively convert Fractions so yaml/json can emit the value."""
+    """An alert payload with its Fractions converted, so yaml/json can emit it;
+    the simulator's payloads nest only mappings."""
     if isinstance(value, Fraction):
         return rate_to_number(value)
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
     return value
 
 
 def plan_to_doc(plan: DeploymentPlan, compliance: ComplianceReport | None = None) -> dict:
     placements = []
     for ms_id in plan.mapping.microservice_ids():
-        for anchor in sorted(plan.mapping.per_ms[ms_id]):
-            ap = plan.mapping.per_ms[ms_id][anchor]
-            placements.append({
-                "microservice": ms_id,
-                "anchor": anchor,
-                "level": ap.level.value,
-                "demand_rps": rate_to_number(ap.demand_rps),
-                "nodes": [{"node": n, "instances": k} for n, k in ap.slots],
-            })
+        for anchor, ap in sorted(plan.mapping.per_ms[ms_id].items()):
+            entry = _placement(ms_id, anchor, ap)
+            entry["nodes"] = [{"node": n, "instances": k} for n, k in ap.slots]
+            placements.append(entry)
     routes = [
         {
             "domain": rule.domain_id,
@@ -94,6 +88,12 @@ def plan_to_doc(plan: DeploymentPlan, compliance: ComplianceReport | None = None
     if compliance is not None:
         doc["compliance"] = {"ok": compliance.ok, "violations": [_violation(v) for v in compliance.violations]}
     return doc
+
+
+def _placement(ms_id: str, anchor: str, ap: AnchorPlacement) -> dict:
+    """The keys a plan's placement entry and a report's throughput row share, in order."""
+    return {"microservice": ms_id, "anchor": anchor, "level": ap.level.value,
+            "demand_rps": rate_to_number(ap.demand_rps)}
 
 
 def _violation(v, **first) -> dict:
@@ -200,19 +200,27 @@ def routes_docs(graph: InfrastructureGraph, plan: DeploymentPlan) -> list[dict]:
 
 
 def report_to_doc(report: SimulationReport) -> dict:
-    doc = {
+    throughput = []
+    for ms_id, anchor, ap, capacity in report.throughput:
+        row = _placement(ms_id, anchor, ap)
+        row["capacity_rps"] = rate_to_number(capacity)
+        row["satisfied"] = ap.demand_rps <= capacity
+        throughput.append(row)
+    return {
         "ticks": report.ticks,
         "final_revision": report.final_revision,
-        "flows": report.flows.table(),
+        # the keys are unique, so the sort compares no rates
+        "flows": [{"source_domain": domain, "source": source, "node": node_id, "microservice": ms_id,
+                   "rps": rate_to_number(rps)}
+                  for (domain, source, node_id, ms_id), rps in sorted(report.flows.rows.items())],
         "violations": [_violation(v, tick=tick) for tick, v in report.violations],
-        "throughput": report.throughput,
+        "throughput": throughput,
         "alerts": [
             {"tick": a.tick, "kind": a.kind, "payload": _plain(a.payload)}
             for a in report.alerts
         ],
         "halted": report.halted,
     }
-    return doc
 
 
 def dump_doc(doc, fmt: str = "yaml") -> str:

@@ -50,8 +50,8 @@ _WIRE_NAMES = {
     LocalityLevel.GLOBAL: "Global",
 }
 
-#: Fallback applied when neither the policy document nor the scenario settings
-#: pin a default locality.
+#: Fallback applied when the policy document's ``default_locality`` pins none;
+#: scenario settings have no such key.
 DEFAULT_LOCALITY = LocalityLevel.GLOBAL
 
 #: Routing-rule and flow-row consumer marker for traffic from IoT device groups.

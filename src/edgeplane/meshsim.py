@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .appmodel import ApplicationDag, PlacementRequest, as_rate, rate_to_number
+from .appmodel import ApplicationDag, PlacementRequest, as_rate
 from .audit import Violation, check_compliance
-from .controlplane import Alert, ControlPlane, DeploymentPlan
+from .controlplane import Alert, AnchorPlacement, ControlPlane, DeploymentPlan
 from .errors import InfeasiblePlacement, MissingRoute
 from .locality import IOT_SOURCE
 from .policy import PolicySet
@@ -39,19 +39,6 @@ class FlowAssignment:
 
     rows: dict[tuple[str, str, str, str], Fraction] = field(default_factory=dict)
 
-    def table(self) -> list[dict]:
-        out = []
-        for key in sorted(self.rows):
-            source_domain, source, node_id, target_ms = key
-            out.append({
-                "source_domain": source_domain,
-                "source": source,
-                "node": node_id,
-                "microservice": target_ms,
-                "rps": rate_to_number(self.rows[key]),
-            })
-        return out
-
 
 @dataclass(frozen=True)
 class ScenarioEvent:
@@ -67,7 +54,7 @@ class ScenarioEvent:
 class SimulationReport:
     flows: FlowAssignment
     violations: list[tuple[int, Violation]]
-    throughput: list[dict]
+    throughput: list[tuple[str, str, AnchorPlacement, Fraction]]  # (ms, anchor, placement, capacity)
     alerts: list[Alert]
     utilization: list[dict[str, Fraction]]  # per routed tick: node -> cpu share
     final_revision: int
@@ -171,27 +158,13 @@ def node_utilization(
     return load
 
 
-def _throughput_summary(
-    graph: InfrastructureGraph,
-    app: ApplicationDag,
-    plan: DeploymentPlan,
-) -> list[dict]:
-    """Per (microservice, anchor) demand versus provisioned capacity."""
-    out = []
-    for ms_id in plan.mapping.microservice_ids():
-        ms = app.microservices[ms_id]
-        for anchor, ap in sorted(plan.mapping.per_ms[ms_id].items()):
-            capacity = ap.total_instances * ms.capacity_rps
-            satisfied = ap.demand_rps <= capacity
-            out.append({
-                "microservice": ms_id,
-                "anchor": anchor,
-                "level": ap.level.value,
-                "demand_rps": rate_to_number(ap.demand_rps),
-                "capacity_rps": rate_to_number(capacity),
-                "satisfied": satisfied,
-            })
-    return out
+def _throughput_summary(app: ApplicationDag,
+                        plan: DeploymentPlan) -> list[tuple[str, str, AnchorPlacement, Fraction]]:
+    """Per (microservice, anchor), in plan order: its placement and the exact
+    capacity its instances provide, ``total_instances * capacity_rps``."""
+    return [(ms_id, anchor, ap, ap.total_instances * app.microservices[ms_id].capacity_rps)
+            for ms_id in plan.mapping.microservice_ids()
+            for anchor, ap in sorted(plan.mapping.per_ms[ms_id].items())]
 
 
 def run_scenario(
@@ -276,14 +249,13 @@ def run_scenario(
             halted = {"tick": tick, "reason": str(exc)}
             break
 
-    report = SimulationReport(
+    return plan, SimulationReport(
         flows=flows,
         violations=violations,
-        throughput=_throughput_summary(graph, app, plan),
+        throughput=_throughput_summary(app, plan),
         alerts=alerts,
         utilization=utilization,
         final_revision=plan.revision,
         ticks=ticks,
         halted=halted,
     )
-    return plan, report

@@ -657,7 +657,7 @@ def reference_run_scenario(graph, app, policies, request, events, control=None, 
     report = SimulationReport(
         flows=flows,
         violations=violations,
-        throughput=_throughput_summary(graph, app, plan),
+        throughput=_throughput_summary(app, plan),
         alerts=alerts,
         utilization=utilization,
         final_revision=plan.revision,

@@ -186,6 +186,17 @@ def test_only_the_policy_engine_names_is_allowed():
     assert namers == {"policy", "__init__"}
 
 
+def test_the_simulator_leaves_document_values_to_the_writer():
+    """``meshsim`` returns exact values and ``documents`` writes them: the
+    simulator converts no rate to a document number, and its flow
+    assignment is data with no method of its own."""
+    tree = ast.parse(Path(meshsim.__file__).read_text(encoding="utf-8"))
+    names = {getattr(node, field, None) for node in ast.walk(tree) for field in ("id", "attr", "name")}
+    assert "rate_to_number" not in names
+    flows = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "FlowAssignment")
+    assert [node.name for node in flows.body if isinstance(node, ast.FunctionDef)] == []
+
+
 def test_the_policy_server_leaves_policy_types_to_the_policy_engine():
     """``policy.get_data`` owns every policy type and its key's shape; the
     server names none of them."""

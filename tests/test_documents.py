@@ -174,6 +174,13 @@ WEIRD = [float("nan"), float("inf"), float("-inf"), Fraction(1, 3), Colour.RED, 
 WEIRD_KEYS = [1, None, True, 2.5, "k" * 130, "a b", "", "yes", Tag("k")]
 
 
+@pytest.mark.parametrize("text", PLAIN)
+def test_strings_pyyaml_writes_bare_are_the_emitters(dumper, text):
+    """Every string PyYAML writes bare, the longest allowed (100 characters)
+    among them, is the emitter's own to write, as a key and as a value."""
+    assert emitted({text: [text]}, dumper)
+
+
 def fuzz_doc(rng: random.Random, odd: float, share: float, shared: list, depth: int = 0):
     """A random document: ``odd`` is the share of atoms drawn from the
     adversarial pools, ``share`` that of values taken from ``shared``."""

@@ -108,9 +108,10 @@ def test_canonical_flow_isolation(canonical_flows):
                for (_, _, node, ms) in flows.rows if ms == "m5")
 
 
-def test_flows_table_sorted_and_plain(canonical_flows):
-    _, _, flows = canonical_flows
-    table = flows.table()
+def test_flows_table_sorted_and_plain(canonical):
+    _, report = run_scenario(canonical.graph, canonical.app, canonical.policies,
+                             canonical.request, canonical.events)
+    table = report_to_doc(report)["flows"]
     assert len(table) == 13
     keys = [(r["source_domain"], r["source"], r["node"], r["microservice"])
             for r in table]
@@ -393,8 +394,9 @@ def test_run_scenario_canonical(canonical):
     assert list(report.utilization[0]) == sorted(canonical.graph.nodes)
     assert report.utilization[0]["ed3-n1"] == F(6, 7)
     assert report.flows.rows == CANONICAL_ROWS
-    assert all(entry["satisfied"] for entry in report.throughput)
-    m3 = next(e for e in report.throughput if e["microservice"] == "m3")
+    throughput = report_to_doc(report)["throughput"]
+    assert all(entry["satisfied"] for entry in throughput)
+    m3 = next(e for e in throughput if e["microservice"] == "m3")
     assert m3 == {"microservice": "m3", "anchor": "region-2",
                   "level": "strict-region", "demand_rps": 300,
                   "capacity_rps": 300, "satisfied": True}
@@ -416,7 +418,7 @@ def test_run_scenario_surge(surge):
     # after the surge the affected anchor is scaled for 200 rps
     assert plan.mapping.per_ms["m2"]["ed3"].demand_rps == F(200)
     assert plan.mapping.per_ms["m2"]["ed3"].total_instances == 4
-    assert all(entry["satisfied"] for entry in report.throughput)
+    assert all(entry["satisfied"] for entry in report_to_doc(report)["throughput"])
     # flows of the final tick reflect the new demand
     assert report.flows.rows[("ed3", "iot", "ed3-n1", "m2")] == F(200)
 

@@ -783,6 +783,17 @@ def test_cli_simulate_surge(tmp_path, capsys):
     assert doc["halted"] is None
 
 
+@pytest.mark.parametrize("scenario_path, golden", [(CANONICAL, "report_canonical.yaml"),
+                                                   (SURGE, "report_surge.yaml")])
+def test_cli_simulate_matches_golden(scenario_path, golden, capsys):
+    """The report keeps its bytes in YAML, and its JSON form is the same document."""
+    expected = (GOLDEN / golden).read_text(encoding="utf-8")
+    assert main(["simulate", "--scenario", scenario_path, "--quiet"]) == 0
+    assert capsys.readouterr().out == expected
+    assert main(["simulate", "--scenario", scenario_path, "--quiet", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == yaml.safe_load(expected)
+
+
 def test_cli_simulate_halt_exits_3(tmp_path, capsys):
     doc = canonical_doc()
     # draining the only m4 host mid-run cannot be recovered: every other

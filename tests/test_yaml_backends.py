@@ -133,4 +133,4 @@ def test_inputs_load_equal_under_both_loaders(monkeypatch, path):
 
 
 def test_every_bundled_yaml_file_is_compared():
-    assert len(YAML_FILES) == 13
+    assert len(YAML_FILES) == 15
