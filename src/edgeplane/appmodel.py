@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from graphlib import CycleError, TopologicalSorter
 from heapq import heapify, heappop, heappush
 from math import isfinite
 
@@ -125,15 +124,13 @@ class ApplicationDag:
                 if indegree[to_ms] == 0:
                     heappush(ready, (key(to_ms), to_ms))
         if len(order) != len(indegree):
-            left = {ms_id for ms_id, deg in indegree.items() if deg}
-            preds: dict[str, list[str]] = {ms_id: [] for ms_id in sorted(left)}
-            for edge in self.edges:
-                if edge.from_ms in left and edge.to_ms in left:
-                    preds[edge.to_ms].append(edge.from_ms)
-            try:  # each left-over microservice has a left-over predecessor, so this raises
-                TopologicalSorter(preds).prepare()
-            except CycleError as exc:
-                raise CycleDetected(exc.args[1]) from exc
+            # each microservice the walk left over has a left-over predecessor: step back
+            # from the smallest until an id repeats, and name that loop forward
+            pred = {e.to_ms: e.from_ms for e in self.edges if indegree.get(e.from_ms) and indegree.get(e.to_ms)}
+            path = [min(pred)]
+            while path[-1] not in path[:-1]:
+                path.append(pred[path[-1]])
+            raise CycleDetected(path[path.index(path[-1]):][::-1])
         return order
 
 

@@ -6,7 +6,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .appmodel import ApplicationDag, PlacementRequest, as_rate
@@ -34,10 +34,13 @@ class RoutingRule:
 
 @dataclass
 class RoutingRuleSet:
+    """Routing rules in (domain, target, consumer) order, however they are
+    given, and indexed by their (domain, consumer, target) key."""
+
     rules: tuple[RoutingRule, ...]
-    _index: dict[tuple[str, str, str], RoutingRule] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
+        self.rules = tuple(sorted(self.rules, key=lambda r: (r.domain_id, r.target_ms, r.consumer)))
         self._index = {(r.domain_id, r.consumer, r.target_ms): r for r in self.rules}
 
     def lookup(self, domain_id: str, consumer: str, target_ms: str) -> RoutingRule | None:
@@ -140,9 +143,7 @@ def generate_routes(
             dest = groups.get(graph.anchor_of(domain_id, level))
             if dest:
                 rules.append(RoutingRule(domain_id, consumer, target_ms, level, tuple(dest)))
-
-    ordered = tuple(sorted(rules, key=lambda r: (r.domain_id, r.target_ms, r.consumer)))
-    return RoutingRuleSet(ordered)
+    return RoutingRuleSet(tuple(rules))
 
 
 # --- alert handling ---------------------------------------------------------------

@@ -26,7 +26,7 @@ import functools
 import json
 import math
 from fractions import Fraction
-from itertools import repeat
+from itertools import groupby, repeat
 
 import yaml
 
@@ -63,16 +63,8 @@ def plan_to_doc(plan: DeploymentPlan, compliance: ComplianceReport | None = None
             entry = _placement(ms_id, anchor, ap)
             entry["nodes"] = [{"node": n, "instances": k} for n, k in ap.slots]
             placements.append(entry)
-    routes = [
-        {
-            "domain": rule.domain_id,
-            "consumer": rule.consumer,
-            "target": rule.target_ms,
-            "level": rule.level.value,
-            "destinations": [{"node": n, "weight": w} for n, w in rule.destinations],
-        }
-        for rule in plan.routes.rules
-    ]
+    routes = [_route(rule, domain=rule.domain_id, consumer=rule.consumer, target=rule.target_ms)
+              for rule in plan.routes.rules]
     doc = {
         "application": plan.app_id,
         "revision": plan.revision,
@@ -96,6 +88,12 @@ def _placement(ms_id: str, anchor: str, ap: AnchorPlacement) -> dict:
             "demand_rps": rate_to_number(ap.demand_rps)}
 
 
+def _route(rule: RoutingRule, **first) -> dict:
+    """One rule's level and weighted destinations, after the ``first`` keys that say whose it is."""
+    return {**first, "level": rule.level.value,
+            "destinations": [{"node": n, "weight": w} for n, w in rule.destinations]}
+
+
 def _violation(v, **first) -> dict:
     """One violation entry, after the ``first`` keys (a report's ``tick``)."""
     return {**first, "kind": v.kind, "subject": v.subject, "detail": v.detail}
@@ -109,9 +107,10 @@ def plan_from_doc(doc: dict) -> DeploymentPlan:
     a non-empty string, ``revision`` and every ``weight`` an integer, every
     ``instances`` a positive integer (a bool is neither), ``demand`` what
     ``appmodel.read_demand`` reads (a mapping of mappings of rates) and
-    ``drained``, when present, a list of node ids, and no (microservice,
-    anchor) placed twice; any other shape raises ScenarioParseError
-    ("malformed plan document: ...").
+    ``drained``, when present, a list of node ids, no (microservice, anchor)
+    placed twice and no (domain, consumer, target) routed twice; any other
+    shape raises ScenarioParseError ("malformed plan document: ...").  The
+    routes are held in the rule set's own order, whatever the file's.
     """
     if not isinstance(doc, dict):
         raise ScenarioParseError("plan document must be a mapping")
@@ -130,8 +129,9 @@ def plan_from_doc(doc: dict) -> DeploymentPlan:
                         doc_int(n["instances"], "instances", ScenarioParseError, least=1))
                        for n in _plan_list(entry["nodes"], "placement nodes")],
             )
-        rules = tuple(
-            RoutingRule(
+        rules: dict[tuple[str, str, str], RoutingRule] = {}
+        for entry in _plan_list(doc.get("routes", []), "routes"):
+            rule = RoutingRule(
                 domain_id=doc_id(entry["domain"], "domain", ScenarioParseError),
                 consumer=doc_id(entry["consumer"], "consumer", ScenarioParseError),
                 target_ms=doc_id(entry["target"], "target", ScenarioParseError),
@@ -141,8 +141,8 @@ def plan_from_doc(doc: dict) -> DeploymentPlan:
                      doc_int(d["weight"], "weight", ScenarioParseError))
                     for d in _plan_list(entry["destinations"], "route destinations")),
             )
-            for entry in _plan_list(doc.get("routes", []), "routes")
-        )
+            if rules.setdefault((rule.domain_id, rule.consumer, rule.target_ms), rule) is not rule:
+                raise ScenarioParseError(f"route {rule.domain_id}/{rule.consumer}->{rule.target_ms} listed twice")
         demand = read_demand(doc.get("demand", {}))
         drained = doc.get("drained", [])
         if not (isinstance(drained, list) and all(isinstance(node, str) for node in drained)):
@@ -152,7 +152,7 @@ def plan_from_doc(doc: dict) -> DeploymentPlan:
             app_id=doc_id(doc["application"], "application", ScenarioParseError),
             revision=doc_int(doc["revision"], "revision", ScenarioParseError),
             mapping=PlacementMapping(per_ms=per_ms, order=tuple(per_ms)),
-            routes=RoutingRuleSet(rules),
+            routes=RoutingRuleSet(tuple(rules.values())),
             demand=demand,
             drained=frozenset(drained),
         )
@@ -171,32 +171,17 @@ def routes_docs(graph: InfrastructureGraph, plan: DeploymentPlan) -> list[dict]:
     """One mesh-config document per domain, virtual-service style.
 
     Every domain gets a document (possibly with no services) so exporting a
-    plan always yields the same file set for a given topology.
+    plan always yields the same file set for a given topology.  The rule set
+    holds its rules in (domain, target, consumer) order, so one pass groups
+    each domain's rules into a service per target, sources in order; a rule
+    whose domain the graph lacks is skipped.
     """
-    grouped: dict[str, dict[str, list[RoutingRule]]] = {}
-    for rule in plan.routes.rules:
-        grouped.setdefault(rule.domain_id, {}).setdefault(rule.target_ms, []).append(rule)
-    docs = []
-    for domain_id in sorted(graph.domains):
-        by_target = grouped.get(domain_id, {})
-        services = []
-        for target_ms in sorted(by_target):
-            entries = sorted(by_target[target_ms], key=lambda r: r.consumer)
-            services.append({
-                "host": target_ms,
-                "routes": [
-                    {
-                        "source": rule.consumer,
-                        "level": rule.level.value,
-                        "destinations": [
-                            {"node": n, "weight": w} for n, w in rule.destinations
-                        ],
-                    }
-                    for rule in entries
-                ],
-            })
-        docs.append({"domain": domain_id, "virtual_services": services})
-    return docs
+    services: dict[str, list[dict]] = {domain_id: [] for domain_id in sorted(graph.domains)}
+    for (domain_id, target_ms), rules in groupby(plan.routes.rules, key=lambda r: (r.domain_id, r.target_ms)):
+        if domain_id in services:
+            routes = [_route(rule, source=rule.consumer) for rule in rules]
+            services[domain_id].append({"host": target_ms, "routes": routes})
+    return [{"domain": domain_id, "virtual_services": hosts} for domain_id, hosts in services.items()]
 
 
 def report_to_doc(report: SimulationReport) -> dict:

@@ -14,9 +14,11 @@ the control plane reaches it only through its public names.
 import ast
 from pathlib import Path
 
-from edgeplane import audit, controlplane, meshsim, policyserver, search
+from edgeplane import audit, controlplane, meshsim, policyserver, scenario, search
 from edgeplane.meshsim import run_scenario
 from edgeplane.policy import POLICY_TYPES
+
+from .support import SCENARIOS
 
 #: Modules the auditors must not import, under any spelling or guard.
 PLANNER_MODULES = {"controlplane", "meshsim", "search"}
@@ -211,7 +213,12 @@ def test_auditors_are_called_through_their_module_globals(surge, monkeypatch):
     ``meshsim.check_compliance``, so wrappers installed at those attributes
     (as perfbench's tracer does) see each call.  A tick whose rules and demand
     did not move reuses the last audit, so only the first tick and the surge
-    tick route and audit."""
+    tick route and audit.  The nested layers the tracer also wraps go through
+    their module globals too: ``scenario.scenario_from_doc`` from
+    ``load_scenario``, ``controlplane.place_application`` from
+    ``ControlPlane.place``, ``controlplane.handle_alert`` from
+    ``ControlPlane.handle_alert``, and ``controlplane.generate_routes`` from
+    both of those."""
     calls = {"validate_plan": 0, "route_flows": 0, "check_compliance": 0}
 
     def counting(module, name):
@@ -231,3 +238,14 @@ def test_auditors_are_called_through_their_module_globals(surge, monkeypatch):
     assert [a.kind for a in report.alerts] == ["demand_change"]
     assert report.ticks == 6
     assert calls == {"validate_plan": len(report.alerts), "route_flows": 2, "check_compliance": 2}
+
+    nested = {"scenario_from_doc": scenario, "place_application": controlplane,
+              "handle_alert": controlplane, "generate_routes": controlplane}
+    calls.update(dict.fromkeys([*calls, *nested], 0))
+    for name, module in nested.items():
+        counting(module, name)
+    loaded = scenario.load_scenario(SCENARIOS / "uav_demand_surge.yaml")
+    _, report = run_scenario(loaded.graph, loaded.app, loaded.policies, loaded.request, loaded.events,
+                             overload_threshold=loaded.settings.overload_threshold)
+    assert calls == {"validate_plan": 1, "route_flows": 2, "check_compliance": 2, "scenario_from_doc": 1,
+                     "place_application": 1, "handle_alert": 1, "generate_routes": 2}

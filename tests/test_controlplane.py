@@ -1871,6 +1871,19 @@ def test_a_bad_overload_report_raises_on_every_path(replanned, payload, error, m
     assert str(got.value) == str(want.value) == message
 
 
+@pytest.mark.parametrize("utilization", [0, 0.0])
+def test_an_overload_at_zero_utilization_is_accepted(replanned, utilization):
+    """Zero is a non-negative rate: an overload reporting it replans, by the
+    module-level handle_alert and by the control plane's shortcut alike, to
+    the plan's own mapping and rules at the next revision."""
+    scenario, control, plan = replanned
+    alert = Alert("overload", {"node": "ed3-n1", "utilization": utilization})
+    want = handle_alert(scenario.graph, scenario.app, scenario.policies, plan, alert)
+    got = control.handle_alert(plan, alert)
+    for replan in (want, got):
+        assert (replan.mapping, replan.routes, replan.revision) == (plan.mapping, plan.routes, plan.revision + 1)
+
+
 @pytest.mark.parametrize("kind, payload, error, message", [
     ("demand_change", {"demand": {"ed3": 5}}, InvalidRequest, "demand must be a mapping of mappings"),
     ("demand_change", {"demand": {"ed3": None}}, InvalidRequest, "demand must be a mapping of mappings"),

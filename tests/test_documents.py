@@ -9,6 +9,7 @@ the same bytes, or the same exception type.
 
 import enum
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ import yaml
 
 from edgeplane import scenario
 from edgeplane.cli import main
-from edgeplane.controlplane import ControlPlane, validate_plan
+from edgeplane.controlplane import ControlPlane, RoutingRuleSet, validate_plan
 from edgeplane.documents import (
     dump_doc,
     dump_docs,
@@ -264,3 +265,61 @@ def test_plan_drained_entries_are_ids():
         plan_from_doc(doc)
     doc["drained"] = ["ed3-n1"]
     assert plan_from_doc(doc).drained == frozenset({"ed3-n1"})
+
+
+def test_a_plan_read_back_holds_its_routes_in_rule_set_order():
+    """The golden plan with its routes listed in reverse reads back to the
+    file's own rule set, route documents and plan bytes."""
+    sc = load_scenario(SCENARIOS / "uav_canonical.yaml")
+    text = (GOLDEN / "plan_canonical.yaml").read_text(encoding="utf-8")
+    doc = yaml.safe_load(text)
+    plan = plan_from_doc(doc)
+    doc["routes"].reverse()
+    reversed_plan = plan_from_doc(doc)
+    assert reversed_plan.routes == plan.routes
+    assert routes_docs(sc.graph, reversed_plan) == routes_docs(sc.graph, plan)
+    compliance = validate_plan(sc.graph, sc.app, sc.policies, reversed_plan)
+    assert dump_doc(plan_to_doc(reversed_plan, compliance)) == text
+
+
+def test_violations_of_routes_listed_in_reverse_come_in_rule_set_order():
+    """Two rules broken in the reversed golden plan, the file's first and its
+    last but one, are reported in the order the file lists them."""
+    sc = load_scenario(SCENARIOS / "uav_canonical.yaml")
+    doc = golden_plan()
+    doc["routes"].reverse()
+    for rule in (doc["routes"][1], doc["routes"][-1]):
+        rule["destinations"][0]["weight"] = 0
+    report = validate_plan(sc.graph, sc.app, sc.policies, plan_from_doc(doc))
+    assert [(v.kind, v.subject, v.detail) for v in report.violations] == [
+        ("route", "ed3/iot->m2", "weight of ed3-n1 is 0, not positive"),
+        ("route", "ed4/m3->m4", "weight of ed4-n2 is 0, not positive"),
+    ]
+
+
+def test_shuffled_rules_export_the_same_route_documents():
+    """Seeded gen_case plans, chain and DAG, export the same route documents
+    and plan document whether their rules are given to a rule set shuffled
+    or read from a plan document that lists them shuffled."""
+    rng = random.Random(38)
+    checked = {gen_chain_app: 0, gen_dag_app: 0}
+    for seed in range(80):
+        gen_app = gen_dag_app if seed % 2 else gen_chain_app
+        topo_doc, app_doc, policy_doc, demand_doc = gen_case(random.Random(seed), gen_app=gen_app)
+        try:
+            sc = scenario_from_doc({"topology": topo_doc, "application": app_doc,
+                                    "policies": policy_doc, "demand": demand_doc})
+            plan = ControlPlane(sc.graph, sc.app, sc.policies).place(sc.request)
+        except EdgeplaneError:
+            continue
+        want, doc = routes_docs(sc.graph, plan), plan_to_doc(plan)
+        rules = list(plan.routes.rules)
+        rng.shuffle(rules)
+        shuffled = replace(plan, routes=RoutingRuleSet(tuple(rules)))
+        assert routes_docs(sc.graph, shuffled) == want, seed
+        listed = dict(doc, routes=rng.sample(doc["routes"], len(doc["routes"])))
+        restored = plan_from_doc(listed)
+        assert routes_docs(sc.graph, restored) == want, seed
+        assert plan_to_doc(restored) == doc, seed
+        checked[gen_app] += len(rules) > 1
+    assert min(checked.values()) >= 20, checked

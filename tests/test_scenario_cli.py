@@ -671,6 +671,20 @@ def test_cli_routes_refuses_a_plan_placing_one_anchor_twice(tmp_path, capsys):
         "error: malformed plan document: placement of 'm4' at 'global' listed twice"]
 
 
+def test_cli_routes_refuses_a_plan_repeating_a_route(tmp_path, capsys):
+    """A second copy of the ed3 ingress rule is refused, not kept over the first."""
+    doc = yaml.safe_load((GOLDEN / "plan_canonical.yaml").read_text(encoding="utf-8"))
+    doc["routes"].append(copy.deepcopy(doc["routes"][0]))
+    with pytest.raises(ScenarioParseError, match="^malformed plan document: route ed3/iot->m2 listed twice$"):
+        plan_from_doc(doc)
+    plan_path = tmp_path / "plan.yaml"
+    plan_path.write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
+    assert main(["routes", "--scenario", CANONICAL, "--plan", str(plan_path), "--quiet"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: malformed plan document: route ed3/iot->m2 listed twice"]
+
+
 def test_cli_routes_refuses_a_plan_document_that_is_not_a_mapping(tmp_path, capsys):
     plan_path = tmp_path / "plan.yaml"
     plan_path.write_text("- placements\n- routes\n", encoding="utf-8")
