@@ -44,9 +44,17 @@ ROOT = Path(__file__).resolve().parents[1]
 EQUIVALENT = {
     ("audit.py", "total_count = sum(expected.values())", "if total_weight > 0 and total_count  >=  0:"):
         "no instance in scope makes both sides of every comparison 0, so the loop finds nothing",
+    ("audit.py", "# each in-scope instance once, weighted by its count: every check below passes", "pass"):
+        "it only turns the skip off: the checks below find nothing in a rule the skip passes",
+    ("documents.py", "kind = type(value)", "if kind is int  and  kind is str and _bare(value):"):
+        "it only turns the inline branch off: `_nested` writes an int or a bare string the same way",
     ("documents.py", '"""Whether PyYAML writes the string ``text`` as a plain scalar in block context."""',
      'return (0  <=  len(text) <= 100 and " " not in text'):
         "the only string the bound then admits is the empty one, which PyYAML's resolver tags null",
+    ("scenario.py", 'mark = getattr(exc, "problem_mark", None)',
+     'if getattr(exc, "problem", None)  or  mark is not None:'):
+        "every error the safe loaders raise has both a problem and its mark, or neither "
+        "(a ValueError, or a ReaderError, whose message holds its position)",
     ("search.py", "queue.append(head[a])", "if level[sink]  <=  0:"):
         "the sink is never the source, so its level is never 0",
     ("search.py", "if level[sink] < 0:", "return flow, [lv  >  0 for lv in level]"):

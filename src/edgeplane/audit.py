@@ -142,6 +142,15 @@ def validate_plan(
         if not rule.destinations:
             violations.append(Violation("route", _rule_key(rule), "rule has no destinations"))
             continue
+        groups = scoped.get((rule.target_ms, level))
+        if groups is None:
+            groups = scoped[rule.target_ms, level] = {}
+            for node_id, k in hosted.get(rule.target_ms, {}).items():
+                groups.setdefault(_scope_key(graph, graph.nodes[node_id].domain_id, level), {})[node_id] = k
+        expected = groups.get(key, {})
+        if len(rule.destinations) == len(expected) and dict(rule.destinations) == expected:
+            # each in-scope instance once, weighted by its count: every check below passes
+            continue
         for node_id, weight in rule.destinations:
             if weight < 1:
                 violations.append(Violation("route", _rule_key(rule),
@@ -162,12 +171,6 @@ def validate_plan(
                     f"destination {node_id} hosts no {rule.target_ms} instance",
                 ))
 
-        groups = scoped.get((rule.target_ms, level))
-        if groups is None:
-            groups = scoped[rule.target_ms, level] = {}
-            for node_id, k in hosted.get(rule.target_ms, {}).items():
-                groups.setdefault(_scope_key(graph, graph.nodes[node_id].domain_id, level), {})[node_id] = k
-        expected = groups.get(key, {})
         dest_nodes = {node_id for node_id, _ in rule.destinations}
         missing = sorted(set(expected) - dest_nodes)
         if missing:

@@ -26,7 +26,7 @@ import functools
 import json
 import math
 from fractions import Fraction
-from itertools import groupby, repeat
+from itertools import groupby
 
 import yaml
 
@@ -284,28 +284,39 @@ def _block(doc, pad: str, inline: bool, out: list, seen: set) -> None:
     """Each "key:" of a mapping, or "-" of a sequence item, on its own line at ``pad``;
     the first one right after "- " when ``inline``.  ``seen`` holds the ids of the
     collections written so far: a second sight of one would be an alias in PyYAML."""
-    mapping = type(doc) is dict
-    for head, value in doc.items() if mapping else zip(repeat("-"), doc):
-        if mapping:
-            if type(head) is not str or not _bare(head):
+    if type(doc) is dict:
+        for key, value in doc.items():
+            if type(key) is not str or not _bare(key):
                 raise _Fallback
-            head += ":"
-        if not inline:
-            head = pad + head
-        inline = False
-        empty = _EMPTY.get(type(value))
-        if empty is None:
-            out.append(f"{head} {_scalar(value)}\n")
-            continue
-        if id(value) in seen:
-            raise _Fallback
-        seen.add(id(value))
-        if not value:
-            out.append(f"{head} {empty}")
-        elif mapping:
-            # PyYAML indents a mapping under a key, but not a sequence
-            out.append(head + "\n")
-            _block(value, pad + "  " if type(value) is dict else pad, False, out, seen)
-        else:
-            out.append(head + " ")
-            _block(value, pad + "  ", True, out, seen)
+            head = key + ":" if inline else pad + key + ":"
+            inline = False
+            kind = type(value)
+            if kind is int or kind is str and _bare(value):
+                out.append(f"{head} {value}\n")
+            elif _nested(head, value, out, seen):
+                # PyYAML indents a mapping under a key, but not a sequence
+                out.append(head + "\n")
+                _block(value, pad + "  " if kind is dict else pad, False, out, seen)
+    else:
+        for value in doc:
+            head = "-" if inline else pad + "-"
+            inline = False
+            if _nested(head, value, out, seen):
+                out.append(head + " ")
+                _block(value, pad + "  ", True, out, seen)
+
+
+def _nested(head: str, value, out: list, seen: set) -> bool:
+    """Write ``head`` with ``value`` when that is a scalar or an empty collection;
+    True when ``value`` is a collection whose items go below ``head``."""
+    empty = _EMPTY.get(type(value))
+    if empty is None:
+        out.append(f"{head} {_scalar(value)}\n")
+        return False
+    if id(value) in seen:
+        raise _Fallback
+    seen.add(id(value))
+    if value:
+        return True
+    out.append(f"{head} {empty}")
+    return False

@@ -13,11 +13,23 @@ surfacing as confusing behavior mid-simulation.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from math import inf
 from pathlib import Path
 
 import yaml
+from yaml import (
+    DocumentEndEvent,
+    DocumentStartEvent,
+    MappingEndEvent,
+    MappingStartEvent,
+    ScalarEvent,
+    ScalarNode,
+    SequenceEndEvent,
+    SequenceStartEvent,
+    StreamEndEvent,
+)
 
 from .appmodel import ApplicationDag, PlacementRequest, app_from_doc
 from .errors import EdgeplaneError, ScenarioParseError, UnknownNode, doc_id, doc_int, doc_list
@@ -52,11 +64,15 @@ class Scenario:
 
 
 def read_yaml(path):
-    """The YAML document in the file at ``path``.
+    """The YAML document in the file at ``path``, as ``yaml.load`` reads it.
 
-    Raises ScenarioParseError, prefixed with the path, when the file is
-    missing or unreadable, or is not valid YAML.  The message is one line:
-    a YAML error with a position reads ``<problem> (line L, column C)``.
+    A plain document (see :func:`_from_events`) is built from the loader's
+    events; any other goes to ``yaml.load`` with the same loader, which stays
+    the reference.  Raises ScenarioParseError, prefixed with the path, when
+    the file is missing or unreadable, is not valid YAML, or holds a scalar
+    its tag cannot construct (a date with month 13, an integer longer than
+    Python converts).  The message is one line: a YAML error with a position
+    reads ``<problem> (line L, column C)``.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -64,14 +80,107 @@ def read_yaml(path):
         reason = getattr(exc, "strerror", None) or exc
         raise ScenarioParseError(f"{path}: cannot read: {reason}") from exc
     try:
-        return yaml.load(text, Loader=YAML_LOADER)
-    except yaml.YAMLError as exc:
+        try:
+            doc = _from_events(YAML_LOADER(text))
+        except (_Uncovered, ValueError):
+            # yaml.load composes the whole document before it constructs, so
+            # it raises a later parse error ahead of a scalar's ValueError
+            return yaml.load(text, Loader=YAML_LOADER)
+        # yaml.load's node tree sets off a young collection inside every load;
+        # the walk builds no tree, so collect here, not inside the caller's next work
+        gc.collect(0)
+        return doc
+    except (yaml.YAMLError, ValueError) as exc:
         mark = getattr(exc, "problem_mark", None)
         if getattr(exc, "problem", None) and mark is not None:
             reason = f"{exc.problem} (line {mark.line + 1}, column {mark.column + 1})"
         else:
             reason = str(exc)
         raise ScenarioParseError(f"{path}: invalid YAML: {' '.join(reason.split())}") from exc
+
+
+class _Uncovered(Exception):
+    """The stream holds something :func:`_from_events` leaves to ``yaml.load``."""
+
+
+_STR_TAG = "tag:yaml.org,2002:str"
+#: The other tags a plain scalar may resolve to, each built by the loader's constructor.
+_CORE_TAGS = frozenset(f"tag:yaml.org,2002:{kind}" for kind in ("int", "float", "bool", "null", "timestamp"))
+#: What a mapping waits for when it waits for a key; a sequence waits with None.
+_KEY = object()
+
+
+def _from_events(loader):
+    """The stream's one document, nested from ``loader``'s events with an explicit stack.
+
+    Covered: untagged mappings and sequences with no anchor, whose mapping
+    keys are strings, and scalars with no anchor and no explicit tag whose
+    resolved tag is ``str`` or one of :data:`_CORE_TAGS`.  The resolver tags
+    each distinct (value, implicit) pair once, and the constructor builds
+    each distinct non-string one once; a later duplicate key wins, as in
+    PyYAML.  Anything else (an alias, a merge key, a non-string or complex
+    key, no document or a second one) raises _Uncovered.  Parse errors are
+    the loader's own; a constructor's ValueError propagates.
+    """
+    get = loader.get_event
+    resolve, construct = loader.resolve, loader.construct_object
+    memo: dict = {}
+    root: list = []
+    top, key = root, None
+    stack: list = []
+    try:
+        get()  # the stream's start
+        if get().__class__ is not DocumentStartEvent:
+            raise _Uncovered
+        while True:
+            event = get()
+            kind = event.__class__
+            if kind is ScalarEvent:
+                if event.anchor is not None or event.tag is not None:
+                    raise _Uncovered
+                text, implicit = event.value, event.implicit
+                try:
+                    value = memo[text, implicit]
+                except KeyError:
+                    tag = resolve(ScalarNode, text, implicit)
+                    if tag == _STR_TAG:
+                        value = text
+                    elif tag in _CORE_TAGS:
+                        value = construct(ScalarNode(tag, text))
+                    else:
+                        raise _Uncovered from None
+                    memo[text, implicit] = value
+                if key is None:
+                    top.append(value)
+                elif key is _KEY:
+                    if value.__class__ is not str:
+                        raise _Uncovered
+                    key = value
+                else:
+                    top[key] = value
+                    key = _KEY
+            elif kind is MappingStartEvent or kind is SequenceStartEvent:
+                if event.anchor is not None or event.tag is not None or key is _KEY:
+                    raise _Uncovered
+                opened = {} if kind is MappingStartEvent else []
+                if key is None:
+                    top.append(opened)
+                else:
+                    top[key] = opened
+                stack.append(top)
+                top, key = opened, _KEY if kind is MappingStartEvent else None
+            elif kind is MappingEndEvent or kind is SequenceEndEvent:
+                top = stack.pop()
+                key = None if top.__class__ is list else _KEY
+            elif kind is DocumentEndEvent:
+                break
+            else:
+                raise _Uncovered
+        if get().__class__ is not StreamEndEvent:
+            raise _Uncovered
+    finally:
+        loader.dispose()
+    return root[0]
 
 
 def load_scenario(path) -> Scenario:

@@ -1124,6 +1124,18 @@ def test_validate_detects_skewed_weights(placed):
     assert any("proportional" in v.detail for v in report.violations)
 
 
+def test_validate_detects_destination_listed_twice(placed):
+    """Read as a mapping, the destinations are exactly the in-scope instances;
+    listed twice, ed4-n1 gets twice its share, which the audit must catch."""
+    scenario, plan = placed
+    rule = plan.routes.lookup("ed3", "m2", "m3")
+    assert rule.destinations == (("ed3-n1", 2), ("ed3-n2", 3), ("ed4-n1", 1))
+    _swap_rule(plan, ("ed3", "m2", "m3"), destinations=rule.destinations + (("ed4-n1", 1),))
+    report = validate_plan(scenario.graph, scenario.app, scenario.policies, plan)
+    assert [(v.kind, v.subject, v.detail) for v in report.violations] == [
+        ("route", "ed3/m2->m3", "weight of ed3-n1 not proportional to its instance count")]
+
+
 def test_validate_accepts_scaled_weights(placed):
     scenario, plan = placed
     # doubling every weight preserves the proportional split

@@ -257,9 +257,38 @@ def test_cli_validate_parse_failure(tmp_path, capsys, monkeypatch):
                             r"[^\n]+ \(line \d+, column \d+\)\n", err), (loader, err)
 
 
+@pytest.mark.parametrize("content, reason", [
+    ("topology: {when: 2001-13-45}\n", "month must be in 1..12"),
+    ("a: !!int abc\n", "invalid literal for int() with base 10: 'abc'"),
+    (f"a: {'7' * 5000}\n", "Exceeds the limit (4300 digits) for integer string conversion"),
+], ids=["bad-date", "tagged-int", "5000-digits"])
+def test_cli_validate_bad_scalar_exits_2(tmp_path, capsys, monkeypatch, content, reason):
+    """A scalar its tag's constructor refuses is invalid YAML, not an internal error."""
+    path = tmp_path / "scalar.yaml"
+    path.write_text(content, encoding="utf-8")
+    for loader in LOADERS:
+        monkeypatch.setattr(scenario, "YAML_LOADER", loader)
+        assert main(["validate", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: invalid YAML: {reason}") and err.count("\n") == 1, (loader, err)
+
+
 def test_cli_validate_missing_file(tmp_path, capsys):
     assert main(["validate", "--scenario", str(tmp_path / "absent.yaml")]) == 2
     assert "absent.yaml" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, reason", [
+    (None, "No such file or directory"),
+    (b"topology: \xff\xfe\n", "'utf-8' codec can't decode byte 0xff in position 10: invalid start byte"),
+], ids=["missing", "not-utf8"])
+def test_cli_unreadable_file_gives_the_reason(tmp_path, capsys, content, reason):
+    """An OS error reads as its bare strerror, a decoding error as its message."""
+    path = tmp_path / "input.yaml"
+    if content is not None:
+        path.write_bytes(content)
+    assert main(["validate", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: cannot read: {reason}\n"
 
 
 def test_cli_validate_reports_all_fragments(tmp_path, capsys):

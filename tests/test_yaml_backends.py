@@ -5,8 +5,14 @@ libyaml's C classes when PyYAML has them.  The ``pure_python`` fixture forces
 the pure-Python classes, so the golden comparisons run on both loaders, and
 the checks below compare the two paths directly where libyaml is present.
 ``tests/test_documents.py`` compares ``documents``' own emitter with both
-dumpers.
+dumpers.  ``read_yaml`` builds plain documents from the loader's events and
+leaves every other to ``yaml.load``: the differential tests below hold it to
+``yaml.load``'s result under each loader, and pin which path each input takes.
 """
+
+import gc
+import importlib.util
+import random
 
 import pytest
 import yaml
@@ -15,10 +21,11 @@ from edgeplane import scenario
 from edgeplane.cli import main
 from edgeplane.controlplane import ControlPlane, validate_plan
 from edgeplane.documents import dump_doc, plan_from_doc, plan_to_doc, report_to_doc
+from edgeplane.errors import ScenarioParseError
 from edgeplane.meshsim import run_scenario
 from edgeplane.scenario import load_scenario, read_yaml, scenario_from_doc
 
-from .support import GOLDEN, ROOT, SCENARIOS
+from .support import GOLDEN, ROOT, SCENARIOS, gen_case
 
 YAML_FILES = sorted(
     path for folder in (SCENARIOS, ROOT / "perfbench" / "cases", GOLDEN)
@@ -26,6 +33,9 @@ YAML_FILES = sorted(
 )
 
 needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+
+#: The pure-Python loader, and libyaml's where PyYAML has it.
+LOADERS = (yaml.SafeLoader, *([yaml.CSafeLoader] if yaml.__with_libyaml__ else []))
 
 
 class CountingLoader(yaml.SafeLoader):
@@ -134,3 +144,161 @@ def test_inputs_load_equal_under_both_loaders(monkeypatch, path):
 
 def test_every_bundled_yaml_file_is_compared():
     assert len(YAML_FILES) == 15
+
+
+def differential(monkeypatch, tmp_path, text: str, loader) -> str:
+    """Read ``text`` with ``read_yaml`` under ``loader`` and hold it to ``yaml.load``'s
+    result: the same value, down to types and key order (compared by ``repr``,
+    under which NaN equals NaN), or a ScenarioParseError caused by the same
+    exception type.  Returns the path taken: "walk" when the document was built
+    from the events, "fallback" when it went to ``yaml.load``, "parse error"
+    when the events themselves failed."""
+    path = tmp_path / "doc.yaml"
+    path.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(scenario, "YAML_LOADER", loader)
+    taken = []
+    walk = scenario._from_events
+
+    def spy(events):
+        try:
+            doc = walk(events)
+        except yaml.YAMLError:
+            taken.append("parse error")
+            raise
+        except Exception:
+            taken.append("fallback")
+            raise
+        taken.append("walk")
+        return doc
+
+    monkeypatch.setattr(scenario, "_from_events", spy)
+    try:
+        expected = yaml.load(text, Loader=loader)
+    except (yaml.YAMLError, ValueError) as exc:
+        with pytest.raises(ScenarioParseError) as info:
+            read_yaml(path)
+        assert type(info.value.__cause__) is type(exc)
+    else:
+        assert repr(read_yaml(path)) == repr(expected)
+    assert len(taken) == 1
+    return taken[0]
+
+
+#: (input, the path ``read_yaml`` takes for it), each read under every loader.
+STREAMS = [
+    ("a: [1, {b: c}]\nd: []\ne: {}\nf:\n", "walk"),
+    ("'<<': {x: 1}\ny: 2\n", "walk"),
+    ("a: 1\nb: 2\na: 3\n", "walk"),
+    ("a: {x: 1}\nb: 2\na: [3]\n", "walk"),
+    ("a: [0x1f, 0o17, 1_000, +1, '1:30', 1:30, 0b101, 017, -0, 07_7]\n", "walk"),
+    ("a: [1.5, .inf, -.Inf, .nan, 1e3, 1.0e+3, 190:20:30.15, ._, 1_0.5]\n", "walk"),
+    ("a: [2001-12-14t21:59:43.10-05:00, 2002-12-14, 2001-12-14 21:59:43.10 +5, 2001-12-15T02:59:43.1Z]\n",
+     "walk"),
+    ("a: [yes, No, on, OFF, ~, null, Null, '', true, 'true', \"1\", '~']\n", "walk"),
+    ("a: |\n  line\n  two\nb: >\n  folded\n  text\nc: \"\\u00e9t\\u00e9\"\n", "walk"),
+    ("%YAML 1.1\n---\na: 1\n...\n", "walk"),
+    ("---\n", "walk"),
+    ("--- \n...\n", "walk"),
+    ("[1, [2, [3, []]], {}]\n", "walk"),
+    ("just text\n", "walk"),
+    ("a: &x [1, 2]\nb: *x\n", "fallback"),
+    ("a: &x 1\n", "fallback"),
+    ("a: &x {b: 1}\n", "fallback"),
+    ("base: &b {x: 1}\nd:\n  <<: *b\n  y: 2\n", "fallback"),
+    ("<<: {x: 1}\ny: 2\n", "fallback"),
+    ("a: !!str 1\n", "fallback"),
+    ("a: !!int '7'\n", "fallback"),
+    ("a: !!set {x, y}\n", "fallback"),
+    ("a: !!map {b: 1}\n", "fallback"),
+    ("a: ! 12\n", "fallback"),
+    ("1: a\n", "fallback"),
+    ("null: a\n", "fallback"),
+    ("true: x\n", "fallback"),
+    ("2001-01-01: x\n", "fallback"),
+    ("? [a, b]\n: c\n", "fallback"),
+    ("? {a: 1}\n: c\n", "fallback"),
+    ("=: x\n", "fallback"),
+    ("a: =\n", "fallback"),
+    ("", "fallback"),
+    ("# a comment alone\n", "fallback"),
+    ("a: 1\n---\nb: 2\n", "fallback"),
+    ("a: 2001-13-45\n", "fallback"),
+    ("a: 0b_\n", "fallback"),
+    ("a: !!int abc\n", "fallback"),
+    (f"a: {'1' * 5000}\n", "fallback"),
+    ("a: 2001-13-45\nb: [\n", "fallback"),
+    ("a: *x\n", "fallback"),
+    ("a: [\n", "parse error"),
+    ("a: b: c\n", "parse error"),
+    ("a: 'open\n", "parse error"),
+]
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+@pytest.mark.parametrize("text, taken", STREAMS, ids=[text[:24] for text, _ in STREAMS])
+def test_read_yaml_matches_yaml_load(monkeypatch, tmp_path, loader, text, taken):
+    assert differential(monkeypatch, tmp_path, text, loader) == taken
+
+
+def perfbench_gen():
+    spec = importlib.util.spec_from_file_location("gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def generated_inputs() -> list[str]:
+    """One seeded ladder scenario per rung, written as perfbench writes them, and
+    seeded ``gen_case`` scenarios in block and flow style."""
+    gen, rng = perfbench_gen(), random.Random(5)
+    texts = [yaml.dump(gen.ladder_scenario(rng, *shape), Dumper=yaml.SafeDumper, sort_keys=False)
+             for *shape, _ in gen.LADDER]
+    for seed in range(12):
+        doc = dict(zip(("topology", "application", "policies", "demand"), gen_case(random.Random(seed))))
+        texts.append(yaml.safe_dump(doc, sort_keys=False, default_flow_style=bool(seed % 2)))
+    return texts
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+def test_every_bundled_and_generated_input_is_walked(monkeypatch, tmp_path, loader):
+    texts = [path.read_text(encoding="utf-8") for path in YAML_FILES] + generated_inputs()
+    assert [differential(monkeypatch, tmp_path, text, loader) for text in texts] == ["walk"] * len(texts)
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+def test_walk_reads_50000_deep_nesting(tmp_path, monkeypatch, loader):
+    """The walk keeps its own stack.  ``yaml.load``'s composers recurse once per
+    level: the pure-Python one raises RecursionError within a few thousand, and
+    libyaml's overflows the C stack well before 50,000, so this input is never
+    given to ``yaml.load`` here.  The nesting is in block style: both scanners
+    take time quadratic in the depth of flow nesting."""
+    depth = 50_000
+    path = tmp_path / "deep.yaml"
+    path.write_text("- " * depth + "x\n", encoding="utf-8")
+    monkeypatch.setattr(scenario, "YAML_LOADER", loader)
+    doc = read_yaml(path)
+    for _ in range(depth - 1):
+        assert type(doc) is list and len(doc) == 1
+        doc = doc[0]
+    assert doc == ["x"]
+
+
+def test_reading_leaves_no_reference_cycle(monkeypatch, tmp_path):
+    """With the collector off and read_yaml's young collection stubbed out, a
+    walked and a fallen-back read, under each loader, leave nothing for a
+    full collection to free: the loader and the walk's state die on return."""
+    walked, fallen_back = tmp_path / "walked.yaml", tmp_path / "fallen_back.yaml"
+    walked.write_text("a: [1, {b: c}]\n", encoding="utf-8")
+    fallen_back.write_text("a: &x [1, 2]\nb: *x\nc: [3]\n", encoding="utf-8")
+    collect = gc.collect
+    monkeypatch.setattr(gc, "collect", lambda generation=2: 0)
+    collect()
+    gc.disable()
+    try:
+        for loader in LOADERS:
+            monkeypatch.setattr(scenario, "YAML_LOADER", loader)
+            assert read_yaml(walked) == {"a": [1, {"b": "c"}]}
+            assert read_yaml(fallen_back) == {"a": [1, 2], "b": [1, 2], "c": [3]}
+        assert collect() == 0
+    finally:
+        gc.enable()
