@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import attrgetter
 
 from .appmodel import ApplicationDag, PlacementRequest, as_rate
 from .audit import validate_plan
@@ -40,7 +41,7 @@ class RoutingRuleSet:
     rules: tuple[RoutingRule, ...]
 
     def __post_init__(self):
-        self.rules = tuple(sorted(self.rules, key=lambda r: (r.domain_id, r.target_ms, r.consumer)))
+        self.rules = tuple(sorted(self.rules, key=attrgetter("domain_id", "target_ms", "consumer")))
         self._index = {(r.domain_id, r.consumer, r.target_ms): r for r in self.rules}
 
     def lookup(self, domain_id: str, consumer: str, target_ms: str) -> RoutingRule | None:
@@ -114,6 +115,7 @@ def generate_routes(
     app: ApplicationDag,
     mapping: PlacementMapping,
     pset: PolicySet,
+    previous: RoutingRuleSet | None = None,
 ) -> RoutingRuleSet:
     """Derive weighted routing rules from a placement mapping.
 
@@ -122,7 +124,10 @@ def generate_routes(
     by node id, weighted by instance count.  Ingress rules anchor at each
     IoT attachment domain, and consumer rules at every domain where the
     consumer holds instances.  A starved scope gets no rule;
-    :func:`validate_plan` reports it where traffic would need one.
+    :func:`validate_plan` reports it where traffic would need one.  A rule
+    of ``previous`` (the last plan's rules) that equals a derived one, key,
+    level and destinations, is returned in its place, so an unchanged rule
+    keeps its object.
     """
     instances = {ms_id: mapping.instances_of(ms_id) for ms_id in app.microservices}
     attached = graph.attachment_domains()
@@ -130,19 +135,27 @@ def generate_routes(
     keys += [({graph.nodes[n].domain_id for n in instances[ms_id]}, ms_id, edge.to_ms,
               pset.edge_level(ms_id, edge.to_ms))
              for ms_id in app.microservices for edge in app.successors(ms_id)]
+    reuse = previous._index if previous is not None else {}
     rules: list[RoutingRule] = []
-    by_anchor: dict[tuple[str, LocalityLevel], dict[str, list[tuple[str, int]]]] = {}
+    scope_of: dict[LocalityLevel, dict[str, str]] = {}  # per level, each domain's anchor
+    by_anchor: dict[tuple[str, LocalityLevel], dict[str, tuple[tuple[str, int], ...]]] = {}
     for domains, consumer, target_ms, level in keys:
+        scope = scope_of.get(level)
+        if scope is None:
+            scope = scope_of[level] = {domain_id: graph.anchor_of(domain_id, level) for domain_id in graph.domains}
         groups = by_anchor.get((target_ms, level))
         if groups is None:  # the target's (node, count) pairs by node id, grouped by anchor once per level
-            groups = by_anchor[target_ms, level] = {}
+            grouped: dict[str, list[tuple[str, int]]] = {}
             for node_id, count in instances[target_ms].items():
-                anchor = graph.anchor_of(graph.nodes[node_id].domain_id, level)
-                groups.setdefault(anchor, []).append((node_id, count))
+                grouped.setdefault(scope[graph.nodes[node_id].domain_id], []).append((node_id, count))
+            groups = by_anchor[target_ms, level] = {anchor: tuple(dest) for anchor, dest in grouped.items()}
         for domain_id in domains:
-            dest = groups.get(graph.anchor_of(domain_id, level))
+            dest = groups.get(scope[domain_id])
             if dest:
-                rules.append(RoutingRule(domain_id, consumer, target_ms, level, tuple(dest)))
+                rule = reuse.get((domain_id, consumer, target_ms))
+                if rule is None or rule.level is not level or rule.destinations != dest:
+                    rule = RoutingRule(domain_id, consumer, target_ms, level, dest)
+                rules.append(rule)
     return RoutingRuleSet(tuple(rules))
 
 
@@ -198,6 +211,8 @@ def handle_alert(
     policies: PolicySet,
     plan: DeploymentPlan,
     alert: Alert,
+    *,
+    state: tuple[dict[str, dict[str, Fraction]], frozenset[str]] | None = None,
 ) -> DeploymentPlan:
     """Adjust a plan in response to an observer alert.
 
@@ -219,11 +234,14 @@ def handle_alert(
     keeps its slots in their order, from the kept or the fresh run.  This
     function is the reference path; :meth:`ControlPlane.handle_alert` skips
     such replans, so treat a returned plan as a value: edit a copy, not the
-    plan.
+    plan.  ``state`` is the (demand, drained set) :func:`_post_alert_state`
+    gives for ``plan`` and ``alert``, when the caller has worked it out.
+    The rules are derived afresh, and those equal to ``plan``'s keep its
+    objects.
     """
-    demand, drained = _post_alert_state(graph, app, plan, alert)
+    demand, drained = state if state is not None else _post_alert_state(graph, app, plan, alert)
     mapping = reconcile(graph, app, policies, demand, plan.mapping.per_ms, drained)
-    routes = generate_routes(graph, app, mapping, policies)
+    routes = generate_routes(graph, app, mapping, policies, plan.routes)
     new_plan = DeploymentPlan(
         app_id=plan.app_id,
         revision=plan.revision + 1,
@@ -251,8 +269,9 @@ class ControlPlane:
     demand and drained set (its fixed point, for a fresh placement too),
     and the audit reads no revision.  Every other alert, and any other
     plan, such as one read from a document or a plan from another control
-    plane, takes the full :func:`handle_alert`, audit included.  A returned
-    plan is a value: edit a copy, not the plan.
+    plane, takes the full :func:`handle_alert`, audit included; on one of
+    those two plans it passes on the post-alert state it has worked out.  A
+    returned plan is a value: edit a copy, not the plan.
     """
 
     def __init__(self, graph: InfrastructureGraph, app: ApplicationDag, policies: PolicySet):
@@ -267,11 +286,12 @@ class ControlPlane:
         return self._placed
 
     def handle_alert(self, plan: DeploymentPlan, alert: Alert) -> DeploymentPlan:
+        state = None
         if plan is self._last or plan is self._placed:
-            demand, drained = _post_alert_state(self.graph, self.app, plan, alert)
+            state = demand, drained = _post_alert_state(self.graph, self.app, plan, alert)
             if demand == plan.demand and drained == plan.drained and (
                     plan is self._last or validate_plan(self.graph, self.app, self.policies, plan).ok):
                 self._last = replace(plan, revision=plan.revision + 1)
                 return self._last
-        self._last = handle_alert(self.graph, self.app, self.policies, plan, alert)
+        self._last = handle_alert(self.graph, self.app, self.policies, plan, alert, state=state)
         return self._last

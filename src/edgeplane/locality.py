@@ -20,6 +20,11 @@ class LocalityLevel(enum.Enum):
     STRICT_REGION = "strict-region"
     GLOBAL = "global"
 
+    # Members are singletons that compare by identity, so they hash by identity,
+    # in C: Enum's own hash of the member name runs Python code in every
+    # (microservice, level) dict key.
+    __hash__ = object.__hash__
+
     @property
     def strictness(self) -> int:
         """Rank with 0 the strictest, so ascending sorts put strictest first."""

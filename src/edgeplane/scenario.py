@@ -20,6 +20,8 @@ from pathlib import Path
 
 import yaml
 from yaml import (
+    CollectionEndEvent,
+    CollectionStartEvent,
     DocumentEndEvent,
     DocumentStartEvent,
     MappingEndEvent,
@@ -71,8 +73,9 @@ def read_yaml(path):
     the reference.  Raises ScenarioParseError, prefixed with the path, when
     the file is missing or unreadable, is not valid YAML, or holds a scalar
     its tag cannot construct (a date with month 13, an integer longer than
-    Python converts).  The message is one line: a YAML error with a position
-    reads ``<problem> (line L, column C)``.
+    Python converts), or, when it is not plain, nests collections deeper
+    than :data:`FALLBACK_DEPTH`.  The message is one line: a YAML error with
+    a position reads ``<problem> (line L, column C)``.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -85,6 +88,7 @@ def read_yaml(path):
         except (_Uncovered, ValueError):
             # yaml.load composes the whole document before it constructs, so
             # it raises a later parse error ahead of a scalar's ValueError
+            _check_fallback_depth(text)
             return yaml.load(text, Loader=YAML_LOADER)
         # yaml.load's node tree sets off a young collection inside every load;
         # the walk builds no tree, so collect here, not inside the caller's next work
@@ -97,6 +101,36 @@ def read_yaml(path):
         else:
             reason = str(exc)
         raise ScenarioParseError(f"{path}: invalid YAML: {' '.join(reason.split())}") from exc
+
+
+#: The deepest nesting of collections a document that falls back to ``yaml.load``
+#: may have.  Its composers recurse once per level: the pure-Python one into the
+#: interpreter's recursion limit (two frames a level, and 300 levels still read
+#: under the default limit of 1,000), libyaml's into the C stack, which 50,000
+#: levels overflow.  A plain document is walked with no recursion at any depth.
+FALLBACK_DEPTH = 200
+
+
+def _check_fallback_depth(text: str):
+    """Raise a YAML error at the first collection nested deeper than
+    :data:`FALLBACK_DEPTH`, counted over a fresh loader's events.  A stream
+    the loader cannot parse that far is left to ``yaml.load``, which reports
+    its errors in its own order."""
+    depth = 0
+    try:
+        for event in yaml.parse(text, Loader=YAML_LOADER):
+            if isinstance(event, CollectionStartEvent):
+                depth += 1
+                if depth > FALLBACK_DEPTH:
+                    break
+            elif isinstance(event, CollectionEndEvent):
+                depth -= 1
+        else:
+            return
+    except yaml.YAMLError:
+        return
+    raise yaml.MarkedYAMLError(problem=f"collections nested deeper than {FALLBACK_DEPTH} levels",
+                               problem_mark=event.start_mark)
 
 
 class _Uncovered(Exception):

@@ -49,6 +49,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from operator import itemgetter
 
 from .appmodel import ApplicationDag, Microservice
 from .errors import InfeasiblePlacement
@@ -151,6 +152,9 @@ class _Budget:
 
 # --- slots --------------------------------------------------------------------
 
+#: A slot's node id and its instance count.
+_NODE, _COUNT = itemgetter(0), itemgetter(1)
+
 
 def _by_node(slots) -> dict[str, int]:
     agg: dict[str, int] = {}
@@ -200,44 +204,54 @@ def _anchor_demand(
     looser consumer anchor is split: proportional load balancing spreads its
     traffic evenly per instance, so each domain emits the anchor's demand
     weighted by its share of the anchor's instances.  Zero contributions are
-    dropped, so every returned anchor needs at least one instance.
+    dropped, so every returned anchor needs at least one instance.  Rates are
+    summed as integer numerator and denominator pairs, and anchors whose
+    pairs are equal share one ``Fraction``.
     """
-    acc: dict[str, tuple[LocalityLevel, Fraction]] = {}
+    acc: dict[str, tuple[LocalityLevel, int, int]] = {}  # anchor -> (level, rate numerator, denominator)
 
-    def add(anchor: str, level: LocalityLevel, rps: Fraction):
+    def add(anchor: str, level: LocalityLevel, num: int, den: int):
         if anchor in acc:
-            acc[anchor] = (level, acc[anchor][1] + rps)
+            _, n, d = acc[anchor]
+            acc[anchor] = (level, n * den + num * d, d * den)
         else:
-            acc[anchor] = (level, rps)
+            acc[anchor] = (level, num, den)
 
     if ms_id in app.ingress_ids:
         level = pset.iot_level(ms_id)
         for domain in sorted(demand):
-            rps = demand[domain].get(ms_id, Fraction(0))
+            rps = demand[domain].get(ms_id, 0)
             if rps.numerator > 0:
-                add(graph.anchor_of(domain, level), level, rps)
-        return acc
-    for edge in sorted(app.predecessors(ms_id), key=lambda e: e.from_ms):
-        level = pset.edge_level(edge.from_ms, ms_id)
-        for anchor, ap in per_ms_mapping.get(edge.from_ms, {}).items():
-            rps = ap.demand_rps * edge.rate_ratio
-            if rps.numerator <= 0 or not ap.slots:
-                continue
-            if level is LocalityLevel.GLOBAL:
-                add(GLOBAL_ANCHOR, level, rps)
-            elif ap.level is LocalityLevel.STRICT_DOMAIN:
-                add(graph.anchor_of(anchor, level), level, rps)
-            elif ap.level is level:
-                add(anchor, level, rps)
-            else:  # a looser anchor: split by its instances per domain
-                per_domain: dict[str, int] = {}
-                for node_id, k in ap.slots:
-                    domain_id = graph.nodes[node_id].domain_id
-                    per_domain[domain_id] = per_domain.get(domain_id, 0) + k
-                share = rps / sum(per_domain.values())  # per instance
-                for domain_id, k in per_domain.items():
-                    add(graph.anchor_of(domain_id, level), level, share * k)
-    return acc
+                add(graph.anchor_of(domain, level), level, rps.numerator, rps.denominator)
+    else:
+        for edge in sorted(app.predecessors(ms_id), key=lambda e: e.from_ms):
+            level = pset.edge_level(edge.from_ms, ms_id)
+            ratio_num, ratio_den = edge.rate_ratio.numerator, edge.rate_ratio.denominator
+            for anchor, ap in per_ms_mapping.get(edge.from_ms, {}).items():
+                num, den = ap.demand_rps.numerator * ratio_num, ap.demand_rps.denominator * ratio_den
+                if num <= 0 or not ap.slots:
+                    continue
+                if level is LocalityLevel.GLOBAL:
+                    add(GLOBAL_ANCHOR, level, num, den)
+                elif ap.level is level:
+                    add(anchor, level, num, den)
+                elif ap.level is LocalityLevel.STRICT_DOMAIN:
+                    add(graph.anchor_of(anchor, level), level, num, den)
+                else:  # a looser anchor: split by its instances per domain
+                    per_domain: dict[str, int] = {}
+                    for node_id, k in ap.slots:
+                        domain_id = graph.nodes[node_id].domain_id
+                        per_domain[domain_id] = per_domain.get(domain_id, 0) + k
+                    den *= sum(per_domain.values())  # per instance
+                    for domain_id, k in per_domain.items():
+                        add(graph.anchor_of(domain_id, level), level, num * k, den)
+    rates: dict[tuple[int, int], Fraction] = {}  # one Fraction per distinct pair
+    anchored = {}
+    for anchor, (level, num, den) in acc.items():
+        if (num, den) not in rates:
+            rates[num, den] = Fraction(num, den)
+        anchored[anchor] = (level, rates[num, den])
+    return anchored
 
 
 def _placement_sequence(app: ApplicationDag, pset: PolicySet) -> list[str]:
@@ -637,7 +651,9 @@ def _reconcile(
     branch keeps its current slots minus any on a ``drained`` node: a shrink
     drops the newest slots first, and growth adds instances first-fit,
     displaced ones preferring the first displaced slot's domain, then its
-    region; without kept slots the first branch is the first split.  A
+    region; without kept slots the first branch is the first split.  Slots
+    that are all undrained and already number the anchor's need are kept as
+    a copy of the list, with no ledger give and take, which would cancel.  A
     choice point holds only that branch.  On backtrack every split from
     :func:`_distributions` is tried: the generator is built when the search
     first asks the point for another choice, and if the first branch was
@@ -670,8 +686,7 @@ def _reconcile(
         free = _Ledger({n.id: n.cpu_capacity for n in graph.nodes.values()},
                        {n.id: n.mem_capacity for n in graph.nodes.values()})
         for ms_id, anchors in current.items():
-            for ap in anchors.values():
-                free.take(ap.slots, app.microservices[ms_id])
+            free.take([slot for ap in anchors.values() for slot in ap.slots], app.microservices[ms_id])
         return free
 
     ledger = root_ledger()
@@ -778,6 +793,14 @@ def _reconcile(
                 if not anchors:
                     break
             anchor, old, level, rps, need = anchors[j]
+            if old is not None and sum(map(_COUNT, old.slots)) == need and drained.isdisjoint(map(_NODE, old.slots)):
+                # The first branch would keep these slots as they are, for no budget step,
+                # and the ledger holds them already: keep them with no give and no take.
+                kept = list(old.slots)
+                if kept:
+                    acc[ms.id][anchor] = AnchorPlacement(anchor, level, rps, kept)
+                stack.append((pos, j, ms, anchors, kept, None))
+                continue
             if old is not None:
                 ledger.give(old.slots, ms)
             slots, kept = first_branch(pos, ms, anchor, old, level, rps, need)

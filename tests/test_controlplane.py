@@ -467,6 +467,10 @@ def test_reconciler_never_offers_a_drained_node():
     (120, 2, "d20-n0", 10, True),
     (348, 2, "d00-n0", 3, False),
     (229, 1, "d10-n0", 57, False),
+    (229, 2, "d10-n0", 155, False),
+    (54, 2, "d00-n0", 23, True),
+    (120, 2, "d21-n0", 21, False),
+    (36, 1, "d10-n1", 12, False),
 ])
 def test_search_step_counts_pinned(seed, factor, drained, steps, placed):
     """Budget steps one search spends on seeded ``gen_case`` inputs at
@@ -973,6 +977,113 @@ def test_generate_routes_canonical_frozen(canonical):
     assert rules[("ed4", "m4", "m5")].destinations == \
         (("cl-n1", 1), ("cl-n2", 1), ("cl-n3", 1))
     assert plan.routes.lookup("ed3", "m4", "m5") is None  # m4 has no ed3 instances
+
+
+def reused_rules(graph, app, pset, previous, mapping) -> tuple[int, int]:
+    """Hold ``generate_routes(..., previous)`` to the derivation without it:
+    equal rule for rule, each rule equal to ``previous``'s rule of its key
+    that very object, and no other rule one of ``previous``'s objects.
+    Returns how many rules were reused and how many made."""
+    fresh = generate_routes(graph, app, mapping, pset)
+    got = generate_routes(graph, app, mapping, pset, previous)
+    assert got.rules == fresh.rules
+    ids = {id(rule) for rule in previous.rules}
+    reused = 0
+    for rule in got.rules:
+        old = previous.lookup(rule.domain_id, rule.consumer, rule.target_ms)
+        if old == rule:
+            assert rule is old
+            reused += 1
+        else:
+            assert id(rule) not in ids
+    return reused, len(got.rules) - reused
+
+
+@pytest.mark.parametrize("gen_app", [gen_chain_app, gen_dag_app], ids=["chain", "dag"])
+def test_rules_reused_from_the_last_plan_match_a_fresh_derivation(gen_app):
+    """On seeded replans after a drain or a demand change, the rules derived
+    with the last plan's rules at hand are the fresh derivation's, and every
+    one equal to a last-plan rule is that object; the full replan returns
+    them.  The tallies pin that both reuse and change happened."""
+    reused = made = replans = 0
+    for seed in range(120):
+        rng = random.Random(seed)
+        graph, app, pset, request = build(*gen_case(rng, gen_app=gen_app))
+        try:
+            plan = place_application(graph, app, request, pset)
+        except InfeasiblePlacement:
+            continue
+        if rng.random() < 0.5:
+            alert = Alert("node_drain", {"node": rng.choice(sorted(graph.nodes))})
+        else:
+            factor = rng.choice([Fraction(1, 2), Fraction(3, 2), 2, 3])
+            alert = Alert("demand_change", {"demand": {
+                d: {m: r * factor for m, r in per.items()} for d, per in plan.demand.items()}})
+        try:
+            new = handle_alert(graph, app, pset, plan, alert)
+        except InfeasiblePlacement:
+            continue
+        assert new.routes.rules == generate_routes(graph, app, new.mapping, pset).rules, seed
+        counts = reused_rules(graph, app, pset, plan.routes, new.mapping)
+        reused, made, replans = reused + counts[0], made + counts[1], replans + 1
+    assert replans >= 80 and reused >= 100 and made >= 100, (replans, reused, made)
+
+
+@pytest.mark.parametrize("name", ["uav_canonical.yaml", "uav_demand_surge.yaml"])
+def test_rules_reused_on_the_bundled_scenarios_match_a_fresh_derivation(name, monkeypatch):
+    """Every replan the scenario's simulation runs, and a replan of its
+    placed plan for each node's drain and for its demand doubled, derives
+    the fresh derivation's rules, reusing the placed plan's equal ones."""
+    loaded = load_scenario(SCENARIOS / name)
+    graph, app, pset = loaded.graph, loaded.app, loaded.policies
+    replanned = []
+    full = controlplane.handle_alert
+
+    def recording(*args, **kwargs):
+        replanned.append((args[3], full(*args, **kwargs)))
+        return replanned[-1][1]
+
+    monkeypatch.setattr(controlplane, "handle_alert", recording)
+    _, report = run_scenario(graph, app, pset, loaded.request, loaded.events,
+                             overload_threshold=loaded.settings.overload_threshold)
+    assert len(replanned) == len(report.alerts)
+    plan = place_application(graph, app, loaded.request, pset)
+    alerts = [Alert("node_drain", {"node": node_id}) for node_id in sorted(graph.nodes)]
+    alerts.append(Alert("demand_change", {"demand": {
+        d: {m: 2 * r for m, r in per.items()} for d, per in plan.demand.items()}}))
+    for alert in alerts:
+        try:
+            recording(graph, app, pset, plan, alert)
+        except InfeasiblePlacement:
+            pass
+    reused = made = 0
+    for before, after in replanned:
+        counts = reused_rules(graph, app, pset, before.routes, after.mapping)
+        reused, made = reused + counts[0], made + counts[1]
+    assert reused >= 5 and made >= 5, (reused, made)
+
+
+@pytest.mark.parametrize("edit", ["weight", "level"])
+def test_a_wrong_rule_in_a_plan_document_is_never_reused(placed, edit):
+    """A plan document whose ``ed3/m2->m3`` rule was edited by hand, a
+    weight or its level, gives that rule to no derivation: the rule made in
+    its place is the fresh one, every other rule is reused, and the full
+    replan of the read-back plan returns the fresh rules."""
+    scenario, plan = placed
+    graph, app, pset = scenario.graph, scenario.app, scenario.policies
+    doc = plan_to_doc(plan)
+    route = next(r for r in doc["routes"] if (r["domain"], r["consumer"], r["target"]) == ("ed3", "m2", "m3"))
+    if edit == "weight":
+        route["destinations"][0]["weight"] += 1
+    else:
+        route["level"] = LocalityLevel.GLOBAL.value
+    edited = plan_from_doc(doc)
+    wrong = edited.routes.lookup("ed3", "m2", "m3")
+    assert wrong != plan.routes.lookup("ed3", "m2", "m3")
+    assert reused_rules(graph, app, pset, edited.routes, plan.mapping) == (len(plan.routes.rules) - 1, 1)
+    replanned = handle_alert(graph, app, pset, edited, OVERLOAD)
+    assert replanned.routes.rules == plan.routes.rules
+    assert all(rule is not wrong for rule in replanned.routes.rules)
 
 
 def test_ingress_rule_only_where_instances_in_scope():
@@ -1797,6 +1908,68 @@ def test_a_plan_that_is_not_the_last_takes_the_full_replan(replanned, monkeypatc
     got = control.handle_alert(plan, OVERLOAD)
     assert [len(counted) for counted in calls] == [1, 1, 1]
     assert got.revision == plan.revision + 1
+
+
+def test_the_post_alert_state_is_worked_out_once_per_alert(canonical, monkeypatch):
+    """ControlPlane.handle_alert works out the post-alert demand and drained
+    set once per alert: a shortcut uses it, and a full replan on its placed
+    or last plan gets it from there, called through the module global
+    ``controlplane.handle_alert`` with the alert as its last positional
+    argument.  A plan it did not return takes the full replan, which works
+    the state out itself, once."""
+    control = ControlPlane(canonical.graph, canonical.app, canonical.policies)
+    plan = control.place(canonical.request)
+    states, full = [], []
+    post_alert_state, replan = controlplane._post_alert_state, controlplane.handle_alert
+
+    def counted(*args):
+        states.append(args[-1])
+        return post_alert_state(*args)
+
+    def recording(*args, **kwargs):
+        full.append((args[-1], kwargs))
+        return replan(*args, **kwargs)
+
+    monkeypatch.setattr(controlplane, "_post_alert_state", counted)
+    monkeypatch.setattr(controlplane, "handle_alert", recording)
+    alerts = [OVERLOAD, Alert("demand_change", {"demand": {"ed3": {"m2": 150}}}), OVERLOAD,
+              Alert("node_drain", {"node": "cl-n1"}), Alert("node_drain", {"node": "cl-n1"})]
+    plan = control.handle_alert(plan, alerts[0])
+    for alert in alerts[1:]:
+        plan = control.handle_alert(plan, alert)
+    assert states == alerts
+    assert [alert for alert, _ in full] == [alerts[1], alerts[3]]
+    assert all(kwargs["state"] is not None for _, kwargs in full)
+    read_back = plan_from_doc(plan_to_doc(plan))
+    control.handle_alert(read_back, alerts[1])
+    assert states == [*alerts, alerts[1]] and full[-1] == (alerts[1], {"state": None})
+
+
+def test_a_replanned_plan_shares_no_slot_list_with_its_input(placed):
+    """Plans are values: editing the slot lists of a plan the full replan
+    returned, those of the anchors it kept as they were included, leaves the
+    plan it was replanned from unchanged, and editing that plan leaves the
+    returned one unchanged."""
+    scenario, plan = placed
+    graph, app, pset = scenario.graph, scenario.app, scenario.policies
+
+    def slot_lists(p):
+        return [ap.slots for anchors in p.mapping.per_ms.values() for ap in anchors.values()]
+
+    for alert in (OVERLOAD, Alert("node_drain", {"node": "cl-n1"})):
+        for edited in ("returned", "input"):
+            source = plan_from_doc(plan_to_doc(plan))
+            replanned = handle_alert(graph, app, pset, source, alert)
+            kept = [ap for ms_id, anchors in replanned.mapping.per_ms.items() for anchor, ap in anchors.items()
+                    if anchor in source.mapping.per_ms[ms_id]
+                    and ap.slots == source.mapping.per_ms[ms_id][anchor].slots]
+            assert kept and not {id(s) for s in slot_lists(replanned)} & {id(s) for s in slot_lists(source)}
+            target, other = (replanned, source) if edited == "returned" else (source, replanned)
+            before = dump_doc(plan_to_doc(other))
+            for slots in slot_lists(target):
+                slots[0] = ("cl-n3", 9)
+                slots.append(("ed3-n1", 1))
+            assert dump_doc(plan_to_doc(other)) == before, (alert.kind, edited)
 
 
 def moved_to_cl_n2(plan):

@@ -273,6 +273,21 @@ def test_cli_validate_bad_scalar_exits_2(tmp_path, capsys, monkeypatch, content,
         assert err.startswith(f"error: {path}: invalid YAML: {reason}") and err.count("\n") == 1, (loader, err)
 
 
+def test_cli_validate_refuses_a_deep_fallback_document(tmp_path, capsys, monkeypatch):
+    """A document that falls back to ``yaml.load`` with 50,000 levels of block
+    sequences is a parse error under both loaders, found before ``yaml.load``
+    runs: libyaml's composer overflowed the C stack on it (exit 139), and the
+    pure-Python one raised RecursionError (exit 4)."""
+    path = tmp_path / "deep.yaml"
+    path.write_text("a: &x 1\nb:\n" + "- " * 50_000 + "*x\n", encoding="utf-8")
+    for loader in LOADERS:
+        monkeypatch.setattr(scenario, "YAML_LOADER", loader)
+        assert main(["validate", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: invalid YAML: collections nested deeper than {scenario.FALLBACK_DEPTH} levels "
+            f"(line 3, column {2 * scenario.FALLBACK_DEPTH - 1})\n"), loader
+
+
 def test_cli_validate_missing_file(tmp_path, capsys):
     assert main(["validate", "--scenario", str(tmp_path / "absent.yaml")]) == 2
     assert "absent.yaml" in capsys.readouterr().err

@@ -23,7 +23,7 @@ from edgeplane.controlplane import ControlPlane, validate_plan
 from edgeplane.documents import dump_doc, plan_from_doc, plan_to_doc, report_to_doc
 from edgeplane.errors import ScenarioParseError
 from edgeplane.meshsim import run_scenario
-from edgeplane.scenario import load_scenario, read_yaml, scenario_from_doc
+from edgeplane.scenario import FALLBACK_DEPTH, load_scenario, read_yaml, scenario_from_doc
 
 from .support import GOLDEN, ROOT, SCENARIOS, gen_case
 
@@ -281,6 +281,23 @@ def test_walk_reads_50000_deep_nesting(tmp_path, monkeypatch, loader):
         assert type(doc) is list and len(doc) == 1
         doc = doc[0]
     assert doc == ["x"]
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+def test_a_fallback_document_nested_to_the_bound_reads_as_yaml_load_does(monkeypatch, tmp_path, loader):
+    """A document that falls back (it holds an alias) reads as ``yaml.load``
+    reads it when its collections nest FALLBACK_DEPTH deep, and one level
+    more is a parse error naming the bound and where it was passed."""
+    def deep(levels: int) -> str:  # the top mapping, then block sequences
+        return "a: &x 1\nb:\n" + "- " * (levels - 1) + "*x\n"
+
+    assert differential(monkeypatch, tmp_path, deep(FALLBACK_DEPTH), loader) == "fallback"
+    path = tmp_path / "deeper.yaml"
+    path.write_text(deep(FALLBACK_DEPTH + 1), encoding="utf-8")
+    with pytest.raises(ScenarioParseError) as info:
+        read_yaml(path)
+    assert str(info.value) == (f"{path}: invalid YAML: collections nested deeper than {FALLBACK_DEPTH} levels "
+                               f"(line 3, column {2 * FALLBACK_DEPTH - 1})")
 
 
 def test_reading_leaves_no_reference_cycle(monkeypatch, tmp_path):
