@@ -16,28 +16,22 @@ class EdgeplaneError(Exception):
 # --- infrastructure model ---------------------------------------------------
 
 
-class TopologyError(EdgeplaneError):
-    pass
-
-
-class DanglingReference(TopologyError):
+class DanglingReference(EdgeplaneError):
     """An id refers to an entity that does not exist in the topology."""
 
-    def __init__(self, missing_id: str, context: str = ""):
-        self.missing_id = missing_id
-        detail = f" ({context})" if context else ""
-        super().__init__(f"unresolved reference {missing_id!r}{detail}")
+    def __init__(self, missing_id: str, context: str):
+        super().__init__(f"unresolved reference {missing_id!r} ({context})")
 
 
-class DuplicateId(TopologyError):
+class DuplicateId(EdgeplaneError):
     pass
 
 
-class EmptyTopology(TopologyError):
+class EmptyTopology(EdgeplaneError):
     pass
 
 
-class InvalidTopology(TopologyError):
+class InvalidTopology(EdgeplaneError):
     """Structurally parseable topology with out-of-range or malformed values."""
 
 
@@ -52,29 +46,25 @@ class UnknownNode(EdgeplaneError):
 # --- application model ------------------------------------------------------
 
 
-class AppModelError(EdgeplaneError):
-    pass
-
-
-class CycleDetected(AppModelError):
+class CycleDetected(EdgeplaneError):
     def __init__(self, cycle: list[str]):
         self.cycle = list(cycle)
         super().__init__(" -> ".join(self.cycle))
 
 
-class UnreachableMicroservice(AppModelError):
+class UnreachableMicroservice(EdgeplaneError):
     pass
 
 
-class UnknownIngress(AppModelError):
+class UnknownIngress(EdgeplaneError):
     pass
 
 
-class InvalidApplication(AppModelError):
+class InvalidApplication(EdgeplaneError):
     pass
 
 
-class InvalidRequest(AppModelError):
+class InvalidRequest(EdgeplaneError):
     """A placement request that does not fit the application or topology."""
 
 
@@ -138,11 +128,7 @@ class InfeasiblePlacement(PlanningError):
 # --- simulation -------------------------------------------------------------
 
 
-class SimulationError(EdgeplaneError):
-    pass
-
-
-class MissingRoute(SimulationError):
+class MissingRoute(EdgeplaneError):
     """A positive flow has no matching routing rule; the plan is inconsistent."""
 
 

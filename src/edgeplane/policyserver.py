@@ -120,7 +120,7 @@ class PolicyAgentHandler(BaseHTTPRequestHandler):
         if length > MAX_BODY_BYTES:  # the body stays unread, so the connection cannot go on
             self._send(413, {"error": f"body over {MAX_BODY_BYTES} bytes"}, close=True)
             return
-        body = self.rfile.read(length) if length > 0 else b""
+        body = self.rfile.read(length)
         if urlparse(self.path).path == "/v1/evaluate":
             self._send(*evaluate_response(self.server.pset, self.server.graph, body))
         else:

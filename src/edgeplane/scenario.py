@@ -73,9 +73,9 @@ def read_yaml(path):
     the reference.  Raises ScenarioParseError, prefixed with the path, when
     the file is missing or unreadable, is not valid YAML, or holds a scalar
     its tag cannot construct (a date with month 13, an integer longer than
-    Python converts), or, when it is not plain, nests collections deeper
-    than :data:`FALLBACK_DEPTH`.  The message is one line: a YAML error with
-    a position reads ``<problem> (line L, column C)``.
+    Python converts), or nests flow collections, or, when it is not plain,
+    any collections, deeper than :data:`FALLBACK_DEPTH`.  The message is
+    one line: a YAML error with a position reads ``<problem> (line L, column C)``.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -107,7 +107,9 @@ def read_yaml(path):
 #: may have.  Its composers recurse once per level: the pure-Python one into the
 #: interpreter's recursion limit (two frames a level, and 300 levels still read
 #: under the default limit of 1,000), libyaml's into the C stack, which 50,000
-#: levels overflow.  A plain document is walked with no recursion at any depth.
+#: levels overflow.  A plain document is walked with no recursion at any depth,
+#: but a flow collection may open at most this deep in it too: both scanners take
+#: time quadratic in the depth of flow nesting, not of block nesting.
 FALLBACK_DEPTH = 200
 
 
@@ -153,7 +155,9 @@ def _from_events(loader):
     each distinct (value, implicit) pair once, and the constructor builds
     each distinct non-string one once; a later duplicate key wins, as in
     PyYAML.  Anything else (an alias, a merge key, a non-string or complex
-    key, no document or a second one) raises _Uncovered.  Parse errors are
+    key, no document or a second one) raises _Uncovered.  A flow collection
+    opened more than :data:`FALLBACK_DEPTH` collections deep is a YAML error at
+    its mark, raised before the scanner reads further.  Other parse errors are
     the loader's own; a constructor's ValueError propagates.
     """
     get = loader.get_event
@@ -194,6 +198,9 @@ def _from_events(loader):
                     top[key] = value
                     key = _KEY
             elif kind is MappingStartEvent or kind is SequenceStartEvent:
+                if len(stack) >= FALLBACK_DEPTH and event.flow_style:
+                    problem = f"flow collections nested deeper than {FALLBACK_DEPTH} levels"
+                    raise yaml.MarkedYAMLError(problem=problem, problem_mark=event.start_mark)
                 if event.anchor is not None or event.tag is not None or key is _KEY:
                     raise _Uncovered
                 opened = {} if kind is MappingStartEvent else []

@@ -1,11 +1,12 @@
 """Infrastructure model: regions containing domains containing compute nodes.
 
 Domains are the unit of administrative control and the anchor for locality
-scopes; IoT attachment points bind device groups to the domain their traffic
-enters through.  The graph is built once from a document and never written
-afterwards.  It records neither used capacity nor node drains: a node's free
-room is its stated capacity minus the instances a deployment plan puts on it,
-and the plan holds the set of nodes taken out of service.
+scopes.  Of the IoT attachment points, which bind device groups to the domain
+their traffic enters through, the graph keeps only those domains.  The graph
+is built once from a document and never written afterwards.  It records
+neither used capacity nor node drains: a node's free room is its stated
+capacity minus the instances a deployment plan puts on it, and the plan holds
+the set of nodes taken out of service.
 """
 
 from __future__ import annotations
@@ -66,20 +67,12 @@ class ComputeNode:
             raise InvalidTopology(f"node {self.id!r} must have positive cpu and memory capacity")
 
 
-@dataclass(frozen=True)
-class IoTAttachment:
-    """A device group attached to the domain its traffic enters through."""
-
-    device_group_id: str
-    domain_id: str
-
-
 @dataclass
 class InfrastructureGraph:
     regions: dict[str, Region]
     domains: dict[str, Domain]
     nodes: dict[str, ComputeNode]
-    attachments: dict[str, IoTAttachment]
+    _attachment_domains: list[str]  # sorted, each once
     _domain_nodes: dict[str, list[ComputeNode]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -95,7 +88,8 @@ class InfrastructureGraph:
         return list(self._domain_nodes[domain_id])
 
     def attachment_domains(self) -> list[str]:
-        return sorted({a.domain_id for a in self.attachments.values()})
+        """The domains IoT device groups attach to, sorted, as a fresh list."""
+        return list(self._attachment_domains)
 
     def anchor_of(self, domain_id: str, level: LocalityLevel) -> str:
         """The key of ``domain_id``'s scope at ``level``: the domain, its region
@@ -154,6 +148,17 @@ def load_topology(doc: dict) -> InfrastructureGraph:
         seen.add(ident)
         return ident
 
+    def entries(kind: str):
+        """Each ``kind`` entry with its id claimed, in id order."""
+        listed = doc_list(doc.get(f"{kind}s"), f"topology {kind}s", InvalidTopology)
+        for entry in sorted(listed, key=lambda e: str(e.get("id"))):
+            yield claim(_ident(entry.get("id"), kind), kind), entry
+
+    def domain_of(entry: dict, what: str) -> str:
+        if not _known(entry.get("domain"), domains):
+            raise DanglingReference(str(entry.get("domain")), f"domain of {what}")
+        return entry["domain"]
+
     regions: dict[str, Region] = {}
     for entry in doc_list(doc.get("regions"), "topology regions", InvalidTopology):
         rid = claim(_ident(entry.get("id"), "region"), "region")
@@ -167,9 +172,7 @@ def load_topology(doc: dict) -> InfrastructureGraph:
         regions[rid] = Region(rid, domain_ids)
 
     domains: dict[str, Domain] = {}
-    for entry in sorted(doc_list(doc.get("domains"), "topology domains", InvalidTopology),
-                        key=lambda e: str(e.get("id"))):
-        did = claim(_ident(entry.get("id"), "domain"), "domain")
+    for did, entry in entries("domain"):
         kind = entry.get("kind")
         if kind not in DOMAIN_KINDS:
             raise InvalidTopology(f"domain {did!r} kind must be one of {DOMAIN_KINDS}, got {kind!r}")
@@ -192,24 +195,12 @@ def load_topology(doc: dict) -> InfrastructureGraph:
                 raise DanglingReference(did, f"domain claims region {domains[did].region_id!r}")
 
     nodes: dict[str, ComputeNode] = {}
-    for entry in sorted(doc_list(doc.get("nodes"), "topology nodes", InvalidTopology),
-                        key=lambda e: str(e.get("id"))):
-        nid = claim(_ident(entry.get("id"), "node"), "node")
-        if not _known(entry.get("domain"), domains):
-            raise DanglingReference(str(entry.get("domain")), f"domain of node {nid!r}")
+    for nid, entry in entries("node"):
         nodes[nid] = ComputeNode(
             id=nid,
-            domain_id=entry["domain"],
+            domain_id=domain_of(entry, f"node {nid!r}"),
             cpu_capacity=doc_int(entry.get("cpu_m"), f"node {nid!r} cpu_m", InvalidTopology),
             mem_capacity=doc_int(entry.get("mem_mi"), f"node {nid!r} mem_mi", InvalidTopology),
         )
-
-    attachments: dict[str, IoTAttachment] = {}
-    for entry in sorted(doc_list(doc.get("attachments"), "topology attachments", InvalidTopology),
-                        key=lambda e: str(e.get("id"))):
-        aid = claim(_ident(entry.get("id"), "attachment"), "attachment")
-        if not _known(entry.get("domain"), domains):
-            raise DanglingReference(str(entry.get("domain")), f"domain of attachment {aid!r}")
-        attachments[aid] = IoTAttachment(aid, entry["domain"])
-
-    return InfrastructureGraph(regions=regions, domains=domains, nodes=nodes, attachments=attachments)
+    attached = {domain_of(entry, f"attachment {aid!r}") for aid, entry in entries("attachment")}
+    return InfrastructureGraph(regions, domains, nodes, sorted(attached))

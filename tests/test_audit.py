@@ -207,6 +207,22 @@ def test_the_policy_server_leaves_policy_types_to_the_policy_engine():
     assert literals & set(POLICY_TYPES) == set()
 
 
+def test_every_error_class_is_used_outside_the_errors_module():
+    """An error class stays only while the package raises, catches or uses it:
+    each class ``errors.py`` defines is read by name in another of its
+    modules.  An import alone, such as a re-export, does not count."""
+    package = Path(audit.__file__).parent
+    defined = {node.name for node in ast.parse((package / "errors.py").read_text(encoding="utf-8")).body
+               if isinstance(node, ast.ClassDef)}
+    read = set()
+    for path in package.glob("*.py"):
+        if path.stem != "errors":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            read |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert defined - read == set()
+
+
 def test_auditors_are_called_through_their_module_globals(surge, monkeypatch):
     """A replan validates through ``controlplane.validate_plan`` and every
     routed tick routes through ``meshsim.route_flows`` and audits through

@@ -9,6 +9,7 @@ import urllib.request
 
 import pytest
 
+from edgeplane import policyserver
 from edgeplane.errors import PolicyError
 from edgeplane.policy import evaluate_query
 from edgeplane.policyserver import (
@@ -19,6 +20,7 @@ from edgeplane.policyserver import (
     data_response,
     evaluate_response,
     make_server,
+    serve,
 )
 
 
@@ -228,6 +230,13 @@ def test_wire_unknown_paths(server):
     assert body == canonical_json({"error": "unknown_path"})
 
 
+def test_wire_data_with_no_policy_type_is_an_unknown_key(server):
+    srv, base = server
+    for path in ("/v1/data", "/v1/data/"):
+        status, body, _ = http_get(base, path)
+        assert (status, body) == (404, canonical_json({"error": "unknown_key"})), path
+
+
 def test_wire_post_to_an_unknown_path_keeps_the_connection_in_step(server):
     """The body of a POST answered 404 is read, so the request after it on
     the same keep-alive connection is answered, not parsed from that body."""
@@ -419,3 +428,37 @@ def test_wire_expect_100_continue_is_answered_before_the_body(server):
         head, _, answer = read_until_closed(sock).partition(b"\r\n\r\n")
     assert head.startswith(b"HTTP/1.1 200 ")
     assert answer == canonical_json(evaluate_response(srv.pset, srv.graph, body)[1])
+
+
+def test_serve_takes_every_port_from_0_to_65535(setup, monkeypatch):
+    """The bind's form and port range are checked before any socket opens."""
+    graph, pset = setup
+    bound = []
+
+    class Unstarted:
+        def serve_forever(self):
+            pass
+
+        def server_close(self):
+            pass
+
+    monkeypatch.setattr(policyserver, "make_server",
+                        lambda pset, graph, host, port: bound.append((host, port)) or Unstarted())
+    for port in (0, 65535):
+        serve(pset, graph, f"127.0.0.1:{port}")
+    assert bound == [("127.0.0.1", 0), ("127.0.0.1", 65535)]
+    with pytest.raises(ValueError) as info:
+        serve(pset, graph, "127.0.0.1:65536")
+    assert str(info.value) == "bind must look like host:port with a port of 0-65535, got '127.0.0.1:65536'"
+
+
+def test_serve_names_why_a_bind_failed(setup):
+    """A failed bind reads as the OS error's bare strerror."""
+    graph, pset = setup
+    with socket.socket() as held:
+        held.bind(("127.0.0.1", 0))
+        held.listen()
+        bind = f"127.0.0.1:{held.getsockname()[1]}"
+        with pytest.raises(ValueError) as info:
+            serve(pset, graph, bind)
+    assert str(info.value) == f"cannot bind {bind}: Address already in use"

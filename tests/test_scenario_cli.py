@@ -205,6 +205,14 @@ def test_events_validation(tmp_path, event, match):
         load_scenario(write_scenario(tmp_path, doc))
 
 
+def test_a_negative_tick_names_the_bound(tmp_path):
+    doc = canonical_doc()
+    doc["events"] = [{"tick": -1, "type": "drain_node", "node": "cl-n1"}]
+    with pytest.raises(ScenarioParseError) as info:
+        load_scenario(write_scenario(tmp_path, doc))
+    assert str(info.value) == "events[0].tick must be an integer >= 0, got -1"
+
+
 @pytest.mark.parametrize("rps", ["many", True, float("inf")])
 def test_event_rates_are_read_as_demand(tmp_path, rps):
     """A set_demand event's rate goes through the demand reader, so a rate
@@ -286,6 +294,19 @@ def test_cli_validate_refuses_a_deep_fallback_document(tmp_path, capsys, monkeyp
         assert capsys.readouterr().err == (
             f"error: {path}: invalid YAML: collections nested deeper than {scenario.FALLBACK_DEPTH} levels "
             f"(line 3, column {2 * scenario.FALLBACK_DEPTH - 1})\n"), loader
+
+
+def test_cli_validate_refuses_deep_flow_nesting(tmp_path, capsys, monkeypatch):
+    """50,000 levels of flow sequences took PyYAML's scanners seconds under
+    libyaml and minutes under pure Python; the walk stops at the bound."""
+    path = tmp_path / "deep.yaml"
+    path.write_text("a: " + "[" * 50_000 + "]" * 50_000 + "\n", encoding="utf-8")
+    for loader in LOADERS:
+        monkeypatch.setattr(scenario, "YAML_LOADER", loader)
+        assert main(["validate", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: invalid YAML: flow collections nested deeper than {scenario.FALLBACK_DEPTH} levels "
+            f"(line 1, column {scenario.FALLBACK_DEPTH + 3})\n"), loader
 
 
 def test_cli_validate_missing_file(tmp_path, capsys):

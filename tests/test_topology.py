@@ -151,6 +151,77 @@ def test_bad_capacities(cpu):
         load_topology(doc)
 
 
+@pytest.mark.parametrize("field", ["cpu_m", "mem_mi"])
+def test_a_zero_capacity_is_refused(field):
+    doc = minimal_doc()
+    doc["nodes"][0][field] = 0
+    with pytest.raises(InvalidTopology, match="^node 'n1' must have positive cpu and memory capacity$"):
+        load_topology(doc)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.update(regions=5), "topology regions must be a list of mappings"),
+    (lambda doc: doc["regions"][0].update(domains="d1"), "region 'r1' domains must be a list of ids"),
+    (lambda doc: doc["nodes"][0].update(cpu_m="2000"), "node 'n1' cpu_m must be an integer, got '2000'"),
+    (lambda doc: doc["domains"][0].update(admin=""), "domain 'd1' admin must be a non-empty string, got ''"),
+])
+def test_a_malformed_value_names_what_was_expected(edit, message):
+    doc = minimal_doc()
+    edit(doc)
+    with pytest.raises(InvalidTopology) as info:
+        load_topology(doc)
+    assert str(info.value) == message
+
+
+def test_a_region_listing_a_domain_twice_names_the_repeat():
+    doc = minimal_doc()
+    doc["regions"][0]["domains"] = ["d2", "d1", "d1"]
+    with pytest.raises(DuplicateId, match="^region 'r1' lists domain 'd1' twice$"):
+        load_topology(doc)
+
+
+@pytest.mark.parametrize("kind, entry, message", [
+    ("regions", {"id": "r1", "domains": ["d3"]}, "region id 'r1' already used"),
+    ("regions", {"id": "d2", "domains": ["d3"]}, "domain id 'd2' already used"),
+    ("domains", {"id": "r1", "region": "r2", "admin": "a", "kind": "edge"}, "domain id 'r1' already used"),
+    ("nodes", {"id": "d3", "domain": "d3", "cpu_m": 1, "mem_mi": 1}, "node id 'd3' already used"),
+    ("nodes", {"id": "iot1", "domain": "d3", "cpu_m": 1, "mem_mi": 1}, "attachment id 'iot1' already used"),
+    ("attachments", {"id": "n2", "domain": "d2"}, "attachment id 'n2' already used"),
+])
+def test_every_id_is_claimed_once_across_kinds(kind, entry, message):
+    """Regions claim their ids in document order, then domains, nodes and
+    attachments each in id order; the later claim of an id names its kind."""
+    doc = minimal_doc()
+    doc[kind].append(entry)
+    with pytest.raises(DuplicateId, match=f"^{message}$"):
+        load_topology(doc)
+
+
+@pytest.mark.parametrize("kind, domain, message", [
+    ("nodes", "ghost", "unresolved reference 'ghost' (domain of node 'n1')"),
+    ("nodes", ["d1"], "unresolved reference \"['d1']\" (domain of node 'n1')"),
+    ("attachments", "r1", "unresolved reference 'r1' (domain of attachment 'iot1')"),
+    ("attachments", None, "unresolved reference 'None' (domain of attachment 'iot1')"),
+])
+def test_nodes_and_attachments_name_a_missing_domain(kind, domain, message):
+    doc = minimal_doc()
+    doc[kind][0]["domain"] = domain
+    with pytest.raises(DanglingReference) as info:
+        load_topology(doc)
+    assert str(info.value) == message
+
+
+def test_attachment_domains_are_sorted_once_each_on_a_fresh_list():
+    doc = minimal_doc()
+    doc["attachments"] += [{"id": "iot3", "domain": "d3"}, {"id": "iot0", "domain": "d1"}]
+    graph = load_topology(doc)
+    listed = graph.attachment_domains()
+    assert listed == ["d1", "d3"]
+    listed.append("d2")
+    assert graph.attachment_domains() == ["d1", "d3"]
+    assert load_topology({**doc, "attachments": None}).attachment_domains() == []
+
+
 def test_anchors_resolve_scopes():
     graph = load_topology(minimal_doc())
     assert graph.anchor_of("d1", LocalityLevel.STRICT_DOMAIN) == "d1"

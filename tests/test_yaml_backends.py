@@ -284,6 +284,43 @@ def test_walk_reads_50000_deep_nesting(tmp_path, monkeypatch, loader):
 
 
 @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+def test_flow_nesting_past_the_bound_is_refused_where_it_opens(monkeypatch, tmp_path, loader):
+    """Both scanners take time quadratic in the depth of flow nesting, so the
+    walk refuses a flow collection opened more than FALLBACK_DEPTH collections
+    deep, at its mark, and asks the loader for no event past it: 50,000 flow
+    levels cost a few hundred events.  A flow collection at the bound, under
+    flow or block nesting, reads as ``yaml.load`` reads it."""
+    def flow(levels: int) -> str:  # the top mapping, then flow sequences
+        return "a: " + "[" * levels + "]" * levels + "\n"
+
+    def block_then_flow(levels: int) -> str:  # block sequences, then one flow sequence
+        return "- " * (levels - 1) + "[x]\n"
+
+    assert differential(monkeypatch, tmp_path, flow(FALLBACK_DEPTH - 1), loader) == "walk"
+    assert differential(monkeypatch, tmp_path, block_then_flow(FALLBACK_DEPTH), loader) == "walk"
+
+    class Counting(loader):
+        events = 0
+
+        def get_event(self):
+            Counting.events += 1
+            return super().get_event()
+
+    monkeypatch.setattr(scenario, "YAML_LOADER", Counting)
+    path = tmp_path / "deeper.yaml"
+    for text, column in ((flow(FALLBACK_DEPTH), FALLBACK_DEPTH + 3),
+                         (flow(50_000), FALLBACK_DEPTH + 3),
+                         (block_then_flow(FALLBACK_DEPTH + 1), 2 * FALLBACK_DEPTH + 1)):
+        path.write_text(text, encoding="utf-8")
+        Counting.events = 0
+        with pytest.raises(ScenarioParseError) as info:
+            read_yaml(path)
+        assert str(info.value) == (f"{path}: invalid YAML: flow collections nested deeper than "
+                                   f"{FALLBACK_DEPTH} levels (line 1, column {column})")
+        assert Counting.events <= FALLBACK_DEPTH + 4
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
 def test_a_fallback_document_nested_to_the_bound_reads_as_yaml_load_does(monkeypatch, tmp_path, loader):
     """A document that falls back (it holds an alias) reads as ``yaml.load``
     reads it when its collections nest FALLBACK_DEPTH deep, and one level
